@@ -155,15 +155,22 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
         if shift < tol:
             break
     labels, d2 = _assign(x, centroids)
+    counts = np.bincount(labels, minlength=k)
+    refilled = 0
     for c in range(k):  # final safety: never return an empty cluster
-        if not np.any(labels == c):
-            far = int(np.argmax(d2))
+        if counts[c] == 0:
+            # the donor must leave a nonempty cluster behind; with duplicate
+            # rows every d2 may be 0, so argmax alone could pick one twice
+            far = int(np.argmax(np.where(counts[labels] >= 2, d2, -1.0)))
+            counts[labels[far]] -= 1
+            counts[c] = 1
             labels[far] = c
             d2[far] = 0.0
             centroids[c] = x[far]
+            refilled += 1
     # exact inertia: the fast expansion above carries cancellation roundoff
     inertia = float(((x - centroids[labels]) ** 2).sum())
-    return labels, centroids, inertia
+    return labels, centroids, inertia, refilled
 
 
 def kmeans(
@@ -187,11 +194,18 @@ def kmeans(
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         centroids = _plus_plus_init(x, k, rng)
-        labels, centroids, inertia = _lloyd(x, centroids, max_iter, tol)
-        if best is None or inertia < best[2]:
-            best = (labels, centroids, inertia)
-    labels, centroids, inertia = best
-    return ClusterModel(labels, k, centroids, inertia, method="kmeans", seed=seed)
+        result = _lloyd(x, centroids, max_iter, tol)
+        if best is None or result[2] < best[2]:
+            best = result
+    labels, centroids, inertia, refilled = best
+    warning = None
+    if refilled:
+        warning = (
+            f"{refilled} of k={k} clusters were empty after k-means and each took one point "
+            "from a larger cluster; the data may have fewer than k distinct rows"
+        )
+        logger.warning(warning)
+    return ClusterModel(labels, k, centroids, inertia, method="kmeans", seed=seed, warning=warning)
 
 
 def heterogeneity(points, seed: int = 0) -> float:

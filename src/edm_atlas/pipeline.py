@@ -24,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -244,7 +245,7 @@ def _clustering_input(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector, bool]
 
 def _run_method(
     matrix: FeatureMatrix, method: str, cfg: RunConfig
-) -> tuple[ClusterModel, metrics.EvaluationReport]:
+) -> tuple[ClusterModel, Callable[[np.ndarray, int], np.ndarray]]:
     seed = stage_seed(cfg.seed, f"cluster:{method}")
     if cfg.k > matrix.shape[0]:
         raise ConfigError(f"k={cfg.k} exceeds {matrix.shape[0]} tracks")

@@ -57,28 +57,32 @@ def _best_split_scan(x_sub: np.ndarray, y_onehot: np.ndarray, min_leaf: int):
 
 
 def _best_split_random(x_sub: np.ndarray, y_onehot: np.ndarray, min_leaf: int, rng):
-    """Best split with one uniformly random threshold per sampled feature."""
-    n, f = x_sub.shape
+    """Best split with one uniformly random threshold per sampled feature.
+
+    All sampled features are scored in one pass; ties go to the first.
+    """
+    n = x_sub.shape[0]
     lo = x_sub.min(axis=0)
     hi = x_sub.max(axis=0)
     spread = hi > lo
     if not np.any(spread):
         return None
     thresholds = rng.uniform(lo, hi)
-    best = None
-    for col in range(f):
-        if not spread[col]:
-            continue
-        mask = x_sub[:, col] <= thresholds[col]
-        n_left = int(mask.sum())
-        if n_left < min_leaf or n - n_left < min_leaf:
-            continue
-        cl = y_onehot[mask].sum(axis=0)
-        cr = y_onehot[~mask].sum(axis=0)
-        weighted = (n_left * _gini(cl, n_left) + (n - n_left) * _gini(cr, n - n_left)) / n
-        if best is None or weighted < best[2]:
-            best = (col, float(thresholds[col]), weighted)
-    return best
+    mask = x_sub <= thresholds  # (n, f)
+    # class counts are small integers, so the matrix product is exact
+    left = mask.T @ y_onehot  # (f, K)
+    right = y_onehot.sum(axis=0) - left
+    n_left = mask.sum(axis=0)
+    n_right = n - n_left
+    valid = spread & (n_left >= min_leaf) & (n_right >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_left = np.where(n_left > 0, 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1), 0.0)
+        gini_right = np.where(n_right > 0, 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1), 0.0)
+    weighted = np.where(valid, (n_left * gini_left + n_right * gini_right) / n, np.inf)
+    col = int(np.argmin(weighted))
+    if not valid[col]:
+        return None
+    return col, float(thresholds[col]), float(weighted[col])
 
 
 def _grow_tree(X, y_onehot, importance, mode, rng, n_total, max_depth, min_leaf, m_try):

@@ -40,6 +40,24 @@ class TestKmeans:
         model = kmeans(data, 4, seed=0)
         assert np.bincount(model.labels, minlength=4).min() >= 1
 
+    @pytest.mark.parametrize(
+        "data, k",
+        [
+            (np.zeros((10, 3)), 3),
+            (np.repeat(np.array([[0.0, 1.0, 2.0], [4.0, 4.0, 4.0]]), 5, axis=0), 4),
+        ],
+        ids=["constant", "two_distinct_rows"],
+    )
+    def test_k_above_distinct_rows_warns(self, data, k):
+        model = kmeans(data, k, seed=0)
+        assert np.bincount(model.labels, minlength=k).min() >= 1
+        assert model.inertia == 0.0
+        assert "distinct rows" in model.warning
+
+    def test_well_separated_data_no_warning(self):
+        data, _ = make_blobs(3, 30, seed=4)
+        assert kmeans(data, 3, seed=0).warning is None
+
     def test_k_bounds(self):
         data = np.random.default_rng(0).normal(0, 1, (10, 2))
         with pytest.raises(ValueError):

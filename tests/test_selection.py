@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edm_atlas.selection import (
     METHOD_WEIGHTS,
+    YJ_LAMBDA_GRID,
     LabelVector,
+    _yeo_johnson_grid,
     anova_f,
     cluster_separation_score,
     engineer_features,
@@ -17,6 +21,7 @@ from edm_atlas.selection import (
     variance_score,
 )
 from edm_atlas.table import FeatureMatrix
+from edm_atlas.trees import _best_split_random, _gini
 
 
 def matrix_of(data, groups=None, names=None):
@@ -102,6 +107,157 @@ class TestEnsembleNormalize:
         raw_centered = col - col.mean()
         raw_skew = (raw_centered**3).mean() / (raw_centered**2).mean() ** 1.5
         assert abs(skew) < 0.3 * abs(raw_skew)
+
+
+def yeo_johnson_reference(col, lam):
+    """One Yeo-Johnson transform at one lambda (the scalar reference)."""
+    out = np.empty_like(col)
+    pos = col >= 0
+    if abs(lam) < 1e-12:
+        out[pos] = np.log1p(col[pos])
+    else:
+        out[pos] = (np.exp(lam * np.log1p(col[pos])) - 1.0) / lam
+    neg = ~pos
+    if np.any(neg):
+        if abs(lam - 2.0) < 1e-12:
+            out[neg] = -np.log1p(-col[neg])
+        else:
+            out[neg] = -(np.exp((2.0 - lam) * np.log1p(-col[neg])) - 1.0) / (2.0 - lam)
+    return out
+
+
+def power_scale_reference(col):
+    """power_scale as one transform per grid lambda, ties to the lowest lambda."""
+    if col.max() == col.min():
+        return np.zeros_like(col)
+    n = col.size
+    penalty_sum = (np.sign(col) * np.log1p(np.abs(col))).sum()
+    best_lam, best_ll = None, -np.inf
+    with np.errstate(all="ignore"):
+        for lam in YJ_LAMBDA_GRID:
+            var = yeo_johnson_reference(col, float(lam)).var()
+            if var <= 0 or not np.isfinite(var):
+                continue
+            ll = -0.5 * n * np.log(var) + (lam - 1.0) * penalty_sum
+            if ll > best_ll:
+                best_ll, best_lam = ll, float(lam)
+    if best_lam is None:
+        return np.zeros_like(col)
+    t = yeo_johnson_reference(col, best_lam)
+    std = t.std()
+    return (t - t.mean()) / std if std > 0 else np.zeros_like(col)
+
+
+@st.composite
+def power_columns(draw):
+    """Columns of every sign pattern and spread power_scale meets."""
+    n = draw(st.one_of(st.integers(2, 4), st.integers(5, 60)))
+    kind = draw(
+        st.sampled_from(
+            ["positive", "negative", "mixed", "lognormal", "near_constant", "constant"]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0, 1e4]))
+    if kind == "positive":
+        return rng.exponential(scale, n)
+    if kind == "negative":
+        return -rng.exponential(scale, n)
+    if kind == "mixed":
+        return rng.normal(draw(st.floats(-2.0, 2.0)) * scale, scale, n)
+    if kind == "lognormal":
+        return rng.lognormal(0.0, draw(st.floats(0.1, 3.0)), n)
+    if kind == "near_constant":
+        return np.full(n, draw(st.floats(-1e3, 1e3))) + rng.normal(0.0, 1e-9, n)
+    return np.full(n, draw(st.floats(-1e3, 1e3)))
+
+
+class TestPowerScaleMatchesScalarLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(col=power_columns())
+    def test_bitwise_equal(self, col):
+        assert power_scale(col).tobytes() == power_scale_reference(col).tobytes()
+
+    def test_every_grid_row_including_log1p_branches(self):
+        # lambda 0 and 2 take the log1p branches, which the likelihood
+        # rarely picks, so compare every row of the grid transform
+        col = np.array([-40.0, -3.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 3.0, 900.0])
+        grid = _yeo_johnson_grid(col)
+        assert grid.shape == (YJ_LAMBDA_GRID.size, col.size)
+        for lam, row in zip(YJ_LAMBDA_GRID, grid):
+            assert row.tobytes() == yeo_johnson_reference(col, float(lam)).tobytes()
+
+
+def best_split_random_reference(x_sub, y_onehot, min_leaf, rng):
+    """_best_split_random as a loop over the sampled features."""
+    n, f = x_sub.shape
+    lo = x_sub.min(axis=0)
+    hi = x_sub.max(axis=0)
+    spread = hi > lo
+    if not np.any(spread):
+        return None
+    thresholds = rng.uniform(lo, hi)
+    best = None
+    for col in range(f):
+        if not spread[col]:
+            continue
+        mask = x_sub[:, col] <= thresholds[col]
+        n_left = int(mask.sum())
+        if n_left < min_leaf or n - n_left < min_leaf:
+            continue
+        cl = y_onehot[mask].sum(axis=0)
+        cr = y_onehot[~mask].sum(axis=0)
+        weighted = (n_left * _gini(cl, n_left) + (n - n_left) * _gini(cr, n - n_left)) / n
+        if best is None or weighted < best[2]:
+            best = (col, float(thresholds[col]), weighted)
+    return best
+
+
+def one_hot(y, k):
+    out = np.zeros((y.size, k))
+    out[np.arange(y.size), y] = 1.0
+    return out
+
+
+class TestBestSplitRandomMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        f=st.integers(1, 15),
+        k=st.integers(2, 12),
+        min_leaf=st.integers(0, 4),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_split(self, n, f, k, min_leaf, ties, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, 1, (n, f))
+        if ties:
+            x = np.round(x)
+        y_onehot = one_hot(rng.integers(0, k, n), k)
+        found = _best_split_random(x, y_onehot, min_leaf, np.random.default_rng(seed + 1))
+        expected = best_split_random_reference(x, y_onehot, min_leaf, np.random.default_rng(seed + 1))
+        assert repr(found) == repr(expected)
+        if found is not None:
+            assert type(found[0]) is int and type(found[2]) is float
+
+    def test_no_valid_split_is_none(self):
+        # every threshold leaves fewer than min_leaf rows on one side
+        x = np.array([[0.0, 5.0], [1.0, 6.0], [2.0, 7.0]])
+        y_onehot = one_hot(np.array([0, 1, 0]), 2)
+        assert _best_split_random(x, y_onehot, 2, np.random.default_rng(0)) is None
+        assert best_split_random_reference(x, y_onehot, 2, np.random.default_rng(0)) is None
+
+    def test_tie_goes_to_first_feature(self):
+        # two copies of a perfect separator: any threshold in (0, 1) splits
+        # both identically, so the weighted Gini ties and column 0 must win
+        y = np.repeat([0, 1], 5)
+        x = np.column_stack([y, y]).astype(float)
+        y_onehot = one_hot(y, 2)
+        found = _best_split_random(x, y_onehot, 2, np.random.default_rng(3))
+        expected = best_split_random_reference(x, y_onehot, 2, np.random.default_rng(3))
+        assert found[0] == 0 and found[2] == 0.0
+        assert repr(found) == repr(expected)
 
 
 def anova_oracle(col, y):
@@ -282,6 +438,16 @@ class TestEnsembleSelect:
         selected, report = ensemble_select(m, LabelVector(y, list("abcd")), top_k=5, seed=0)
         assert np.argmax(report.ensemble) == 17
         assert "f017" in selected.col_names
+
+    def test_f_ratio_columns_equal_public_scores(self):
+        rng = np.random.default_rng(23)
+        y = rng.integers(0, 3, 60)
+        m = matrix_of(rng.normal(0, 1, (60, 6)))
+        labels = LabelVector(y, list("abc"))
+        _, report = ensemble_select(m, labels, top_k=3, seed=0)
+        assert np.array_equal(report.raw["anova_f"], report.raw["cluster_sep"])
+        # scoring runs on a column-gathered copy, so sums may round differently
+        assert report.raw["cluster_sep"] == pytest.approx(cluster_separation_score(m, labels), rel=1e-12)
 
     def test_top_k_exceeds_d(self):
         m = matrix_of(np.random.default_rng(0).normal(0, 1, (30, 4)))
