@@ -21,6 +21,8 @@ CANONICAL_RATE = 22050
 STFT_WINDOW = 2048
 STFT_HOP = 512
 
+FRAME_BLOCK = 256
+
 CLICK_LEN_S = 0.005
 BPM_MIN = 30.0
 BPM_MAX = 480.0
@@ -182,8 +184,46 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(np.clip(out, -1.0, 1.0), target_rate, clip.source_id)
 
 
+def frame_blocks(n: int) -> list[tuple[int, int]]:
+    """Split ``n`` rows into near-equal ``(start, stop)`` blocks of about ``FRAME_BLOCK`` rows.
+
+    Blocks cover ``range(n)`` in order and differ in length by at most one
+    row; none is shorter than ``FRAME_BLOCK // 2`` (128) unless ``n``
+    itself is. The per-frame layers (STFT, novelty, spectral statistics,
+    MFCC band energies, chroma, row energy) run one block at a time so that
+    no whole-spectrogram temporary is held, and the result must equal the
+    whole-array code bit for bit. That holds only for operations whose
+    per-row result does not depend on how many rows are computed together:
+
+    * element-wise ufuncs, per-row FFTs and cumulative sums along a row are
+      safe at any block height;
+    * a reduction along a row depends on the memory layout: numpy sums a
+      C-ordered row pairwise but an F-ordered one (what ``x[:, mask]``
+      returns) sequentially, and a 1-row block is both, so it takes the
+      pairwise path. Balanced blocks never leave such a 1-row tail, which
+      fixed-size blocks would (513 frames at 256 rows);
+    * a matrix product depends on the row count through the BLAS kernel:
+      OpenBLAS takes a separate small-matrix kernel, with its own rounding,
+      for small products (with the MFCC filter bank, blocks of 24 rows or
+      fewer on scipy-openblas 0.3.31). When ``n`` needs more than one
+      block, every block has 192 to 320 rows, far above that; the tests
+      check every height from 128 to 383.
+    """
+    if n <= 0:
+        return []
+    n_blocks = max(1, (n + FRAME_BLOCK // 2) // FRAME_BLOCK)
+    edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def stft(clip: AudioClip, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectrogram:
-    """Hann-windowed magnitude STFT with frames = 1 + (n - window) // hop."""
+    """Hann-windowed magnitude STFT with frames = 1 + (n - window) // hop.
+
+    The spectrogram is float64, n_frames x (window_len // 2 + 1): about
+    121 MB for a 6-minute track at 22050 Hz with the default window and
+    hop. It is filled in frame blocks, so the windowed frames and their
+    complex spectra exist only one block at a time.
+    """
     n = clip.samples.size
     if not (0 < hop <= window_len <= n):
         raise ValueError(
@@ -191,9 +231,10 @@ def stft(clip: AudioClip, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) ->
         )
     n_frames = 1 + (n - window_len) // hop
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window_len)[::hop]
-    frames = frames[:n_frames]
     window = np.hanning(window_len)
-    mags = np.abs(np.fft.rfft(frames * window, axis=1))
+    mags = np.empty((n_frames, window_len // 2 + 1))
+    for start, stop in frame_blocks(n_frames):
+        np.abs(np.fft.rfft(frames[start:stop] * window, axis=1), out=mags[start:stop])
     freqs = np.fft.rfftfreq(window_len, 1.0 / clip.sample_rate)
     return Spectrogram(mags, clip.sample_rate / hop, freqs)
 

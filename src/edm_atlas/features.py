@@ -14,11 +14,15 @@ import logging
 import numpy as np
 from scipy.fft import dct
 
-from .audio import CANONICAL_RATE, AudioClip, Spectrogram, stft
+from .audio import CANONICAL_RATE, AudioClip, Spectrogram, frame_blocks, stft
 from .tempogram import (
     ANALYSIS_WINDOW_S,
     LOG_COMPRESSION,
+    MIN_DURATION_S,
     NoveltyCurve,
+    Tempogram,
+    TrackAnalysis,
+    analyze_track,
     autocorr_tempogram,
     fourier_tempogram,
     novelty_curve,
@@ -49,33 +53,41 @@ def spectral_stats(spec: Spectrogram) -> FeatureVector:
 
     Silent frames contribute centroid = spread = entropy = rolloff = 0.
     Flux is the L2 norm of positive bin differences between frame pairs.
+    The per-frame series are computed in frame blocks; flux blocks overlap
+    by one row.
     """
     if spec.n_frames < 2:
         raise ValueError("spectral stats need at least 2 frames")
-    mags = spec.magnitudes
     freqs = spec.bin_freqs
-    totals = mags.sum(axis=1)
-    live = totals > 0
-    safe_tot = np.where(live, totals, 1.0)
+    n = spec.n_frames
+    centroid, spread, entropy, rolloff = (np.empty(n) for _ in range(4))
+    for start, stop in frame_blocks(n):
+        mags = spec.magnitudes[start:stop]
+        rows = slice(start, stop)
+        totals = mags.sum(axis=1)
+        live = totals > 0
+        safe_tot = np.where(live, totals, 1.0)
 
-    centroid = np.where(live, (mags * freqs).sum(axis=1) / safe_tot, 0.0)
-    spread = np.where(
-        live,
-        np.sqrt((mags * (freqs - centroid[:, None]) ** 2).sum(axis=1) / safe_tot),
-        0.0,
-    )
-    probs = mags / safe_tot[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
-    entropy = np.where(live, -plogp.sum(axis=1), 0.0)
+        centroid[rows] = np.where(live, (mags * freqs).sum(axis=1) / safe_tot, 0.0)
+        spread[rows] = np.where(
+            live,
+            np.sqrt((mags * (freqs - centroid[rows, None]) ** 2).sum(axis=1) / safe_tot),
+            0.0,
+        )
+        probs = mags / safe_tot[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+        entropy[rows] = np.where(live, -plogp.sum(axis=1), 0.0)
 
-    flux = np.linalg.norm(np.clip(np.diff(mags, axis=0), 0.0, None), axis=1)
+        cum = np.cumsum(mags**2, axis=1)
+        thresh = ROLLOFF_FRACTION * cum[:, -1]
+        idx = np.argmax(cum >= thresh[:, None], axis=1)
+        rolloff[rows] = np.where(cum[:, -1] > 0, freqs[idx], 0.0)
 
-    energy = mags**2
-    cum = np.cumsum(energy, axis=1)
-    thresh = ROLLOFF_FRACTION * cum[:, -1]
-    idx = np.argmax(cum >= thresh[:, None], axis=1)
-    rolloff = np.where(cum[:, -1] > 0, freqs[idx], 0.0)
+    flux = np.empty(n - 1)
+    for start, stop in frame_blocks(n - 1):
+        diff = np.diff(spec.magnitudes[start : stop + 1], axis=0)
+        flux[start:stop] = np.linalg.norm(np.clip(diff, 0.0, None), axis=1)
 
     values, names = [], []
     for label, series in (
@@ -111,11 +123,17 @@ def mel_filterbank(bin_freqs: np.ndarray, n_bands: int = N_MEL_BANDS) -> np.ndar
 
 
 def mfcc_features(spec: Spectrogram) -> FeatureVector:
-    """Mean/std of 13 MFCCs and their centered-difference deltas (52 dims)."""
+    """Mean/std of 13 MFCCs and their centered-difference deltas (52 dims).
+
+    The mel band energies are computed in frame blocks; see frame_blocks
+    for why the blocked matrix product equals the whole one.
+    """
     if spec.n_frames < 3:
         raise ValueError("MFCC deltas need at least 3 frames")
     bank = mel_filterbank(spec.bin_freqs)
-    band_energy = spec.magnitudes**2 @ bank.T
+    band_energy = np.empty((spec.n_frames, bank.shape[0]))
+    for start, stop in frame_blocks(spec.n_frames):
+        band_energy[start:stop] = spec.magnitudes[start:stop] ** 2 @ bank.T
     log_energy = np.log(np.maximum(band_energy, LOG_FLOOR))
     coeffs = dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
     deltas = (coeffs[2:] - coeffs[:-2]) / 2.0  # interior frames only
@@ -145,14 +163,16 @@ def chroma_features(spec: Spectrogram) -> FeatureVector:
         raise ValueError("chroma needs at least 1 frame")
     usable = spec.bin_freqs >= CHROMA_MIN_FREQ
     freqs = spec.bin_freqs[usable]
-    energy = spec.magnitudes[:, usable] ** 2
     pc = (np.round(12.0 * np.log2(freqs / 440.0)).astype(int) + 9) % 12  # A -> 9
 
     chroma = np.zeros((spec.n_frames, 12))
-    for c in range(12):
-        sel = pc == c
-        if np.any(sel):
-            chroma[:, c] = energy[:, sel].sum(axis=1)
+    for start, stop in frame_blocks(spec.n_frames):
+        # F-ordered, like the whole-array gather: see frame_blocks
+        energy = spec.magnitudes[start:stop][:, usable] ** 2
+        for c in range(12):
+            sel = pc == c
+            if np.any(sel):
+                chroma[start:stop, c] = energy[:, sel].sum(axis=1)
     totals = chroma.sum(axis=1, keepdims=True)
     chroma = np.where(totals > 0, chroma / np.where(totals > 0, totals, 1.0), 1.0 / 12.0)
 
@@ -175,14 +195,11 @@ def chroma_features(spec: Spectrogram) -> FeatureVector:
     return FeatureVector(np.array(values), names, ["harmonic"] * 26)
 
 
-def _tempo_estimates_from_novelty(nov: NoveltyCurve) -> FeatureVector:
+def _tempo_estimates(nov: NoveltyCurve, ftg: Tempogram, atg: Tempogram) -> FeatureVector:
     names = ["tempo_fourier_bpm", "tempo_autocorr_bpm", "tempo_geomean_bpm"]
     if nov.values.max() <= 0:
         logger.warning("silent input: tempo estimates fall back to 0 BPM sentinel")
         return FeatureVector(np.zeros(3), names, ["rhythmic"] * 3)
-    window_s = min(ANALYSIS_WINDOW_S, nov.values.size / nov.frame_rate)
-    ftg = fourier_tempogram(nov, window_s=window_s)
-    atg = autocorr_tempogram(nov, window_s=window_s)
     bpm_f = float(ftg.tempo_axis[np.argmax(ftg.magnitudes.mean(axis=0))])
     bpm_a = float(atg.tempo_axis[np.argmax(atg.magnitudes.mean(axis=0))])
     geo = float(np.sqrt(bpm_f * bpm_a))
@@ -191,10 +208,18 @@ def _tempo_estimates_from_novelty(nov: NoveltyCurve) -> FeatureVector:
 
 def tempo_estimates(clip: AudioClip) -> FeatureVector:
     """Three BPM estimates: Fourier-tempogram argmax, autocorrelation argmax,
-    and their geometric mean. Silence yields the 0 BPM sentinel."""
+    and their geometric mean. Silence yields the 0 BPM sentinel.
+
+    Clips too short for the 8 s analysis window (from 5 s) use a window as
+    long as their novelty curve.
+    """
     if clip.duration < 5.0:
         raise ValueError("tempo estimation needs at least 5 s of audio")
-    return _tempo_estimates_from_novelty(novelty_curve(stft(clip)))
+    nov = novelty_curve(stft(clip))
+    window_s = min(ANALYSIS_WINDOW_S, nov.values.size / nov.frame_rate)
+    ftg = fourier_tempogram(nov, window_s=window_s)
+    atg = autocorr_tempogram(nov, window_s=window_s)
+    return _tempo_estimates(nov, ftg, atg)
 
 
 def dfa_exponent(
@@ -243,20 +268,26 @@ def dfa_exponent(
     return float(np.polyfit(log_s, log_f, 1)[0])
 
 
-def danceability_dfa(clip: AudioClip) -> FeatureVector:
-    """DFA exponent of the onset-strength envelope (1 dim)."""
-    if clip.duration < 10.0:
-        raise ValueError("danceability needs at least 10 s of audio")
-    nov = novelty_curve(stft(clip))
+def _danceability(nov: NoveltyCurve) -> FeatureVector:
     alpha = dfa_exponent(nov.values, nov.frame_rate)
     return FeatureVector(np.array([alpha]), ["danceability_dfa"], ["rhythmic"])
+
+
+def danceability_dfa(clip: AudioClip) -> FeatureVector:
+    """DFA exponent of the onset-strength envelope (1 dim)."""
+    if clip.duration < MIN_DURATION_S:
+        raise ValueError(f"danceability needs at least {MIN_DURATION_S:g} s of audio")
+    return _danceability(novelty_curve(stft(clip)))
 
 
 def _band_emphasis_from_spec(spec: Spectrogram) -> FeatureVector:
     values, names = [], []
     lag_lo = max(1, int(round(EMPHASIS_LAG_RANGE_S[0] * spec.frame_rate)))
     lag_hi = int(round(EMPHASIS_LAG_RANGE_S[1] * spec.frame_rate))
-    total_energy = float((spec.magnitudes**2).sum(axis=1).mean())
+    row_energy = np.empty(spec.n_frames)
+    for start, stop in frame_blocks(spec.n_frames):
+        row_energy[start:stop] = (spec.magnitudes[start:stop] ** 2).sum(axis=1)
+    total_energy = float(row_energy.mean())
     for lo in BAND_EDGES_HZ:
         hi = lo * 2.0
         mask = (spec.bin_freqs >= lo) & (spec.bin_freqs < hi)
@@ -298,34 +329,35 @@ def band_beat_emphasis(clip: AudioClip) -> FeatureVector:
     return _band_emphasis_from_spec(stft(clip))
 
 
+# Every block reads the track's one analysis. The tempo block takes the
+# shared 8 s tempograms: a clip of MIN_DURATION_S or more has a novelty
+# curve longer than the window, so tempo_estimates would pick 8 s as well.
 _BLOCKS = (
-    ("spectral", lambda spec, nov: spectral_stats(spec)),
-    ("timbral", lambda spec, nov: mfcc_features(spec)),
-    ("harmonic", lambda spec, nov: chroma_features(spec)),
-    ("tempo", lambda spec, nov: _tempo_estimates_from_novelty(nov)),
-    (
-        "danceability",
-        lambda spec, nov: FeatureVector(
-            np.array([dfa_exponent(nov.values, nov.frame_rate)]),
-            ["danceability_dfa"],
-            ["rhythmic"],
-        ),
-    ),
+    ("spectral", lambda a: spectral_stats(a.spec)),
+    ("timbral", lambda a: mfcc_features(a.spec)),
+    ("harmonic", lambda a: chroma_features(a.spec)),
+    ("tempo", lambda a: _tempo_estimates(a.novelty, a.fourier, a.autocorr)),
+    ("danceability", lambda a: _danceability(a.novelty)),
 )
 
 
-def fundamental_feature_vector(clip: AudioClip) -> FeatureVector:
-    """The full 92-dim fundamental block in fixed schema order."""
+def fundamental_feature_vector(
+    clip: AudioClip, *, analysis: TrackAnalysis | None = None
+) -> FeatureVector:
+    """The full 92-dim fundamental block in fixed schema order.
+
+    ``analysis`` is ``analyze_track(clip)`` when the caller already has it.
+    """
     if clip.sample_rate != CANONICAL_RATE:
         raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")
-    if clip.duration < 10.0:
-        raise ValueError("fundamental features need at least 10 s of audio")
-    spec = stft(clip)
-    nov = novelty_curve(spec)
+    if clip.duration < MIN_DURATION_S:
+        raise ValueError(f"fundamental features need at least {MIN_DURATION_S:g} s of audio")
+    if analysis is None:
+        analysis = analyze_track(clip)
     parts = []
     for block_name, fn in _BLOCKS:
         try:
-            parts.append(fn(spec, nov))
+            parts.append(fn(analysis))
         except Exception as exc:
             raise ValueError(f"{block_name} features failed for {clip.source_id!r}: {exc}") from exc
     vec = FeatureVector.concat(parts)

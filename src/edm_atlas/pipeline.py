@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics
-from .audio import CANONICAL_RATE, load_wav, resample, stft
+from .audio import CANONICAL_RATE, load_wav, resample
 from .cluster import ClusterModel, divisive_cluster, kmeans, select_natural_k
 from .features import _band_emphasis_from_spec, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
@@ -44,7 +44,7 @@ from .table import (
     load_matrix,
     save_matrix,
 )
-from .tempogram import novelty_curve, tempogram_features_from_novelty
+from .tempogram import MIN_DURATION_S, _tempogram_block, analyze_track
 from .types import FeatureVector
 
 logger = logging.getLogger(__name__)
@@ -140,7 +140,11 @@ def stage_seed(root_seed: int, stage: str) -> int:
 
 
 def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
-    """Full 92 + 64 + 6 feature vector for one manifest record."""
+    """Full 92 + 64 + 6 feature vector for one manifest record.
+
+    The track is analysed once (spectrogram, novelty curve, both
+    tempograms) and every block reads that analysis.
+    """
     wav_path = Path(record.path)
     if not wav_path.is_absolute():
         wav_path = base_dir / wav_path
@@ -148,12 +152,19 @@ def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     if clip.sample_rate != CANONICAL_RATE:
         clip = resample(clip, CANONICAL_RATE)
 
-    spec = stft(clip)
-    nov = novelty_curve(spec)
-    fundamental = fundamental_feature_vector(clip)
-    tempogram_block = tempogram_features_from_novelty(nov)
-    band_block = _band_emphasis_from_spec(spec)
-    return FeatureVector.concat([fundamental, tempogram_block, band_block])
+    if clip.duration < MIN_DURATION_S:
+        raise ValueError(
+            f"{clip.duration:.2f} s of audio; extraction needs at least {MIN_DURATION_S:g} s"
+        )
+
+    analysis = analyze_track(clip)
+    return FeatureVector.concat(
+        [
+            fundamental_feature_vector(clip, analysis=analysis),
+            _tempogram_block(analysis.fourier, analysis.autocorr),
+            _band_emphasis_from_spec(analysis.spec),
+        ]
+    )
 
 
 def _extract_worker(args) -> tuple[str, FeatureVector | None, str | None]:
@@ -173,8 +184,9 @@ def cmd_extract(cfg: RunConfig) -> tuple[FeatureMatrix, list[str]]:
     base_dir = Path(cfg.manifest).parent
 
     jobs = [(rec, base_dir) for rec in records]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_extract_worker, jobs))
     else:
         results = [_extract_worker(job) for job in jobs]

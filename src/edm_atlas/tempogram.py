@@ -13,10 +13,11 @@ Tempo grid: 1 BPM resolution over [30, 480]. Analysis window 8 s, hop 1 s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .audio import Spectrogram, stft
+from .audio import AudioClip, Spectrogram, frame_blocks, stft
 from .types import FeatureVector
 
 TEMPO_MIN = 30
@@ -24,6 +25,7 @@ TEMPO_MAX = 480
 TEMPO_AXIS = np.arange(TEMPO_MIN, TEMPO_MAX + 1, dtype=np.float64)
 
 ANALYSIS_WINDOW_S = 8.0
+MIN_DURATION_S = 10.0  # shortest clip the tempogram and fundamental blocks accept
 ANALYSIS_HOP_S = 1.0
 LOG_COMPRESSION = 1000.0
 REF_TEMPO = 60.0
@@ -86,15 +88,23 @@ def novelty_curve(spec: Spectrogram) -> NoveltyCurve:
 
     Magnitudes are compressed as log(1 + 1000*|X|), differenced across
     frames, half-wave rectified, summed over bins, then a centered 1 s
-    moving average is subtracted and the result rectified again.
+    moving average is subtracted and the result rectified again. The
+    difference runs in frame blocks that overlap by one row. The curve
+    has one value fewer than the spectrogram has frames, and it must be at
+    least as long as the 1 s moving average.
     """
-    if spec.n_frames < 2:
-        raise ValueError("novelty needs at least 2 spectrogram frames")
-    compressed = np.log1p(LOG_COMPRESSION * spec.magnitudes)
-    diff = np.diff(compressed, axis=0)
-    raw = np.clip(diff, 0.0, None).sum(axis=1)
-
     win = max(1, int(round(spec.frame_rate)))
+    min_frames = win + 1
+    if spec.n_frames < min_frames:
+        raise ValueError(
+            f"novelty needs at least {min_frames} spectrogram frames (1 s at "
+            f"{spec.frame_rate:g} frames/s), got {spec.n_frames}"
+        )
+    raw = np.empty(spec.n_frames - 1)
+    for start, stop in frame_blocks(raw.size):
+        compressed = np.log1p(LOG_COMPRESSION * spec.magnitudes[start : stop + 1])
+        raw[start:stop] = np.clip(np.diff(compressed, axis=0), 0.0, None).sum(axis=1)
+
     kernel = np.ones(win)
     local_sum = np.convolve(raw, kernel, mode="same")
     counts = np.convolve(np.ones_like(raw), kernel, mode="same")
@@ -121,6 +131,16 @@ def _segments(values: np.ndarray, win: int, hop: int) -> np.ndarray:
     return segs[:n_frames]
 
 
+@lru_cache(maxsize=8)
+def _fourier_kernel(win: int, frame_rate: float) -> np.ndarray:
+    """Hann-tapered complex exponentials, (win, tempo bins); shared and read-only."""
+    t = np.arange(win) / frame_rate
+    freqs = TEMPO_AXIS / 60.0
+    kernel = np.hanning(win)[:, None] * np.exp(-2j * np.pi * np.outer(t, freqs))
+    kernel.flags.writeable = False
+    return kernel
+
+
 def fourier_tempogram(
     nov: NoveltyCurve,
     window_s: float = ANALYSIS_WINDOW_S,
@@ -133,10 +153,7 @@ def fourier_tempogram(
     """
     win, hop = _frame_params(nov, window_s, hop_s)
     segs = _segments(nov.values, win, hop)
-    t = np.arange(win) / nov.frame_rate
-    freqs = TEMPO_AXIS / 60.0
-    kernel = np.hanning(win)[:, None] * np.exp(-2j * np.pi * np.outer(t, freqs))
-    mags = np.abs(segs @ kernel)
+    mags = np.abs(segs @ _fourier_kernel(win, nov.frame_rate))
     return Tempogram(mags, TEMPO_AXIS.copy(), kind="fourier")
 
 
@@ -243,17 +260,36 @@ def tempogram_summary(tg: Tempogram | CyclicTempogram, top_n: int = TOP_BINS) ->
     return FeatureVector(np.array(values), names, groups)
 
 
-def tempogram_feature_vector(clip, top_n: int = TOP_BINS) -> FeatureVector:
+@dataclass
+class TrackAnalysis:
+    """What every feature block of one track reads, computed once.
+
+    The spectrogram, its onset novelty curve, and the Fourier and
+    autocorrelation tempograms over the full 8 s analysis window.
+    """
+
+    spec: Spectrogram
+    novelty: NoveltyCurve
+    fourier: Tempogram
+    autocorr: Tempogram
+
+
+def analyze_track(clip: AudioClip) -> TrackAnalysis:
+    """STFT, novelty and both 8 s tempograms of a clip (longer than the 8 s window)."""
+    spec = stft(clip)
+    nov = novelty_curve(spec)
+    return TrackAnalysis(spec, nov, fourier_tempogram(nov), autocorr_tempogram(nov))
+
+
+def tempogram_feature_vector(clip: AudioClip, top_n: int = TOP_BINS) -> FeatureVector:
     """64-dim tempogram block: 4 representations x top-4 bins x 4 statistics."""
-    if clip.duration < 10.0:
-        raise ValueError("tempogram features need at least 10 s of audio")
-    nov = novelty_curve(stft(clip))
-    return tempogram_features_from_novelty(nov, top_n=top_n)
+    if clip.duration < MIN_DURATION_S:
+        raise ValueError(f"tempogram features need at least {MIN_DURATION_S:g} s of audio")
+    analysis = analyze_track(clip)
+    return _tempogram_block(analysis.fourier, analysis.autocorr, top_n)
 
 
-def tempogram_features_from_novelty(nov: NoveltyCurve, top_n: int = TOP_BINS) -> FeatureVector:
-    ftg = fourier_tempogram(nov)
-    atg = autocorr_tempogram(nov)
+def _tempogram_block(ftg: Tempogram, atg: Tempogram, top_n: int = TOP_BINS) -> FeatureVector:
     parts = [
         tempogram_summary(ftg, top_n),
         tempogram_summary(atg, top_n),

@@ -1,0 +1,259 @@
+"""Frame-blocked layers against their whole-array originals, bit for bit.
+
+The reference functions below are the whole-spectrogram implementations
+that the blocked code replaced; every blocked layer must reproduce them
+exactly at frame counts on both sides of each block edge.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dct
+
+from edm_atlas.audio import FRAME_BLOCK, AudioClip, Spectrogram, frame_blocks, stft
+from edm_atlas.features import (
+    BAND_EDGES_HZ,
+    BAND_ENERGY_SHARE_FLOOR,
+    BAND_NOVELTY_FLOOR,
+    CHROMA_MIN_FREQ,
+    EMPHASIS_LAG_RANGE_S,
+    LOG_FLOOR,
+    N_MFCC,
+    PITCH_CLASSES,
+    ROLLOFF_FRACTION,
+    _band_emphasis_from_spec,
+    chroma_features,
+    mel_filterbank,
+    mfcc_features,
+    spectral_stats,
+)
+from edm_atlas.tempogram import (
+    LOG_COMPRESSION,
+    TEMPO_AXIS,
+    NoveltyCurve,
+    _fourier_kernel,
+    fourier_tempogram,
+    novelty_curve,
+)
+from edm_atlas.types import stats_pair
+
+RATE = 22050
+WINDOW = 2048
+HOP = 512
+
+# at most one block, one block + 1, 2 x block -/+ 1, and counts that fixed
+# 256-row blocks would end with a 1-row tail (513, 769)
+FRAME_COUNTS = [45, 200, 256, 257, 258, 383, 384, 511, 512, 513, 514, 769, 770]
+
+
+def ref_stft(clip, window_len=WINDOW, hop=HOP):
+    n = clip.samples.size
+    n_frames = 1 + (n - window_len) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window_len)[::hop]
+    frames = frames[:n_frames]
+    mags = np.abs(np.fft.rfft(frames * np.hanning(window_len), axis=1))
+    freqs = np.fft.rfftfreq(window_len, 1.0 / clip.sample_rate)
+    return Spectrogram(mags, clip.sample_rate / hop, freqs)
+
+
+def ref_novelty(spec):
+    compressed = np.log1p(LOG_COMPRESSION * spec.magnitudes)
+    raw = np.clip(np.diff(compressed, axis=0), 0.0, None).sum(axis=1)
+    kernel = np.ones(max(1, int(round(spec.frame_rate))))
+    local_sum = np.convolve(raw, kernel, mode="same")
+    counts = np.convolve(np.ones_like(raw), kernel, mode="same")
+    return NoveltyCurve(np.clip(raw - local_sum / counts, 0.0, None), spec.frame_rate)
+
+
+def ref_spectral_stats(spec):
+    mags, freqs = spec.magnitudes, spec.bin_freqs
+    totals = mags.sum(axis=1)
+    live = totals > 0
+    safe_tot = np.where(live, totals, 1.0)
+    centroid = np.where(live, (mags * freqs).sum(axis=1) / safe_tot, 0.0)
+    spread = np.where(
+        live, np.sqrt((mags * (freqs - centroid[:, None]) ** 2).sum(axis=1) / safe_tot), 0.0
+    )
+    probs = mags / safe_tot[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+    entropy = np.where(live, -plogp.sum(axis=1), 0.0)
+    flux = np.linalg.norm(np.clip(np.diff(mags, axis=0), 0.0, None), axis=1)
+    cum = np.cumsum(mags**2, axis=1)
+    idx = np.argmax(cum >= (ROLLOFF_FRACTION * cum[:, -1])[:, None], axis=1)
+    rolloff = np.where(cum[:, -1] > 0, freqs[idx], 0.0)
+    values = []
+    for series in (centroid, spread, entropy, flux, rolloff):
+        values.extend(stats_pair(series))
+    return np.array(values)
+
+
+def ref_mfcc(spec):
+    band_energy = spec.magnitudes**2 @ mel_filterbank(spec.bin_freqs).T
+    coeffs = dct(np.log(np.maximum(band_energy, LOG_FLOOR)), type=2, norm="ortho", axis=1)[:, :N_MFCC]
+    deltas = (coeffs[2:] - coeffs[:-2]) / 2.0
+    return np.concatenate([stat for block in (coeffs, deltas) for stat in (block.mean(axis=0), block.std(axis=0))])
+
+
+def ref_chroma(spec):
+    usable = spec.bin_freqs >= CHROMA_MIN_FREQ
+    freqs = spec.bin_freqs[usable]
+    energy = spec.magnitudes[:, usable] ** 2
+    pc = (np.round(12.0 * np.log2(freqs / 440.0)).astype(int) + 9) % 12
+    chroma = np.zeros((spec.n_frames, 12))
+    for c in range(12):
+        sel = pc == c
+        if np.any(sel):
+            chroma[:, c] = energy[:, sel].sum(axis=1)
+    totals = chroma.sum(axis=1, keepdims=True)
+    chroma = np.where(totals > 0, chroma / np.where(totals > 0, totals, 1.0), 1.0 / 12.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(chroma > 0, chroma * np.log(chroma), 0.0)
+    dominant = np.argmax(chroma, axis=1)
+    tail = [(-plogp.sum(axis=1)).mean(), float(np.std(dominant.astype(np.float64)))]
+    return np.concatenate([chroma.mean(axis=0), chroma.std(axis=0), tail])
+
+
+def ref_band_emphasis(spec):
+    values = []
+    lag_lo = max(1, int(round(EMPHASIS_LAG_RANGE_S[0] * spec.frame_rate)))
+    lag_hi = int(round(EMPHASIS_LAG_RANGE_S[1] * spec.frame_rate))
+    total_energy = float((spec.magnitudes**2).sum(axis=1).mean())
+    for lo in BAND_EDGES_HZ:
+        mask = (spec.bin_freqs >= lo) & (spec.bin_freqs < lo * 2.0)
+        envelope = np.sqrt((spec.magnitudes[:, mask] ** 2).sum(axis=1, keepdims=True))
+        nov = ref_novelty(Spectrogram(envelope, spec.frame_rate, np.array([lo]))).values
+        mean = nov.mean()
+        empty_band = float((envelope**2).mean()) <= BAND_ENERGY_SHARE_FLOOR * total_energy
+        steady = mean <= BAND_NOVELTY_FLOOR * float(np.log1p(LOG_COMPRESSION * envelope).mean())
+        best = 0.0
+        if not (empty_band or steady):
+            scaled = nov / mean
+            for lag in range(lag_lo, min(lag_hi, scaled.size - 1) + 1):
+                best = max(best, float((scaled[:-lag] * scaled[lag:]).mean()))
+        values.append(best)
+    return np.array(values)
+
+
+@st.composite
+def spectrograms(draw):
+    """Random magnitudes on the real bin axis, with silent frames and bins."""
+    n_frames = draw(st.sampled_from(FRAME_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mags = rng.exponential(draw(st.sampled_from([1e-4, 1.0, 30.0])), (n_frames, WINDOW // 2 + 1))
+    mags[rng.random(mags.shape) < 0.2] = 0.0
+    mags[rng.random(n_frames) < 0.1] = 0.0
+    return Spectrogram(mags, RATE / HOP, np.fft.rfftfreq(WINDOW, 1.0 / RATE))
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFrameBlocks:
+    def test_cover_in_order_and_balanced(self):
+        for n in range(0, 3000):
+            blocks = frame_blocks(n)
+            stops = [0] + [b for _, b in blocks]
+            assert [a for a, _ in blocks] == stops[:-1]
+            assert stops[-1] == n
+            sizes = {b - a for a, b in blocks}
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            if n >= FRAME_BLOCK // 2:
+                assert min(sizes) >= FRAME_BLOCK // 2
+                assert max(sizes) < FRAME_BLOCK * 3 // 2
+
+    def test_no_one_row_tail(self):
+        assert [b - a for a, b in frame_blocks(2 * FRAME_BLOCK + 1)] == [256, 257]
+
+
+class TestBlockedLayersMatchWholeArray:
+    @settings(max_examples=30, deadline=None)
+    @given(n_frames=st.sampled_from(FRAME_COUNTS), extra=st.integers(0, HOP - 1), seed=st.integers(0, 2**32 - 1))
+    def test_stft(self, n_frames, extra, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-1.0, 1.0, WINDOW + (n_frames - 1) * HOP + extra)
+        samples[rng.integers(0, samples.size // 2) :][: 3 * WINDOW] = 0.0  # silent stretch
+        clip = AudioClip(samples, RATE)
+        got, want = stft(clip), ref_stft(clip)
+        assert got.n_frames == n_frames
+        assert same_bytes(got.magnitudes, want.magnitudes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=spectrograms())
+    def test_novelty(self, spec):
+        assert same_bytes(novelty_curve(spec).values, ref_novelty(spec).values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=spectrograms())
+    def test_spectral_stats(self, spec):
+        assert same_bytes(spectral_stats(spec).values, ref_spectral_stats(spec))
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=spectrograms())
+    def test_mfcc(self, spec):
+        assert same_bytes(mfcc_features(spec).values, ref_mfcc(spec))
+
+    def test_filter_bank_product_rows_at_every_block_height(self):
+        # every height frame_blocks can give when there is more than one block
+        # (and down to half the target), at two row offsets, against one
+        # whole-matrix product
+        freqs = np.fft.rfftfreq(WINDOW, 1.0 / RATE)
+        bank_t = mel_filterbank(freqs).T
+        energy = np.random.default_rng(5).exponential(1.0, (2 * FRAME_BLOCK * 3, freqs.size)) ** 2
+        whole = energy @ bank_t
+        mismatched = [
+            (height, start)
+            for height in range(FRAME_BLOCK // 2, FRAME_BLOCK * 3 // 2)
+            for start in (0, 301)
+            if not same_bytes(energy[start : start + height] @ bank_t, whole[start : start + height])
+        ]
+        assert mismatched == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=spectrograms())
+    def test_chroma(self, spec):
+        vec = chroma_features(spec)
+        assert len(vec) == 2 * len(PITCH_CLASSES) + 2
+        assert same_bytes(vec.values, ref_chroma(spec))
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=spectrograms())
+    def test_band_emphasis(self, spec):
+        assert same_bytes(_band_emphasis_from_spec(spec).values, ref_band_emphasis(spec))
+
+
+class TestNoveltyMinimumLength:
+    def test_shorter_than_moving_average_names_minimum(self):
+        # 1 s at 43 frames/s needs 44 frames; the parent failed with a shape error
+        spec = Spectrogram(np.ones((43, 4)), 43.0, np.arange(4) + 1.0)
+        with pytest.raises(ValueError, match="at least 44 spectrogram frames"):
+            novelty_curve(spec)
+
+    def test_exact_minimum_runs(self):
+        spec = Spectrogram(np.ones((44, 4)), 43.0, np.arange(4) + 1.0)
+        assert novelty_curve(spec).values.size == 43
+
+
+class TestFourierKernelCache:
+    def test_shared_read_only(self):
+        a = _fourier_kernel(345, RATE / HOP)
+        assert _fourier_kernel(345, RATE / HOP) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+    def test_bounded(self):
+        assert _fourier_kernel.cache_info().maxsize is not None
+
+    def test_tempogram_matches_fresh_kernel(self):
+        rng = np.random.default_rng(3)
+        nov = NoveltyCurve(rng.exponential(1.0, 900), RATE / HOP)
+        win = int(round(8.0 * nov.frame_rate))
+        t = np.arange(win) / nov.frame_rate
+        kernel = np.hanning(win)[:, None] * np.exp(-2j * np.pi * np.outer(t, TEMPO_AXIS / 60.0))
+        segs = np.lib.stride_tricks.sliding_window_view(nov.values, win)[:: int(round(nov.frame_rate))]
+        for _ in range(2):  # cold and cached
+            assert same_bytes(fourier_tempogram(nov).magnitudes, np.abs(segs @ kernel))

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edm_atlas import audio, pipeline, tempogram
+from edm_atlas.audio import load_wav, save_wav, synth_click_track
 from edm_atlas.cli import main as cli_main
+from edm_atlas.features import band_beat_emphasis, fundamental_feature_vector
 from edm_atlas.fixtures import DEFAULT_FAMILIES, FixtureFamily
 from edm_atlas.pipeline import (
     ConfigError,
@@ -18,11 +22,13 @@ from edm_atlas.pipeline import (
     cmd_plot,
     cmd_profile,
     cmd_sweep,
+    extract_track,
     load_config_file,
     stage_seed,
 )
 from edm_atlas.plots import pca_project
 from edm_atlas.table import load_manifest, load_matrix
+from edm_atlas.tempogram import tempogram_feature_vector
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +101,116 @@ class TestExtract:
         seq = (Path(fixture_run.out) / "features.csv").read_bytes()
         par = (tmp_path / "par" / "features.csv").read_bytes()
         assert seq == par
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` in every edm_atlas module that holds it; return the call log."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("edm_atlas"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def write_manifest(base: Path, durations: dict[str, float]) -> Path:
+    lines = ["track_id,path,genre,bpm,key,length_s"]
+    for track_id, seconds in durations.items():
+        save_wav(synth_click_track(120, seconds), base / f"{track_id}.wav")
+        lines.append(f"{track_id},{track_id}.wav,house,120,,")
+    manifest = base / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest
+
+
+class TestOneAnalysisPerTrack:
+    @pytest.fixture(scope="class")
+    def track(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("one_analysis")
+        manifest = cmd_fixtures(base, per_genre=1, duration=12.0, seed=0)
+        return load_manifest(manifest)[0], base
+
+    def test_each_layer_runs_once(self, track, monkeypatch):
+        counts = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in (
+                (audio, "stft"),
+                (tempogram, "novelty_curve"),
+                (tempogram, "fourier_tempogram"),
+                (tempogram, "autocorr_tempogram"),
+            )
+        }
+        extract_track(*track)
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "stft": 1,
+            "novelty_curve": 7,  # the track's curve + one per emphasis band
+            "fourier_tempogram": 1,
+            "autocorr_tempogram": 1,
+        }
+
+    def test_vector_equals_public_wrappers(self, track):
+        record, base = track
+        vec = extract_track(record, base)
+        clip = load_wav(base / record.path)
+        parts = [fundamental_feature_vector(clip), tempogram_feature_vector(clip), band_beat_emphasis(clip)]
+        assert vec.names == [name for part in parts for name in part.names]
+        assert vec.values.tobytes() == np.concatenate([part.values for part in parts]).tobytes()
+
+
+class TestShortTracks:
+    @pytest.mark.parametrize("seconds", [0.5, 1.0, 9.9])
+    def test_rejected_before_analysis(self, tmp_path, monkeypatch, seconds):
+        manifest = write_manifest(tmp_path, {"short": seconds})
+        stft_calls = count_calls(monkeypatch, audio, "stft")
+        with pytest.raises(ValueError, match="at least 10 s"):
+            extract_track(load_manifest(manifest)[0], tmp_path)
+        assert stft_calls == []
+
+    def test_batch_continues(self, tmp_path, caplog):
+        manifest = write_manifest(tmp_path, {"half_second": 0.5, "one_second": 1.0, "full": 11.0})
+        cfg = RunConfig(manifest=str(manifest), out=str(tmp_path / "out"), workers=1)
+        with caplog.at_level("WARNING"):
+            matrix, failed = cmd_extract(cfg)
+        assert failed == ["half_second", "one_second"]
+        assert matrix.row_ids == ["full"]
+        assert "extraction needs at least 10 s" in caplog.text
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestExtractWorkers:
+    @pytest.mark.parametrize(("tracks", "expected"), [(1, []), (2, [2])])
+    def test_pool_no_larger_than_job_count(self, tmp_path, monkeypatch, tracks, expected):
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        manifest = write_manifest(tmp_path, {f"t{i}": 10.0 for i in range(tracks)})
+        cfg = RunConfig(manifest=str(manifest), out=str(tmp_path / "out"), workers=8)
+        matrix, failed = cmd_extract(cfg)
+        assert _RecordingPool.sizes == expected
+        assert matrix.shape[0] == tracks and failed == []
 
 
 class TestCluster:
