@@ -133,10 +133,12 @@ def load_wav(path: str | Path) -> AudioClip:
         raise UnsupportedWavError(f"{path.name}: {channels} channels (need 1 or 2)")
     if (audio_format, bits) == (1, 16):
         samples = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
-        samples = samples.astype(np.float64) / 32768.0
+        samples = samples.astype(np.float64)
+        samples /= 32768.0
     elif (audio_format, bits) == (3, 32):
         samples = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
-        samples = np.clip(samples.astype(np.float64), -1.0, 1.0)
+        samples = samples.astype(np.float64)
+        np.clip(samples, -1.0, 1.0, out=samples)
     else:
         raise UnsupportedWavError(
             f"{path.name}: format tag {audio_format} at {bits} bits is not PCM16/float32"
@@ -181,7 +183,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         return AudioClip(clip.samples.copy(), clip.sample_rate, clip.source_id)
     ratio = Fraction(target_rate, clip.sample_rate).limit_denominator(1000)
     out = resample_poly(clip.samples, ratio.numerator, ratio.denominator)
-    return AudioClip(np.clip(out, -1.0, 1.0), target_rate, clip.source_id)
+    np.clip(out, -1.0, 1.0, out=out)
+    return AudioClip(out, target_rate, clip.source_id)
 
 
 def frame_blocks(n: int) -> list[tuple[int, int]]:

@@ -15,9 +15,11 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from .pipeline import (
     ConfigError,
+    RunConfig,
     build_config,
     cmd_cluster,
     cmd_extract,
@@ -92,23 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"manifest={manifest}")
             return 0
 
-        overrides = {
-            key: getattr(args, key)
-            for key in (
-                "manifest",
-                "out",
-                "seed",
-                "k",
-                "k_min",
-                "k_max",
-                "restarts",
-                "method",
-                "embeddings",
-                "top_k",
-                "workers",
-                "labels",
-            )
-        }
+        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = build_config(args.config, overrides)
 
         if args.command == "extract":

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
+from .selection import _min_max
 from .table import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -343,13 +344,6 @@ def _chord_distance(ks: np.ndarray, inertia: np.ndarray) -> np.ndarray:
     x0, y0, x1, y1 = kx[0], iy[0], kx[-1], iy[-1]
     signed = (x1 - x0) * (iy - y0) - (y1 - y0) * (kx - x0)
     return np.clip(-signed / np.hypot(x1 - x0, y1 - y0), 0.0, None)
-
-
-def _min_max(curve: np.ndarray) -> np.ndarray:
-    lo, hi = curve.min(), curve.max()
-    if hi <= lo:
-        return np.zeros_like(curve)
-    return (curve - lo) / (hi - lo)
 
 
 def select_natural_k(

@@ -38,6 +38,8 @@ ROLLOFF_FRACTION = 0.85
 CHROMA_MIN_FREQ = 55.0
 PITCH_CLASSES = ["c", "cs", "d", "ds", "e", "f", "fs", "g", "gs", "a", "as", "b"]
 
+MIN_BEAT_DURATION_S = 5.0  # shortest clip tempo_estimates and band_beat_emphasis accept
+
 DFA_MIN_WINDOW_S = 0.1
 DFA_MAX_WINDOW_S = 5.0
 DFA_N_SCALES = 12
@@ -213,8 +215,8 @@ def tempo_estimates(clip: AudioClip) -> FeatureVector:
     Clips too short for the 8 s analysis window (from 5 s) use a window as
     long as their novelty curve.
     """
-    if clip.duration < 5.0:
-        raise ValueError("tempo estimation needs at least 5 s of audio")
+    if clip.duration < MIN_BEAT_DURATION_S:
+        raise ValueError(f"tempo estimation needs at least {MIN_BEAT_DURATION_S:g} s of audio")
     nov = novelty_curve(stft(clip))
     window_s = min(ANALYSIS_WINDOW_S, nov.values.size / nov.frame_rate)
     ftg = fourier_tempogram(nov, window_s=window_s)
@@ -324,8 +326,8 @@ def band_beat_emphasis(clip: AudioClip) -> FeatureVector:
     near 1, periodic beats give values well above 1, and a band with no
     onsets gives the 0 sentinel.
     """
-    if clip.duration < 5.0:
-        raise ValueError("band beat emphasis needs at least 5 s of audio")
+    if clip.duration < MIN_BEAT_DURATION_S:
+        raise ValueError(f"band beat emphasis needs at least {MIN_BEAT_DURATION_S:g} s of audio")
     return _band_emphasis_from_spec(stft(clip))
 
 

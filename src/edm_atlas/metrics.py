@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.stats import rankdata
 
 from .table import FeatureMatrix
 
@@ -145,18 +146,19 @@ def silhouette(data, labels) -> float:
     sums = np.zeros((n, k))
     for c in range(k):
         sums[:, c] = dist[:, y_idx == c].sum(axis=1)
+    rows = np.arange(n)
+    own = counts[y_idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, y_idx] / (own - 1)
+    # b: mean distance to the nearest other cluster
+    means = sums / counts
+    means[rows, y_idx] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    # singletons score 0 by convention, as do rows with a = b = 0
+    scored = (own > 1) & (top > 0)
     scores = np.zeros(n)
-    for i in range(n):
-        c = y_idx[i]
-        if counts[c] == 1:
-            continue  # singleton convention
-        a = sums[i, c] / (counts[c] - 1)
-        b = np.inf
-        for other in range(k):
-            if other != c:
-                b = min(b, sums[i, other] / counts[other])
-        top = max(a, b)
-        scores[i] = (b - a) / top if top > 0 else 0.0
+    scores[scored] = (b[scored] - a[scored]) / top[scored]
     return float(scores.mean())
 
 
@@ -177,18 +179,12 @@ def davies_bouldin(data, labels) -> float:
         [np.linalg.norm(x[y_idx == c] - centroids[c], axis=1).mean() for c in range(k)]
     )
     sep = cdist(centroids, centroids)
-    ratios = np.zeros(k)
-    any_valid = False
-    for i in range(k):
-        best = 0.0
-        for j in range(k):
-            if j == i or sep[i, j] == 0.0:
-                continue
-            any_valid = True
-            best = max(best, (scatter[i] + scatter[j]) / sep[i, j])
-        ratios[i] = best
-    if not any_valid:
+    valid = sep != 0.0  # cdist's diagonal is exactly 0, so i == j is skipped too
+    if not valid.any():
         raise ValueError("all cluster centroids coincide; Davies-Bouldin undefined")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = (scatter[:, None] + scatter[None, :]) / sep
+    ratios = np.where(valid, pair, 0.0).max(axis=1)
     return float(ratios.mean())
 
 
@@ -234,7 +230,6 @@ def cophenetic_bootstrap(
     if n < 10:
         raise ValueError("bootstrap stability needs at least 10 samples")
     base = np.asarray(clusterer(x, seed), dtype=np.int64)
-    a_mat = (base[:, None] == base[None, :]).astype(np.float64)
 
     votes = np.zeros((n, n))
     seen = np.zeros((n, n))
@@ -253,7 +248,7 @@ def cophenetic_bootstrap(
     mask = seen[iu] >= min_seen
     if mask.sum() < 2:
         raise ValueError("too few pairs observed in bootstrap resamples")
-    a_vals = a_mat[iu][mask]
+    a_vals = (base[iu[0]] == base[iu[1]]).astype(np.float64)[mask]
     ahat = (votes[iu][mask]) / (seen[iu][mask])
     if a_vals.std() == 0.0:
         raise ValueError("co-assignment matrix is constant; correlation undefined")
@@ -284,7 +279,7 @@ def cophenetic_dendrogram(data, split_tree) -> float:
 
     fill(split_tree)
     iu = np.triu_indices(n, k=1)
-    euclid = squareform(pdist(x))[iu]
+    euclid = pdist(x)  # condensed, in triu_indices(n, 1) order
     heights = coph[iu]
     if heights.std() == 0.0 or euclid.std() == 0.0:
         raise ValueError("degenerate distances; cophenetic correlation undefined")
@@ -405,6 +400,14 @@ def map_columns_to_dimensions(
     return mapping
 
 
+def _midrank_percentiles(values: np.ndarray) -> np.ndarray:
+    """0-based mid-ranks (ties share their mean rank) scaled to 0-100; a lone value ranks 50."""
+    k = values.size
+    if k == 1:
+        return np.array([50.0])
+    return 100.0 * (rankdata(values) - 1.0) / (k - 1)
+
+
 def cluster_profiles(
     m: FeatureMatrix,
     labels,
@@ -430,7 +433,6 @@ def cluster_profiles(
     z = np.where(std > 0, (m.data - m.data.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
 
     classes = np.unique(y)
-    k = classes.size
     dim_means = {}
     for dim, cols in mapping.items():
         if not cols:
@@ -438,22 +440,7 @@ def cluster_profiles(
         per_cluster = np.array([z[np.ix_(y == c, cols)].mean() for c in classes])
         dim_means[dim] = per_cluster
 
-    def midrank_percentiles(values: np.ndarray) -> np.ndarray:
-        if k == 1:
-            return np.array([50.0])
-        order = np.argsort(values, kind="stable")
-        ranks = np.empty(k)
-        i = 0
-        sorted_vals = values[order]
-        while i < k:
-            j = i
-            while j + 1 < k and sorted_vals[j + 1] == sorted_vals[i]:
-                j += 1
-            ranks[order[i : j + 1]] = (i + j) / 2.0
-            i = j + 1
-        return 100.0 * ranks / (k - 1)
-
-    percentiles = {dim: midrank_percentiles(v) for dim, v in dim_means.items()}
+    percentiles = {dim: _midrank_percentiles(v) for dim, v in dim_means.items()}
 
     genres_arr = np.asarray(genres, dtype=object)
     profiles = []

@@ -21,10 +21,11 @@ import hashlib
 import json
 import logging
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .table import (
     save_matrix,
 )
 from .tempogram import MIN_DURATION_S, _tempogram_block, analyze_track
+from .trees import MIN_SAMPLES
 from .types import FeatureVector
 
 logger = logging.getLogger(__name__)
@@ -92,8 +94,9 @@ class RunConfig:
             raise ConfigError("restarts, top-k, and workers must be positive")
 
 
-_INT_KEYS = {"seed", "k", "k_min", "k_max", "restarts", "top_k", "workers"}
-_STR_KEYS = {"manifest", "out", "method", "embeddings", "labels"}
+# the config-file keys are RunConfig's fields; int fields parse as integers
+_INT_KEYS = {name for name, kind in get_type_hints(RunConfig).items() if kind is int}
+_STR_KEYS = {f.name for f in fields(RunConfig)} - _INT_KEYS
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -226,9 +229,26 @@ def _load_features(cfg: RunConfig) -> tuple[FeatureMatrix, list[str]]:
     return matrix, genres
 
 
+def _check_catalog(genres: list[str]) -> None:
+    """Reject a catalog the selection scores cannot run on, before any work."""
+    counts = Counter(genres)
+    single = sorted(g for g, c in counts.items() if c == 1)
+    if single:
+        raise StageError(
+            "feature selection needs at least 2 tracks per genre; "
+            f"one track only: {', '.join(single)}"
+        )
+    if len(genres) < MIN_SAMPLES:
+        raise StageError(
+            f"feature selection needs at least {MIN_SAMPLES} tracks (the tree forests' minimum), "
+            f"got {len(genres)}"
+        )
+
+
 def prepare_selected(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector]:
     """engineer -> normalize -> select, persisting the selection artifacts."""
     matrix, genres = _load_features(cfg)
+    _check_catalog(genres)
     labels = LabelVector.from_strings(genres)
     engineered = engineer_features(matrix)
     normalized = ensemble_normalize(engineered)
@@ -314,10 +334,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
 def cmd_sweep(cfg: RunConfig):
     """Natural-k sweep over [k_min, k_max]; returns the KSweepResult."""
     cfg.validate()
-    if cfg.embeddings:
-        matrix, _, _ = _clustering_input(cfg)
-    else:
-        matrix, _ = prepare_selected(cfg)
+    matrix, _, _ = _clustering_input(cfg)
     n = matrix.shape[0]
     if cfg.k_max > n:
         raise ConfigError(f"k-max={cfg.k_max} exceeds {n} tracks")

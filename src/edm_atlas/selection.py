@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .metrics import mi_score
 from .table import FeatureMatrix
 from .trees import forest_gini_importance
 
@@ -300,28 +301,14 @@ def mutual_info(m: FeatureMatrix, labels: LabelVector, bins: int = MI_BINS) -> n
     """Plug-in mutual information (nats) between equal-frequency-binned
     feature values and the class label."""
     _check_labels(labels, m.shape[0])
-    n = m.shape[0]
     y = labels.labels
     scores = np.empty(m.shape[1])
     for j in range(m.shape[1]):
         col = m.data[:, j]
         edges = np.unique(np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1]))
         binned = np.searchsorted(edges, col, side="right")
-        scores[j] = _discrete_mi(binned, y, n)
+        scores[j] = mi_score(binned, y)
     return scores
-
-
-def _discrete_mi(a: np.ndarray, b: np.ndarray, n: int) -> float:
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    joint = np.zeros((ai.max() + 1, bi.max() + 1))
-    np.add.at(joint, (ai, bi), 1.0)
-    pj = joint / n
-    pa = pj.sum(axis=1, keepdims=True)
-    pb = pj.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pj > 0, pj * np.log(pj / (pa * pb)), 0.0)
-    return float(max(terms.sum(), 0.0))
 
 
 def forest_importance(m: FeatureMatrix, labels: LabelVector, mode: str, seed: int = 0) -> np.ndarray:

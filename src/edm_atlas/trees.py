@@ -16,6 +16,7 @@ import numpy as np
 N_TREES = 100
 MAX_DEPTH = 12
 MIN_LEAF = 2
+MIN_SAMPLES = 20  # fewest rows a forest is grown on
 
 
 def _gini(counts: np.ndarray, total: float) -> float:
@@ -139,8 +140,8 @@ def forest_gini_importance(
     classes, y_idx = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise ValueError("need at least 2 classes")
-    if X.shape[0] < 20:
-        raise ValueError("need at least 20 samples")
+    if X.shape[0] < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
 
     n, d = X.shape
     y_onehot = np.zeros((n, classes.size))

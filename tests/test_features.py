@@ -4,6 +4,7 @@ from scipy.signal import butter, sosfilt
 
 from edm_atlas.audio import AudioClip, Spectrogram, stft, synth_click_track, synth_noise, synth_sine
 from edm_atlas.features import (
+    MIN_BEAT_DURATION_S,
     band_beat_emphasis,
     chroma_features,
     danceability_dfa,
@@ -267,3 +268,10 @@ class TestFundamentalVector:
         clip_44k = AudioClip(np.random.default_rng(0).uniform(-1, 1, 44100 * 11), 44100)
         with pytest.raises(ValueError, match="canonical"):
             fundamental_feature_vector(clip_44k)
+
+
+@pytest.mark.parametrize("fn", [tempo_estimates, band_beat_emphasis])
+def test_beat_minimum_named_in_message(fn):
+    clip = synth_click_track(120, MIN_BEAT_DURATION_S - 1.0)
+    with pytest.raises(ValueError, match=f"at least {MIN_BEAT_DURATION_S:g} s of audio"):
+        fn(clip)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from conftest import make_blobs
 from edm_atlas import metrics
@@ -384,3 +387,172 @@ class TestClusterProfiles:
             for cell in cells[4:]:
                 if cell:
                     assert 0.0 <= float(cell) <= 100.0
+
+
+# ---------------------------------------------------------------------------
+# The array passes in silhouette, davies_bouldin and the profile mid-ranks
+# replaced per-sample and per-pair loops. The loops are kept here as the
+# reference; the array code must reproduce them bit for bit.
+
+
+def silhouette_loop(data, labels):
+    x = np.asarray(data, dtype=np.float64)
+    classes, y_idx = np.unique(np.asarray(labels).ravel(), return_inverse=True)
+    k = classes.size
+    n = x.shape[0]
+    dist = squareform(pdist(x))
+    counts = np.bincount(y_idx)
+    sums = np.zeros((n, k))
+    for c in range(k):
+        sums[:, c] = dist[:, y_idx == c].sum(axis=1)
+    scores = np.zeros(n)
+    for i in range(n):
+        c = y_idx[i]
+        if counts[c] == 1:
+            continue
+        a = sums[i, c] / (counts[c] - 1)
+        b = np.inf
+        for other in range(k):
+            if other != c:
+                b = min(b, sums[i, other] / counts[other])
+        top = max(a, b)
+        scores[i] = (b - a) / top if top > 0 else 0.0
+    return float(scores.mean())
+
+
+def davies_bouldin_loop(data, labels):
+    x = np.asarray(data, dtype=np.float64)
+    classes, y_idx = np.unique(np.asarray(labels).ravel(), return_inverse=True)
+    k = classes.size
+    centroids = np.vstack([x[y_idx == c].mean(axis=0) for c in range(k)])
+    scatter = np.array(
+        [np.linalg.norm(x[y_idx == c] - centroids[c], axis=1).mean() for c in range(k)]
+    )
+    sep = cdist(centroids, centroids)
+    ratios = np.zeros(k)
+    any_valid = False
+    for i in range(k):
+        best = 0.0
+        for j in range(k):
+            if j == i or sep[i, j] == 0.0:
+                continue
+            any_valid = True
+            best = max(best, (scatter[i] + scatter[j]) / sep[i, j])
+        ratios[i] = best
+    if not any_valid:
+        raise ValueError("all cluster centroids coincide; Davies-Bouldin undefined")
+    return float(ratios.mean())
+
+
+def midrank_loop(values):
+    k = values.size
+    if k == 1:
+        return np.array([50.0])
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(k)
+    i = 0
+    sorted_vals = values[order]
+    while i < k:
+        j = i
+        while j + 1 < k and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0
+        i = j + 1
+    return 100.0 * ranks / (k - 1)
+
+
+def outcome(fn, *args):
+    """The result's bytes, or the error message, so that both can be compared."""
+    try:
+        return "value", np.asarray(fn(*args), dtype=np.float64).tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# small integers make tied distances, duplicate rows and coincident
+# centroids common; wide floats cover the general case
+coordinate = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def labeled_points(draw, max_n=24):
+    n = draw(st.integers(3, max_n))
+    d = draw(st.integers(1, 3))
+    n_distinct = draw(st.integers(1, n))
+    base = np.array(
+        draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=n_distinct, max_size=n_distinct))
+    )
+    x = base[draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))]
+    k = draw(st.one_of(st.just(2), st.integers(2, n)))
+    labels = np.array(range(k), dtype=np.int64)
+    labels = np.r_[labels, draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))]
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return x, labels[order]
+
+
+EXPLICIT_CASES = {
+    "k2": (np.array([[0.0], [1.0], [5.0], [6.0], [6.5]]), np.array([0, 0, 1, 1, 1])),
+    "singleton": (np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0], [2.0, 1.0]]), np.array([0, 0, 1, 0])),
+    "all_singletons": (np.array([[0.0], [1.0], [3.0]]), np.array([0, 1, 2])),
+    "duplicate_rows": (np.repeat(np.array([[1.0, 2.0], [3.0, 4.0]]), 3, axis=0), np.array([0, 1, 0, 1, 0, 1])),
+    "zero_spread": (np.repeat(np.array([[0.0, 0.0], [10.0, 0.0]]), 5, axis=0), np.repeat([0, 1], 5)),
+    "coincident_all": (np.ones((6, 2)), np.array([0, 1, 2, 0, 1, 2])),
+    "coincident_some": (
+        np.array([[0.0], [2.0], [1.0], [1.0], [7.0], [9.0]]), np.array([0, 0, 1, 1, 2, 2])
+    ),
+}
+
+
+class TestArrayPassesMatchLoops:
+    @pytest.mark.parametrize("case", sorted(EXPLICIT_CASES))
+    def test_explicit_cases(self, case):
+        x, labels = EXPLICIT_CASES[case]
+        assert outcome(metrics.silhouette, x, labels) == outcome(silhouette_loop, x, labels)
+        if np.unique(labels).size < x.shape[0]:
+            assert outcome(metrics.davies_bouldin, x, labels) == outcome(
+                davies_bouldin_loop, x, labels
+            )
+
+    def test_coincident_centroids_still_raise(self):
+        x, labels = EXPLICIT_CASES["coincident_all"]
+        with pytest.raises(ValueError, match="all cluster centroids coincide"):
+            metrics.davies_bouldin(x, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_points())
+    def test_silhouette_bitwise(self, case):
+        x, labels = case
+        assert outcome(metrics.silhouette, x, labels) == outcome(silhouette_loop, x, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_points())
+    def test_davies_bouldin_bitwise(self, case):
+        x, labels = case
+        if np.unique(labels).size >= x.shape[0]:
+            labels = labels.copy()
+            labels[labels == labels.max()] = labels.min()  # k < n
+        assert outcome(metrics.davies_bouldin, x, labels) == outcome(
+            davies_bouldin_loop, x, labels
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-2, 2).map(float),
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_midranks_bitwise(self, values):
+        values = np.array(values)
+        assert metrics._midrank_percentiles(values).tobytes() == midrank_loop(values).tobytes()
+
+    def test_midranks_ties(self):
+        values = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
+        assert metrics._midrank_percentiles(values).tolist() == [87.5, 12.5, 87.5, 50.0, 12.5]

@@ -2,13 +2,16 @@ import hashlib
 import json
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from edm_atlas import audio, pipeline, tempogram
 from edm_atlas.audio import load_wav, save_wav, synth_click_track
+from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
 from edm_atlas.features import band_beat_emphasis, fundamental_feature_vector
 from edm_atlas.fixtures import DEFAULT_FAMILIES, FixtureFamily
@@ -27,7 +30,7 @@ from edm_atlas.pipeline import (
     stage_seed,
 )
 from edm_atlas.plots import pca_project
-from edm_atlas.table import load_manifest, load_matrix
+from edm_atlas.table import FeatureMatrix, load_manifest, load_matrix, save_matrix
 from edm_atlas.tempogram import tempogram_feature_vector
 
 
@@ -380,6 +383,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k"):
             load_config_file(conf)
 
+    def test_every_field_is_flag_and_file_key(self, tmp_path):
+        parser = build_parser()
+        hints = get_type_hints(RunConfig)
+        for f in fields(RunConfig):
+            is_int = hints[f.name] is int
+            text = {"method": "divisive"}.get(f.name, "3" if is_int else "some/path")
+            expected = int(text) if is_int else text
+            args = parser.parse_args(["cluster", "--" + f.name.replace("_", "-"), text])
+            assert getattr(args, f.name) == expected, f.name
+            conf = tmp_path / f"{f.name}.conf"
+            conf.write_text(f"{f.name}={text}\n")
+            assert load_config_file(conf) == {f.name: expected}
+            if is_int:
+                conf.write_text(f"{f.name}=many\n")
+                with pytest.raises(ConfigError, match=f"{f.name} must be an integer"):
+                    load_config_file(conf)
+
     def test_validate_rejects_bad_method(self):
         cfg = RunConfig(manifest="x", out="y", method="agglomerative")
         with pytest.raises(ConfigError):
@@ -426,6 +446,47 @@ class TestCliExitCodes:
             wav.write_bytes(b"broken")
         code = cli_main(["extract", "--manifest", str(audio / "manifest.csv"), "--out", str(tmp_path / "out")])
         assert code == 3
+
+
+class TestDegenerateCatalogs:
+    """Catalogs the selection stage cannot score fail before any engineering."""
+
+    def run_cluster(self, fixture_run, tmp_path, monkeypatch, matrix, genre_of):
+        manifest = tmp_path / "manifest.csv"
+        lines = Path(fixture_run.manifest).read_text().splitlines()
+        rows = [lines[0]]
+        for line in lines[1:]:
+            cells = line.split(",")
+            cells[2] = genre_of.get(cells[0], cells[2])
+            rows.append(",".join(cells))
+        manifest.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "run"
+        out.mkdir()
+        save_matrix(matrix, out / "features.csv")
+        engineered = []
+        monkeypatch.setattr(pipeline, "engineer_features", engineered.append)
+        code = cli_main(["cluster", "--manifest", str(manifest), "--out", str(out), "--k", "2"])
+        assert engineered == []
+        return code
+
+    def test_single_track_genres_named(self, fixture_run, tmp_path, monkeypatch, capsys):
+        matrix = load_matrix(Path(fixture_run.out) / "features.csv")
+        solo = {matrix.row_ids[0]: "solo_a", matrix.row_ids[-1]: "solo_b"}
+        assert self.run_cluster(fixture_run, tmp_path, monkeypatch, matrix, solo) == 3
+        err = capsys.readouterr().err
+        assert "at least 2 tracks per genre" in err
+        assert "solo_a, solo_b" in err
+
+    def test_fewer_than_twenty_tracks(self, fixture_run, tmp_path, monkeypatch, capsys):
+        full = load_matrix(Path(fixture_run.out) / "features.csv")
+        keep = [i for i in range(full.shape[0]) if i % 5 < 3]  # 3 tracks of each genre
+        matrix = FeatureMatrix(
+            [full.row_ids[i] for i in keep], full.col_names, full.col_groups, full.data[keep]
+        )
+        assert self.run_cluster(fixture_run, tmp_path, monkeypatch, matrix, {}) == 3
+        err = capsys.readouterr().err
+        assert "at least 20 tracks" in err
+        assert "got 12" in err
 
 
 class TestEndToEndDeterminism:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from edm_atlas.selection import (
     METHOD_WEIGHTS,
+    MI_BINS,
     YJ_LAMBDA_GRID,
     LabelVector,
     _yeo_johnson_grid,
@@ -320,6 +321,54 @@ class TestMutualInfo:
         y = np.repeat([0, 1], 25)
         scores = mutual_info(matrix_of(np.full((50, 1), 2.0)), LabelVector(y, ["a", "b"]))
         assert scores[0] == 0.0
+
+
+def discrete_mi_loop(a, b, n):
+    """The selection module's former private MI, kept as the reference."""
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    joint = np.zeros((ai.max() + 1, bi.max() + 1))
+    np.add.at(joint, (ai, bi), 1.0)
+    pj = joint / n
+    pa = pj.sum(axis=1, keepdims=True)
+    pb = pj.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pj > 0, pj * np.log(pj / (pa * pb)), 0.0)
+    return float(max(terms.sum(), 0.0))
+
+
+def mutual_info_loop(m, labels, bins=MI_BINS):
+    n = m.shape[0]
+    scores = np.empty(m.shape[1])
+    for j in range(m.shape[1]):
+        col = m.data[:, j]
+        edges = np.unique(np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1]))
+        binned = np.searchsorted(edges, col, side="right")
+        scores[j] = discrete_mi_loop(binned, labels.labels, n)
+    return scores
+
+
+class TestMutualInfoMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 4),
+        k=st.integers(2, 6),
+        bins=st.sampled_from([2, 4, MI_BINS]),
+        data=st.data(),
+    )
+    def test_bitwise(self, n, d, k, bins, data):
+        k = min(k, n)
+        value = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        )
+        x = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
+        # every class present; the rest drawn freely, including singleton classes
+        y = np.r_[np.arange(k), data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))]
+        y = y[np.array(data.draw(st.permutations(range(n))), dtype=np.int64)]
+        m, labels = matrix_of(x), LabelVector(y, [f"g{i}" for i in range(k)])
+        assert mutual_info(m, labels, bins=bins).tobytes() == mutual_info_loop(m, labels, bins).tobytes()
 
 
 class TestForestImportance:
