@@ -70,6 +70,8 @@ from .tempogram import (
     CyclicTempogram,
     NoveltyCurve,
     Tempogram,
+    TrackAnalysis,
+    analyze_track,
     autocorr_tempogram,
     cyclic_tempogram,
     fourier_tempogram,

@@ -86,12 +86,16 @@ class Spectrogram:
 
 
 def _find_chunks(raw: bytes):
-    """Yield (chunk_id, payload) for every top-level RIFF sub-chunk."""
+    """Yield (chunk_id, payload) for every top-level RIFF sub-chunk.
+
+    Payloads are memoryview slices of ``raw``: no chunk body is copied.
+    """
+    view = memoryview(raw)
     pos = 12
     while pos + 8 <= len(raw):
         cid = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise MalformedWavError(
                 f"chunk {cid!r} declares {size} bytes but only {len(body)} remain"

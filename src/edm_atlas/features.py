@@ -14,17 +14,11 @@ import logging
 import numpy as np
 from scipy.fft import dct
 
-from .audio import CANONICAL_RATE, AudioClip, Spectrogram, frame_blocks, stft
+from .audio import CANONICAL_RATE, Spectrogram, frame_blocks
 from .tempogram import (
-    ANALYSIS_WINDOW_S,
     LOG_COMPRESSION,
     MIN_DURATION_S,
-    NoveltyCurve,
-    Tempogram,
     TrackAnalysis,
-    analyze_track,
-    autocorr_tempogram,
-    fourier_tempogram,
     novelty_curve,
 )
 from .types import FeatureVector, stats_pair
@@ -37,8 +31,6 @@ N_MFCC = 13
 ROLLOFF_FRACTION = 0.85
 CHROMA_MIN_FREQ = 55.0
 PITCH_CLASSES = ["c", "cs", "d", "ds", "e", "f", "fs", "g", "gs", "a", "as", "b"]
-
-MIN_BEAT_DURATION_S = 5.0  # shortest clip tempo_estimates and band_beat_emphasis accept
 
 DFA_MIN_WINDOW_S = 0.1
 DFA_MAX_WINDOW_S = 5.0
@@ -105,8 +97,8 @@ def spectral_stats(spec: Spectrogram) -> FeatureVector:
     return FeatureVector(np.array(values), names, ["spectral"] * 10)
 
 
-def mel_filterbank(bin_freqs: np.ndarray, n_bands: int = N_MEL_BANDS) -> np.ndarray:
-    """Triangular mel filters (n_bands x n_bins) spanning 0..max bin freq."""
+def mel_filterbank(bin_freqs: np.ndarray) -> np.ndarray:
+    """Triangular mel filters (N_MEL_BANDS x n_bins) spanning 0..max bin freq."""
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -114,9 +106,9 @@ def mel_filterbank(bin_freqs: np.ndarray, n_bands: int = N_MEL_BANDS) -> np.ndar
     def from_mel(m):
         return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
-    edges = from_mel(np.linspace(to_mel(0.0), to_mel(bin_freqs[-1]), n_bands + 2))
-    bank = np.zeros((n_bands, bin_freqs.size))
-    for b in range(n_bands):
+    edges = from_mel(np.linspace(to_mel(0.0), to_mel(bin_freqs[-1]), N_MEL_BANDS + 2))
+    bank = np.zeros((N_MEL_BANDS, bin_freqs.size))
+    for b in range(N_MEL_BANDS):
         lo, mid, hi = edges[b], edges[b + 1], edges[b + 2]
         rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
@@ -197,40 +189,22 @@ def chroma_features(spec: Spectrogram) -> FeatureVector:
     return FeatureVector(np.array(values), names, ["harmonic"] * 26)
 
 
-def _tempo_estimates(nov: NoveltyCurve, ftg: Tempogram, atg: Tempogram) -> FeatureVector:
+def tempo_estimates(analysis: TrackAnalysis) -> FeatureVector:
+    """Three BPM estimates: Fourier-tempogram argmax, autocorrelation argmax,
+    and their geometric mean. Silence yields the 0 BPM sentinel.
+    """
     names = ["tempo_fourier_bpm", "tempo_autocorr_bpm", "tempo_geomean_bpm"]
-    if nov.values.max() <= 0:
+    if analysis.novelty.values.max() <= 0:
         logger.warning("silent input: tempo estimates fall back to 0 BPM sentinel")
         return FeatureVector(np.zeros(3), names, ["rhythmic"] * 3)
+    ftg, atg = analysis.fourier, analysis.autocorr
     bpm_f = float(ftg.tempo_axis[np.argmax(ftg.magnitudes.mean(axis=0))])
     bpm_a = float(atg.tempo_axis[np.argmax(atg.magnitudes.mean(axis=0))])
     geo = float(np.sqrt(bpm_f * bpm_a))
     return FeatureVector(np.array([bpm_f, bpm_a, geo]), names, ["rhythmic"] * 3)
 
 
-def tempo_estimates(clip: AudioClip) -> FeatureVector:
-    """Three BPM estimates: Fourier-tempogram argmax, autocorrelation argmax,
-    and their geometric mean. Silence yields the 0 BPM sentinel.
-
-    Clips too short for the 8 s analysis window (from 5 s) use a window as
-    long as their novelty curve.
-    """
-    if clip.duration < MIN_BEAT_DURATION_S:
-        raise ValueError(f"tempo estimation needs at least {MIN_BEAT_DURATION_S:g} s of audio")
-    nov = novelty_curve(stft(clip))
-    window_s = min(ANALYSIS_WINDOW_S, nov.values.size / nov.frame_rate)
-    ftg = fourier_tempogram(nov, window_s=window_s)
-    atg = autocorr_tempogram(nov, window_s=window_s)
-    return _tempo_estimates(nov, ftg, atg)
-
-
-def dfa_exponent(
-    series: np.ndarray,
-    frame_rate: float,
-    min_window_s: float = DFA_MIN_WINDOW_S,
-    max_window_s: float = DFA_MAX_WINDOW_S,
-    n_scales: int = DFA_N_SCALES,
-) -> float:
+def dfa_exponent(series: np.ndarray, frame_rate: float) -> float:
     """Detrended fluctuation analysis scaling exponent of a 1-D series.
 
     The mean-removed series is integrated into a profile; for each window
@@ -244,11 +218,11 @@ def dfa_exponent(
         return 0.0
     profile = np.cumsum(x - x.mean())
 
-    s_min = max(4, int(round(min_window_s * frame_rate)))
-    s_max = min(int(round(max_window_s * frame_rate)), x.size // 2)
+    s_min = max(4, int(round(DFA_MIN_WINDOW_S * frame_rate)))
+    s_max = min(int(round(DFA_MAX_WINDOW_S * frame_rate)), x.size // 2)
     if s_max <= s_min:
         return 0.0
-    sizes = np.unique(np.geomspace(s_min, s_max, n_scales).round().astype(int))
+    sizes = np.unique(np.geomspace(s_min, s_max, DFA_N_SCALES).round().astype(int))
 
     log_s, log_f = [], []
     for s in sizes:
@@ -270,19 +244,24 @@ def dfa_exponent(
     return float(np.polyfit(log_s, log_f, 1)[0])
 
 
-def _danceability(nov: NoveltyCurve) -> FeatureVector:
+def danceability_dfa(analysis: TrackAnalysis) -> FeatureVector:
+    """DFA exponent of the onset-strength envelope (1 dim)."""
+    if analysis.clip.duration < MIN_DURATION_S:
+        raise ValueError(f"danceability needs at least {MIN_DURATION_S:g} s of audio")
+    nov = analysis.novelty
     alpha = dfa_exponent(nov.values, nov.frame_rate)
     return FeatureVector(np.array([alpha]), ["danceability_dfa"], ["rhythmic"])
 
 
-def danceability_dfa(clip: AudioClip) -> FeatureVector:
-    """DFA exponent of the onset-strength envelope (1 dim)."""
-    if clip.duration < MIN_DURATION_S:
-        raise ValueError(f"danceability needs at least {MIN_DURATION_S:g} s of audio")
-    return _danceability(novelty_curve(stft(clip)))
+def band_beat_emphasis(spec: Spectrogram) -> FeatureVector:
+    """Beat emphasis per octave band (lower edges 60..1920 Hz, 6 dims).
 
-
-def _band_emphasis_from_spec(spec: Spectrogram) -> FeatureVector:
+    Per band, an onset novelty curve is computed on the band-limited
+    spectrum and scaled by its mean; emphasis is the peak of its
+    autocorrelation over lags 0.125-2 s. Uncorrelated novelty gives values
+    near 1, periodic beats give values well above 1, and a band with no
+    onsets gives the 0 sentinel.
+    """
     values, names = [], []
     lag_lo = max(1, int(round(EMPHASIS_LAG_RANGE_S[0] * spec.frame_rate)))
     lag_hi = int(round(EMPHASIS_LAG_RANGE_S[1] * spec.frame_rate))
@@ -317,45 +296,22 @@ def _band_emphasis_from_spec(spec: Spectrogram) -> FeatureVector:
     return FeatureVector(np.array(values), names, ["rhythmic"] * 6)
 
 
-def band_beat_emphasis(clip: AudioClip) -> FeatureVector:
-    """Beat emphasis per octave band (lower edges 60..1920 Hz, 6 dims).
-
-    Per band, an onset novelty curve is computed on the band-limited
-    spectrum and scaled by its mean; emphasis is the peak of its
-    autocorrelation over lags 0.125-2 s. Uncorrelated novelty gives values
-    near 1, periodic beats give values well above 1, and a band with no
-    onsets gives the 0 sentinel.
-    """
-    if clip.duration < MIN_BEAT_DURATION_S:
-        raise ValueError(f"band beat emphasis needs at least {MIN_BEAT_DURATION_S:g} s of audio")
-    return _band_emphasis_from_spec(stft(clip))
-
-
-# Every block reads the track's one analysis. The tempo block takes the
-# shared 8 s tempograms: a clip of MIN_DURATION_S or more has a novelty
-# curve longer than the window, so tempo_estimates would pick 8 s as well.
 _BLOCKS = (
     ("spectral", lambda a: spectral_stats(a.spec)),
     ("timbral", lambda a: mfcc_features(a.spec)),
     ("harmonic", lambda a: chroma_features(a.spec)),
-    ("tempo", lambda a: _tempo_estimates(a.novelty, a.fourier, a.autocorr)),
-    ("danceability", lambda a: _danceability(a.novelty)),
+    ("tempo", tempo_estimates),
+    ("danceability", danceability_dfa),
 )
 
 
-def fundamental_feature_vector(
-    clip: AudioClip, *, analysis: TrackAnalysis | None = None
-) -> FeatureVector:
-    """The full 92-dim fundamental block in fixed schema order.
-
-    ``analysis`` is ``analyze_track(clip)`` when the caller already has it.
-    """
+def fundamental_feature_vector(analysis: TrackAnalysis) -> FeatureVector:
+    """The full 92-dim fundamental block of a track, in fixed schema order."""
+    clip = analysis.clip
     if clip.sample_rate != CANONICAL_RATE:
         raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")
     if clip.duration < MIN_DURATION_S:
         raise ValueError(f"fundamental features need at least {MIN_DURATION_S:g} s of audio")
-    if analysis is None:
-        analysis = analyze_track(clip)
     parts = []
     for block_name, fn in _BLOCKS:
         try:

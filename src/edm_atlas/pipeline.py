@@ -32,7 +32,7 @@ import numpy as np
 from . import metrics
 from .audio import CANONICAL_RATE, load_wav, resample
 from .cluster import ClusterModel, divisive_cluster, kmeans, select_natural_k
-from .features import _band_emphasis_from_spec, fundamental_feature_vector
+from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
 from .plots import pca_project, radar_svg, scatter_svg
 from .selection import LabelVector, engineer_features, ensemble_normalize, ensemble_select
@@ -45,7 +45,7 @@ from .table import (
     load_matrix,
     save_matrix,
 )
-from .tempogram import MIN_DURATION_S, _tempogram_block, analyze_track
+from .tempogram import MIN_DURATION_S, analyze_track, tempogram_feature_vector
 from .trees import MIN_SAMPLES
 from .types import FeatureVector
 
@@ -163,9 +163,9 @@ def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     analysis = analyze_track(clip)
     return FeatureVector.concat(
         [
-            fundamental_feature_vector(clip, analysis=analysis),
-            _tempogram_block(analysis.fourier, analysis.autocorr),
-            _band_emphasis_from_spec(analysis.spec),
+            fundamental_feature_vector(analysis),
+            tempogram_feature_vector(analysis),
+            band_beat_emphasis(analysis.spec),
         ]
     )
 
@@ -360,11 +360,16 @@ def _load_labels_csv(path: Path, row_ids: list[str]) -> np.ndarray:
     if not lines or lines[0] != "track_id,label":
         raise ConfigError(f"{path} is not a labels CSV (expected 'track_id,label' header)")
     mapping = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         tid, _, lab = line.partition(",")
-        mapping[tid] = int(lab)
+        if tid in mapping:
+            raise ConfigError(f"{path}: line {lineno} repeats track {tid!r}")
+        try:
+            mapping[tid] = int(lab)
+        except ValueError:
+            raise ConfigError(f"{path}: line {lineno} label must be an integer, got {lab!r}") from None
     missing = [rid for rid in row_ids if rid not in mapping]
     if missing:
         raise ConfigError(f"labels file missing tracks: {missing[:5]}")
@@ -390,7 +395,15 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
     rules = None
     override = Path(cfg.out) / "dimension_map.json"
     if override.exists():
-        raw = json.loads(override.read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(override.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{override}: line {exc.lineno} is not valid JSON: {exc.msg}") from None
+        if not isinstance(raw, dict) or not all(
+            isinstance(v, list) and len(v) == 2 and all(isinstance(x, list) for x in v)
+            for v in raw.values()
+        ):
+            raise ConfigError(f"{override}: expected {{dimension: [[name substrings], [column groups]]}}")
         rules = {dim: (tuple(v[0]), tuple(v[1])) for dim, v in raw.items()}
         logger.info("using dimension mapping override from %s", override)
 

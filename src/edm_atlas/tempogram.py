@@ -25,7 +25,8 @@ TEMPO_MAX = 480
 TEMPO_AXIS = np.arange(TEMPO_MIN, TEMPO_MAX + 1, dtype=np.float64)
 
 ANALYSIS_WINDOW_S = 8.0
-MIN_DURATION_S = 10.0  # shortest clip the tempogram and fundamental blocks accept
+MIN_DURATION_S = 10.0  # shortest clip the tempogram, fundamental and danceability blocks accept
+MIN_BEAT_DURATION_S = 5.0  # shortest clip analyze_track accepts
 ANALYSIS_HOP_S = 1.0
 LOG_COMPRESSION = 1000.0
 REF_TEMPO = 60.0
@@ -112,9 +113,9 @@ def novelty_curve(spec: Spectrogram) -> NoveltyCurve:
     return NoveltyCurve(novelty, spec.frame_rate)
 
 
-def _frame_params(nov: NoveltyCurve, window_s: float, hop_s: float) -> tuple[int, int]:
+def _frame_params(nov: NoveltyCurve, window_s: float) -> tuple[int, int]:
     win = int(round(window_s * nov.frame_rate))
-    hop = max(1, int(round(hop_s * nov.frame_rate)))
+    hop = max(1, int(round(ANALYSIS_HOP_S * nov.frame_rate)))
     if nov.values.size < win:
         raise ValueError(
             f"novelty has {nov.values.size} frames; analysis window needs {win}"
@@ -141,27 +142,19 @@ def _fourier_kernel(win: int, frame_rate: float) -> np.ndarray:
     return kernel
 
 
-def fourier_tempogram(
-    nov: NoveltyCurve,
-    window_s: float = ANALYSIS_WINDOW_S,
-    hop_s: float = ANALYSIS_HOP_S,
-) -> Tempogram:
+def fourier_tempogram(nov: NoveltyCurve, window_s: float = ANALYSIS_WINDOW_S) -> Tempogram:
     """Magnitude of the windowed Fourier coefficient at each tempo's rate.
 
     For tempo tau (BPM) the probed frequency is tau/60 Hz; each analysis
     window is Hann-tapered before the inner product.
     """
-    win, hop = _frame_params(nov, window_s, hop_s)
+    win, hop = _frame_params(nov, window_s)
     segs = _segments(nov.values, win, hop)
     mags = np.abs(segs @ _fourier_kernel(win, nov.frame_rate))
     return Tempogram(mags, TEMPO_AXIS.copy(), kind="fourier")
 
 
-def autocorr_tempogram(
-    nov: NoveltyCurve,
-    window_s: float = ANALYSIS_WINDOW_S,
-    hop_s: float = ANALYSIS_HOP_S,
-) -> Tempogram:
+def autocorr_tempogram(nov: NoveltyCurve, window_s: float = ANALYSIS_WINDOW_S) -> Tempogram:
     """Windowed normalized autocorrelation mapped onto the BPM axis.
 
     Each Hann-tapered window is autocorrelated (biased estimate, normalized
@@ -169,7 +162,7 @@ def autocorr_tempogram(
     lag-domain curve is linearly interpolated onto the shared 1-BPM grid.
     An all-zero window yields an all-zero row.
     """
-    win, hop = _frame_params(nov, window_s, hop_s)
+    win, hop = _frame_params(nov, window_s)
     segs = _segments(nov.values, win, hop) * np.hanning(win)
 
     nfft = int(2 ** np.ceil(np.log2(2 * win)))
@@ -264,10 +257,11 @@ def tempogram_summary(tg: Tempogram | CyclicTempogram, top_n: int = TOP_BINS) ->
 class TrackAnalysis:
     """What every feature block of one track reads, computed once.
 
-    The spectrogram, its onset novelty curve, and the Fourier and
-    autocorrelation tempograms over the full 8 s analysis window.
+    The clip, its spectrogram, its onset novelty curve, and the Fourier and
+    autocorrelation tempograms.
     """
 
+    clip: AudioClip
     spec: Spectrogram
     novelty: NoveltyCurve
     fourier: Tempogram
@@ -275,25 +269,25 @@ class TrackAnalysis:
 
 
 def analyze_track(clip: AudioClip) -> TrackAnalysis:
-    """STFT, novelty and both 8 s tempograms of a clip (longer than the 8 s window)."""
+    """STFT, novelty curve and both tempograms of a clip of 5 s or more.
+
+    The tempograms use the 8 s analysis window, or one as long as the
+    novelty curve when that is shorter (clips under about 8 s).
+    """
+    if clip.duration < MIN_BEAT_DURATION_S:
+        raise ValueError(f"track analysis needs at least {MIN_BEAT_DURATION_S:g} s of audio")
     spec = stft(clip)
     nov = novelty_curve(spec)
-    return TrackAnalysis(spec, nov, fourier_tempogram(nov), autocorr_tempogram(nov))
+    window_s = min(ANALYSIS_WINDOW_S, nov.values.size / nov.frame_rate)
+    return TrackAnalysis(
+        clip, spec, nov, fourier_tempogram(nov, window_s), autocorr_tempogram(nov, window_s)
+    )
 
 
-def tempogram_feature_vector(clip: AudioClip, top_n: int = TOP_BINS) -> FeatureVector:
+def tempogram_feature_vector(analysis: TrackAnalysis) -> FeatureVector:
     """64-dim tempogram block: 4 representations x top-4 bins x 4 statistics."""
-    if clip.duration < MIN_DURATION_S:
+    if analysis.clip.duration < MIN_DURATION_S:
         raise ValueError(f"tempogram features need at least {MIN_DURATION_S:g} s of audio")
-    analysis = analyze_track(clip)
-    return _tempogram_block(analysis.fourier, analysis.autocorr, top_n)
-
-
-def _tempogram_block(ftg: Tempogram, atg: Tempogram, top_n: int = TOP_BINS) -> FeatureVector:
-    parts = [
-        tempogram_summary(ftg, top_n),
-        tempogram_summary(atg, top_n),
-        tempogram_summary(cyclic_tempogram(ftg), top_n),
-        tempogram_summary(cyclic_tempogram(atg), top_n),
-    ]
-    return FeatureVector.concat(parts)
+    ftg, atg = analysis.fourier, analysis.autocorr
+    views = (ftg, atg, cyclic_tempogram(ftg), cyclic_tempogram(atg))
+    return FeatureVector.concat([tempogram_summary(tg) for tg in views])

@@ -26,6 +26,7 @@ from edm_atlas.selection import (
 )
 from edm_atlas.table import FeatureMatrix
 from edm_atlas.tempogram import (
+    analyze_track,
     autocorr_tempogram,
     cyclic_tempogram,
     fourier_tempogram,
@@ -255,8 +256,8 @@ class TestCriterion9EndToEndDeterminism:
 class TestCriterion10FeatureSchema:
     def test_dimension_ledger(self):
         clip = synth_click_track(128, 12)
-        fundamental = fundamental_feature_vector(clip)
-        tempogram_block = tempogram_feature_vector(clip)
+        fundamental = fundamental_feature_vector(analyze_track(clip))
+        tempogram_block = tempogram_feature_vector(analyze_track(clip))
         ok = (
             len(fundamental) == 92
             and len(set(fundamental.names)) == 92

@@ -95,6 +95,24 @@ class TestLoadWav:
         with pytest.raises(UnsupportedWavError):
             load_wav(path)
 
+    def test_odd_list_chunk_before_fmt(self, tmp_path):
+        # a 5-byte LIST chunk carries one pad byte; fmt and data follow it
+        frames = np.arange(-500, 500, dtype="<i2").tobytes()
+        plain = wav_bytes(frames)
+        extra = b"LIST" + struct.pack("<I", 5) + b"INFOx" + b"\x00"
+        body = plain[12:]
+        blob = b"RIFF" + struct.pack("<I", 4 + len(extra) + len(body)) + b"WAVE" + extra + body
+        (tmp_path / "plain.wav").write_bytes(plain)
+        (tmp_path / "list.wav").write_bytes(blob)
+        expected = load_wav(tmp_path / "plain.wav").samples
+        assert load_wav(tmp_path / "list.wav").samples.tobytes() == expected.tobytes()
+
+    def test_truncated_chunk_named(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(wav_bytes(bytes(200))[:-50])
+        with pytest.raises(MalformedWavError, match="declares 200 bytes but only 150 remain"):
+            load_wav(path)
+
     def test_roundtrip(self, tmp_path):
         clip = synth_click_track(97, 2)
         save_wav(clip, tmp_path / "rt.wav")

@@ -22,7 +22,7 @@ from edm_atlas.features import (
     N_MFCC,
     PITCH_CLASSES,
     ROLLOFF_FRACTION,
-    _band_emphasis_from_spec,
+    band_beat_emphasis,
     chroma_features,
     mel_filterbank,
     mfcc_features,
@@ -222,7 +222,7 @@ class TestBlockedLayersMatchWholeArray:
     @settings(max_examples=20, deadline=None)
     @given(spec=spectrograms())
     def test_band_emphasis(self, spec):
-        assert same_bytes(_band_emphasis_from_spec(spec).values, ref_band_emphasis(spec))
+        assert same_bytes(band_beat_emphasis(spec).values, ref_band_emphasis(spec))
 
 
 class TestNoveltyMinimumLength:

@@ -4,7 +4,6 @@ from scipy.signal import butter, sosfilt
 
 from edm_atlas.audio import AudioClip, Spectrogram, stft, synth_click_track, synth_noise, synth_sine
 from edm_atlas.features import (
-    MIN_BEAT_DURATION_S,
     band_beat_emphasis,
     chroma_features,
     danceability_dfa,
@@ -14,6 +13,7 @@ from edm_atlas.features import (
     spectral_stats,
     tempo_estimates,
 )
+from edm_atlas.tempogram import MIN_BEAT_DURATION_S, analyze_track
 
 
 def feature_dict(vec):
@@ -122,22 +122,22 @@ class TestChroma:
 
 class TestTempoEstimates:
     def test_click_128(self):
-        values = feature_dict(tempo_estimates(synth_click_track(128, 10)))
+        values = feature_dict(tempo_estimates(analyze_track(synth_click_track(128, 10))))
         for name in ("tempo_fourier_bpm", "tempo_autocorr_bpm", "tempo_geomean_bpm"):
             assert abs(values[name] - 128.0) <= 1.0
 
     def test_click_60_harmonic_lock(self):
-        values = feature_dict(tempo_estimates(synth_click_track(60, 10)))
+        values = feature_dict(tempo_estimates(analyze_track(synth_click_track(60, 10))))
         fourier = values["tempo_fourier_bpm"]
         assert abs(fourier - 60) <= 1 or abs(fourier - 120) <= 1
 
     def test_silence_sentinel(self):
-        vec = tempo_estimates(AudioClip(np.zeros(22050 * 6), 22050))
+        vec = tempo_estimates(analyze_track(AudioClip(np.zeros(22050 * 6), 22050)))
         assert np.all(vec.values == 0.0)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            tempo_estimates(synth_click_track(120, 2))
+            tempo_estimates(analyze_track(synth_click_track(120, 2)))
 
 
 def dfa_oracle(series, sizes):
@@ -191,59 +191,59 @@ class TestDanceabilityDfa:
         assert dfa_exponent(np.full(1000, 3.0), 43.0) == 0.0
 
     def test_clip_wrapper(self):
-        vec = danceability_dfa(synth_click_track(120, 12))
+        vec = danceability_dfa(analyze_track(synth_click_track(120, 12)))
         assert vec.names == ["danceability_dfa"]
         with pytest.raises(ValueError):
-            danceability_dfa(synth_click_track(120, 5))
+            danceability_dfa(analyze_track(synth_click_track(120, 5)))
 
 
 class TestBandBeatEmphasis:
     def test_click_all_bands_above_one(self, click_120):
-        vec = band_beat_emphasis(synth_click_track(120, 12))
+        vec = band_beat_emphasis(analyze_track(synth_click_track(120, 12)).spec)
         assert np.all(vec.values > 1.0)
 
     def test_steady_sine_sentinel(self):
-        vec = band_beat_emphasis(synth_sine(100, 12))
+        vec = band_beat_emphasis(analyze_track(synth_sine(100, 12)).spec)
         assert np.allclose(vec.values, 0.0)
 
     def test_kick_low_band_dominates(self):
         clicks = synth_click_track(120, 12)
         sos = butter(8, 150, btype="low", fs=22050, output="sos")
         kick = AudioClip(np.clip(sosfilt(sos, clicks.samples), -1, 1), 22050)
-        values = band_beat_emphasis(kick).values
+        values = band_beat_emphasis(analyze_track(kick).spec).values
         assert values[0] >= values[5]
 
     def test_dims_and_duration(self):
-        assert len(band_beat_emphasis(synth_click_track(120, 6))) == 6
+        assert len(band_beat_emphasis(analyze_track(synth_click_track(120, 6)).spec)) == 6
         with pytest.raises(ValueError):
-            band_beat_emphasis(synth_click_track(120, 2))
+            band_beat_emphasis(analyze_track(synth_click_track(120, 2)).spec)
 
 
 class TestFundamentalVector:
     def test_92_dims_unique_finite(self, click_128_long):
-        vec = fundamental_feature_vector(click_128_long)
+        vec = fundamental_feature_vector(analyze_track(click_128_long))
         assert len(vec) == 92
         assert len(set(vec.names)) == 92
         assert np.all(np.isfinite(vec.values))
 
     def test_deterministic(self, click_128_long):
-        a = fundamental_feature_vector(click_128_long)
-        b = fundamental_feature_vector(click_128_long)
+        a = fundamental_feature_vector(analyze_track(click_128_long))
+        b = fundamental_feature_vector(analyze_track(click_128_long))
         assert np.array_equal(a.values, b.values)
 
     def test_louder_copy_same_tempo(self):
         quiet = synth_click_track(128, 12, amplitude=0.4)
         loud = synth_click_track(128, 12, amplitude=0.8)  # +6 dB
-        va = feature_dict(fundamental_feature_vector(quiet))
-        vb = feature_dict(fundamental_feature_vector(loud))
+        va = feature_dict(fundamental_feature_vector(analyze_track(quiet)))
+        vb = feature_dict(fundamental_feature_vector(analyze_track(loud)))
         for name in ("tempo_fourier_bpm", "tempo_autocorr_bpm", "tempo_geomean_bpm"):
             assert va[name] == vb[name]
 
     def test_amplitude_invariants(self):
         base = synth_noise(12, amplitude=0.3, seed=2)
         scaled = AudioClip(2.0 * base.samples, 22050)
-        va = feature_dict(fundamental_feature_vector(base))
-        vb = feature_dict(fundamental_feature_vector(scaled))
+        va = feature_dict(fundamental_feature_vector(analyze_track(base)))
+        vb = feature_dict(fundamental_feature_vector(analyze_track(scaled)))
         for name in (
             "spectral_centroid_mean",
             "spectral_spread_mean",
@@ -257,20 +257,27 @@ class TestFundamentalVector:
         assert vb["mfcc_00_mean"] != va["mfcc_00_mean"]
 
     def test_schema_fixed_across_inputs(self, click_128_long, noise_clip):
-        a = fundamental_feature_vector(click_128_long)
-        b = fundamental_feature_vector(noise_clip)
+        a = fundamental_feature_vector(analyze_track(click_128_long))
+        b = fundamental_feature_vector(analyze_track(noise_clip))
         assert a.names == b.names
         assert a.groups == b.groups
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            fundamental_feature_vector(synth_click_track(120, 5))
+            fundamental_feature_vector(analyze_track(synth_click_track(120, 5)))
         clip_44k = AudioClip(np.random.default_rng(0).uniform(-1, 1, 44100 * 11), 44100)
         with pytest.raises(ValueError, match="canonical"):
-            fundamental_feature_vector(clip_44k)
+            fundamental_feature_vector(analyze_track(clip_44k))
 
 
-@pytest.mark.parametrize("fn", [tempo_estimates, band_beat_emphasis])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda clip: tempo_estimates(analyze_track(clip)),
+        lambda clip: band_beat_emphasis(analyze_track(clip).spec),
+    ],
+    ids=["tempo_estimates", "band_beat_emphasis"],
+)
 def test_beat_minimum_named_in_message(fn):
     clip = synth_click_track(120, MIN_BEAT_DURATION_S - 1.0)
     with pytest.raises(ValueError, match=f"at least {MIN_BEAT_DURATION_S:g} s of audio"):

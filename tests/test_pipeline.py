@@ -31,7 +31,7 @@ from edm_atlas.pipeline import (
 )
 from edm_atlas.plots import pca_project
 from edm_atlas.table import FeatureMatrix, load_manifest, load_matrix, save_matrix
-from edm_atlas.tempogram import tempogram_feature_vector
+from edm_atlas.tempogram import analyze_track, tempogram_feature_vector
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,11 @@ class TestOneAnalysisPerTrack:
         record, base = track
         vec = extract_track(record, base)
         clip = load_wav(base / record.path)
-        parts = [fundamental_feature_vector(clip), tempogram_feature_vector(clip), band_beat_emphasis(clip)]
+        parts = [
+            fundamental_feature_vector(analyze_track(clip)),
+            tempogram_feature_vector(analyze_track(clip)),
+            band_beat_emphasis(analyze_track(clip).spec),
+        ]
         assert vec.names == [name for part in parts for name in part.names]
         assert vec.values.tobytes() == np.concatenate([part.values for part in parts]).tobytes()
 
@@ -446,6 +450,53 @@ class TestCliExitCodes:
             wav.write_bytes(b"broken")
         code = cli_main(["extract", "--manifest", str(audio / "manifest.csv"), "--out", str(tmp_path / "out")])
         assert code == 3
+
+
+class TestBadUserFiles:
+    """Malformed labels and dimension-map files are configuration errors naming file and line."""
+
+    def run_profile(self, fixture_run, *extra) -> int:
+        return cli_main(["profile", "--manifest", fixture_run.manifest, "--out", fixture_run.out, *extra])
+
+    def write_labels(self, tmp_path, rows: list[str]) -> Path:
+        path = tmp_path / "labels.csv"
+        path.write_text("\n".join(["track_id,label", *rows]) + "\n")
+        return path
+
+    def test_non_integer_label(self, fixture_run, tmp_path, capsys):
+        ids = load_matrix(Path(fixture_run.out) / "features.csv").row_ids
+        rows = [f"{tid},0" for tid in ids]
+        rows[2] = f"{ids[2]},house"
+        path = self.write_labels(tmp_path, rows)
+        assert self.run_profile(fixture_run, "--labels", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 4 label must be an integer, got 'house'" in err
+
+    def test_repeated_track_id(self, fixture_run, tmp_path, capsys):
+        ids = load_matrix(Path(fixture_run.out) / "features.csv").row_ids
+        rows = [f"{tid},{i % 4}" for i, tid in enumerate(ids)] + [f"{ids[0]},3"]
+        path = self.write_labels(tmp_path, rows)
+        assert self.run_profile(fixture_run, "--labels", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {len(ids) + 2} repeats track '{ids[0]}'" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{\n  "energy": [["mfcc_00"], []],\n  "tempo": [["bpm"]\n}\n', "line 4 is not valid JSON"),
+            ('[["bpm"], []]', "expected {dimension: [[name substrings], [column groups]]}"),
+            ('{"tempo": [["bpm"]]}', "expected {dimension: [[name substrings], [column groups]]}"),
+        ],
+        ids=["unparsable", "not_an_object", "one_list"],
+    )
+    def test_bad_dimension_map(self, fixture_run, capsys, text, message):
+        path = Path(fixture_run.out) / "dimension_map.json"
+        path.write_text(text)
+        try:
+            assert self.run_profile(fixture_run) == 2
+        finally:
+            path.unlink()
+        assert f"{path}: {message}" in capsys.readouterr().err
 
 
 class TestDegenerateCatalogs:

@@ -5,6 +5,7 @@ from edm_atlas.audio import AudioClip, Spectrogram, stft, synth_click_track
 from edm_atlas.tempogram import (
     NoveltyCurve,
     Tempogram,
+    analyze_track,
     autocorr_tempogram,
     cyclic_tempogram,
     fourier_tempogram,
@@ -179,26 +180,26 @@ class TestTempogramSummary:
 
 class TestTempogramFeatureVector:
     def test_64_dims(self, click_128_long):
-        vec = tempogram_feature_vector(click_128_long)
+        vec = tempogram_feature_vector(analyze_track(click_128_long))
         assert len(vec) == 64
         assert len(set(vec.names)) == 64
         assert np.all(np.isfinite(vec.values))
         assert set(vec.groups) == {"tempogram"}
 
     def test_fourier_autocorr_octave_relation(self, click_128_long):
-        vec = tempogram_feature_vector(click_128_long)
+        vec = tempogram_feature_vector(analyze_track(click_128_long))
         values = dict(zip(vec.names, vec.values))
         ratio = values["tg_fourier_r1_bpm"] / values["tg_autocorr_r1_bpm"]
         assert min(abs(ratio - r) for r in (0.5, 1.0, 2.0)) < 0.05
 
     def test_deterministic(self, click_128_long):
-        a = tempogram_feature_vector(click_128_long)
-        b = tempogram_feature_vector(click_128_long)
+        a = tempogram_feature_vector(analyze_track(click_128_long))
+        b = tempogram_feature_vector(analyze_track(click_128_long))
         assert np.array_equal(a.values, b.values)
 
     def test_min_duration(self):
         with pytest.raises(ValueError):
-            tempogram_feature_vector(synth_click_track(120, 5))
+            tempogram_feature_vector(analyze_track(synth_click_track(120, 5)))
 
     def test_nonnegative_cells(self, noise_clip):
         nov = novelty_curve(stft(noise_clip))
