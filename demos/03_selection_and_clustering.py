@@ -50,16 +50,17 @@ print("\ntop 8 features by ensemble score:")
 for i in order[:8]:
     print(f"  {report.feature_names[i]:24s} {report.ensemble[i]:.4f}")
 
-km = kmeans(selected, n_classes, seed=0)
-dv = divisive_cluster(selected, n_classes, seed=0)
+x = selected.data  # the clustering functions take the plain array
+km = kmeans(x, n_classes, seed=0)
+dv = divisive_cluster(x, n_classes, seed=0)
 print(f"\nkmeans   ARI {ari(km.labels, y):.3f}  NMI {nmi(km.labels, y):.3f}")
 print(f"divisive ARI {ari(dv.labels, y):.3f}  NMI {nmi(dv.labels, y):.3f}")
 
-sweep = select_natural_k(selected, (2, 12), seed=0, restarts=20)
+sweep = select_natural_k(x, (2, 12), seed=0, restarts=20)
 print(f"\nnatural cluster count over [2, 12]: {sweep.chosen_k} (truth: {n_classes})")
 
 full = evaluate_all(
-    selected,
+    x,
     km.labels,
     y,
     clusterer=lambda x, s: kmeans(x, n_classes, restarts=10, seed=s).labels,

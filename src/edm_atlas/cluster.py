@@ -19,7 +19,6 @@ import numpy as np
 
 from . import metrics
 from .selection import _min_max
-from .table import FeatureMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -35,8 +34,6 @@ DEFAULT_K_RANGE = (15, 40)
 
 
 def _as_array(data) -> np.ndarray:
-    if isinstance(data, FeatureMatrix):
-        return data.data
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D data matrix")
@@ -61,19 +58,13 @@ class SplitNode:
         d["children"] = [c.to_dict() for c in self.children] if self.children else None
         return d
 
-    def leaves(self) -> list["SplitNode"]:
-        if self.children is None:
-            return [self]
-        return self.children[0].leaves() + self.children[1].leaves()
-
 
 @dataclass
 class ClusterModel:
-    """Labels plus centroids and bookkeeping for one clustering run."""
+    """Labels and bookkeeping for one clustering run."""
 
     labels: np.ndarray
     k: int
-    centroids: np.ndarray
     inertia: float
     method: str
     seed: int = 0
@@ -86,8 +77,8 @@ class ClusterModel:
             raise ValueError("labels must lie in [0, k)")
         if np.bincount(self.labels, minlength=self.k).min() == 0:
             raise ValueError("every cluster must be nonempty")
-        if self.inertia < 0 or not np.all(np.isfinite(self.centroids)):
-            raise ValueError("inertia must be >= 0 and centroids finite")
+        if not 0.0 <= self.inertia < np.inf:
+            raise ValueError("inertia must be finite and >= 0")
 
     def save(self, labels_path: str | Path, sidecar_path: str | Path, row_ids) -> None:
         lines = ["track_id,label"]
@@ -134,10 +125,10 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return labels, d2[np.arange(x.shape[0]), labels]
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
+def _lloyd(x: np.ndarray, centroids: np.ndarray):
     k = centroids.shape[0]
     labels = np.zeros(x.shape[0], dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         labels, d2 = _assign(x, centroids)
         new_centroids = centroids.copy()
         for c in range(k):
@@ -153,7 +144,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
                 d2[far] = 0.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     labels, d2 = _assign(x, centroids)
     counts = np.bincount(labels, minlength=k)
@@ -171,17 +162,10 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
             refilled += 1
     # exact inertia: the fast expansion above carries cancellation roundoff
     inertia = float(((x - centroids[labels]) ** 2).sum())
-    return labels, centroids, inertia, refilled
+    return labels, inertia, refilled
 
 
-def kmeans(
-    data,
-    k: int,
-    restarts: int = KMEANS_RESTARTS,
-    seed: int = 0,
-    max_iter: int = KMEANS_MAX_ITER,
-    tol: float = KMEANS_TOL,
-) -> ClusterModel:
+def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> ClusterModel:
     """Best-of-restarts k-means with k-means++ (D^2) seeding.
 
     Deterministic for a fixed seed; restart r uses the r-th spawned child
@@ -195,10 +179,10 @@ def kmeans(
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         centroids = _plus_plus_init(x, k, rng)
-        result = _lloyd(x, centroids, max_iter, tol)
-        if best is None or result[2] < best[2]:
+        result = _lloyd(x, centroids)
+        if best is None or result[1] < best[1]:
             best = result
-    labels, centroids, inertia, refilled = best
+    labels, inertia, refilled = best
     warning = None
     if refilled:
         warning = (
@@ -206,7 +190,7 @@ def kmeans(
             "from a larger cluster; the data may have fewer than k distinct rows"
         )
         logger.warning(warning)
-    return ClusterModel(labels, k, centroids, inertia, method="kmeans", seed=seed, warning=warning)
+    return ClusterModel(labels, k, inertia, method="kmeans", seed=seed, warning=warning)
 
 
 def heterogeneity(points, seed: int = 0) -> float:
@@ -228,17 +212,12 @@ def heterogeneity(points, seed: int = 0) -> float:
     return var * (1.0 + sil) * float(np.log(n + 1))
 
 
-def divisive_cluster(
-    data,
-    k_target: int,
-    seed: int = 0,
-    h_threshold: float | None = None,
-) -> ClusterModel:
+def divisive_cluster(data, k_target: int, seed: int = 0) -> ClusterModel:
     """Top-down bisection: always split the cluster with the largest H.
 
     Ties prefer the larger cluster, then the lower node id. Splitting stops
-    at k_target clusters, or earlier when every H is 0 (the model then
-    carries a warning), or when max H falls below the optional h_threshold.
+    at k_target clusters, or earlier when every H is 0; the model then
+    carries a warning.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -263,9 +242,6 @@ def divisive_cluster(
             warning = f"all heterogeneity scores 0 at k={len(leaves)}; cannot reach k_target={k_target}"
             logger.warning(warning)
             break
-        if h_threshold is not None and best_h < h_threshold:
-            warning = f"max heterogeneity {best_h:.6g} below threshold at k={len(leaves)}"
-            break
         node = leaves.pop(best_id)
         sub = x[node.indices]
         split = kmeans(sub, 2, restarts=SPLIT_RESTARTS, seed=next_seed())
@@ -280,21 +256,13 @@ def divisive_cluster(
 
     labels = np.empty(n, dtype=np.int64)
     ordered = [leaves[nid] for nid in sorted(leaves)]
-    centroids = np.empty((len(ordered), x.shape[1]))
     inertia = 0.0
     for c, leaf in enumerate(ordered):
         labels[leaf.indices] = c
-        centroids[c] = x[leaf.indices].mean(axis=0)
-        inertia += float(((x[leaf.indices] - centroids[c]) ** 2).sum())
+        members = x[leaf.indices]
+        inertia += float(((members - members.mean(axis=0)) ** 2).sum())
     return ClusterModel(
-        labels,
-        len(ordered),
-        centroids,
-        inertia,
-        method="divisive",
-        seed=seed,
-        split_tree=root,
-        warning=warning,
+        labels, len(ordered), inertia, method="divisive", seed=seed, split_tree=root, warning=warning
     )
 
 

@@ -43,8 +43,6 @@ DEFAULT_DIMENSION_RULES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 
 def _as_array(data) -> np.ndarray:
-    if isinstance(data, FeatureMatrix):
-        return data.data
     return np.asarray(data, dtype=np.float64)
 
 
@@ -52,7 +50,13 @@ def _labels(a) -> np.ndarray:
     return np.asarray(a).ravel()
 
 
-def _contingency(pred: np.ndarray, true: np.ndarray) -> np.ndarray:
+def _contingency(pred, true) -> np.ndarray:
+    """Cluster x class count table of two equal-length labelings."""
+    pred, true = _labels(pred), _labels(true)
+    if pred.size != true.size:
+        raise ValueError("label vectors must have equal length")
+    if pred.size == 0:
+        raise ValueError("label vectors must be nonempty")
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(true, return_inverse=True)
     table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
@@ -71,9 +75,6 @@ def _entropy(counts: np.ndarray) -> float:
 
 def mi_score(pred, true) -> float:
     """Unnormalized mutual information between two labelings, in nats."""
-    pred, true = _labels(pred), _labels(true)
-    if pred.size != true.size:
-        raise ValueError("label vectors must have equal length")
     table = _contingency(pred, true)
     n = table.sum()
     pj = table / n
@@ -90,9 +91,6 @@ def nmi(pred, true) -> float:
     Identical partitions score 1; if either labeling has zero entropy and
     the partitions differ, the score is 0.
     """
-    pred, true = _labels(pred), _labels(true)
-    if pred.size != true.size:
-        raise ValueError("label vectors must have equal length")
     table = _contingency(pred, true)
     if _same_partition(table):
         return 1.0
@@ -105,12 +103,9 @@ def nmi(pred, true) -> float:
 
 def ari(pred, true) -> float:
     """Adjusted Rand index via exact integer pair counting."""
-    pred, true = _labels(pred), _labels(true)
-    if pred.size != true.size:
-        raise ValueError("label vectors must have equal length")
-    if pred.size < 2:
-        raise ValueError("ARI needs at least 2 samples")
     table = _contingency(pred, true)
+    if table.sum() < 2:
+        raise ValueError("ARI needs at least 2 samples")
     sum_ij = sum(comb(int(v), 2) for v in table.ravel() if v >= 2)
     sum_a = sum(comb(int(v), 2) for v in table.sum(axis=1))
     sum_b = sum(comb(int(v), 2) for v in table.sum(axis=0))
@@ -124,9 +119,6 @@ def ari(pred, true) -> float:
 
 def purity(pred, true) -> float:
     """Fraction of samples matching their cluster's majority class."""
-    pred, true = _labels(pred), _labels(true)
-    if pred.size != true.size:
-        raise ValueError("label vectors must have equal length")
     table = _contingency(pred, true)
     return float(table.max(axis=1).sum() / table.sum())
 
@@ -215,7 +207,6 @@ def cophenetic_bootstrap(
     clusterer: Callable[[np.ndarray, int], np.ndarray],
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
-    resampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
 ) -> float:
     """Stability of co-assignment under bootstrap re-clustering.
 
@@ -236,8 +227,7 @@ def cophenetic_bootstrap(
     root = np.random.SeedSequence(seed)
     for b, child in enumerate(root.spawn(B)):
         rng = np.random.default_rng(child)
-        idx = resampler(rng, n) if resampler is not None else rng.integers(0, n, n)
-        idx = np.unique(idx)
+        idx = np.unique(rng.integers(0, n, n))
         labels = np.asarray(clusterer(x[idx], seed + b + 1), dtype=np.int64)
         same = (labels[:, None] == labels[None, :]).astype(np.float64)
         votes[np.ix_(idx, idx)] += same
@@ -304,11 +294,10 @@ class EvaluationReport:
     internal: dict[str, float]
     distribution: dict[str, float]
     context: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "context": self.context,
             "external": self.external,
             "internal": self.internal,
@@ -318,17 +307,6 @@ class EvaluationReport:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvaluationReport":
-        payload = json.loads(text)
-        return cls(
-            external=payload["external"],
-            internal=payload["internal"],
-            distribution=payload["distribution"],
-            context=payload.get("context", {}),
-            schema_version=payload.get("schema_version", SCHEMA_VERSION),
-        )
 
 
 def evaluate_all(

@@ -75,10 +75,10 @@ class RunConfig:
     workers: int = field(default_factory=lambda: max(1, os.cpu_count() or 1))
     labels: str | None = None  # labels CSV for profile/plot
 
-    def validate(self, need_manifest: bool = True) -> None:
-        if need_manifest and not self.manifest:
+    def validate(self) -> None:
+        if not self.manifest:
             raise ConfigError("a manifest path is required (--manifest)")
-        if need_manifest and not Path(self.manifest).exists():
+        if not Path(self.manifest).exists():
             raise ConfigError(f"manifest not found: {self.manifest}")
         if self.embeddings and not Path(self.embeddings).exists():
             raise ConfigError(f"embeddings file not found: {self.embeddings}")
@@ -264,23 +264,21 @@ def prepare_selected(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector]:
     return selected, labels
 
 
-def _clustering_input(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector, bool]:
+def _clustering_input(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector]:
+    """The embeddings when supplied, else the selected feature matrix."""
     if cfg.embeddings:
         records = load_manifest(cfg.manifest)
         matrix = import_embeddings(cfg.embeddings, records)
         labels = LabelVector.from_strings([r.genre for r in records])
         logger.info("embeddings supplied: selection stage skipped")
-        return matrix, labels, True
-    selected, labels = prepare_selected(cfg)
-    return selected, labels, False
+        return matrix, labels
+    return prepare_selected(cfg)
 
 
 def _run_method(
     matrix: FeatureMatrix, method: str, cfg: RunConfig
 ) -> tuple[ClusterModel, Callable[[np.ndarray, int], np.ndarray]]:
     seed = stage_seed(cfg.seed, f"cluster:{method}")
-    if cfg.k > matrix.shape[0]:
-        raise ConfigError(f"k={cfg.k} exceeds {matrix.shape[0]} tracks")
     if method == "kmeans":
         model = kmeans(matrix.data, cfg.k, restarts=cfg.restarts, seed=seed)
 
@@ -299,7 +297,11 @@ def _run_method(
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     """Cluster at the fixed k and evaluate against the genre labeling."""
     cfg.validate()
-    matrix, labels, skipped_selection = _clustering_input(cfg)
+    matrix, labels = _clustering_input(cfg)
+    n = matrix.shape[0]
+    if cfg.k >= n:
+        # the internal indices (Davies-Bouldin, silhouette) need k < n
+        raise ConfigError(f"k={cfg.k} must be below the number of tracks ({n})")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -314,7 +316,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
             "method": method,
             "k": model.k,
             "seed": cfg.seed,
-            "selection": "skipped" if skipped_selection else "applied",
+            "selection": "skipped" if cfg.embeddings else "applied",
         }
         report = metrics.evaluate_all(
             matrix.data,
@@ -334,7 +336,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
 def cmd_sweep(cfg: RunConfig):
     """Natural-k sweep over [k_min, k_max]; returns the KSweepResult."""
     cfg.validate()
-    matrix, _, _ = _clustering_input(cfg)
+    matrix, _ = _clustering_input(cfg)
     n = matrix.shape[0]
     if cfg.k_max > n:
         raise ConfigError(f"k-max={cfg.k_max} exceeds {n} tracks")
@@ -424,11 +426,11 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
 def cmd_plot(cfg: RunConfig) -> Path:
     """PCA scatter of the clustering space, colored by cluster labels."""
     cfg.validate()
-    if cfg.embeddings:
-        matrix, _, _ = _clustering_input(cfg)
+    selected_path = Path(cfg.out) / "selected.csv"
+    if selected_path.exists() and not cfg.embeddings:
+        matrix = load_matrix(selected_path)
     else:
-        selected_path = Path(cfg.out) / "selected.csv"
-        matrix = load_matrix(selected_path) if selected_path.exists() else prepare_selected(cfg)[0]
+        matrix, _ = _clustering_input(cfg)
     labels = _load_labels_csv(_resolve_labels_path(cfg), matrix.row_ids)
     points, variances = pca_project(matrix.data)
     svg = scatter_svg(
@@ -441,16 +443,7 @@ def cmd_plot(cfg: RunConfig) -> Path:
     return out_path
 
 
-def cmd_fixtures(
-    out_dir: str | Path,
-    families=DEFAULT_FAMILIES,
-    per_genre: int | None = None,
-    duration: float = 12.0,
-    seed: int = 0,
-) -> Path:
-    """Write the synthetic fixture set and its manifest."""
-    if per_genre is not None:
-        families = tuple(
-            FixtureFamily(f.genre, f.kind, f.bpm, per_genre) for f in families
-        )
+def cmd_fixtures(out_dir: str | Path, per_genre: int, duration: float = 12.0, seed: int = 0) -> Path:
+    """Write the default fixture families, per_genre tracks each, and their manifest."""
+    families = tuple(FixtureFamily(f.genre, f.kind, f.bpm, per_genre) for f in DEFAULT_FAMILIES)
     return write_fixture_set(out_dir, families=families, duration=duration, seed=seed)

@@ -14,14 +14,17 @@ PALETTE = (
     "#a1c9f4", "#ffb482", "#8de5a1", "#ff9f9b", "#d0bbff",
     "#debb9b", "#fab0e4", "#cfcfcf", "#fffea3", "#b9f2f0",
 )
+RADAR_SIZE = 360
+SCATTER_SIZE = 520
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def radar_svg(title: str, axes: list[tuple[str, float]], size: int = 360) -> str:
+def radar_svg(title: str, axes: list[tuple[str, float]]) -> str:
     """Polygon over named axes with values in [0, 100]."""
+    size = RADAR_SIZE
     cx = cy = size / 2.0
     radius = size * 0.36
     n = len(axes)
@@ -81,14 +84,9 @@ def pca_project(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centered @ comps, eigvals[order]
 
 
-def scatter_svg(
-    points: np.ndarray,
-    labels: np.ndarray,
-    title: str,
-    legend_names: list[str] | None = None,
-    size: int = 520,
-) -> str:
-    """2-D scatter colored by cluster, with a legend."""
+def scatter_svg(points: np.ndarray, labels: np.ndarray, title: str) -> str:
+    """2-D scatter colored by cluster, with a "cluster <label>" legend."""
+    size = SCATTER_SIZE
     pts = np.asarray(points, dtype=np.float64)
     labs = np.asarray(labels)
     classes = np.unique(labs)
@@ -119,11 +117,10 @@ def scatter_svg(
     for ci, c in enumerate(classes):
         color = PALETTE[ci % len(PALETTE)]
         ly = margin + 16 * ci
-        name = legend_names[ci] if legend_names else f"cluster {c}"
         parts.append(f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>')
         parts.append(
             f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-size="11" '
-            f'font-family="sans-serif">{name}</text>'
+            f'font-family="sans-serif">cluster {c}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

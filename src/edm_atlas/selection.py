@@ -12,7 +12,7 @@ weights 0.5 / 0.3 / 0.2.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -75,10 +75,9 @@ class SelectionReport:
     normalized: dict[str, np.ndarray]
     ensemble: np.ndarray
     selected: np.ndarray
-    weights: dict[str, float] = field(default_factory=lambda: dict(METHOD_WEIGHTS))
 
     def write_csv(self, path: str | Path) -> None:
-        methods = list(self.weights)
+        methods = list(METHOD_WEIGHTS)
         header = (
             ["feature"]
             + [f"{m}_raw" for m in methods]

@@ -90,6 +90,13 @@ class FeatureMatrix:
         )
 
 
+def _number(path: Path, lineno: int, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{path.name}: line {lineno}, column {column!r}: {cell!r} is not a number") from None
+
+
 def load_manifest(path: str | Path) -> list[TrackRecord]:
     """Read and validate a track manifest CSV."""
     path = Path(path)
@@ -111,14 +118,16 @@ def load_manifest(path: str | Path) -> list[TrackRecord]:
             genre = (row["genre"] or "").strip()
             if not genre:
                 raise ValueError(f"{path.name}: track {tid!r} has empty genre")
+            bpm = (row["bpm"] or "").strip()
+            length_s = (row["length_s"] or "").strip()
             records.append(
                 TrackRecord(
                     track_id=tid,
                     path=(row["path"] or "").strip(),
                     genre=genre,
-                    bpm=float(row["bpm"]) if (row["bpm"] or "").strip() else None,
+                    bpm=_number(path, reader.line_num, "bpm", bpm) if bpm else None,
                     key=(row["key"] or "").strip() or None,
-                    length_s=float(row["length_s"]) if (row["length_s"] or "").strip() else None,
+                    length_s=_number(path, reader.line_num, "length_s", length_s) if length_s else None,
                 )
             )
     if not records:
@@ -230,7 +239,8 @@ def import_embeddings(path: str | Path, records: Sequence[TrackRecord]) -> Featu
     """Load a precomputed embedding CSV keyed by track_id, in manifest order.
 
     Every manifest id must be present; rows for unknown ids are ignored
-    (their count is logged). All columns are tagged ``embedding``.
+    (their count is logged). A repeated id or a non-numeric cell is
+    rejected with its line. All columns are tagged ``embedding``.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -243,6 +253,7 @@ def import_embeddings(path: str | Path, records: Sequence[TrackRecord]) -> Featu
             raise ValueError(f"{path.name}: first column must be track_id")
         dim_names = header[1:]
         by_id: dict[str, np.ndarray] = {}
+        first_line: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -251,7 +262,13 @@ def import_embeddings(path: str | Path, records: Sequence[TrackRecord]) -> Featu
                     f"{path.name}: ragged row at line {lineno} "
                     f"({len(row)} cells, expected {len(header)})"
                 )
-            by_id[row[0]] = np.array([float(c) for c in row[1:]])
+            tid = row[0]
+            if tid in by_id:
+                raise ValueError(
+                    f"{path.name}: line {lineno} repeats track {tid!r} from line {first_line[tid]}"
+                )
+            first_line[tid] = lineno
+            by_id[tid] = np.array([_number(path, lineno, n, c) for n, c in zip(dim_names, row[1:])])
 
     wanted = [r.track_id for r in records]
     for tid in wanted:

@@ -183,27 +183,21 @@ def autocorr_tempogram(nov: NoveltyCurve, window_s: float = ANALYSIS_WINDOW_S) -
     return Tempogram(mags, TEMPO_AXIS.copy(), kind="autocorr")
 
 
-def cyclic_tempogram(
-    tg: Tempogram, ref_tempo: float = REF_TEMPO, n_scales: int = N_SCALE_BINS
-) -> CyclicTempogram:
+def cyclic_tempogram(tg: Tempogram) -> CyclicTempogram:
     """Fold a tempogram over octaves: sum magnitudes at all tempi s*rho*2^k.
 
-    Scale bins are log-spaced in [1, 2). Tempi are read off the BPM grid by
-    linear interpolation; octaves falling outside the axis are skipped.
+    rho is REF_TEMPO (60 BPM) and the N_SCALE_BINS (15) scale bins s are
+    log-spaced in [1, 2). Tempi are read off the BPM grid by linear
+    interpolation; octaves falling outside the axis are skipped.
     """
-    if not (TEMPO_MIN <= ref_tempo <= TEMPO_MAX):
-        raise ValueError(f"ref_tempo must lie in [{TEMPO_MIN}, {TEMPO_MAX}]")
-    if n_scales < 4:
-        raise ValueError("need at least 4 scale bins")
-
-    scales = 2.0 ** (np.arange(n_scales) / n_scales)
+    scales = 2.0 ** (np.arange(N_SCALE_BINS) / N_SCALE_BINS)
     axis = tg.tempo_axis
-    weights = np.zeros((n_scales, axis.size))
+    weights = np.zeros((N_SCALE_BINS, axis.size))
     for j, s in enumerate(scales):
-        k_lo = int(np.ceil(np.log2(axis[0] / (s * ref_tempo))))
-        k_hi = int(np.floor(np.log2(axis[-1] / (s * ref_tempo))))
+        k_lo = int(np.ceil(np.log2(axis[0] / (s * REF_TEMPO))))
+        k_hi = int(np.floor(np.log2(axis[-1] / (s * REF_TEMPO))))
         for k in range(k_lo, k_hi + 1):
-            tempo = s * ref_tempo * 2.0**k
+            tempo = s * REF_TEMPO * 2.0**k
             idx = np.searchsorted(axis, tempo)
             if idx == 0:
                 weights[j, 0] += 1.0
@@ -215,7 +209,7 @@ def cyclic_tempogram(
                 weights[j, idx] += frac
     mags = tg.magnitudes @ weights.T
     kind = f"cyclic_{tg.kind}"
-    return CyclicTempogram(np.clip(mags, 0.0, None), scales, ref_tempo, kind)
+    return CyclicTempogram(np.clip(mags, 0.0, None), scales, REF_TEMPO, kind)
 
 
 def tempogram_summary(tg: Tempogram | CyclicTempogram, top_n: int = TOP_BINS) -> FeatureVector:

@@ -86,7 +86,7 @@ def _best_split_random(x_sub: np.ndarray, y_onehot: np.ndarray, min_leaf: int, r
     return col, float(thresholds[col]), float(weighted[col])
 
 
-def _grow_tree(X, y_onehot, importance, mode, rng, n_total, max_depth, min_leaf, m_try):
+def _grow_tree(X, y_onehot, importance, mode, rng, n_total, m_try):
     n = X.shape[0]
     if mode == "random_forest":
         root_idx = rng.integers(0, n, n)
@@ -99,14 +99,14 @@ def _grow_tree(X, y_onehot, importance, mode, rng, n_total, max_depth, min_leaf,
         n_node = idx.size
         counts = y_onehot[idx].sum(axis=0)
         node_gini = _gini(counts, n_node)
-        if depth >= max_depth or n_node < 2 * min_leaf or node_gini == 0.0:
+        if depth >= MAX_DEPTH or n_node < 2 * MIN_LEAF or node_gini == 0.0:
             continue
         feats = rng.choice(X.shape[1], size=m_try, replace=False)
         x_sub = X[np.ix_(idx, feats)]
         if mode == "random_forest":
-            found = _best_split_scan(x_sub, y_onehot[idx], min_leaf)
+            found = _best_split_scan(x_sub, y_onehot[idx], MIN_LEAF)
         else:
-            found = _best_split_random(x_sub, y_onehot[idx], min_leaf, rng)
+            found = _best_split_random(x_sub, y_onehot[idx], MIN_LEAF, rng)
         if found is None:
             continue
         col, threshold, weighted = found
@@ -118,13 +118,7 @@ def _grow_tree(X, y_onehot, importance, mode, rng, n_total, max_depth, min_leaf,
 
 
 def forest_gini_importance(
-    X: np.ndarray,
-    y: np.ndarray,
-    mode: str = "random_forest",
-    n_trees: int = N_TREES,
-    max_depth: int = MAX_DEPTH,
-    min_leaf: int = MIN_LEAF,
-    seed: int = 0,
+    X: np.ndarray, y: np.ndarray, mode: str = "random_forest", seed: int = 0
 ) -> np.ndarray:
     """Mean-decrease-in-Gini importance per feature, normalized to sum 1.
 
@@ -149,8 +143,8 @@ def forest_gini_importance(
     m_try = max(1, int(round(np.sqrt(d))))
 
     importance = np.zeros(d)
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
+    for child in np.random.SeedSequence(seed).spawn(N_TREES):
         rng = np.random.default_rng(child)
-        _grow_tree(X, y_onehot, importance, mode, rng, n, max_depth, min_leaf, m_try)
+        _grow_tree(X, y_onehot, importance, mode, rng, n, m_try)
     total = importance.sum()
     return importance / total if total > 0 else importance

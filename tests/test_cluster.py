@@ -127,12 +127,6 @@ class TestDivisive:
         assert json.loads(text)["h"] > 0
         assert len(payload["children"]) == 2
 
-    def test_h_threshold_stops_early(self):
-        data, _ = make_blobs(2, 40, dim=3, seed=11)
-        model = divisive_cluster(data, 10, seed=0, h_threshold=1e12)
-        assert model.k < 10
-        assert model.warning is not None
-
     def test_exact_k_on_distinct_data(self):
         rng = np.random.default_rng(12)
         data = rng.normal(0, 1, (40, 3))

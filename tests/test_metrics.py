@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,9 +231,11 @@ class TestCopheneticBootstrap:
         assert stable - unstable > 0.3
 
     def test_identity_resample_perfect(self):
+        # a fixed labelling rule reproduces the full-data co-assignment in every resample
         data, _ = make_blobs(3, 20, dim=3, seed=14)
+        cut = np.median(data[:, 0])
         value = metrics.cophenetic_bootstrap(
-            data, kmeans_clusterer(3), B=1, seed=0, resampler=lambda rng, n: np.arange(n)
+            data, lambda x, seed: (x[:, 0] > cut).astype(int), B=1, seed=0
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -297,11 +301,13 @@ class TestEvaluateAll:
             context={"method": "kmeans", "k": 2, "seed": 0},
         )
         report.save(tmp_path / "report.json")
-        back = metrics.EvaluationReport.from_json((tmp_path / "report.json").read_text())
-        assert back.external == report.external
-        assert back.internal == report.internal
-        assert back.distribution == report.distribution
-        assert back.context == report.context
+        back = json.loads((tmp_path / "report.json").read_text())
+        assert set(back) == {"schema_version", "context", "external", "internal", "distribution"}
+        assert back["schema_version"] == metrics.SCHEMA_VERSION
+        assert back["external"] == report.external
+        assert back["internal"] == report.internal
+        assert back["distribution"] == report.distribution
+        assert back["context"] == report.context
 
     def test_divisive_adds_dendrogram_key(self):
         data, truth = make_blobs(3, 25, dim=3, seed=19)

@@ -14,7 +14,7 @@ from edm_atlas.audio import load_wav, save_wav, synth_click_track
 from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
 from edm_atlas.features import band_beat_emphasis, fundamental_feature_vector
-from edm_atlas.fixtures import DEFAULT_FAMILIES, FixtureFamily
+from edm_atlas.fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
 from edm_atlas.pipeline import (
     ConfigError,
     RunConfig,
@@ -315,7 +315,7 @@ class TestProfileAndPlot:
             FixtureFamily("slow_kick", "kick", 85.0, n_tracks=3),
             FixtureFamily("fast_click", "click", 174.0, n_tracks=3),
         )
-        manifest = cmd_fixtures(tmp_path / "audio", families=families, duration=11.0, seed=0)
+        manifest = write_fixture_set(tmp_path / "audio", families=families, duration=11.0, seed=0)
         cfg = RunConfig(manifest=str(manifest), out=str(tmp_path / "run"), seed=0)
         matrix, _ = cmd_extract(cfg)
         labels_path = tmp_path / "run" / "labels_genre.csv"
@@ -404,10 +404,12 @@ class TestConfig:
                 with pytest.raises(ConfigError, match=f"{f.name} must be an integer"):
                     load_config_file(conf)
 
-    def test_validate_rejects_bad_method(self):
-        cfg = RunConfig(manifest="x", out="y", method="agglomerative")
-        with pytest.raises(ConfigError):
-            cfg.validate(need_manifest=False)
+    def test_validate_rejects_bad_method(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("track_id,path,genre,bpm,key,length_s\na,a.wav,house,,,\n")
+        cfg = RunConfig(manifest=str(manifest), out=str(tmp_path / "run"), method="agglomerative")
+        with pytest.raises(ConfigError, match="method must be"):
+            cfg.validate()
 
     def test_stage_seed_deterministic_and_distinct(self):
         assert stage_seed(7, "sweep") == stage_seed(7, "sweep")
@@ -435,6 +437,18 @@ class TestCliExitCodes:
     def test_missing_manifest_is_config_error(self, tmp_path):
         code = cli_main(["cluster", "--manifest", str(tmp_path / "none.csv"), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("method, extra", [("kmeans", 0), ("divisive", 0), ("both", 1)])
+    def test_k_not_below_track_count(self, fixture_run, tmp_path, capsys, method, extra):
+        out = tmp_path / "run"
+        out.mkdir()
+        features = load_matrix(Path(fixture_run.out) / "features.csv")
+        save_matrix(features, out / "features.csv")
+        n = features.shape[0]
+        argv = ["cluster", "--manifest", fixture_run.manifest, "--out", str(out), "--method", method]
+        assert cli_main([*argv, "--k", str(n + extra)]) == 2
+        assert f"k={n + extra} must be below the number of tracks ({n})" in capsys.readouterr().err
+        assert not list(out.glob("labels_*")) and not list(out.glob("model_*"))
 
     def test_partial_extraction_exit_one(self, tmp_path):
         audio = tmp_path / "audio"

@@ -54,6 +54,17 @@ class TestLoadManifest:
         with pytest.raises(ValueError, match="genre"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "row, column, cell",
+        [("b,b.wav,house,abc,,", "bpm", "abc"), ("b,b.wav,house,128,,2m", "length_s", "2m")],
+        ids=["bpm", "length_s"],
+    )
+    def test_non_numeric_metadata_named(self, tmp_path, row, column, cell):
+        path = write_manifest(tmp_path, ["a,a.wav,techno,128,Am,120", row])
+        with pytest.raises(ValueError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"manifest.csv: line 3, column '{column}': '{cell}' is not a number"
+
 
 class TestAssembleMatrix:
     def records(self, n=3, with_meta=True):
@@ -187,3 +198,17 @@ class TestImportEmbeddings:
         path = self.write_embeddings(tmp_path, rows)
         with pytest.raises(ValueError, match="ragged"):
             import_embeddings(path, self.records())
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        rows = ["t0,1,1,1,1", "t1,2,2,2,2", "t0,3,3,3,3", "t2,4,4,4,4"]
+        path = self.write_embeddings(tmp_path, rows)
+        with pytest.raises(ValueError) as info:
+            import_embeddings(path, self.records())
+        assert str(info.value) == "emb.csv: line 4 repeats track 't0' from line 2"
+
+    def test_non_numeric_cell_named(self, tmp_path):
+        rows = ["t0,1,1,1,1", "t1,2,2,x,2", "t2,3,3,3,3"]
+        path = self.write_embeddings(tmp_path, rows)
+        with pytest.raises(ValueError) as info:
+            import_embeddings(path, self.records())
+        assert str(info.value) == "emb.csv: line 3, column 'e2': 'x' is not a number"
