@@ -62,8 +62,10 @@ from .table import (
     TrackRecord,
     assemble_matrix,
     import_embeddings,
+    load_labels,
     load_manifest,
     load_matrix,
+    save_labels,
     save_matrix,
 )
 from .tempogram import (

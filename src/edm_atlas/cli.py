@@ -103,19 +103,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"failed tracks: {','.join(failed)}", file=sys.stderr)
                 return 1
             return 0
-        if args.command == "cluster":
-            cmd_cluster(cfg)
-            return 0
-        if args.command == "sweep":
-            cmd_sweep(cfg)
-            return 0
-        if args.command == "profile":
-            cmd_profile(cfg)
-            return 0
-        if args.command == "plot":
-            cmd_plot(cfg)
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        {"cluster": cmd_cluster, "sweep": cmd_sweep, "profile": cmd_profile, "plot": cmd_plot}[args.command](cfg)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -80,10 +80,8 @@ class ClusterModel:
         if not 0.0 <= self.inertia < np.inf:
             raise ValueError("inertia must be finite and >= 0")
 
-    def save(self, labels_path: str | Path, sidecar_path: str | Path, row_ids) -> None:
-        lines = ["track_id,label"]
-        lines += [f"{rid},{lab}" for rid, lab in zip(row_ids, self.labels)]
-        Path(labels_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def save(self, sidecar_path: str | Path) -> None:
+        """Write the JSON sidecar; ``table.save_labels`` writes the labels."""
         sidecar = {
             "schema_version": 1,
             "method": self.method,

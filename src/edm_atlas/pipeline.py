@@ -37,12 +37,15 @@ from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
 from .plots import pca_project, radar_svg, scatter_svg
 from .selection import LabelVector, engineer_features, ensemble_normalize, ensemble_select
 from .table import (
+    ConfigError,
     FeatureMatrix,
     TrackRecord,
     assemble_matrix,
     import_embeddings,
+    load_labels,
     load_manifest,
     load_matrix,
+    save_labels,
     save_matrix,
 )
 from .tempogram import MIN_DURATION_S, analyze_track, tempogram_feature_vector
@@ -50,10 +53,6 @@ from .trees import MIN_SAMPLES
 from .types import FeatureVector
 
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (maps to exit code 2)."""
 
 
 class StageError(RuntimeError):
@@ -82,6 +81,8 @@ class RunConfig:
             raise ConfigError(f"manifest not found: {self.manifest}")
         if self.embeddings and not Path(self.embeddings).exists():
             raise ConfigError(f"embeddings file not found: {self.embeddings}")
+        if self.labels and not Path(self.labels).exists():
+            raise ConfigError(f"labels file not found: {self.labels}")
         if not self.out:
             raise ConfigError("an output directory is required (--out)")
         if self.method not in ("kmeans", "divisive", "both"):
@@ -245,9 +246,10 @@ def _check_catalog(genres: list[str]) -> None:
         )
 
 
-def prepare_selected(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector]:
+def prepare_selected(cfg: RunConfig, check_tracks: Callable[[int], None]) -> tuple[FeatureMatrix, LabelVector]:
     """engineer -> normalize -> select, persisting the selection artifacts."""
     matrix, genres = _load_features(cfg)
+    check_tracks(matrix.shape[0])
     _check_catalog(genres)
     labels = LabelVector.from_strings(genres)
     engineered = engineer_features(matrix)
@@ -264,15 +266,16 @@ def prepare_selected(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector]:
     return selected, labels
 
 
-def _clustering_input(cfg: RunConfig) -> tuple[FeatureMatrix, LabelVector]:
-    """The embeddings when supplied, else the selected feature matrix."""
+def _clustering_input(cfg: RunConfig, check_tracks: Callable[[int], None]) -> tuple[FeatureMatrix, LabelVector]:
+    """The embeddings when supplied, else the selected matrix; ``check_tracks`` runs first."""
     if cfg.embeddings:
         records = load_manifest(cfg.manifest)
         matrix = import_embeddings(cfg.embeddings, records)
+        check_tracks(matrix.shape[0])
         labels = LabelVector.from_strings([r.genre for r in records])
         logger.info("embeddings supplied: selection stage skipped")
         return matrix, labels
-    return prepare_selected(cfg)
+    return prepare_selected(cfg, check_tracks)
 
 
 def _run_method(
@@ -297,11 +300,12 @@ def _run_method(
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     """Cluster at the fixed k and evaluate against the genre labeling."""
     cfg.validate()
-    matrix, labels = _clustering_input(cfg)
-    n = matrix.shape[0]
-    if cfg.k >= n:
-        # the internal indices (Davies-Bouldin, silhouette) need k < n
-        raise ConfigError(f"k={cfg.k} must be below the number of tracks ({n})")
+
+    def check_tracks(n: int) -> None:
+        if cfg.k >= n:  # the internal indices (Davies-Bouldin, silhouette) need k < n
+            raise ConfigError(f"k={cfg.k} must be below the number of tracks ({n})")
+
+    matrix, labels = _clustering_input(cfg, check_tracks)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -309,9 +313,8 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     reports: dict[str, metrics.EvaluationReport] = {}
     for method in methods:
         model, clusterer = _run_method(matrix, method, cfg)
-        model.save(
-            out_dir / f"labels_{method}.csv", out_dir / f"model_{method}.json", matrix.row_ids
-        )
+        save_labels(out_dir / f"labels_{method}.csv", matrix.row_ids, model.labels)
+        model.save(out_dir / f"model_{method}.json")
         context = {
             "method": method,
             "k": model.k,
@@ -336,10 +339,12 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
 def cmd_sweep(cfg: RunConfig):
     """Natural-k sweep over [k_min, k_max]; returns the KSweepResult."""
     cfg.validate()
-    matrix, _ = _clustering_input(cfg)
-    n = matrix.shape[0]
-    if cfg.k_max > n:
-        raise ConfigError(f"k-max={cfg.k_max} exceeds {n} tracks")
+
+    def check_tracks(n: int) -> None:
+        if cfg.k_max > n:
+            raise ConfigError(f"k-max={cfg.k_max} exceeds {n} tracks")
+
+    matrix, _ = _clustering_input(cfg, check_tracks)
     result = select_natural_k(
         matrix.data,
         (cfg.k_min, cfg.k_max),
@@ -357,27 +362,6 @@ def cmd_sweep(cfg: RunConfig):
 # profiling and plotting
 
 
-def _load_labels_csv(path: Path, row_ids: list[str]) -> np.ndarray:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "track_id,label":
-        raise ConfigError(f"{path} is not a labels CSV (expected 'track_id,label' header)")
-    mapping = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        tid, _, lab = line.partition(",")
-        if tid in mapping:
-            raise ConfigError(f"{path}: line {lineno} repeats track {tid!r}")
-        try:
-            mapping[tid] = int(lab)
-        except ValueError:
-            raise ConfigError(f"{path}: line {lineno} label must be an integer, got {lab!r}") from None
-    missing = [rid for rid in row_ids if rid not in mapping]
-    if missing:
-        raise ConfigError(f"labels file missing tracks: {missing[:5]}")
-    return np.array([mapping[rid] for rid in row_ids], dtype=np.int64)
-
-
 def _resolve_labels_path(cfg: RunConfig) -> Path:
     if cfg.labels:
         return Path(cfg.labels)
@@ -392,7 +376,7 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
     """Six-dimension percentile profiles plus one radar SVG per cluster."""
     cfg.validate()
     matrix, genres = _load_features(cfg)
-    labels = _load_labels_csv(_resolve_labels_path(cfg), matrix.row_ids)
+    labels = load_labels(_resolve_labels_path(cfg), matrix.row_ids)
 
     rules = None
     override = Path(cfg.out) / "dimension_map.json"
@@ -430,8 +414,8 @@ def cmd_plot(cfg: RunConfig) -> Path:
     if selected_path.exists() and not cfg.embeddings:
         matrix = load_matrix(selected_path)
     else:
-        matrix, _ = _clustering_input(cfg)
-    labels = _load_labels_csv(_resolve_labels_path(cfg), matrix.row_ids)
+        matrix, _ = _clustering_input(cfg, lambda n: None)
+    labels = load_labels(_resolve_labels_path(cfg), matrix.row_ids)
     points, variances = pca_project(matrix.data)
     svg = scatter_svg(
         points,
@@ -444,6 +428,14 @@ def cmd_plot(cfg: RunConfig) -> Path:
 
 
 def cmd_fixtures(out_dir: str | Path, per_genre: int, duration: float = 12.0, seed: int = 0) -> Path:
-    """Write the default fixture families, per_genre tracks each, and their manifest."""
+    """Write the default fixture families, per_genre tracks each, and their manifest.
+
+    Only catalogs ``extract`` can use: at least 1 track per genre, each at
+    least ``MIN_DURATION_S`` long.
+    """
+    if per_genre < 1:
+        raise ConfigError(f"tracks-per-genre must be at least 1, got {per_genre}")
+    if not duration >= MIN_DURATION_S:  # also rejects NaN
+        raise ConfigError(f"duration must be at least {MIN_DURATION_S:g} s, got {duration:g}")
     families = tuple(FixtureFamily(f.genre, f.kind, f.bpm, per_genre) for f in DEFAULT_FAMILIES)
     return write_fixture_set(out_dir, families=families, duration=duration, seed=seed)

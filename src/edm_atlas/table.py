@@ -1,26 +1,36 @@
-"""Track manifests and feature matrices, with CSV persistence.
+"""Track manifests, feature matrices, embeddings and cluster labels as CSV.
 
-The manifest is a plain CSV with header
-``track_id,path,genre,bpm,key,length_s``. Feature matrices are CSV with a
-``track_id`` + feature-name header, a ``#group:`` tag line, then one row
-per track; cell values are written with ``repr`` so a save/load round trip
-is exact. NaN is the documented missing-value sentinel and is rejected at
-load with its position.
+The manifest has header ``track_id,path,genre,bpm,key,length_s``. Feature
+matrices have a ``track_id`` + feature-name header, a ``#group:`` tag line,
+then one row per track, written with ``repr`` so a round trip is exact.
+Embeddings are ``track_id`` plus one column per dimension; labels are
+``track_id,label``.
+
+One streaming reader takes every input CSV. An empty file, a ragged row, a
+repeated track id, and a non-numeric or non-finite number (NaN is the
+missing-value sentinel) raise ``ConfigError`` naming the file as given, the
+line and, for a number, the column.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .types import FEATURE_GROUPS, FeatureVector
 
 logger = logging.getLogger(__name__)
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration or input file (maps to exit code 2)."""
+
 
 MANIFEST_COLUMNS = ("track_id", "path", "genre", "bpm", "key", "length_s")
 
@@ -90,48 +100,86 @@ class FeatureMatrix:
         )
 
 
-def _number(path: Path, lineno: int, column: str, cell: str) -> float:
+def _csv_rows(path: Path) -> Iterator:
+    """Yield the header, then ``(line, cells)`` for each non-blank row as it is read.
+
+    The caller checks the header (it has a ``track_id`` column) before it
+    asks for rows.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ConfigError(f"{path}: empty file")
+        yield header
+        key = header.index("track_id")
+        first_line: dict[str, int] = {}
+        for cells in reader:
+            if not cells:
+                continue
+            line = reader.line_num
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}: ragged row at line {line} ({len(cells)} cells, expected {len(header)})")
+            tid = cells[key].strip()
+            first = first_line.setdefault(tid, line)
+            if first != line:
+                raise ConfigError(f"{path}: line {line} repeats track {tid!r} from line {first}")
+            yield line, cells
+
+
+def _number(path: Path, line: int, column: str, cell: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise ValueError(f"{path.name}: line {lineno}, column {column!r}: {cell!r} is not a number") from None
+        raise ConfigError(f"{path}: line {line}, column {column!r}: {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: line {line}, column {column!r}: {cell!r} is not a finite number")
+    return value
+
+
+def _numbers(path: Path, line: int, columns: Sequence[str], cells: Sequence[str]) -> np.ndarray:
+    """One row of finite numbers; the per-cell check runs only to name a bad cell."""
+    try:
+        row = np.array([float(cell) for cell in cells])
+    except ValueError:
+        row = None
+    if row is None or not np.isfinite(row).all():
+        for column, cell in zip(columns, cells):
+            _number(path, line, column, cell)
+    return row
+
+
+def _matrix(path: Path, row_ids, names, groups, rows) -> FeatureMatrix:
+    """Stack streamed rows; a schema defect is named with its file."""
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    try:
+        return FeatureMatrix(row_ids, names, groups, np.vstack(rows))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_manifest(path: str | Path) -> list[TrackRecord]:
     """Read and validate a track manifest CSV."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in MANIFEST_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path.name}: manifest missing columns {missing}")
-        records: list[TrackRecord] = []
-        seen: set[str] = set()
-        for row in reader:
-            tid = (row["track_id"] or "").strip()
-            if not tid:
-                raise ValueError(f"{path.name}: empty track_id in row {len(records) + 1}")
-            if tid in seen:
-                raise ValueError(f"{path.name}: duplicate track_id {tid!r}")
-            seen.add(tid)
-            genre = (row["genre"] or "").strip()
-            if not genre:
-                raise ValueError(f"{path.name}: track {tid!r} has empty genre")
-            bpm = (row["bpm"] or "").strip()
-            length_s = (row["length_s"] or "").strip()
-            records.append(
-                TrackRecord(
-                    track_id=tid,
-                    path=(row["path"] or "").strip(),
-                    genre=genre,
-                    bpm=_number(path, reader.line_num, "bpm", bpm) if bpm else None,
-                    key=(row["key"] or "").strip() or None,
-                    length_s=_number(path, reader.line_num, "length_s", length_s) if length_s else None,
-                )
-            )
+    rows = _csv_rows(path)
+    header = next(rows)
+    missing = [c for c in MANIFEST_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: manifest missing columns {missing}")
+    index = [header.index(c) for c in MANIFEST_COLUMNS]
+    records: list[TrackRecord] = []
+    for line, cells in rows:
+        tid, wav, genre, bpm, key, length_s = (cells[i].strip() for i in index)
+        if not tid:
+            raise ConfigError(f"{path}: line {line} has an empty track_id")
+        if not genre:
+            raise ConfigError(f"{path}: line {line}: track {tid!r} has an empty genre")
+        bpm = _number(path, line, "bpm", bpm) if bpm else None
+        length_s = _number(path, line, "length_s", length_s) if length_s else None
+        records.append(TrackRecord(tid, wav, genre, bpm, key or None, length_s))
     if not records:
-        raise ValueError(f"{path.name}: manifest has no rows")
+        raise ConfigError(f"{path}: manifest has no rows")
     return records
 
 
@@ -155,11 +203,6 @@ def assemble_matrix(
             first = vec
         elif not vec.same_schema(first):
             raise ValueError(f"feature schema mismatch at track {rec.track_id!r}")
-        bad = np.flatnonzero(~np.isfinite(vec.values))
-        if bad.size:
-            raise ValueError(
-                f"non-finite value for track {rec.track_id!r}, column {vec.names[bad[0]]!r}"
-            )
         rows.append(vec.values)
 
     names = list(first.names)
@@ -191,91 +234,64 @@ def save_matrix(m: FeatureMatrix, path: str | Path) -> None:
 def load_matrix(path: str | Path) -> FeatureMatrix:
     """Read a matrix CSV written by save_matrix, validating every cell."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if len(lines) < 3:
-        raise ValueError(f"{path.name}: expected header, group line, and data rows")
-    header = lines[0].split(",")
+    rows = _csv_rows(path)
+    header = next(rows)
     if header[0] != "track_id":
-        raise ValueError(f"{path.name}: first header column must be track_id")
+        raise ConfigError(f"{path}: first column must be track_id")
     names = header[1:]
-    group_line = lines[1].split(",")
-    if group_line[0] != "#group:":
-        raise ValueError(f"{path.name}: second line must start with '#group:'")
-    groups = group_line[1:]
-    if len(groups) != len(names):
-        raise ValueError(f"{path.name}: group line has {len(groups)} tags for {len(names)} columns")
-
-    row_ids, rows = [], []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(names) + 1:
-            raise ValueError(f"{path.name}: line {lineno} has {len(cells) - 1} cells, expected {len(names)}")
+    _, groups = next(rows, (None, [None]))
+    if groups[0] != "#group:":
+        raise ConfigError(f"{path}: second line must start with '#group:'")
+    row_ids, data = [], []
+    for line, cells in rows:
         row_ids.append(cells[0])
-        try:
-            values = np.array([float(c) for c in cells[1:]])
-        except ValueError:
-            for col, cell in enumerate(cells[1:]):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path.name}: non-numeric cell {cell!r} at row {cells[0]!r}, "
-                        f"column {names[col]!r}"
-                    ) from None
-            raise
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(
-                f"{path.name}: missing/non-finite value at row {cells[0]!r}, "
-                f"column {names[bad[0]]!r}"
-            )
-        rows.append(values)
-    return FeatureMatrix(row_ids, names, groups, np.vstack(rows))
+        data.append(_numbers(path, line, names, cells[1:]))
+    return _matrix(path, row_ids, names, groups[1:], data)
 
 
 def import_embeddings(path: str | Path, records: Sequence[TrackRecord]) -> FeatureMatrix:
     """Load a precomputed embedding CSV keyed by track_id, in manifest order.
 
     Every manifest id must be present; rows for unknown ids are ignored
-    (their count is logged). A repeated id or a non-numeric cell is
-    rejected with its line. All columns are tagged ``embedding``.
+    (their count is logged). All columns are tagged ``embedding``.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path.name}: empty embeddings file") from None
-        if not header or header[0] != "track_id":
-            raise ValueError(f"{path.name}: first column must be track_id")
-        dim_names = header[1:]
-        by_id: dict[str, np.ndarray] = {}
-        first_line: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path.name}: ragged row at line {lineno} "
-                    f"({len(row)} cells, expected {len(header)})"
-                )
-            tid = row[0]
-            if tid in by_id:
-                raise ValueError(
-                    f"{path.name}: line {lineno} repeats track {tid!r} from line {first_line[tid]}"
-                )
-            first_line[tid] = lineno
-            by_id[tid] = np.array([_number(path, lineno, n, c) for n, c in zip(dim_names, row[1:])])
+    rows = _csv_rows(path)
+    header = next(rows)
+    if header[0] != "track_id":
+        raise ConfigError(f"{path}: first column must be track_id")
+    dim_names = header[1:]
+    by_id = {cells[0]: _numbers(path, line, dim_names, cells[1:]) for line, cells in rows}
 
     wanted = [r.track_id for r in records]
     for tid in wanted:
         if tid not in by_id:
-            raise ValueError(f"{path.name}: embeddings missing for track {tid!r}")
+            raise ConfigError(f"{path}: embeddings missing for track {tid!r}")
     extra = len(by_id) - len(set(wanted) & set(by_id))
     if extra:
-        logger.warning("%s: ignored %d embedding rows not in the manifest", path.name, extra)
-    data = np.vstack([by_id[tid] for tid in wanted])
-    return FeatureMatrix(wanted, dim_names, ["embedding"] * len(dim_names), data)
+        logger.warning("%s: ignored %d embedding rows not in the manifest", path, extra)
+    return _matrix(path, wanted, dim_names, ["embedding"] * len(dim_names), [by_id[tid] for tid in wanted])
+
+
+def save_labels(path: str | Path, row_ids: Sequence[str], labels: np.ndarray) -> None:
+    """Write a ``track_id,label`` CSV, one row per track."""
+    lines = ["track_id,label"] + [f"{rid},{lab}" for rid, lab in zip(row_ids, labels)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_labels(path: str | Path, row_ids: Sequence[str]) -> np.ndarray:
+    """Integer cluster labels from a ``track_id,label`` CSV, in ``row_ids`` order."""
+    path = Path(path)
+    rows = _csv_rows(path)
+    if next(rows) != ["track_id", "label"]:
+        raise ConfigError(f"{path} is not a labels CSV (expected 'track_id,label' header)")
+    mapping = {}
+    for line, (tid, label) in rows:
+        try:
+            mapping[tid] = int(label)
+        except ValueError:
+            raise ConfigError(f"{path}: line {line} label must be an integer, got {label!r}") from None
+    missing = [rid for rid in row_ids if rid not in mapping]
+    if missing:
+        raise ConfigError(f"{path}: labels missing for tracks {missing[:5]}")
+    return np.array([mapping[rid] for rid in row_ids], dtype=np.int64)

@@ -450,6 +450,49 @@ class TestCliExitCodes:
         assert f"k={n + extra} must be below the number of tracks ({n})" in capsys.readouterr().err
         assert not list(out.glob("labels_*")) and not list(out.glob("model_*"))
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "--k", "20"], "k=20 must be below the number of tracks (20)"),
+            (["sweep", "--k-min", "2", "--k-max", "21"], "k-max=21 exceeds 20 tracks"),
+        ],
+        ids=["cluster_k", "sweep_k_max"],
+    )
+    def test_track_count_checked_before_selection(
+        self, fixture_run, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+        engineered = []
+        monkeypatch.setattr(pipeline, "engineer_features", engineered.append)
+        command, *flags = argv
+        assert cli_main([command, "--manifest", fixture_run.manifest, "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert engineered == []
+        assert sorted(p.name for p in out.iterdir()) == ["features.csv"]
+
+    def test_missing_labels_is_config_error(self, fixture_run, tmp_path, capsys):
+        labels = tmp_path / "missing.csv"
+        argv = ["profile", "--manifest", fixture_run.manifest, "--out", fixture_run.out, "--labels", str(labels)]
+        assert cli_main(argv) == 2
+        assert f"labels file not found: {labels}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tracks-per-genre", "0"], "tracks-per-genre must be at least 1, got 0"),
+            (["--duration", "4"], "duration must be at least 10 s, got 4"),
+            (["--duration", "0"], "duration must be at least 10 s, got 0"),
+        ],
+        ids=["no_tracks", "short", "zero_duration"],
+    )
+    def test_fixtures_rejects_unusable_catalog(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "audio"
+        assert cli_main(["fixtures", "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_extraction_exit_one(self, tmp_path):
         audio = tmp_path / "audio"
         cli_main(["fixtures", "--out", str(audio), "--tracks-per-genre", "2", "--seed", "0"])
@@ -511,6 +554,67 @@ class TestBadUserFiles:
         finally:
             path.unlink()
         assert f"{path}: {message}" in capsys.readouterr().err
+
+
+class TestBadInputCsvs:
+    """Every input CSV fails through cli.main with exit 2, naming file, line and column."""
+
+    def corrupt(self, text: str, first: int, defect: str, column: int) -> tuple[str, str]:
+        """Apply the defect to the data row on line ``first``; returns (text, expected)."""
+        lines = text.splitlines()
+        row = lines[first - 1]
+        width = lines[0].count(",") + 1
+        if defect == "ragged":
+            lines[first - 1] = row + ",1"
+            expected = f"ragged row at line {first} ({width + 1} cells, expected {width})"
+        elif defect == "repeated_id":
+            lines.append(row)
+            expected = f"line {len(lines)} repeats track {row.split(',')[0]!r} from line {first}"
+        else:
+            cells = row.split(",")
+            cells[column] = "nan"
+            lines[first - 1] = ",".join(cells)
+            name = lines[0].split(",")[column]
+            if name == "label":
+                expected = f"line {first} label must be an integer, got 'nan'"
+            else:
+                expected = f"line {first}, column {name!r}: 'nan' is not a finite number"
+        return "\n".join(lines) + "\n", expected
+
+    @pytest.mark.parametrize("defect", ["ragged", "repeated_id", "bad_number"])
+    @pytest.mark.parametrize("source", ["manifest", "features", "selected", "embeddings", "labels"])
+    def test_exit_two_naming_the_cell(self, fixture_run, tmp_path, monkeypatch, capsys, source, defect):
+        manifest, run = Path(fixture_run.manifest), Path(fixture_run.out)
+        out = tmp_path / "run"
+        out.mkdir()
+        extracted, engineered = [], []
+        monkeypatch.setattr(pipeline, "extract_track", lambda *args: extracted.append(args))
+        monkeypatch.setattr(pipeline, "engineer_features", engineered.append)
+        common = ["--manifest", str(manifest), "--out", str(out)]
+        if source == "manifest":
+            path = tmp_path / "manifest.csv"
+            text, first, column = manifest.read_text(), 2, 3
+            argv = ["extract", "--manifest", str(path), "--out", str(out), "--workers", "1"]
+        elif source in ("features", "selected"):
+            path = out / f"{source}.csv"
+            text, first, column = (run / f"{source}.csv").read_text(), 3, -1
+            argv = ["cluster" if source == "features" else "plot", *common, "--k", "4"]
+        elif source == "embeddings":
+            path = tmp_path / "emb.csv"
+            ids = [line.split(",")[0] for line in manifest.read_text().splitlines()[1:]]
+            text = "\n".join(["track_id,e0,e1", *(f"{tid},{i},1.5" for i, tid in enumerate(ids))])
+            first, column = 2, 2
+            argv = ["cluster", *common, "--k", "4", "--embeddings", str(path)]
+        else:
+            path = tmp_path / "labels.csv"
+            text, first, column = (run / "labels_kmeans.csv").read_text(), 2, 1
+            argv = ["profile", "--manifest", str(manifest), "--out", str(run), "--labels", str(path)]
+        text, expected = self.corrupt(text, first, defect, column)
+        path.write_text(text)
+
+        assert cli_main(argv) == 2
+        assert f"configuration error: {path}: {expected}" in capsys.readouterr().err
+        assert extracted == [] and engineered == []
 
 
 class TestDegenerateCatalogs:

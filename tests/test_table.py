@@ -1,13 +1,21 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edm_atlas.table import (
+    ConfigError,
     FeatureMatrix,
     TrackRecord,
     assemble_matrix,
     import_embeddings,
+    load_labels,
     load_manifest,
     load_matrix,
+    save_labels,
     save_matrix,
 )
 from edm_atlas.types import FeatureVector
@@ -63,7 +71,7 @@ class TestLoadManifest:
         path = write_manifest(tmp_path, ["a,a.wav,techno,128,Am,120", row])
         with pytest.raises(ValueError) as info:
             load_manifest(path)
-        assert str(info.value) == f"manifest.csv: line 3, column '{column}': '{cell}' is not a number"
+        assert str(info.value) == f"{path}: line 3, column '{column}': '{cell}' is not a number"
 
 
 class TestAssembleMatrix:
@@ -139,8 +147,9 @@ class TestMatrixRoundTrip:
     def test_non_numeric_cell_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("track_id,x,y\n#group:,spectral,meta\na,1.0,oops\n")
-        with pytest.raises(ValueError, match="'a'.*'y'"):
+        with pytest.raises(ValueError) as info:
             load_matrix(path)
+        assert str(info.value) == f"{path}: line 3, column 'y': 'oops' is not a number"
 
     def test_unknown_group_tag(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -151,8 +160,9 @@ class TestMatrixRoundTrip:
     def test_nan_sentinel_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("track_id,x,y\n#group:,spectral,meta\na,1.0,nan\n")
-        with pytest.raises(ValueError, match="'a'.*'y'"):
+        with pytest.raises(ValueError) as info:
             load_matrix(path)
+        assert str(info.value) == f"{path}: line 3, column 'y': 'nan' is not a finite number"
 
     def test_missing_group_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -204,11 +214,100 @@ class TestImportEmbeddings:
         path = self.write_embeddings(tmp_path, rows)
         with pytest.raises(ValueError) as info:
             import_embeddings(path, self.records())
-        assert str(info.value) == "emb.csv: line 4 repeats track 't0' from line 2"
+        assert str(info.value) == f"{path}: line 4 repeats track 't0' from line 2"
 
     def test_non_numeric_cell_named(self, tmp_path):
         rows = ["t0,1,1,1,1", "t1,2,2,x,2", "t2,3,3,3,3"]
         path = self.write_embeddings(tmp_path, rows)
         with pytest.raises(ValueError) as info:
             import_embeddings(path, self.records())
-        assert str(info.value) == "emb.csv: line 3, column 'e2': 'x' is not a number"
+        assert str(info.value) == f"{path}: line 3, column 'e2': 'x' is not a number"
+
+
+class TestLabels:
+    def test_round_trip(self, tmp_path):
+        ids = ["a", "b", "c", "d"]
+        labels = np.array([2, 0, 1, 0])
+        save_labels(tmp_path / "labels.csv", ids, labels)
+        assert (tmp_path / "labels.csv").read_text() == "track_id,label\na,2\nb,0\nc,1\nd,0\n"
+        back = load_labels(tmp_path / "labels.csv", ids)
+        assert back.dtype == np.int64 and np.array_equal(back, labels)
+        assert np.array_equal(load_labels(tmp_path / "labels.csv", ["d", "a"]), [0, 2])
+
+    def test_missing_track_named(self, tmp_path):
+        save_labels(tmp_path / "labels.csv", ["a", "b"], np.array([0, 1]))
+        with pytest.raises(ConfigError) as info:
+            load_labels(tmp_path / "labels.csv", ["a", "b", "c"])
+        assert str(info.value) == f"{tmp_path / 'labels.csv'}: labels missing for tracks ['c']"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestMatrixBytesRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @example(rows=[(-0.0, 5e-324, 1e308), (-1e308, 2.2250738585072014e-308, 0.1)])
+    @given(rows=st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=6))
+    def test_save_load_save_byte_equal(self, rows):
+        m = FeatureMatrix(
+            [f"t{i}" for i in range(len(rows))], ["x", "y", "z"], ["spectral", "meta", "embedding"], rows
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+            save_matrix(m, first)
+            back = load_matrix(first)
+            save_matrix(back, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(back.data, m.data)
+        assert np.array_equal(np.signbit(back.data), np.signbit(m.data))
+
+
+# Every input CSV goes through one reader: each defect gets the same
+# ConfigError and message whichever of the four files it is in.
+READER_IDS = ["t0", "t1", "t2"]
+READERS = {
+    # header lines, data row template, loader, number column
+    "manifest": ("track_id,path,genre,bpm,key,length_s", "{id},{id}.wav,techno,{x},,120", load_manifest, "bpm"),
+    "matrix": ("track_id,a,b\n#group:,spectral,meta", "{id},1.0,{x}", load_matrix, "b"),
+    "embeddings": (
+        "track_id,e0,e1",
+        "{id},1.0,{x}",
+        lambda path: import_embeddings(path, [TrackRecord(t, f"{t}.wav", "techno") for t in READER_IDS]),
+        "e1",
+    ),
+    "labels": ("track_id,label", "{id},{x}", lambda path: load_labels(path, READER_IDS), None),
+}
+GOOD = {"manifest": "128", "matrix": "2.0", "embeddings": "2.0", "labels": "0"}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("defect", ["empty", "ragged", "repeated_id", "non_numeric", "nan", "inf"])
+def test_input_csv_defect_named(tmp_path, reader, defect):
+    header, template, load, column = READERS[reader]
+    width = header.split("\n")[0].count(",") + 1
+    first = header.count("\n") + 2  # line of the first data row
+    ids, values = list(READER_IDS), [GOOD[reader]] * 3
+    if defect == "repeated_id":
+        ids[2] = "t0"
+    if defect in ("non_numeric", "nan", "inf"):
+        values[1] = {"non_numeric": "abc", "nan": "nan", "inf": "-inf"}[defect]
+    rows = [template.format(id=i, x=x) for i, x in zip(ids, values)]
+    if defect == "ragged":
+        rows[1] += ",9"
+    path = tmp_path / "input.csv"
+    path.write_text("" if defect == "empty" else "\n".join([header, *rows]) + "\n")
+
+    if defect == "empty":
+        expected = "empty file"
+    elif defect == "ragged":
+        expected = f"ragged row at line {first + 1} ({width + 1} cells, expected {width})"
+    elif defect == "repeated_id":
+        expected = f"line {first + 2} repeats track 't0' from line {first}"
+    elif reader == "labels":
+        expected = f"line {first + 1} label must be an integer, got {values[1]!r}"
+    else:
+        kind = "a number" if defect == "non_numeric" else "a finite number"
+        expected = f"line {first + 1}, column {column!r}: {values[1]!r} is not {kind}"
+    with pytest.raises(ConfigError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {expected}"
