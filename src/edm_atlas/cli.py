@@ -54,7 +54,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--method", choices=["kmeans", "divisive", "both"], help="clustering method")
     sub.add_argument("--embeddings", help="precomputed embedding CSV (skips selection)")
     sub.add_argument("--top-k", type=int, dest="top_k", help="features to keep (default 100)")
-    sub.add_argument("--workers", type=int, help="extraction worker processes (default: CPU count)")
+    sub.add_argument(
+        "--workers",
+        type=int,
+        help="worker processes for extract, the cluster bootstrap and the sweep (default: CPU count)",
+    )
     sub.add_argument("--labels", help="labels CSV for profile/plot stages")
 
 

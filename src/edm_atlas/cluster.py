@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
+from .parallel import pool_map
 from .selection import _min_max
 
 logger = logging.getLogger(__name__)
@@ -312,16 +313,35 @@ def _chord_distance(ks: np.ndarray, inertia: np.ndarray) -> np.ndarray:
     return np.clip(-signed / np.hypot(x1 - x0, y1 - y0), 0.0, None)
 
 
+def _sweep_point(shared, k: int) -> tuple[float, float, float]:
+    """One sweep task: (inertia, silhouette, Calinski-Harabasz) of k-means at k."""
+    x, restarts, seed = shared
+    model = kmeans(x, k, restarts=restarts, seed=seed)
+    if k == x.shape[0]:
+        return model.inertia, 0.0, 0.0  # singleton clusters
+    return (
+        model.inertia,
+        metrics.silhouette(x, model.labels),
+        metrics.calinski_harabasz(x, model.labels),
+    )
+
+
 def select_natural_k(
     data,
     k_range: tuple[int, int] = DEFAULT_K_RANGE,
     seed: int = 0,
     restarts: int = KMEANS_RESTARTS,
+    workers: int = 1,
 ) -> KSweepResult:
     """Sweep k-means over [k_min, k_max] and pick k by index consensus.
 
     consensus = 0.5 * silhouette + 0.3 * Calinski-Harabasz + 0.2 * elbow,
     each curve min-max normalized over the range; ties pick the smaller k.
+
+    The ks run over ``min(workers, len(ks))`` processes
+    (``parallel.pool_map``), each k-means with all its restarts inside one
+    task and seeded with ``seed`` alone; the curves are filled in k order,
+    so the result does not depend on ``workers``.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -330,18 +350,8 @@ def select_natural_k(
         raise ValueError(f"k_range {k_range} must satisfy 2 <= k_min <= k_max <= {n}")
 
     ks = np.arange(k_min, k_max + 1)
-    sil = np.empty(ks.size)
-    ch = np.empty(ks.size)
-    inertia = np.empty(ks.size)
-    for i, k in enumerate(ks):
-        model = kmeans(x, int(k), restarts=restarts, seed=seed)
-        inertia[i] = model.inertia
-        if k < n:
-            sil[i] = metrics.silhouette(x, model.labels)
-            ch[i] = metrics.calinski_harabasz(x, model.labels)
-        else:
-            sil[i] = 0.0  # singleton clusters
-            ch[i] = 0.0
+    points = pool_map(_sweep_point, (x, restarts, seed), [int(k) for k in ks], workers)
+    inertia, sil, ch = (np.array(curve, dtype=np.float64) for curve in zip(*points))
     finite = np.isfinite(ch)
     if not np.all(finite):
         cap = ch[finite].max() * 10.0 if np.any(finite) else 1.0

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.stats import rankdata
 
+from .parallel import pool_map
 from .table import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -202,11 +203,21 @@ def calinski_harabasz(data, labels) -> float:
     return float((between / (k - 1)) / (within / (n - k)))
 
 
+def _resample(shared, task) -> tuple[np.ndarray, np.ndarray]:
+    """One bootstrap task: the sorted distinct rows drawn and their labels."""
+    x, clusterer = shared
+    child, seed = task
+    n = x.shape[0]
+    idx = np.unique(np.random.default_rng(child).integers(0, n, n))
+    return idx, np.asarray(clusterer(x[idx], seed), dtype=np.int64)
+
+
 def cophenetic_bootstrap(
     data,
     clusterer: Callable[[np.ndarray, int], np.ndarray],
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
+    workers: int = 1,
 ) -> float:
     """Stability of co-assignment under bootstrap re-clustering.
 
@@ -215,31 +226,39 @@ def cophenetic_bootstrap(
     contains. The result is the Pearson correlation between A and the mean
     bootstrap co-assignment over pairs observed at least min(5, B) times.
     ``clusterer(matrix, seed) -> labels`` must be deterministic in its seed.
+
+    The B resamples run over ``min(workers, B)`` processes
+    (``parallel.pool_map``); then ``clusterer`` must pickle. Resample b
+    carries its own seeds (the b-th spawned child of ``seed`` for the draw,
+    ``seed + b + 1`` for the clusterer), and its votes are integer counts
+    added in resample order, so the result does not depend on ``workers``.
     """
     x = _as_array(data)
     n = x.shape[0]
     if n < 10:
         raise ValueError("bootstrap stability needs at least 10 samples")
+    if B > np.iinfo(np.uint16).max:
+        raise ValueError(f"B={B} resamples overflow the uint16 vote counts")
     base = np.asarray(clusterer(x, seed), dtype=np.int64)
 
-    votes = np.zeros((n, n))
-    seen = np.zeros((n, n))
-    root = np.random.SeedSequence(seed)
-    for b, child in enumerate(root.spawn(B)):
-        rng = np.random.default_rng(child)
-        idx = np.unique(rng.integers(0, n, n))
-        labels = np.asarray(clusterer(x[idx], seed + b + 1), dtype=np.int64)
-        same = (labels[:, None] == labels[None, :]).astype(np.float64)
-        votes[np.ix_(idx, idx)] += same
-        seen[np.ix_(idx, idx)] += 1.0
+    tasks = [(child, seed + b + 1) for b, child in enumerate(np.random.SeedSequence(seed).spawn(B))]
+    # votes and sightings per pair i < j, condensed in triu_indices(n, 1) order
+    votes = np.zeros(n * (n - 1) // 2, dtype=np.uint16)
+    seen = np.zeros_like(votes)
+    for idx, labels in pool_map(_resample, (x, clusterer), tasks, workers):
+        left, right = np.triu_indices(idx.size, k=1)
+        i, j = idx[left], idx[right]
+        pair = i * (2 * n - i - 1) // 2 + (j - i - 1)  # distinct: idx is sorted and unique
+        seen[pair] += 1
+        votes[pair] += labels[left] == labels[right]
 
     iu = np.triu_indices(n, k=1)
     min_seen = min(PAIR_MIN_OBSERVATIONS, B)
-    mask = seen[iu] >= min_seen
+    mask = seen >= min_seen
     if mask.sum() < 2:
         raise ValueError("too few pairs observed in bootstrap resamples")
     a_vals = (base[iu[0]] == base[iu[1]]).astype(np.float64)[mask]
-    ahat = (votes[iu][mask]) / (seen[iu][mask])
+    ahat = votes[mask] / seen[mask]  # integer counts, so exact as in float64 sums
     if a_vals.std() == 0.0:
         raise ValueError("co-assignment matrix is constant; correlation undefined")
     if ahat.std() == 0.0:
@@ -318,12 +337,14 @@ def evaluate_all(
     seed: int = 0,
     split_tree=None,
     context: dict | None = None,
+    workers: int = 1,
 ) -> EvaluationReport:
     """Populate every external, internal, and distribution metric.
 
     A single-cluster labeling has no internal geometry to score; by
     convention it reports silhouette 0, Davies-Bouldin 0, and cophenetic 1
-    (a constant partition is trivially stable).
+    (a constant partition is trivially stable). ``workers`` sizes the
+    bootstrap's process pool.
     """
     x = _as_array(data)
     balance, norm_balance = balance_metrics(labels)
@@ -333,7 +354,7 @@ def evaluate_all(
         internal = {
             "silhouette": silhouette(x, labels),
             "davies_bouldin": davies_bouldin(x, labels),
-            "cophenetic": cophenetic_bootstrap(x, clusterer, B=B, seed=seed),
+            "cophenetic": cophenetic_bootstrap(x, clusterer, B=B, seed=seed, workers=workers),
         }
     if split_tree is not None:
         internal["cophenetic_dendrogram"] = cophenetic_dendrogram(x, split_tree)

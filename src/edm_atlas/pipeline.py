@@ -22,8 +22,8 @@ import json
 import logging
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -34,6 +34,7 @@ from .audio import CANONICAL_RATE, load_wav, resample
 from .cluster import ClusterModel, divisive_cluster, kmeans, select_natural_k
 from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
+from .parallel import pool_map
 from .plots import pca_project, radar_svg, scatter_svg
 from .selection import LabelVector, engineer_features, ensemble_normalize, ensemble_select
 from .table import (
@@ -171,8 +172,7 @@ def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     )
 
 
-def _extract_worker(args) -> tuple[str, FeatureVector | None, str | None]:
-    record, base_dir = args
+def _extract_worker(base_dir: Path, record: TrackRecord) -> tuple[str, FeatureVector | None, str | None]:
     try:
         return record.track_id, extract_track(record, base_dir), None
     except Exception as exc:  # per-track failures must not abort the batch
@@ -187,13 +187,7 @@ def cmd_extract(cfg: RunConfig) -> tuple[FeatureMatrix, list[str]]:
     records = load_manifest(cfg.manifest)
     base_dir = Path(cfg.manifest).parent
 
-    jobs = [(rec, base_dir) for rec in records]
-    workers = min(cfg.workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_extract_worker, jobs))
-    else:
-        results = [_extract_worker(job) for job in jobs]
+    results = pool_map(_extract_worker, base_dir, records, cfg.workers)
 
     vectors: dict[str, FeatureVector] = {}
     failed: list[str] = []
@@ -278,23 +272,26 @@ def _clustering_input(cfg: RunConfig, check_tracks: Callable[[int], None]) -> tu
     return prepare_selected(cfg, check_tracks)
 
 
+def _kmeans_labels(x: np.ndarray, seed: int, k: int) -> np.ndarray:
+    """The bootstrap's k-means clusterer: at most k clusters, 10 restarts."""
+    return kmeans(x, min(k, x.shape[0]), restarts=10, seed=seed).labels
+
+
+def _divisive_labels(x: np.ndarray, seed: int, k: int) -> np.ndarray:
+    """The bootstrap's divisive clusterer: at most k clusters."""
+    return divisive_cluster(x, min(k, x.shape[0]), seed=seed).labels
+
+
 def _run_method(
     matrix: FeatureMatrix, method: str, cfg: RunConfig
 ) -> tuple[ClusterModel, Callable[[np.ndarray, int], np.ndarray]]:
+    """The model at ``cfg.k`` and its bootstrap clusterer, which pickles for the pool."""
     seed = stage_seed(cfg.seed, f"cluster:{method}")
     if method == "kmeans":
         model = kmeans(matrix.data, cfg.k, restarts=cfg.restarts, seed=seed)
-
-        def clusterer(x, s):
-            return kmeans(x, min(cfg.k, x.shape[0]), restarts=10, seed=s).labels
-
-    else:
-        model = divisive_cluster(matrix.data, cfg.k, seed=seed)
-
-        def clusterer(x, s):
-            return divisive_cluster(x, min(cfg.k, x.shape[0]), seed=s).labels
-
-    return model, clusterer
+        return model, partial(_kmeans_labels, k=cfg.k)
+    model = divisive_cluster(matrix.data, cfg.k, seed=seed)
+    return model, partial(_divisive_labels, k=cfg.k)
 
 
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
@@ -329,6 +326,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
             seed=stage_seed(cfg.seed, f"bootstrap:{method}"),
             split_tree=model.split_tree,
             context=context,
+            workers=cfg.workers,
         )
         report.save(out_dir / f"report_{method}.json")
         reports[method] = report
@@ -350,6 +348,7 @@ def cmd_sweep(cfg: RunConfig):
         (cfg.k_min, cfg.k_max),
         seed=stage_seed(cfg.seed, "sweep"),
         restarts=cfg.restarts,
+        workers=cfg.workers,
     )
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -33,6 +33,8 @@ class ConfigError(ValueError):
 
 
 MANIFEST_COLUMNS = ("track_id", "path", "genre", "bpm", "key", "length_s")
+# characters csv.reader would read back as something else in an unquoted field
+UNSTORABLE = (",", "\n", "\r", '"')
 
 
 @dataclass
@@ -104,27 +106,44 @@ def _csv_rows(path: Path) -> Iterator:
     """Yield the header, then ``(line, cells)`` for each non-blank row as it is read.
 
     The caller checks the header (it has a ``track_id`` column) before it
-    asks for rows.
+    asks for rows. A file that is not UTF-8 is rejected with the line of
+    its first bad byte.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ConfigError(f"{path}: empty file")
-        yield header
-        key = header.index("track_id")
-        first_line: dict[str, int] = {}
-        for cells in reader:
-            if not cells:
-                continue
-            line = reader.line_num
-            if len(cells) != len(header):
-                raise ConfigError(f"{path}: ragged row at line {line} ({len(cells)} cells, expected {len(header)})")
-            tid = cells[key].strip()
-            first = first_line.setdefault(tid, line)
-            if first != line:
-                raise ConfigError(f"{path}: line {line} repeats track {tid!r} from line {first}")
-            yield line, cells
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise ConfigError(f"{path}: empty file")
+            yield header
+            key = header.index("track_id")
+            first_line: dict[str, int] = {}
+            for cells in reader:
+                if not cells:
+                    continue
+                line = reader.line_num
+                if len(cells) != len(header):
+                    raise ConfigError(f"{path}: ragged row at line {line} ({len(cells)} cells, expected {len(header)})")
+                tid = cells[key].strip()
+                first = first_line.setdefault(tid, line)
+                if first != line:
+                    raise ConfigError(f"{path}: line {line} repeats track {tid!r} from line {first}")
+                yield line, cells
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: Path) -> ConfigError:
+    """Name the line and value of the first byte that is not UTF-8."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start]
+        # physical lines as csv counts them: \n, \r and \r\n each end one
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        return ConfigError(f"{path}: line {line} is not UTF-8 text (byte 0x{raw[exc.start]:02x})")
+    return ConfigError(f"{path}: not UTF-8 text")
 
 
 def _number(path: Path, line: int, column: str, cell: str) -> float:
@@ -222,7 +241,7 @@ def assemble_matrix(
 def save_matrix(m: FeatureMatrix, path: str | Path) -> None:
     """Write matrix CSV: header, ``#group:`` tag line, then data rows."""
     for name in m.col_names + m.row_ids:
-        if "," in name or "\n" in name:
+        if any(c in name for c in UNSTORABLE):
             raise ValueError(f"name {name!r} cannot be stored in CSV")
     lines = ["track_id," + ",".join(m.col_names)]
     lines.append("#group:," + ",".join(m.col_groups))

@@ -562,3 +562,83 @@ class TestArrayPassesMatchLoops:
     def test_midranks_ties(self):
         values = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
         assert metrics._midrank_percentiles(values).tolist() == [87.5, 12.5, 87.5, 50.0, 12.5]
+
+
+# ---------------------------------------------------------------------------
+# The bootstrap votes were two n x n float64 matrices filled with an np.ix_
+# scatter per resample; they are now condensed integer counts. The old loop
+# is kept here as the reference, and the result must match it bit for bit.
+
+
+def cophenetic_bootstrap_loop(data, clusterer, B, seed):
+    x = np.asarray(data, dtype=np.float64)
+    n = x.shape[0]
+    if n < 10:
+        raise ValueError("bootstrap stability needs at least 10 samples")
+    base = np.asarray(clusterer(x, seed), dtype=np.int64)
+    votes = np.zeros((n, n))
+    seen = np.zeros((n, n))
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(B)):
+        rng = np.random.default_rng(child)
+        idx = np.unique(rng.integers(0, n, n))
+        labels = np.asarray(clusterer(x[idx], seed + b + 1), dtype=np.int64)
+        same = (labels[:, None] == labels[None, :]).astype(np.float64)
+        votes[np.ix_(idx, idx)] += same
+        seen[np.ix_(idx, idx)] += 1.0
+    iu = np.triu_indices(n, k=1)
+    mask = seen[iu] >= min(metrics.PAIR_MIN_OBSERVATIONS, B)
+    if mask.sum() < 2:
+        raise ValueError("too few pairs observed in bootstrap resamples")
+    a_vals = (base[iu[0]] == base[iu[1]]).astype(np.float64)[mask]
+    ahat = (votes[iu][mask]) / (seen[iu][mask])
+    if a_vals.std() == 0.0:
+        raise ValueError("co-assignment matrix is constant; correlation undefined")
+    if ahat.std() == 0.0:
+        return 0.0
+    return float(np.corrcoef(a_vals, ahat)[0, 1])
+
+
+def seeded_labels(x, seed):
+    """Labels that depend on the seed only: votes vary from resample to resample."""
+    return np.random.default_rng(seed).integers(0, 3, x.shape[0])
+
+
+def median_split(x, seed):
+    """Labels that depend on the rows only: duplicate rows always share a cluster."""
+    return (x[:, 0] > np.median(x[:, 0])).astype(int)
+
+
+@st.composite
+def bootstrap_cases(draw):
+    n = draw(st.integers(10, 30))
+    d = draw(st.integers(1, 3))
+    n_distinct = draw(st.integers(1, n))
+    base = np.array(
+        draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=n_distinct, max_size=n_distinct))
+    )
+    x = base[draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))]
+    clusterer = draw(st.sampled_from([seeded_labels, median_split, kmeans_clusterer(3)]))
+    B = draw(st.one_of(st.integers(1, 4), st.integers(5, 12)))  # below and above the 5-sighting floor
+    return x, clusterer, B, draw(st.integers(0, 2**32))
+
+
+class TestBootstrapVotesMatchLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(bootstrap_cases())
+    def test_bitwise(self, case):
+        x, clusterer, B, seed = case
+        assert outcome(metrics.cophenetic_bootstrap, x, clusterer, B, seed) == outcome(
+            cophenetic_bootstrap_loop, x, clusterer, B, seed
+        )
+
+    @pytest.mark.parametrize("B", [1, 3, 30])
+    def test_duplicate_rows(self, B):
+        x = np.repeat(make_blobs(3, 5, dim=2, seed=21)[0], 3, axis=0)
+        for clusterer in (median_split, kmeans_clusterer(3)):
+            assert outcome(metrics.cophenetic_bootstrap, x, clusterer, B, 4) == outcome(
+                cophenetic_bootstrap_loop, x, clusterer, B, 4
+            )
+
+    def test_vote_count_limit(self):
+        with pytest.raises(ValueError, match="uint16"):
+            metrics.cophenetic_bootstrap(np.arange(20.0)[:, None], median_split, B=70000)

@@ -1,16 +1,22 @@
 import hashlib
 import json
+import multiprocessing
+import pickle
 import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from edm_atlas import audio, pipeline, tempogram
+from conftest import make_blobs
+from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram
 from edm_atlas.audio import load_wav, save_wav, synth_click_track
+from edm_atlas.cluster import select_natural_k
 from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
 from edm_atlas.features import band_beat_emphasis, fundamental_feature_vector
@@ -195,8 +201,9 @@ class _RecordingPool:
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -208,16 +215,69 @@ class _RecordingPool:
         return map(fn, jobs)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Every pool the package starts is a _RecordingPool; returns its size log."""
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    for name in ("_worker_task", "_worker_shared"):  # the stand-in installs them in this process
+        monkeypatch.setattr(parallel, name, None)
+    return _RecordingPool.sizes
+
+
 class TestExtractWorkers:
     @pytest.mark.parametrize(("tracks", "expected"), [(1, []), (2, [2])])
-    def test_pool_no_larger_than_job_count(self, tmp_path, monkeypatch, tracks, expected):
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
+    def test_pool_no_larger_than_job_count(self, tmp_path, recording_pool, tracks, expected):
         manifest = write_manifest(tmp_path, {f"t{i}": 10.0 for i in range(tracks)})
         cfg = RunConfig(manifest=str(manifest), out=str(tmp_path / "out"), workers=8)
         matrix, failed = cmd_extract(cfg)
         assert _RecordingPool.sizes == expected
         assert matrix.shape[0] == tracks and failed == []
+
+
+class TestAnalysisWorkers:
+    """The bootstrap and the sweep size their pools as extraction does."""
+
+    @pytest.mark.parametrize(
+        ("workers", "B", "expected"), [(1, 6, []), (8, 1, []), (8, 6, [6]), (3, 6, [3])]
+    )
+    def test_bootstrap_pool_size(self, recording_pool, workers, B, expected):
+        data = np.repeat(np.arange(4.0), 5)[:, None]
+        clusterer = partial(pipeline._kmeans_labels, k=4)
+        metrics.cophenetic_bootstrap(data, clusterer, B=B, seed=0, workers=workers)
+        assert recording_pool == expected
+
+    @pytest.mark.parametrize(
+        ("workers", "k_range", "expected"), [(1, (2, 5), []), (8, (3, 3), []), (8, (2, 5), [4]), (3, (2, 5), [3])]
+    )
+    def test_sweep_pool_size(self, recording_pool, workers, k_range, expected):
+        data = np.repeat(np.arange(4.0), 5)[:, None]
+        select_natural_k(data, k_range, seed=0, restarts=2, workers=workers)
+        assert recording_pool == expected
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_any_start_method_matches_in_process(self, monkeypatch, method):
+        # workers start from a fresh import under spawn/forkserver: nothing may rest on fork
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+        data = make_blobs(3, 8, dim=2, seed=5)[0]
+        clusterer = partial(pipeline._divisive_labels, k=3)
+        pooled = metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=2)
+        assert pooled == metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=1)
+        pooled = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=2)
+        single = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=1)
+        assert pooled.consensus.tobytes() == single.consensus.tobytes()
+
+    def test_tasks_and_clusterers_pickle(self):
+        data = np.arange(20.0)[:, None]
+        for task in (metrics._resample, cluster._sweep_point, pipeline._extract_worker):
+            assert pickle.loads(pickle.dumps(task)) is task  # sent by import path
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        for clusterer in (partial(pipeline._kmeans_labels, k=4), partial(pipeline._divisive_labels, k=4)):
+            shared, item = pickle.loads(pickle.dumps(((data, clusterer), (child, 4))))
+            idx, labels = metrics._resample(shared, item)
+            want_idx, want_labels = metrics._resample((data, clusterer), (child, 4))
+            assert np.array_equal(idx, want_idx) and np.array_equal(labels, want_labels)
 
 
 class TestCluster:
@@ -617,6 +677,27 @@ class TestBadInputCsvs:
         assert extracted == [] and engineered == []
 
 
+    @pytest.mark.parametrize("source", ["manifest", "embeddings"])
+    def test_not_utf8_exits_two_naming_the_line(self, fixture_run, tmp_path, capsys, source):
+        manifest = Path(fixture_run.manifest)
+        out = tmp_path / "run"
+        if source == "manifest":
+            path = tmp_path / "manifest.csv"
+            lines = manifest.read_text().splitlines()
+            argv = ["extract", "--manifest", str(path), "--out", str(out), "--workers", "1"]
+        else:
+            path = tmp_path / "emb.csv"
+            ids = [line.split(",")[0] for line in manifest.read_text().splitlines()[1:]]
+            lines = ["track_id,e0", *(f"{tid},{i}" for i, tid in enumerate(ids))]
+            argv = ["cluster", "--manifest", str(manifest), "--out", str(out), "--k", "4", "--embeddings", str(path)]
+        data = "\n".join(lines).encode() + b"\n"
+        third = data.index(b"\n", data.index(b"\n") + 1) + 1
+        path.write_bytes(data[:third] + b"caf\xe9" + data[third:])  # Latin-1 e-acute in line 3
+
+        assert cli_main(argv) == 2
+        assert f"configuration error: {path}: line 3 is not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
+
+
 class TestDegenerateCatalogs:
     """Catalogs the selection stage cannot score fail before any engineering."""
 
@@ -679,3 +760,34 @@ class TestEndToEndDeterminism:
         first = run(tmp_path / "one")
         second = run(tmp_path / "two")
         assert first == second
+
+    @staticmethod
+    def tree_bytes(root: Path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+    @pytest.mark.parametrize("source", ["selected", "embeddings"])
+    def test_worker_count_changes_no_byte(self, fixture_run, tmp_path, source):
+        # cluster --method both and sweep through the CLI, in-process and pooled
+        manifest = fixture_run.manifest
+        extra = []
+        if source == "embeddings":
+            rng = np.random.default_rng(2)
+            lines = ["track_id,e0,e1,e2"]
+            for j, rec in enumerate(load_manifest(manifest)):
+                vals = rng.normal(j // 5, 0.3, 3)
+                lines.append(rec.track_id + "," + ",".join(repr(float(v)) for v in vals))
+            emb = tmp_path / "emb.csv"
+            emb.write_text("\n".join(lines) + "\n")
+            extra = ["--embeddings", str(emb)]
+        trees = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers_{workers}"
+            out.mkdir()
+            if source == "selected":
+                (out / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+            common = ["--manifest", manifest, "--out", str(out), "--seed", "5", "--workers", workers, *extra]
+            assert cli_main(["cluster", *common, "--k", "4", "--method", "both", "--restarts", "3"]) == 0
+            assert cli_main(["sweep", *common, "--k-min", "2", "--k-max", "7", "--restarts", "3"]) == 0
+            trees.append(self.tree_bytes(out))
+        assert "report_divisive.json" in trees[0] and "sweep.csv" in trees[0]
+        assert trees[0] == trees[1]

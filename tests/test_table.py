@@ -242,6 +242,8 @@ class TestLabels:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# characters csv.reader would read back as something else: save_matrix rejects them
+REJECTED = ',\n\r"'
 
 
 class TestMatrixBytesRoundTrip:
@@ -260,6 +262,23 @@ class TestMatrixBytesRoundTrip:
             assert first.read_bytes() == second.read_bytes()
         assert np.array_equal(back.data, m.data)
         assert np.array_equal(np.signbit(back.data), np.signbit(m.data))
+
+    @settings(max_examples=200, deadline=None)
+    @example(name='"quoted" id')
+    @example(name="carriage\rreturn")
+    @given(name=st.text(alphabet=REJECTED + "ab 'x#\t;é", max_size=8))
+    def test_name_stored_exactly_or_rejected(self, name):
+        m = FeatureMatrix([name, "row"], [name, "col"], ["spectral", "meta"], [[1.0, 2.0], [3.0, 4.0]])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.csv")
+            if any(c in name for c in REJECTED):
+                with pytest.raises(ValueError, match="cannot be stored in CSV"):
+                    save_matrix(m, path)
+                return
+            save_matrix(m, path)
+            back = load_matrix(path)
+        assert back.row_ids == m.row_ids
+        assert back.col_names == m.col_names
 
 
 # Every input CSV goes through one reader: each defect gets the same
