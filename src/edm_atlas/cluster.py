@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from . import metrics
 from .parallel import pool_map
 from .selection import _min_max
+from .table import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -168,7 +169,8 @@ def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> Clus
     """Best-of-restarts k-means with k-means++ (D^2) seeding.
 
     Deterministic for a fixed seed; restart r uses the r-th spawned child
-    seed and ties in inertia resolve to the lowest restart index.
+    seed and ties in inertia resolve to the lowest restart index. A model
+    whose empty clusters were refilled carries a warning; the caller logs it.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -188,7 +190,6 @@ def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> Clus
             f"{refilled} of k={k} clusters were empty after k-means and each took one point "
             "from a larger cluster; the data may have fewer than k distinct rows"
         )
-        logger.warning(warning)
     return ClusterModel(labels, k, inertia, method="kmeans", seed=seed, warning=warning)
 
 
@@ -216,7 +217,7 @@ def divisive_cluster(data, k_target: int, seed: int = 0) -> ClusterModel:
 
     Ties prefer the larger cluster, then the lower node id. Splitting stops
     at k_target clusters, or earlier when every H is 0; the model then
-    carries a warning.
+    carries a warning, which the caller logs.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -239,7 +240,6 @@ def divisive_cluster(data, k_target: int, seed: int = 0) -> ClusterModel:
         best_id, best_h = max(candidates, key=lambda t: (t[1], leaves[t[0]].size, -t[0]))
         if best_h <= 0:
             warning = f"all heterogeneity scores 0 at k={len(leaves)}; cannot reach k_target={k_target}"
-            logger.warning(warning)
             break
         node = leaves.pop(best_id)
         sub = x[node.indices]
@@ -281,24 +281,8 @@ class KSweepResult:
     chosen_k: int
 
     def write_csv(self, path: str | Path) -> None:
-        header = "k,silhouette,calinski_harabasz,inertia,elbow,sil_norm,ch_norm,elbow_norm,consensus"
-        lines = [header]
-        for i in range(self.ks.size):
-            cells = [str(int(self.ks[i]))] + [
-                repr(float(a[i]))
-                for a in (
-                    self.silhouette,
-                    self.calinski_harabasz,
-                    self.inertia,
-                    self.elbow,
-                    self.sil_norm,
-                    self.ch_norm,
-                    self.elbow_norm,
-                    self.consensus,
-                )
-            ]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        curves = [f.name for f in fields(self)][1:-1]  # the fields between ks and chosen_k
+        write_csv(path, [["k", *curves], *zip(self.ks.astype(int), *(getattr(self, c) for c in curves))])
 
 
 def _chord_distance(ks: np.ndarray, inertia: np.ndarray) -> np.ndarray:
@@ -313,17 +297,15 @@ def _chord_distance(ks: np.ndarray, inertia: np.ndarray) -> np.ndarray:
     return np.clip(-signed / np.hypot(x1 - x0, y1 - y0), 0.0, None)
 
 
-def _sweep_point(shared, k: int) -> tuple[float, float, float]:
-    """One sweep task: (inertia, silhouette, Calinski-Harabasz) of k-means at k."""
+def _sweep_point(shared, k: int) -> tuple[float, float, float, bool]:
+    """One sweep task: (inertia, silhouette, Calinski-Harabasz, warned) of k-means at k."""
     x, restarts, seed = shared
     model = kmeans(x, k, restarts=restarts, seed=seed)
     if k == x.shape[0]:
-        return model.inertia, 0.0, 0.0  # singleton clusters
-    return (
-        model.inertia,
-        metrics.silhouette(x, model.labels),
-        metrics.calinski_harabasz(x, model.labels),
-    )
+        sil = ch = 0.0  # singleton clusters
+    else:
+        sil, ch = metrics.silhouette(x, model.labels), metrics.calinski_harabasz(x, model.labels)
+    return model.inertia, sil, ch, model.warning is not None
 
 
 def select_natural_k(
@@ -341,7 +323,8 @@ def select_natural_k(
     The ks run over ``min(workers, len(ks))`` processes
     (``parallel.pool_map``), each k-means with all its restarts inside one
     task and seeded with ``seed`` alone; the curves are filled in k order,
-    so the result does not depend on ``workers``.
+    so the result does not depend on ``workers``. One warning names the ks
+    whose k-means refilled an empty cluster.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -351,7 +334,13 @@ def select_natural_k(
 
     ks = np.arange(k_min, k_max + 1)
     points = pool_map(_sweep_point, (x, restarts, seed), [int(k) for k in ks], workers)
-    inertia, sil, ch = (np.array(curve, dtype=np.float64) for curve in zip(*points))
+    *curves, warned = zip(*points)
+    inertia, sil, ch = (np.array(curve, dtype=np.float64) for curve in curves)
+    refilled = ", ".join(str(k) for k, w in zip(ks, warned) if w)
+    if refilled:
+        logger.warning(
+            "k-means refilled empty clusters at k=%s; the data may have fewer than k distinct rows", refilled
+        )
     finite = np.isfinite(ch)
     if not np.all(finite):
         cap = ch[finite].max() * 10.0 if np.any(finite) else 1.0

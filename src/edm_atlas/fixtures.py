@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import CANONICAL_RATE, AudioClip, save_wav
+from .table import MANIFEST_COLUMNS, write_csv
 
 FixtureKind = str  # "kick" | "click" | "pad" | "noise_pulse"
 
@@ -99,7 +100,7 @@ def write_fixture_set(
     """Synthesize WAVs plus a manifest.csv; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["track_id,path,genre,bpm,key,length_s"]
+    rows = [MANIFEST_COLUMNS]
     ss = np.random.SeedSequence(seed)
     for family in families:
         for i in range(family.n_tracks):
@@ -108,7 +109,7 @@ def write_fixture_set(
             track_id = f"{family.genre}_{i:02d}"
             wav_name = f"{track_id}.wav"
             save_wav(clip, out_dir / wav_name)
-            lines.append(f"{track_id},{wav_name},{family.genre},{family.bpm:g},,{duration:g}")
+            rows.append([track_id, wav_name, family.genre, f"{family.bpm:g}", "", f"{duration:g}"])
     manifest = out_dir / "manifest.csv"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(manifest, rows)
     return manifest

@@ -22,7 +22,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.stats import rankdata
 
 from .parallel import pool_map
-from .table import FeatureMatrix
+from .table import FeatureMatrix, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -465,11 +465,8 @@ def cluster_profiles(
 
 def profiles_to_csv(profiles: Sequence[ClusterProfile], path: str | Path) -> None:
     header = ["cluster", "size", "purity", "majority_genre", *PROFILE_DIMENSIONS]
-    lines = [",".join(header), f"#schema_version:{SCHEMA_VERSION}"]
+    rows = [header, [f"#schema_version:{SCHEMA_VERSION}"]]
     for p in profiles:
-        cells = [str(p.cluster_id), str(p.size), repr(p.purity), p.majority_genre]
-        for dim in PROFILE_DIMENSIONS:
-            v = p.dimensions.get(dim)
-            cells.append("" if v is None else repr(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        dims = [p.dimensions.get(dim) for dim in PROFILE_DIMENSIONS]
+        rows.append([p.cluster_id, p.size, p.purity, p.majority_genre, *("" if v is None else v for v in dims)])
+    write_csv(path, rows)

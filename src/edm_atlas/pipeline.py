@@ -310,6 +310,8 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     reports: dict[str, metrics.EvaluationReport] = {}
     for method in methods:
         model, clusterer = _run_method(matrix, method, cfg)
+        if model.warning:
+            logger.warning("%s: %s", method, model.warning)
         save_labels(out_dir / f"labels_{method}.csv", matrix.row_ids, model.labels)
         model.save(out_dir / f"model_{method}.json")
         context = {

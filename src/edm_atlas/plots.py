@@ -1,10 +1,13 @@
 """Deterministic SVG emission: radar profiles and PCA scatter plots.
 
 SVGs are assembled as plain strings (no plotting library) so that a rerun
-with identical inputs produces byte-identical files.
+with identical inputs produces byte-identical files; titles and axis names
+are XML-escaped.
 """
 
 from __future__ import annotations
+
+from html import escape
 
 import numpy as np
 
@@ -33,7 +36,7 @@ def radar_svg(title: str, axes: list[tuple[str, float]]) -> str:
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
         f'<text x="{_fmt(cx)}" y="18" text-anchor="middle" font-size="13" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{escape(title, quote=False)}</text>',
     ]
     for frac in (0.25, 0.5, 0.75, 1.0):
         pts = []
@@ -51,7 +54,7 @@ def radar_svg(title: str, axes: list[tuple[str, float]]) -> str:
         lx, ly = cx + 1.16 * radius * np.cos(ang), cy + 1.16 * radius * np.sin(ang)
         parts.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" text-anchor="middle" font-size="11" '
-            f'font-family="sans-serif">{name}</text>'
+            f'font-family="sans-serif">{escape(name, quote=False)}</text>'
         )
         r = radius * max(0.0, min(value, 100.0)) / 100.0
         value_pts.append(f"{_fmt(cx + r * np.cos(ang))},{_fmt(cy + r * np.sin(ang))}")
@@ -105,7 +108,7 @@ def scatter_svg(points: np.ndarray, labels: np.ndarray, title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size - 140}" '
         f'viewBox="0 0 {size} {size - 140}">',
         f'<rect width="{size}" height="{size - 140}" fill="white"/>',
-        f'<text x="{_fmt(margin)}" y="22" font-size="13" font-family="sans-serif">{title}</text>',
+        f'<text x="{_fmt(margin)}" y="22" font-size="13" font-family="sans-serif">{escape(title, quote=False)}</text>',
     ]
     for ci, c in enumerate(classes):
         color = PALETTE[ci % len(PALETTE)]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import mi_score
-from .table import FeatureMatrix
+from .table import FeatureMatrix, write_csv
 from .trees import forest_gini_importance
 
 logger = logging.getLogger(__name__)
@@ -78,20 +78,10 @@ class SelectionReport:
 
     def write_csv(self, path: str | Path) -> None:
         methods = list(METHOD_WEIGHTS)
-        header = (
-            ["feature"]
-            + [f"{m}_raw" for m in methods]
-            + [f"{m}_norm" for m in methods]
-            + ["ensemble", "selected"]
-        )
-        lines = [",".join(header)]
-        for i, name in enumerate(self.feature_names):
-            cells = [name]
-            cells += [repr(float(self.raw[m][i])) for m in methods]
-            cells += [repr(float(self.normalized[m][i])) for m in methods]
-            cells += [repr(float(self.ensemble[i])), str(int(self.selected[i]))]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = ["feature", *(f"{m}_raw" for m in methods), *(f"{m}_norm" for m in methods), "ensemble", "selected"]
+        scores = [self.raw[m] for m in methods] + [self.normalized[m] for m in methods]
+        rows = zip(self.feature_names, *scores, self.ensemble, self.selected.astype(int))
+        write_csv(path, [header, *rows])
 
 
 def _column_variance(data: np.ndarray) -> np.ndarray:

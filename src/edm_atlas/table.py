@@ -2,14 +2,16 @@
 
 The manifest has header ``track_id,path,genre,bpm,key,length_s``. Feature
 matrices have a ``track_id`` + feature-name header, a ``#group:`` tag line,
-then one row per track, written with ``repr`` so a round trip is exact.
-Embeddings are ``track_id`` plus one column per dimension; labels are
-``track_id,label``.
+then one row per track. Embeddings are ``track_id`` plus one column per
+dimension; labels are ``track_id,label``.
 
 One streaming reader takes every input CSV. An empty file, a ragged row, a
 repeated track id, and a non-numeric or non-finite number (NaN is the
 missing-value sentinel) raise ``ConfigError`` naming the file as given, the
 line and, for a number, the column.
+
+One writer, ``write_csv``, writes every output CSV: floats with ``repr``, and
+a cell holding ``,``, ``"``, CR or LF quoted so ``csv.reader`` reads it back.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,8 +36,6 @@ class ConfigError(ValueError):
 
 
 MANIFEST_COLUMNS = ("track_id", "path", "genre", "bpm", "key", "length_s")
-# characters csv.reader would read back as something else in an unquoted field
-UNSTORABLE = (",", "\n", "\r", '"')
 
 
 @dataclass
@@ -238,16 +239,30 @@ def assemble_matrix(
     return FeatureMatrix([r.track_id for r in records], names, groups, data)
 
 
+def _cell(value) -> str:
+    """A float as ``repr``, anything else as ``str``; quoted when csv.reader needs it."""
+    if isinstance(value, float):
+        return repr(float(value))
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        # csv.writer(lineterminator="\n") would leave a lone \r unquoted
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write rows of cells as CSV lines, each ending in a newline; ``csv.reader`` reads every cell back."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        for row in rows:
+            cells = [_cell(value) for value in row]
+            # a lone empty cell is quoted: a blank line reads back as no cells
+            fh.write((",".join(cells) if cells != [""] else '""') + "\n")
+
+
 def save_matrix(m: FeatureMatrix, path: str | Path) -> None:
     """Write matrix CSV: header, ``#group:`` tag line, then data rows."""
-    for name in m.col_names + m.row_ids:
-        if any(c in name for c in UNSTORABLE):
-            raise ValueError(f"name {name!r} cannot be stored in CSV")
-    lines = ["track_id," + ",".join(m.col_names)]
-    lines.append("#group:," + ",".join(m.col_groups))
-    for rid, row in zip(m.row_ids, m.data):
-        lines.append(rid + "," + ",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    head = [["track_id", *m.col_names], ["#group:", *m.col_groups]]
+    write_csv(path, chain(head, ([rid, *values] for rid, values in zip(m.row_ids, m.data))))
 
 
 def load_matrix(path: str | Path) -> FeatureMatrix:
@@ -294,8 +309,7 @@ def import_embeddings(path: str | Path, records: Sequence[TrackRecord]) -> Featu
 
 def save_labels(path: str | Path, row_ids: Sequence[str], labels: np.ndarray) -> None:
     """Write a ``track_id,label`` CSV, one row per track."""
-    lines = ["track_id,label"] + [f"{rid},{lab}" for rid, lab in zip(row_ids, labels)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, [["track_id", "label"], *zip(row_ids, labels)])
 
 
 def load_labels(path: str | Path, row_ids: Sequence[str]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -35,8 +36,8 @@ from edm_atlas.pipeline import (
     load_config_file,
     stage_seed,
 )
-from edm_atlas.plots import pca_project
-from edm_atlas.table import FeatureMatrix, load_manifest, load_matrix, save_matrix
+from edm_atlas.plots import pca_project, radar_svg, scatter_svg
+from edm_atlas.table import MANIFEST_COLUMNS, FeatureMatrix, load_labels, load_manifest, load_matrix, save_matrix
 from edm_atlas.tempogram import analyze_track, tempogram_feature_vector
 
 
@@ -791,3 +792,117 @@ class TestEndToEndDeterminism:
             trees.append(self.tree_bytes(out))
         assert "report_divisive.json" in trees[0] and "sweep.csv" in trees[0]
         assert trees[0] == trees[1]
+
+
+def write_rows(path: Path, rows) -> Path:
+    """An input CSV quoted by the standard library's writer."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def assert_outputs_read_back(out: Path) -> None:
+    """Every CSV re-reads at its header's width ('#' lines aside); every SVG parses."""
+    for path in sorted(out.glob("*.csv")):
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [cells for cells in csv.reader(fh) if not cells[0].startswith("#")]
+        assert {len(cells) for cells in rows} == {len(rows[0])}, path.name
+    for path in sorted(out.glob("*.svg")):
+        ET.parse(path)
+
+
+class TestNamesNeedingQuotes:
+    """Track ids and genres holding ',', '"' or '&' run through every stage and read back."""
+
+    ODD_ID = "Artist A, Artist B - Title"
+    ODD_GENRE = "Drum & Bass, Deep"
+
+    def test_every_stage(self, fixture_run, tmp_path):
+        records = load_manifest(fixture_run.manifest)
+        audio = Path(fixture_run.manifest).parent
+        rows = [MANIFEST_COLUMNS]
+        for i, r in enumerate(records):
+            genre = self.ODD_GENRE if r.genre == records[0].genre else r.genre
+            tid = self.ODD_ID if i == 0 else r.track_id
+            rows.append([tid, audio / r.path, genre, f"{r.bpm:g}", "", f"{r.length_s:g}"])
+        manifest = write_rows(tmp_path / "manifest.csv", rows)
+        out = tmp_path / "run"
+        common = ["--manifest", str(manifest), "--out", str(out), "--workers", "1"]
+        assert cli_main(["extract", *common]) == 0
+        assert cli_main(["cluster", *common, "--k", "4", "--method", "both", "--restarts", "3"]) == 0
+        assert cli_main(["sweep", *common, "--k-min", "2", "--k-max", "6", "--restarts", "3"]) == 0
+        assert cli_main(["profile", *common]) == 0
+        assert cli_main(["plot", *common]) == 0
+
+        assert_outputs_read_back(out)
+        assert load_matrix(out / "features.csv").row_ids[0] == self.ODD_ID
+        assert load_labels(out / "labels_divisive.csv", [self.ODD_ID]).shape == (1,)
+        with (out / "profiles.csv").open(newline="", encoding="utf-8") as fh:
+            assert self.ODD_GENRE in [row["majority_genre"] for row in csv.DictReader(fh)]
+        titles = [ET.parse(svg).getroot().find("{*}text").text for svg in out.glob("profile_cluster_*.svg")]
+        assert any(self.ODD_GENRE in title for title in titles)
+
+    def test_embeddings_then_plot(self, tmp_path):
+        ids = [f'Artist {i}, "Guest" - Title' for i in range(12)]
+        manifest = write_rows(
+            tmp_path / "manifest.csv",
+            [MANIFEST_COLUMNS, *([tid, f"{i}.wav", f"genre {i // 4}", "", "", ""] for i, tid in enumerate(ids))],
+        )
+        rng = np.random.default_rng(0)
+        emb = write_rows(
+            tmp_path / "emb.csv",
+            [["track_id", "e0", "e1", "e2"], *([tid, *rng.normal(10 * (i // 4), 0.3, 3)] for i, tid in enumerate(ids))],
+        )
+        out = tmp_path / "run"
+        common = ["--manifest", str(manifest), "--out", str(out), "--workers", "1", "--embeddings", str(emb)]
+        assert cli_main(["cluster", *common, "--k", "3", "--restarts", "3"]) == 0
+        assert cli_main(["plot", *common]) == 0
+
+        assert_outputs_read_back(out)
+        labels = load_labels(out / "labels_kmeans.csv", ids)
+        assert len(set(labels[::4])) == 3  # the three genre blobs
+
+
+class TestSvgText:
+    def test_radar_and_scatter_text_escaped(self):
+        radar = ET.fromstring(radar_svg("Cluster 1 (Drum & Bass)", [("<Energy>", 50.0), ("R&B", 20.0), ("x", 1.0)]))
+        texts = [t.text for t in radar.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["Cluster 1 (Drum & Bass)", "<Energy>", "R&B", "x"]
+        scatter = ET.fromstring(scatter_svg(np.eye(3, 2), np.array([0, 1, 1]), title="A & B"))
+        assert scatter.find("{http://www.w3.org/2000/svg}text").text == "A & B"
+
+
+class TestEmptyClusterWarnings:
+    """A model whose clusters ran empty is logged once, not once per bootstrap resample."""
+
+    def test_one_warning_per_model_and_sweep(self, tmp_path, caplog):
+        # 24 tracks over 4 distinct rows: k=6 must refill 2 clusters
+        ids = [f"t{j:02d}" for j in range(24)]
+        manifest = write_rows(
+            tmp_path / "manifest.csv",
+            [MANIFEST_COLUMNS, *([tid, f"{tid}.wav", f"g{j % 4}", "", "", ""] for j, tid in enumerate(ids))],
+        )
+        emb = write_rows(
+            tmp_path / "emb.csv",
+            [["track_id", "e0", "e1"], *([tid, 10.0 * (j % 4), j % 2] for j, tid in enumerate(ids))],
+        )
+        out = tmp_path / "run"
+        common = ["--manifest", str(manifest), "--out", str(out), "--workers", "1", "--embeddings", str(emb)]
+        with caplog.at_level("WARNING"):
+            assert cli_main(["cluster", *common, "--k", "6", "--method", "both", "--restarts", "5"]) == 0
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert messages == [
+            "kmeans: 2 of k=6 clusters were empty after k-means and each took one point from a larger cluster; "
+            "the data may have fewer than k distinct rows",
+            "divisive: all heterogeneity scores 0 at k=4; cannot reach k_target=6",
+        ]
+        sidecar = json.loads((out / "model_kmeans.json").read_text())
+        assert sidecar["warning"] == messages[0].removeprefix("kmeans: ")
+
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert cli_main(["sweep", *common, "--k-min", "2", "--k-max", "6", "--restarts", "5"]) == 0
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert messages == [
+            "k-means refilled empty clusters at k=5, 6; the data may have fewer than k distinct rows"
+        ]

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from edm_atlas.table import (
     load_matrix,
     save_labels,
     save_matrix,
+    write_csv,
 )
 from edm_atlas.types import FeatureVector
 
@@ -242,8 +244,9 @@ class TestLabels:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# characters csv.reader would read back as something else: save_matrix rejects them
-REJECTED = ',\n\r"'
+# the characters csv.reader treats specially, plus ordinary ones
+CSV_TEXT = st.text(alphabet=',"\r\n' + "ab 'x#\t;é", max_size=8)
+CSV_CELL = st.one_of(CSV_TEXT, finite, st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
 
 
 class TestMatrixBytesRoundTrip:
@@ -266,19 +269,38 @@ class TestMatrixBytesRoundTrip:
     @settings(max_examples=200, deadline=None)
     @example(name='"quoted" id')
     @example(name="carriage\rreturn")
-    @given(name=st.text(alphabet=REJECTED + "ab 'x#\t;é", max_size=8))
-    def test_name_stored_exactly_or_rejected(self, name):
+    @example(name="Artist A, Artist B - Title")
+    @example(name="line\nbreak")
+    @given(name=CSV_TEXT)
+    def test_every_name_stored_exactly(self, name):
         m = FeatureMatrix([name, "row"], [name, "col"], ["spectral", "meta"], [[1.0, 2.0], [3.0, 4.0]])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "m.csv")
-            if any(c in name for c in REJECTED):
-                with pytest.raises(ValueError, match="cannot be stored in CSV"):
-                    save_matrix(m, path)
-                return
             save_matrix(m, path)
             back = load_matrix(path)
         assert back.row_ids == m.row_ids
         assert back.col_names == m.col_names
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @example(rows=[["c\rd", "a,b", 'say "hi"', "", "#x", " sp ", "é"], [-0.0, 5e-324, 1e308, -1e308]])
+    @example(rows=[[""], ["", ""], ["\r\n"]])
+    @given(rows=st.lists(st.lists(CSV_CELL, min_size=1, max_size=5), min_size=1, max_size=5))
+    def test_csv_reader_reads_every_cell_back(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "out.csv")
+            write_csv(path, rows)
+            raw = path.read_bytes()
+            with path.open(newline="", encoding="utf-8") as fh:
+                back = list(csv.reader(fh))
+        assert raw.endswith(b"\n")
+        assert back == [[repr(c) if isinstance(c, float) else c for c in row] for row in rows]
+
+    def test_cells_as_written(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, [["id", "x", "n"], ['a "b", c', 0.1, np.int64(3)], ["c\rd", np.float64(-0.0), True]])
+        assert path.read_bytes() == b'id,x,n\n"a ""b"", c",0.1,3\n"c\rd",-0.0,True\n'
 
 
 # Every input CSV goes through one reader: each defect gets the same
