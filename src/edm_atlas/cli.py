@@ -57,7 +57,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        help="worker processes for extract, the cluster bootstrap and the sweep (default: CPU count)",
+        help=(
+            "worker processes for extract's tracks, the selection forests' trees, the cluster "
+            "bootstrap's resamples and the sweep's ks (default: the CPUs this process may use)"
+        ),
     )
     sub.add_argument("--labels", help="labels CSV for profile/plot stages")
 

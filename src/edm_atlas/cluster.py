@@ -114,12 +114,9 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = (
-        (x**2).sum(axis=1)[:, None]
-        - 2.0 * x @ centroids.T
-        + (centroids**2).sum(axis=1)[None, :]
-    )
+def _assign(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid and squared distance per row; ``x_sq`` is ``(x**2).sum(axis=1)``."""
+    d2 = x_sq[:, None] - 2.0 * x @ centroids.T + (centroids**2).sum(axis=1)[None, :]
     np.clip(d2, 0.0, None, out=d2)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(x.shape[0]), labels]
@@ -127,26 +124,35 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray):
     k = centroids.shape[0]
-    labels = np.zeros(x.shape[0], dtype=np.int64)
+    x_sq = (x**2).sum(axis=1)
     for _ in range(KMEANS_MAX_ITER):
-        labels, d2 = _assign(x, centroids)
+        labels, d2 = _assign(x, centroids, x_sq)
+        counts = np.bincount(labels, minlength=k)
+        # a stable sort keeps each cluster's rows in index order, so every
+        # slice is the same C-contiguous rows as x[labels == c], and its sum
+        # over the count is bitwise that mask's mean (np.add.reduceat rounds
+        # differently)
+        grouped = x[np.argsort(labels, kind="stable")]
+        ends = np.cumsum(counts)
+        filled = np.flatnonzero(counts)
         new_centroids = centroids.copy()
-        for c in range(k):
-            mask = labels == c
-            if np.any(mask):
-                new_centroids[c] = x[mask].mean(axis=0)
+        for c in filled:
+            new_centroids[c] = np.add.reduce(grouped[ends[c] - counts[c] : ends[c]], axis=0)
+        new_centroids[filled] /= counts[filled, None]
         # repair empty clusters with the point farthest from its centroid
         for c in range(k):
-            if not np.any(labels == c):
+            if counts[c] == 0:
                 far = int(np.argmax(d2))
                 new_centroids[c] = x[far]
+                counts[labels[far]] -= 1
+                counts[c] += 1
                 labels[far] = c
                 d2[far] = 0.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < KMEANS_TOL:
             break
-    labels, d2 = _assign(x, centroids)
+    labels, d2 = _assign(x, centroids, x_sq)
     counts = np.bincount(labels, minlength=k)
     refilled = 0
     for c in range(k):  # final safety: never return an empty cluster

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 from scipy.stats import rankdata
 
 from .parallel import pool_map
@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 BOOTSTRAP_RESAMPLES = 50
 PAIR_MIN_OBSERVATIONS = 5
+SILHOUETTE_BLOCK = 1024  # rows of distances silhouette holds at once; at least 2
 
 PROFILE_DIMENSIONS = ("energy", "danceability", "tempo", "harmonic", "rhythmic", "electronic")
 
@@ -125,7 +126,11 @@ def purity(pred, true) -> float:
 
 
 def silhouette(data, labels) -> float:
-    """Mean silhouette coefficient; singleton clusters contribute 0."""
+    """Mean silhouette coefficient; singleton clusters contribute 0.
+
+    Distances are computed ``SILHOUETTE_BLOCK`` rows at a time, so the call
+    holds a (SILHOUETTE_BLOCK, n) float64 block rather than an n x n matrix.
+    """
     x = _as_array(data)
     y = _labels(labels)
     classes, y_idx = np.unique(y, return_inverse=True)
@@ -133,12 +138,18 @@ def silhouette(data, labels) -> float:
     if k < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     n = x.shape[0]
-    dist = squareform(pdist(x))
     counts = np.bincount(y_idx)
-    # per-sample summed distance to each cluster
+    # per-sample summed distance to each cluster. A gather of two or more
+    # rows is Fortran-ordered and sums column by column at any row count;
+    # one row would sum pairwise, so a lone last row joins the block before it
+    edges = [*range(0, n, SILHOUETTE_BLOCK), n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]
     sums = np.zeros((n, k))
-    for c in range(k):
-        sums[:, c] = dist[:, y_idx == c].sum(axis=1)
+    for start, end in zip(edges[:-1], edges[1:]):
+        dist = cdist(x[start:end], x)
+        for c in range(k):
+            sums[start:end, c] = dist[:, y_idx == c].sum(axis=1)
     rows = np.arange(n)
     own = counts[y_idx]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,6 +214,11 @@ def calinski_harabasz(data, labels) -> float:
     return float((between / (k - 1)) / (within / (n - k)))
 
 
+def _pair_index(i, j, n: int):
+    """Position of the pair i < j in condensed ``triu_indices(n, 1)`` (pdist) order."""
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
 def _resample(shared, task) -> tuple[np.ndarray, np.ndarray]:
     """One bootstrap task: the sorted distinct rows drawn and their labels."""
     x, clusterer = shared
@@ -248,16 +264,20 @@ def cophenetic_bootstrap(
     for idx, labels in pool_map(_resample, (x, clusterer), tasks, workers):
         left, right = np.triu_indices(idx.size, k=1)
         i, j = idx[left], idx[right]
-        pair = i * (2 * n - i - 1) // 2 + (j - i - 1)  # distinct: idx is sorted and unique
+        pair = _pair_index(i, j, n)  # distinct: idx is sorted and unique
         seen[pair] += 1
         votes[pair] += labels[left] == labels[right]
 
-    iu = np.triu_indices(n, k=1)
+    # the full-data co-assignment, condensed row by row
+    same = np.empty(votes.size, dtype=bool)
+    for i in range(n - 1):
+        start = _pair_index(i, i + 1, n)
+        same[start : start + n - i - 1] = base[i] == base[i + 1 :]
     min_seen = min(PAIR_MIN_OBSERVATIONS, B)
     mask = seen >= min_seen
     if mask.sum() < 2:
         raise ValueError("too few pairs observed in bootstrap resamples")
-    a_vals = (base[iu[0]] == base[iu[1]]).astype(np.float64)[mask]
+    a_vals = same[mask].astype(np.float64)
     ahat = votes[mask] / seen[mask]  # integer counts, so exact as in float64 sums
     if a_vals.std() == 0.0:
         raise ValueError("co-assignment matrix is constant; correlation undefined")
@@ -275,21 +295,21 @@ def cophenetic_dendrogram(data, split_tree) -> float:
     """
     x = _as_array(data)
     n = x.shape[0]
-    coph = np.zeros((n, n))
+    heights = np.zeros(n * (n - 1) // 2)  # condensed, as pdist
 
     def fill(node):
         if node.children is None:
             return
         left, right = node.children
-        coph[np.ix_(left.indices, right.indices)] = node.h
-        coph[np.ix_(right.indices, left.indices)] = node.h
+        # each pair is split exactly once; write it one row of the smaller side at a time
+        small, large = sorted((left.indices, right.indices), key=len)
+        for i in small:
+            heights[_pair_index(np.minimum(i, large), np.maximum(i, large), n)] = node.h
         fill(left)
         fill(right)
 
     fill(split_tree)
-    iu = np.triu_indices(n, k=1)
-    euclid = pdist(x)  # condensed, in triu_indices(n, 1) order
-    heights = coph[iu]
+    euclid = pdist(x)
     if heights.std() == 0.0 or euclid.std() == 0.0:
         raise ValueError("degenerate distances; cophenetic correlation undefined")
     return float(np.corrcoef(euclid, heights)[0, 1])

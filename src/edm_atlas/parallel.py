@@ -1,4 +1,4 @@
-"""The one process pool: extraction tracks, bootstrap resamples and sweep ks.
+"""The one process pool: extraction tracks, forest trees, bootstrap resamples and sweep ks.
 
 ``pool_map(task, shared, items, workers)`` returns
 ``[task(shared, item) for item in items]``. With more than one worker and

@@ -60,6 +60,13 @@ class StageError(RuntimeError):
     """A pipeline stage failed fatally (maps to exit code 3)."""
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class RunConfig:
     manifest: str | None = None
@@ -72,7 +79,7 @@ class RunConfig:
     top_k: int = 100
     method: str = "kmeans"  # kmeans | divisive | both
     embeddings: str | None = None
-    workers: int = field(default_factory=lambda: max(1, os.cpu_count() or 1))
+    workers: int = field(default_factory=_usable_cpus)
     labels: str | None = None  # labels CSV for profile/plot
 
     def validate(self) -> None:
@@ -252,7 +259,7 @@ def prepare_selected(cfg: RunConfig, check_tracks: Callable[[int], None]) -> tup
     if top_k < cfg.top_k:
         logger.warning("top_k clipped to %d available features", top_k)
     selected, report = ensemble_select(
-        normalized, labels, top_k=top_k, seed=stage_seed(cfg.seed, "select")
+        normalized, labels, top_k=top_k, seed=stage_seed(cfg.seed, "select"), workers=cfg.workers
     )
     out_dir = Path(cfg.out)
     report.write_csv(out_dir / "selection_report.csv")

@@ -300,10 +300,12 @@ def mutual_info(m: FeatureMatrix, labels: LabelVector, bins: int = MI_BINS) -> n
     return scores
 
 
-def forest_importance(m: FeatureMatrix, labels: LabelVector, mode: str, seed: int = 0) -> np.ndarray:
-    """Gini importance from the from-scratch tree ensemble (sums to 1)."""
+def forest_importance(
+    m: FeatureMatrix, labels: LabelVector, mode: str, seed: int = 0, workers: int = 1
+) -> np.ndarray:
+    """Gini importance from the from-scratch tree ensemble (sums to 1); ``workers`` sizes its tree pool."""
     _check_labels(labels, m.shape[0])
-    return forest_gini_importance(m.data, labels.labels, mode=mode, seed=seed)
+    return forest_gini_importance(m.data, labels.labels, mode=mode, seed=seed, workers=workers)
 
 
 def variance_score(m: FeatureMatrix) -> np.ndarray:
@@ -332,12 +334,14 @@ def ensemble_select(
     labels: LabelVector,
     top_k: int = DEFAULT_TOP_K,
     seed: int = 0,
+    workers: int = 1,
 ) -> tuple[FeatureMatrix, SelectionReport]:
     """Keep the top_k features by weighted ensemble score.
 
     Scoring happens in canonical (name-sorted) column order so that the
     result is invariant to the input column order; ensemble ties also break
-    by column-name lexicographic order.
+    by column-name lexicographic order. ``workers`` sizes the forests' tree
+    pools; the result does not depend on it.
     """
     d = m.shape[1]
     if top_k > d:
@@ -355,8 +359,8 @@ def ensemble_select(
     raw_canon = {
         "anova_f": f_ratio,
         "mutual_info": mutual_info(m_canon, labels),
-        "rf_importance": forest_importance(m_canon, labels, "random_forest", seed=seed),
-        "et_importance": forest_importance(m_canon, labels, "extra_trees", seed=seed + 1),
+        "rf_importance": forest_importance(m_canon, labels, "random_forest", seed=seed, workers=workers),
+        "et_importance": forest_importance(m_canon, labels, "extra_trees", seed=seed + 1, workers=workers),
         "variance": variance_score(m_canon),
         "cluster_sep": f_ratio,
     }

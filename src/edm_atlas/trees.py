@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .parallel import pool_map
+
 N_TREES = 100
 MAX_DEPTH = 12
 MIN_LEAF = 2
@@ -86,8 +88,13 @@ def _best_split_random(x_sub: np.ndarray, y_onehot: np.ndarray, min_leaf: int, r
     return col, float(thresholds[col]), float(weighted[col])
 
 
-def _grow_tree(X, y_onehot, importance, mode, rng, n_total, m_try):
+def _grow_tree(shared, child: np.random.SeedSequence) -> list[tuple[int, float]]:
+    """One forest task: the ``(feature, decrease)`` gain of every split of
+    the tree grown from ``child``, in the order grown."""
+    X, y_onehot, mode, n_total, m_try = shared
+    rng = np.random.default_rng(child)
     n = X.shape[0]
+    gains = []
     if mode == "random_forest":
         root_idx = rng.integers(0, n, n)
     else:
@@ -111,19 +118,24 @@ def _grow_tree(X, y_onehot, importance, mode, rng, n_total, m_try):
             continue
         col, threshold, weighted = found
         decrease = (n_node / n_total) * (node_gini - weighted)
-        importance[feats[col]] += max(decrease, 0.0)
+        gains.append((int(feats[col]), max(decrease, 0.0)))
         mask = x_sub[:, col] <= threshold
         stack.append((idx[mask], depth + 1))
         stack.append((idx[~mask], depth + 1))
+    return gains
 
 
 def forest_gini_importance(
-    X: np.ndarray, y: np.ndarray, mode: str = "random_forest", seed: int = 0
+    X: np.ndarray, y: np.ndarray, mode: str = "random_forest", seed: int = 0, workers: int = 1
 ) -> np.ndarray:
     """Mean-decrease-in-Gini importance per feature, normalized to sum 1.
 
     Deterministic for a fixed seed: tree t uses the t-th spawn of the root
     seed sequence. Returns zeros when no split was ever made.
+
+    The trees run over ``min(workers, N_TREES)`` processes
+    (``parallel.pool_map``); their gains are added tree by tree, each in
+    the order it was grown, so the result does not depend on ``workers``.
     """
     if mode not in ("random_forest", "extra_trees"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -143,8 +155,9 @@ def forest_gini_importance(
     m_try = max(1, int(round(np.sqrt(d))))
 
     importance = np.zeros(d)
-    for child in np.random.SeedSequence(seed).spawn(N_TREES):
-        rng = np.random.default_rng(child)
-        _grow_tree(X, y_onehot, importance, mode, rng, n, m_try)
+    children = np.random.SeedSequence(seed).spawn(N_TREES)
+    for gains in pool_map(_grow_tree, (X, y_onehot, mode, n, m_try), children, workers):
+        for feature, decrease in gains:
+            importance[feature] += decrease
     total = importance.sum()
     return importance / total if total > 0 else importance

@@ -2,10 +2,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_blobs
 from edm_atlas import metrics
-from edm_atlas.cluster import divisive_cluster, heterogeneity, kmeans, select_natural_k
+from edm_atlas.cluster import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
+    _lloyd,
+    _plus_plus_init,
+    divisive_cluster,
+    heterogeneity,
+    kmeans,
+    select_natural_k,
+)
 
 
 class TestKmeans:
@@ -169,3 +180,110 @@ class TestSelectNaturalK:
         result.write_csv(tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 9  # header + one row per k in [2, 10]
+
+
+# ---------------------------------------------------------------------------
+# _lloyd groups the rows once per iteration (bincount plus a stable argsort)
+# and squares x once per call. The per-cluster mask loop it replaced is kept
+# here as the reference, and the result must match it bit for bit.
+
+
+def assign_reference(x, centroids):
+    d2 = (x**2).sum(axis=1)[:, None] - 2.0 * x @ centroids.T + (centroids**2).sum(axis=1)[None, :]
+    np.clip(d2, 0.0, None, out=d2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(x.shape[0]), labels]
+
+
+def lloyd_reference(x, centroids):
+    k = centroids.shape[0]
+    for _ in range(KMEANS_MAX_ITER):
+        labels, d2 = assign_reference(x, centroids)
+        new_centroids = centroids.copy()
+        for c in range(k):
+            mask = labels == c
+            if np.any(mask):
+                new_centroids[c] = x[mask].mean(axis=0)
+        for c in range(k):
+            if not np.any(labels == c):
+                far = int(np.argmax(d2))
+                new_centroids[c] = x[far]
+                labels[far] = c
+                d2[far] = 0.0
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < KMEANS_TOL:
+            break
+    labels, d2 = assign_reference(x, centroids)
+    counts = np.bincount(labels, minlength=k)
+    refilled = 0
+    for c in range(k):
+        if counts[c] == 0:
+            far = int(np.argmax(np.where(counts[labels] >= 2, d2, -1.0)))
+            counts[labels[far]] -= 1
+            counts[c] = 1
+            labels[far] = c
+            d2[far] = 0.0
+            centroids[c] = x[far]
+            refilled += 1
+    inertia = float(((x - centroids[labels]) ** 2).sum())
+    return labels, inertia, refilled
+
+
+def same_lloyd(x, centroids):
+    got_labels, got_inertia, got_refilled = _lloyd(x, centroids.copy())
+    want_labels, want_inertia, want_refilled = lloyd_reference(x, centroids.copy())
+    return (
+        got_labels.tobytes() == want_labels.tobytes()
+        and np.float64(got_inertia).tobytes() == np.float64(want_inertia).tobytes()
+        and got_refilled == want_refilled
+    )
+
+
+# small integers make duplicate rows and tied distances common
+lloyd_coordinate = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def lloyd_cases(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    n_distinct = draw(st.integers(1, n))
+    base = np.array(
+        draw(st.lists(st.lists(lloyd_coordinate, min_size=d, max_size=d), min_size=n_distinct, max_size=n_distinct))
+    )
+    x = base[draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))]
+    k = draw(st.integers(2, n))
+    start = draw(st.sampled_from(["plus_plus", "rows", "far"]))
+    if start == "plus_plus":
+        centroids = _plus_plus_init(x, k, np.random.default_rng(draw(st.integers(0, 2**32))))
+    elif start == "rows":  # repeated starting rows tie, so some clusters start empty
+        centroids = x[draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))].copy()
+    else:  # centroids far outside the data, which no point is nearest to
+        centroids = x[:1].repeat(k, axis=0) + 1e5 * np.arange(k)[:, None]
+    return x, centroids
+
+
+class TestLloydMatchesMaskLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(lloyd_cases())
+    def test_bitwise(self, case):
+        x, centroids = case
+        assert same_lloyd(x, centroids)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blobs_with_refills(self, seed):
+        # 60 rows of 3 distinct points at k=6: empty clusters every iteration
+        x = np.repeat(make_blobs(3, 1, dim=5, seed=seed)[0], 20, axis=0)
+        for k in (3, 6, 60):
+            centroids = _plus_plus_init(x, k, np.random.default_rng(seed))
+            assert same_lloyd(x, centroids)
+        assert kmeans(x, 6, restarts=3, seed=seed).warning is not None
+
+    def test_wide_blobs(self):
+        x = make_blobs(8, 15, dim=40, seed=3)[0]
+        for seed in range(5):
+            assert same_lloyd(x, _plus_plus_init(x, 8, np.random.default_rng(seed)))

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from conftest import make_blobs
 from edm_atlas import metrics
-from edm_atlas.cluster import divisive_cluster, kmeans
+from edm_atlas.cluster import SplitNode, divisive_cluster, kmeans
 from edm_atlas.table import FeatureMatrix
 
 
@@ -642,3 +643,128 @@ class TestBootstrapVotesMatchLoop:
     def test_vote_count_limit(self):
         with pytest.raises(ValueError, match="uint16"):
             metrics.cophenetic_bootstrap(np.arange(20.0)[:, None], median_split, B=70000)
+
+
+# ---------------------------------------------------------------------------
+# silhouette took its distances from one n x n squareform(pdist(x)); it now
+# takes them from row blocks of cdist(x[rows], x). The dense version is kept
+# here as the reference, and the result must match it bit for bit at any
+# block size.
+
+
+def silhouette_dense(data, labels):
+    x = np.asarray(data, dtype=np.float64)
+    classes, y_idx = np.unique(np.asarray(labels).ravel(), return_inverse=True)
+    k = classes.size
+    if k < 2:
+        raise ValueError("silhouette needs at least 2 clusters")
+    n = x.shape[0]
+    dist = squareform(pdist(x))
+    counts = np.bincount(y_idx)
+    sums = np.zeros((n, k))
+    for c in range(k):
+        sums[:, c] = dist[:, y_idx == c].sum(axis=1)
+    rows = np.arange(n)
+    own = counts[y_idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, y_idx] / (own - 1)
+    means = sums / counts
+    means[rows, y_idx] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    scored = (own > 1) & (top > 0)
+    scores = np.zeros(n)
+    scores[scored] = (b[scored] - a[scored]) / top[scored]
+    return float(scores.mean())
+
+
+@st.composite
+def wide_labeled_points(draw):
+    n = draw(st.integers(3, 300))
+    d = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    x = rng.normal(0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, d))
+    if draw(st.booleans()):  # duplicate rows
+        x = x[rng.integers(0, max(1, n // 3), n)]
+    k = draw(st.integers(2, min(n, 40)))
+    labels = np.r_[np.arange(k), rng.integers(0, k, n - k)]
+    return x, rng.permutation(labels), draw(st.integers(2, n + 1))
+
+
+class TestSilhouetteBlocksMatchDense:
+    @settings(max_examples=100, deadline=None)
+    @given(wide_labeled_points())
+    def test_bitwise_at_any_block(self, case):
+        x, labels, block = case
+        want = outcome(silhouette_dense, x, labels)
+        assert outcome(metrics.silhouette, x, labels) == want
+        with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
+            assert outcome(metrics.silhouette, x, labels) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_points(), st.integers(2, 5))
+    def test_small_blocks_with_ties(self, case, block):
+        x, labels = case
+        with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
+            assert outcome(metrics.silhouette, x, labels) == outcome(silhouette_dense, x, labels)
+
+
+# ---------------------------------------------------------------------------
+# cophenetic_dendrogram filled an n x n height matrix and read its upper
+# triangle; it now writes each split's height straight into condensed
+# order. The dense version is kept here as the reference.
+
+
+def cophenetic_dendrogram_dense(data, split_tree):
+    x = np.asarray(data, dtype=np.float64)
+    n = x.shape[0]
+    coph = np.zeros((n, n))
+
+    def fill(node):
+        if node.children is None:
+            return
+        left, right = node.children
+        coph[np.ix_(left.indices, right.indices)] = node.h
+        coph[np.ix_(right.indices, left.indices)] = node.h
+        fill(left)
+        fill(right)
+
+    fill(split_tree)
+    iu = np.triu_indices(n, k=1)
+    euclid = pdist(x)
+    heights = coph[iu]
+    if heights.std() == 0.0 or euclid.std() == 0.0:
+        raise ValueError("degenerate distances; cophenetic correlation undefined")
+    return float(np.corrcoef(euclid, heights)[0, 1])
+
+
+def random_split_tree(indices, heights, rng, next_id=0):
+    """A random binary split tree over ``indices``; internal nodes draw their h from ``heights``."""
+    node = SplitNode(next_id, indices)
+    if indices.size >= 2 and rng.random() < 0.8:
+        shuffled = rng.permutation(indices)
+        cut = int(rng.integers(1, indices.size))
+        left = random_split_tree(np.sort(shuffled[:cut]), heights, rng, 2 * next_id + 1)
+        right = random_split_tree(np.sort(shuffled[cut:]), heights, rng, 2 * next_id + 2)
+        node.h = float(rng.choice(heights))
+        node.children = (left, right)
+    return node
+
+
+class TestDendrogramMatchesDense:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 2**32))
+    def test_random_trees_bitwise(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, (n, d)).astype(np.float64)  # ties and duplicate rows
+        heights = np.r_[0.0, rng.normal(0, 1, 3), rng.uniform(0, 1e3, 3)]
+        tree = random_split_tree(np.arange(n), heights, rng)
+        assert outcome(metrics.cophenetic_dendrogram, x, tree) == outcome(cophenetic_dendrogram_dense, x, tree)
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_divisive_trees_bitwise(self, k):
+        data, _ = make_blobs(4, 25, dim=6, seed=k)
+        tree = divisive_cluster(data, k, seed=1).split_tree
+        assert outcome(metrics.cophenetic_dendrogram, data, tree) == outcome(
+            cophenetic_dendrogram_dense, data, tree
+        )

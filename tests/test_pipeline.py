@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
-from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram
+from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram, trees
 from edm_atlas.audio import load_wav, save_wav, synth_click_track
 from edm_atlas.cluster import select_natural_k
 from edm_atlas.cli import build_parser
@@ -96,7 +96,7 @@ class TestExtract:
         assert "kick_house_00" in caplog.text
 
     def test_rerun_identical_csv(self, fixture_run, tmp_path):
-        # default worker count (logical cores) must reproduce the sequential bytes
+        # the default worker count (the CPUs this process may use) must reproduce the sequential bytes
         cfg = RunConfig(manifest=fixture_run.manifest, out=str(tmp_path / "again"), seed=7)
         cmd_extract(cfg)
         original = (Path(fixture_run.out) / "features.csv").read_bytes()
@@ -236,8 +236,29 @@ class TestExtractWorkers:
         assert matrix.shape[0] == tracks and failed == []
 
 
+def forest_case(seed=5):
+    """A small labelled matrix of noise, which the forests split many times."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(0, 1, (30, 6)), np.repeat(np.arange(3), 10)
+
+
 class TestAnalysisWorkers:
-    """The bootstrap and the sweep size their pools as extraction does."""
+    """The forests, the bootstrap and the sweep size their pools as extraction does."""
+
+    @pytest.mark.parametrize(("workers", "expected"), [(1, []), (3, [3]), (500, [trees.N_TREES])])
+    def test_forest_pool_size(self, recording_pool, workers, expected):
+        data, truth = forest_case()
+        for mode in ("random_forest", "extra_trees"):
+            trees.forest_gini_importance(data, truth, mode=mode, seed=1, workers=workers)
+        assert recording_pool == expected * 2
+
+    def test_selection_pool_sizes(self, fixture_run, tmp_path, recording_pool):
+        (tmp_path / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+        cfg = RunConfig(manifest=fixture_run.manifest, out=str(tmp_path), seed=7, workers=2)
+        pipeline.prepare_selected(cfg, lambda n: None)
+        assert recording_pool == [2, 2]  # one pool per forest
+        selected = (Path(fixture_run.out) / "selected.csv").read_bytes()
+        assert (tmp_path / "selected.csv").read_bytes() == selected
 
     @pytest.mark.parametrize(
         ("workers", "B", "expected"), [(1, 6, []), (8, 1, []), (8, 6, [6]), (3, 6, [3])]
@@ -268,10 +289,15 @@ class TestAnalysisWorkers:
         pooled = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=2)
         single = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=1)
         assert pooled.consensus.tobytes() == single.consensus.tobytes()
+        data, truth = forest_case()
+        for mode in ("random_forest", "extra_trees"):
+            pooled = trees.forest_gini_importance(data, truth, mode=mode, seed=2, workers=2)
+            single = trees.forest_gini_importance(data, truth, mode=mode, seed=2, workers=1)
+            assert pooled.tobytes() == single.tobytes()
 
     def test_tasks_and_clusterers_pickle(self):
         data = np.arange(20.0)[:, None]
-        for task in (metrics._resample, cluster._sweep_point, pipeline._extract_worker):
+        for task in (metrics._resample, cluster._sweep_point, pipeline._extract_worker, trees._grow_tree):
             assert pickle.loads(pickle.dumps(task)) is task  # sent by import path
         child = np.random.SeedSequence(3).spawn(1)[0]
         for clusterer in (partial(pipeline._kmeans_labels, k=4), partial(pipeline._divisive_labels, k=4)):
@@ -435,6 +461,16 @@ class TestConfig:
         assert cfg.seed == 9  # flag overrides
         assert cfg.method == "divisive"
         assert cfg.workers == 2
+
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        # a process pinned to 2 of 64 CPUs must not start 64 workers
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
+        assert RunConfig().workers == 2
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+        assert RunConfig().workers == 64
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+        assert RunConfig().workers == 1
 
     def test_unknown_key(self, tmp_path):
         conf = tmp_path / "bad.conf"

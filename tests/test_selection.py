@@ -22,7 +22,8 @@ from edm_atlas.selection import (
     variance_score,
 )
 from edm_atlas.table import FeatureMatrix
-from edm_atlas.trees import _best_split_random, _gini
+from edm_atlas import trees
+from edm_atlas.trees import _best_split_random, _best_split_scan, _gini
 
 
 def matrix_of(data, groups=None, names=None):
@@ -371,6 +372,41 @@ class TestMutualInfoMatchesLoop:
         assert mutual_info(m, labels, bins=bins).tobytes() == mutual_info_loop(m, labels, bins).tobytes()
 
 
+def forest_reference(X, y, mode, seed):
+    """The forest grown serially, each split added to the importances as it is made."""
+    X = np.asarray(X, dtype=np.float64)
+    classes, y_idx = np.unique(y, return_inverse=True)
+    n, d = X.shape
+    y_onehot = np.zeros((n, classes.size))
+    y_onehot[np.arange(n), y_idx] = 1.0
+    m_try = max(1, int(round(np.sqrt(d))))
+    importance = np.zeros(d)
+    for child in np.random.SeedSequence(seed).spawn(trees.N_TREES):
+        rng = np.random.default_rng(child)
+        stack = [(rng.integers(0, n, n) if mode == "random_forest" else np.arange(n), 0)]
+        while stack:
+            idx, depth = stack.pop()
+            counts = y_onehot[idx].sum(axis=0)
+            node_gini = _gini(counts, idx.size)
+            if depth >= trees.MAX_DEPTH or idx.size < 2 * trees.MIN_LEAF or node_gini == 0.0:
+                continue
+            feats = rng.choice(d, size=m_try, replace=False)
+            x_sub = X[np.ix_(idx, feats)]
+            if mode == "random_forest":
+                found = _best_split_scan(x_sub, y_onehot[idx], trees.MIN_LEAF)
+            else:
+                found = _best_split_random(x_sub, y_onehot[idx], trees.MIN_LEAF, rng)
+            if found is None:
+                continue
+            col, threshold, weighted = found
+            importance[feats[col]] += max((idx.size / n) * (node_gini - weighted), 0.0)
+            mask = x_sub[:, col] <= threshold
+            stack.append((idx[mask], depth + 1))
+            stack.append((idx[~mask], depth + 1))
+    total = importance.sum()
+    return importance / total if total > 0 else importance
+
+
 class TestForestImportance:
     def planted(self, seed=12, n=200, d=10):
         rng = np.random.default_rng(seed)
@@ -399,6 +435,14 @@ class TestForestImportance:
         shared = forest_importance(matrix_of(dup), LabelVector(y, ["a", "b"]), "random_forest", seed=1)
         combined = shared[0] + shared[6]
         assert combined == pytest.approx(single[0], rel=0.3)
+
+    @pytest.mark.parametrize("mode", ["random_forest", "extra_trees"])
+    def test_tree_gains_add_as_the_serial_forest(self, mode):
+        rng = np.random.default_rng(14)
+        data = rng.normal(0, 1, (40, 9))
+        y = np.repeat(np.arange(4), 10)
+        got = trees.forest_gini_importance(data, y, mode=mode, seed=6)
+        assert got.tobytes() == forest_reference(data, y, mode, 6).tobytes()
 
     def test_deterministic(self):
         m, labels = self.planted()
