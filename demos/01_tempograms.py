@@ -52,6 +52,6 @@ for tg in (ftg, atg):
     print("  -> 64, 128, and 256 BPM would all land on the same bin: octaves are folded")
 
 print("\ntop-4 summary statistics (fourier):")
-vec = tempogram_summary(ftg, top_n=4)
+vec = tempogram_summary(ftg)
 for name, value in zip(vec.names, vec.values):
     print(f"  {name:36s} {value:10.4f}")

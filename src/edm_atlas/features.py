@@ -14,13 +14,8 @@ import logging
 import numpy as np
 from scipy.fft import dct
 
-from .audio import CANONICAL_RATE, Spectrogram, frame_blocks
-from .tempogram import (
-    LOG_COMPRESSION,
-    MIN_DURATION_S,
-    TrackAnalysis,
-    novelty_curve,
-)
+from .audio import Spectrogram, frame_blocks
+from .tempogram import LOG_COMPRESSION, TrackAnalysis, novelty_curve
 from .types import FeatureVector, stats_pair
 
 logger = logging.getLogger(__name__)
@@ -246,8 +241,6 @@ def dfa_exponent(series: np.ndarray, frame_rate: float) -> float:
 
 def danceability_dfa(analysis: TrackAnalysis) -> FeatureVector:
     """DFA exponent of the onset-strength envelope (1 dim)."""
-    if analysis.clip.duration < MIN_DURATION_S:
-        raise ValueError(f"danceability needs at least {MIN_DURATION_S:g} s of audio")
     nov = analysis.novelty
     alpha = dfa_exponent(nov.values, nov.frame_rate)
     return FeatureVector(np.array([alpha]), ["danceability_dfa"], ["rhythmic"])
@@ -307,17 +300,12 @@ _BLOCKS = (
 
 def fundamental_feature_vector(analysis: TrackAnalysis) -> FeatureVector:
     """The full 92-dim fundamental block of a track, in fixed schema order."""
-    clip = analysis.clip
-    if clip.sample_rate != CANONICAL_RATE:
-        raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")
-    if clip.duration < MIN_DURATION_S:
-        raise ValueError(f"fundamental features need at least {MIN_DURATION_S:g} s of audio")
     parts = []
     for block_name, fn in _BLOCKS:
         try:
             parts.append(fn(analysis))
         except Exception as exc:
-            raise ValueError(f"{block_name} features failed for {clip.source_id!r}: {exc}") from exc
+            raise ValueError(f"{block_name} features failed for {analysis.clip.source_id!r}: {exc}") from exc
     vec = FeatureVector.concat(parts)
     assert len(vec) == 92, f"fundamental schema drifted: {len(vec)} dims"
     return vec

@@ -430,7 +430,9 @@ def cmd_plot(cfg: RunConfig) -> Path:
         labels,
         title=f"PCA projection (var {variances[0]:.3g} / {variances[1]:.3g})",
     )
-    out_path = Path(cfg.out) / "scatter.svg"
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "scatter.svg"
     out_path.write_text(svg, encoding="utf-8")
     return out_path
 

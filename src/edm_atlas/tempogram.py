@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioClip, Spectrogram, frame_blocks, stft
+from .audio import CANONICAL_RATE, AudioClip, Spectrogram, frame_blocks, stft
 from .types import FeatureVector
 
 TEMPO_MIN = 30
@@ -25,8 +25,7 @@ TEMPO_MAX = 480
 TEMPO_AXIS = np.arange(TEMPO_MIN, TEMPO_MAX + 1, dtype=np.float64)
 
 ANALYSIS_WINDOW_S = 8.0
-MIN_DURATION_S = 10.0  # shortest clip the tempogram, fundamental and danceability blocks accept
-MIN_BEAT_DURATION_S = 5.0  # shortest clip analyze_track accepts
+MIN_DURATION_S = 10.0  # shortest clip analyze_track accepts: its ~9.9 s novelty curve fills the window
 ANALYSIS_HOP_S = 1.0
 LOG_COMPRESSION = 1000.0
 REF_TEMPO = 60.0
@@ -113,8 +112,8 @@ def novelty_curve(spec: Spectrogram) -> NoveltyCurve:
     return NoveltyCurve(novelty, spec.frame_rate)
 
 
-def _frame_params(nov: NoveltyCurve, window_s: float) -> tuple[int, int]:
-    win = int(round(window_s * nov.frame_rate))
+def _frame_params(nov: NoveltyCurve) -> tuple[int, int]:
+    win = int(round(ANALYSIS_WINDOW_S * nov.frame_rate))
     hop = max(1, int(round(ANALYSIS_HOP_S * nov.frame_rate)))
     if nov.values.size < win:
         raise ValueError(
@@ -142,19 +141,19 @@ def _fourier_kernel(win: int, frame_rate: float) -> np.ndarray:
     return kernel
 
 
-def fourier_tempogram(nov: NoveltyCurve, window_s: float = ANALYSIS_WINDOW_S) -> Tempogram:
+def fourier_tempogram(nov: NoveltyCurve) -> Tempogram:
     """Magnitude of the windowed Fourier coefficient at each tempo's rate.
 
     For tempo tau (BPM) the probed frequency is tau/60 Hz; each analysis
     window is Hann-tapered before the inner product.
     """
-    win, hop = _frame_params(nov, window_s)
+    win, hop = _frame_params(nov)
     segs = _segments(nov.values, win, hop)
     mags = np.abs(segs @ _fourier_kernel(win, nov.frame_rate))
     return Tempogram(mags, TEMPO_AXIS.copy(), kind="fourier")
 
 
-def autocorr_tempogram(nov: NoveltyCurve, window_s: float = ANALYSIS_WINDOW_S) -> Tempogram:
+def autocorr_tempogram(nov: NoveltyCurve) -> Tempogram:
     """Windowed normalized autocorrelation mapped onto the BPM axis.
 
     Each Hann-tapered window is autocorrelated (biased estimate, normalized
@@ -162,7 +161,7 @@ def autocorr_tempogram(nov: NoveltyCurve, window_s: float = ANALYSIS_WINDOW_S) -
     lag-domain curve is linearly interpolated onto the shared 1-BPM grid.
     An all-zero window yields an all-zero row.
     """
-    win, hop = _frame_params(nov, window_s)
+    win, hop = _frame_params(nov)
     segs = _segments(nov.values, win, hop) * np.hanning(win)
 
     nfft = int(2 ** np.ceil(np.log2(2 * win)))
@@ -212,24 +211,20 @@ def cyclic_tempogram(tg: Tempogram) -> CyclicTempogram:
     return CyclicTempogram(np.clip(mags, 0.0, None), scales, REF_TEMPO, kind)
 
 
-def tempogram_summary(tg: Tempogram | CyclicTempogram, top_n: int = TOP_BINS) -> FeatureVector:
-    """Per-bin statistics of the strongest tempo (or scale) bins.
+def tempogram_summary(tg: Tempogram | CyclicTempogram) -> FeatureVector:
+    """Per-bin statistics of the TOP_BINS (4) strongest tempo (or scale) bins.
 
-    Bins are ranked by time-averaged magnitude; each of the top_n bins
+    Bins are ranked by time-averaged magnitude; each of the top bins
     contributes its axis value (BPM or scale), time-mean magnitude, temporal
     std, and strength relative to the rank-1 bin. An all-zero tempogram
     yields an all-zero summary.
     """
-    if top_n < 1:
-        raise ValueError("top_n must be at least 1")
     axis = tg.tempo_axis if isinstance(tg, Tempogram) else tg.scale_axis
     axis_name = "bpm" if isinstance(tg, Tempogram) else "scale"
-    if top_n > axis.size:
-        raise ValueError(f"top_n {top_n} exceeds {axis.size} bins")
 
     mean_mag = tg.magnitudes.mean(axis=0)
     std_mag = tg.magnitudes.std(axis=0)
-    order = np.argsort(-mean_mag, kind="stable")[:top_n]
+    order = np.argsort(-mean_mag, kind="stable")[:TOP_BINS]
     strongest = mean_mag[order[0]]
 
     values, names, groups = [], [], []
@@ -252,7 +247,8 @@ class TrackAnalysis:
     """What every feature block of one track reads, computed once.
 
     The clip, its spectrogram, its onset novelty curve, and the Fourier and
-    autocorrelation tempograms.
+    autocorrelation tempograms. Built by analyze_track, so the clip is at the
+    canonical rate and at least MIN_DURATION_S long.
     """
 
     clip: AudioClip
@@ -263,25 +259,23 @@ class TrackAnalysis:
 
 
 def analyze_track(clip: AudioClip) -> TrackAnalysis:
-    """STFT, novelty curve and both tempograms of a clip of 5 s or more.
+    """STFT, novelty curve and both tempograms of a 22050 Hz clip of 10 s or more.
 
-    The tempograms use the 8 s analysis window, or one as long as the
-    novelty curve when that is shorter (clips under about 8 s).
+    The tempograms use the 8 s analysis window. This is the one precondition
+    of every feature block: a clip at another rate, or shorter than
+    MIN_DURATION_S, raises ValueError before the STFT.
     """
-    if clip.duration < MIN_BEAT_DURATION_S:
-        raise ValueError(f"track analysis needs at least {MIN_BEAT_DURATION_S:g} s of audio")
+    if clip.sample_rate != CANONICAL_RATE:
+        raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")
+    if clip.duration < MIN_DURATION_S:
+        raise ValueError(f"track analysis needs at least {MIN_DURATION_S:g} s of audio")
     spec = stft(clip)
     nov = novelty_curve(spec)
-    window_s = min(ANALYSIS_WINDOW_S, nov.values.size / nov.frame_rate)
-    return TrackAnalysis(
-        clip, spec, nov, fourier_tempogram(nov, window_s), autocorr_tempogram(nov, window_s)
-    )
+    return TrackAnalysis(clip, spec, nov, fourier_tempogram(nov), autocorr_tempogram(nov))
 
 
 def tempogram_feature_vector(analysis: TrackAnalysis) -> FeatureVector:
     """64-dim tempogram block: 4 representations x top-4 bins x 4 statistics."""
-    if analysis.clip.duration < MIN_DURATION_S:
-        raise ValueError(f"tempogram features need at least {MIN_DURATION_S:g} s of audio")
     ftg, atg = analysis.fourier, analysis.autocorr
     views = (ftg, atg, cyclic_tempogram(ftg), cyclic_tempogram(atg))
     return FeatureVector.concat([tempogram_summary(tg) for tg in views])

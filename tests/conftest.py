@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,23 @@ def click_128_long():
 @pytest.fixture(scope="session")
 def noise_clip():
     return synth_noise(12, seed=11)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` in every edm_atlas module that holds it; return the call log."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("edm_atlas"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
 
 
 def make_blobs(n_blobs, per_blob, dim=8, sigma=1.0, seed=0, spread=100.0):

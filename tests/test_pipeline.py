@@ -3,7 +3,6 @@ import hashlib
 import json
 import multiprocessing
 import pickle
-import sys
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -14,7 +13,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import count_calls, make_blobs
 from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram, trees
 from edm_atlas.audio import load_wav, save_wav, synth_click_track
 from edm_atlas.cluster import select_natural_k
@@ -111,23 +110,6 @@ class TestExtract:
         seq = (Path(fixture_run.out) / "features.csv").read_bytes()
         par = (tmp_path / "par" / "features.csv").read_bytes()
         assert seq == par
-
-
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Wrap ``module.name`` in every edm_atlas module that holds it; return the call log."""
-    original = getattr(module, name)
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("edm_atlas"):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
-    return calls
 
 
 def write_manifest(base: Path, durations: dict[str, float]) -> Path:
@@ -893,6 +875,11 @@ class TestNamesNeedingQuotes:
         common = ["--manifest", str(manifest), "--out", str(out), "--workers", "1", "--embeddings", str(emb)]
         assert cli_main(["cluster", *common, "--k", "3", "--restarts", "3"]) == 0
         assert cli_main(["plot", *common]) == 0
+        # plot creates a fresh --out, as extract, cluster and sweep do
+        fresh = tmp_path / "fresh"
+        argv = ["plot", "--manifest", str(manifest), "--out", str(fresh), "--embeddings", str(emb)]
+        assert cli_main([*argv, "--labels", str(out / "labels_kmeans.csv")]) == 0
+        ET.parse(fresh / "scatter.svg")
 
         assert_outputs_read_back(out)
         labels = load_labels(out / "labels_kmeans.csv", ids)

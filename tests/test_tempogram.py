@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import count_calls
+from edm_atlas import audio
 from edm_atlas.audio import AudioClip, Spectrogram, stft, synth_click_track
 from edm_atlas.tempogram import (
     NoveltyCurve,
@@ -139,36 +141,45 @@ class TestCyclicTempogram:
 class TestTempogramSummary:
     def test_click_rank1(self, click_120):
         tg = fourier_tempogram(novelty_curve(stft(click_120)))
-        vec = tempogram_summary(tg, top_n=4)
+        vec = tempogram_summary(tg)
         values = dict(zip(vec.names, vec.values))
         assert abs(values["tg_fourier_r1_bpm"] - 120.0) <= 1.0
         assert values["tg_fourier_r1_rel_strength"] == 1.0
 
     def test_zero_tempogram(self):
         tg = Tempogram(np.zeros((5, 451)), np.arange(30, 481, dtype=float))
-        vec = tempogram_summary(tg, top_n=4)
+        vec = tempogram_summary(tg)
         assert np.all(vec.values == 0.0)
 
     def test_stationary_zero_std(self):
         rng = np.random.default_rng(0)
         row = rng.uniform(0, 1, 451)
         tg = Tempogram(np.tile(row, (6, 1)), np.arange(30, 481, dtype=float))
-        vec = tempogram_summary(tg, top_n=3)
+        vec = tempogram_summary(tg)
         stds = [v for n, v in zip(vec.names, vec.values) if n.endswith("mag_std")]
         assert np.all(np.array(stds) <= 1e-12)
 
     def test_rank_monotonicity(self, noise_clip):
         tg = fourier_tempogram(novelty_curve(stft(noise_clip)))
-        vec = tempogram_summary(tg, top_n=4)
+        vec = tempogram_summary(tg)
         means = [v for n, v in zip(vec.names, vec.values) if n.endswith("mag_mean")]
         assert all(means[i] >= means[i + 1] for i in range(len(means) - 1))
 
-    def test_top_n_bounds(self, click_120):
-        tg = fourier_tempogram(novelty_curve(stft(click_120)))
-        with pytest.raises(ValueError):
-            tempogram_summary(tg, top_n=0)
-        with pytest.raises(ValueError):
-            tempogram_summary(tg, top_n=452)
+
+class TestAnalyzeTrack:
+    @pytest.mark.parametrize(
+        "clip, message",
+        [
+            (AudioClip(np.zeros(44100 * 11), 44100), "canonical 22050 Hz"),
+            (AudioClip(np.zeros(int(22050 * 9.9)), 22050), "at least 10 s of audio"),
+        ],
+        ids=["44100_hz", "9.9_s"],
+    )
+    def test_rejected_before_stft(self, monkeypatch, clip, message):
+        stft_calls = count_calls(monkeypatch, audio, "stft")
+        with pytest.raises(ValueError, match=message):
+            analyze_track(clip)
+        assert stft_calls == []
 
 
 class TestTempogramFeatureVector:
