@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 KMEANS_RESTARTS = 50
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
+KMEANS_BLOCK = 1 << 18  # entries of the (restarts, n, k) distance array kmeans holds at once
 SPLIT_RESTARTS = 10
 H_SPLIT_RESTARTS = 5
 H_MIN_SIZE = 4
@@ -98,76 +99,124 @@ class ClusterModel:
         )
 
 
-def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _d2_draws(d2: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One D^2 draw per row of ``d2``, with restart r drawing from ``rngs[r]``.
+
+    Each draw is what ``rngs[r].choice(n, p=d2[r] / d2[r].sum())`` returns:
+    the count of entries of the normalised cumsum at or below one
+    ``random()``. A row that sums to 0 (every point on a chosen centroid)
+    draws ``integers(n)`` instead.
+    """
+    block, n = d2.shape
+    total = d2.sum(axis=1)
+    if not np.all(np.isfinite(total)):
+        raise ValueError("k-means++ squared distances overflow float64; rescale the data")
+    positive = total > 0
+    cdf = np.cumsum(d2[positive] / total[positive, None], axis=1)
+    cdf /= cdf[:, -1:]
+    draws = np.empty(block, dtype=np.int64)
+    u = np.array([rngs[r].random() for r in np.flatnonzero(positive)])
+    draws[positive] = (cdf <= u[:, None]).sum(axis=1)
+    for r in np.flatnonzero(~positive):
+        draws[r] = rngs[r].integers(n)
+    return draws
+
+
+def _plus_plus_seeds(x: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeds of every restart in ``rngs``: a (restarts, k, d) stack."""
     n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    centroids = np.empty((len(rngs), k, x.shape[1]))
+    centroids[:, 0] = x[[rng.integers(n) for rng in rngs]]
+    d2 = np.stack([((x - c) ** 2).sum(axis=1) for c in centroids[:, 0]])
     for i in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)  # all points coincide with chosen centroids
-        centroids[i] = x[idx]
-        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+        centroids[:, i] = x[_d2_draws(d2, rngs)]
+        if i < k - 1:  # the last seed's distances are never drawn from
+            for r, c in enumerate(centroids[:, i]):
+                np.minimum(d2[r], ((x - c) ** 2).sum(axis=1), out=d2[r])
     return centroids
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid and squared distance per row; ``x_sq`` is ``(x**2).sum(axis=1)``."""
-    d2 = x_sq[:, None] - 2.0 * x @ centroids.T + (centroids**2).sum(axis=1)[None, :]
+def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid and squared distance per row of each restart: two (restarts, n) arrays.
+
+    ``x_sq`` is ``(x**2).sum(axis=1)``. numpy runs the stacked product as
+    one gemm per restart, the same call as ``2.0 * x @ centroids[r].T``
+    alone. ``2.0 * x`` is a temporary: kept for the whole call, it would
+    sit beside each restart's gathered rows and add n * d floats to the peak.
+    """
+    d2 = x_sq[None, :, None] - 2.0 * x @ centroids.transpose(0, 2, 1) + (centroids**2).sum(axis=2)[:, None, :]
     np.clip(d2, 0.0, None, out=d2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(x.shape[0]), labels]
+    labels = np.argmin(d2, axis=2)
+    nearest = d2.reshape(-1, d2.shape[2])[np.arange(labels.size), labels.ravel()]
+    return labels, nearest.reshape(labels.shape)
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray):
-    k = centroids.shape[0]
-    x_sq = (x**2).sum(axis=1)
+def _counts(labels: np.ndarray, k: int) -> np.ndarray:
+    """Cluster sizes of each row of a (restarts, n) label stack: a (restarts, k) array."""
+    key = labels + k * np.arange(labels.shape[0])[:, None]
+    return np.bincount(key.ravel(), minlength=labels.shape[0] * k).reshape(-1, k)
+
+
+def _lockstep_lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray):
+    """Lloyd's algorithm from each start of a (restarts, k, d) stack, all in one loop.
+
+    A restart leaves the loop at its own ``shift < KMEANS_TOL``. Returns the
+    (restarts, n) labels, and each restart's inertia and count of refilled
+    clusters.
+    """
+    k = centroids.shape[1]
+    active = np.arange(centroids.shape[0])
     for _ in range(KMEANS_MAX_ITER):
-        labels, d2 = _assign(x, centroids, x_sq)
-        counts = np.bincount(labels, minlength=k)
+        current = centroids[active]
+        labels, d2 = _assign(x, x_sq, current)
+        counts = _counts(labels, k)
         # a stable sort keeps each cluster's rows in index order, so every
-        # slice is the same C-contiguous rows as x[labels == c], and its sum
-        # over the count is bitwise that mask's mean (np.add.reduceat rounds
-        # differently)
-        grouped = x[np.argsort(labels, kind="stable")]
-        ends = np.cumsum(counts)
-        filled = np.flatnonzero(counts)
-        new_centroids = centroids.copy()
-        for c in filled:
-            new_centroids[c] = np.add.reduce(grouped[ends[c] - counts[c] : ends[c]], axis=0)
-        new_centroids[filled] /= counts[filled, None]
+        # slice is the same C-contiguous rows as x[labels[j] == c], and its
+        # sum over the count is bitwise that mask's mean (np.add.reduceat
+        # rounds differently)
+        order = np.argsort(labels, axis=1, kind="stable")
+        new = current.copy()
+        for j, (rows, ends) in enumerate(zip(order, np.cumsum(counts, axis=1).tolist())):
+            grouped = x[rows]  # one restart's rows at a time
+            start = 0
+            for c, end in enumerate(ends):
+                if end > start:
+                    new[j, c] = np.add.reduce(grouped[start:end], axis=0)
+                start = end
+        filled = counts > 0
+        new[filled] /= counts[filled][:, None]
         # repair empty clusters with the point farthest from its centroid
-        for c in range(k):
-            if counts[c] == 0:
-                far = int(np.argmax(d2))
-                new_centroids[c] = x[far]
-                counts[labels[far]] -= 1
-                counts[c] += 1
-                labels[far] = c
-                d2[far] = 0.0
-        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-        centroids = new_centroids
-        if shift < KMEANS_TOL:
+        for j in np.flatnonzero(~filled.all(axis=1)):
+            for c in range(k):
+                if counts[j, c] == 0:
+                    far = int(np.argmax(d2[j]))
+                    new[j, c] = x[far]
+                    counts[j, labels[j, far]] -= 1
+                    counts[j, c] += 1
+                    labels[j, far] = c
+                    d2[j, far] = 0.0
+        shift = np.sqrt(((new - current) ** 2).sum(axis=2)).max(axis=1)
+        centroids[active] = new
+        active = active[~(shift < KMEANS_TOL)]
+        if active.size == 0:
             break
-    labels, d2 = _assign(x, centroids, x_sq)
-    counts = np.bincount(labels, minlength=k)
-    refilled = 0
-    for c in range(k):  # final safety: never return an empty cluster
-        if counts[c] == 0:
-            # the donor must leave a nonempty cluster behind; with duplicate
-            # rows every d2 may be 0, so argmax alone could pick one twice
-            far = int(np.argmax(np.where(counts[labels] >= 2, d2, -1.0)))
-            counts[labels[far]] -= 1
-            counts[c] = 1
-            labels[far] = c
-            d2[far] = 0.0
-            centroids[c] = x[far]
-            refilled += 1
+    labels, d2 = _assign(x, x_sq, centroids)
+    counts = _counts(labels, k)
+    refilled = [0] * centroids.shape[0]
+    for j in np.flatnonzero((counts == 0).any(axis=1)):
+        for c in range(k):  # final safety: never return an empty cluster
+            if counts[j, c] == 0:
+                # the donor must leave a nonempty cluster behind; with duplicate
+                # rows every d2 may be 0, so argmax alone could pick one twice
+                far = int(np.argmax(np.where(counts[j, labels[j]] >= 2, d2[j], -1.0)))
+                counts[j, labels[j, far]] -= 1
+                counts[j, c] = 1
+                labels[j, far] = c
+                d2[j, far] = 0.0
+                centroids[j, c] = x[far]
+                refilled[j] += 1
     # exact inertia: the fast expansion above carries cancellation roundoff
-    inertia = float(((x - centroids[labels]) ** 2).sum())
+    inertia = [float(((x - means[rows]) ** 2).sum()) for means, rows in zip(centroids, labels)]
     return labels, inertia, refilled
 
 
@@ -177,18 +226,29 @@ def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> Clus
     Deterministic for a fixed seed; restart r uses the r-th spawned child
     seed and ties in inertia resolve to the lowest restart index. A model
     whose empty clusters were refilled carries a warning; the caller logs it.
+
+    The restarts run in lockstep, in blocks of ``KMEANS_BLOCK // (n * k)``
+    (at least one): one D^2 draw pass per seed for the whole block, then
+    per Lloyd iteration one stacked nearest-centroid product and one sort
+    that groups every restart's rows. Each block holds one (block, n, k)
+    float64 distance array of at most ``KMEANS_BLOCK`` entries (or n * k).
+    Every restart computes the same floats as it would alone.
     """
     x = _as_array(data)
     n = x.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"k must lie in [2, {n}], got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
+    x_sq = (x**2).sum(axis=1)
+    block = max(1, KMEANS_BLOCK // (n * k))
     best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        centroids = _plus_plus_init(x, k, rng)
-        result = _lloyd(x, centroids)
-        if best is None or result[1] < best[1]:
-            best = result
+    for start in range(0, restarts, block):
+        centroids = _plus_plus_seeds(x, k, rngs[start : start + block])
+        for result in zip(*_lockstep_lloyd(x, x_sq, centroids)):
+            if best is None or result[1] < best[1]:
+                best = result
     labels, inertia, refilled = best
     warning = None
     if refilled:

@@ -219,6 +219,19 @@ def _pair_index(i, j, n: int):
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
+def _add_votes(votes: np.ndarray, seen: np.ndarray, idx: np.ndarray, labels: np.ndarray, n: int) -> None:
+    """Count one resample's pairs into the condensed ``votes`` and ``seen``.
+
+    ``idx`` holds the sorted distinct rows drawn and ``labels`` their
+    clusters. One drawn row at a time, so the pair indices take O(n)
+    memory, not O(idx.size ** 2).
+    """
+    for a in range(idx.size - 1):
+        pair = _pair_index(idx[a], idx[a + 1 :], n)  # distinct: idx is sorted and unique
+        seen[pair] += 1
+        votes[pair] += labels[a] == labels[a + 1 :]
+
+
 def _resample(shared, task) -> tuple[np.ndarray, np.ndarray]:
     """One bootstrap task: the sorted distinct rows drawn and their labels."""
     x, clusterer = shared
@@ -262,11 +275,7 @@ def cophenetic_bootstrap(
     votes = np.zeros(n * (n - 1) // 2, dtype=np.uint16)
     seen = np.zeros_like(votes)
     for idx, labels in pool_map(_resample, (x, clusterer), tasks, workers):
-        left, right = np.triu_indices(idx.size, k=1)
-        i, j = idx[left], idx[right]
-        pair = _pair_index(i, j, n)  # distinct: idx is sorted and unique
-        seen[pair] += 1
-        votes[pair] += labels[left] == labels[right]
+        _add_votes(votes, seen, idx, labels, n)
 
     # the full-data co-assignment, condensed row by row
     same = np.empty(votes.size, dtype=bool)

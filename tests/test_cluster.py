@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_blobs
-from edm_atlas import metrics
+from edm_atlas import cluster, metrics
 from edm_atlas.cluster import (
     KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
     KMEANS_TOL,
-    _lloyd,
-    _plus_plus_init,
+    ClusterModel,
+    _d2_draws,
+    _lockstep_lloyd,
+    _plus_plus_seeds,
     divisive_cluster,
     heterogeneity,
     kmeans,
@@ -75,6 +80,21 @@ class TestKmeans:
             kmeans(data, 1)
         with pytest.raises(ValueError):
             kmeans(data, 11)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(np.eye(4), 2, restarts=restarts)
+
+    def test_overflowing_distances(self):
+        # squared distances of 1e200 coordinates are inf: numpy's choice, which
+        # seeding used to call, raised "Probabilities contain NaN" here
+        data = np.array([[0.0], [1e200], [2e200], [3e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                kmeans(data, 2)
+            with pytest.raises(ValueError):
+                kmeans_reference(data, 2)
 
     def test_label_permutation_leaves_metrics_unchanged(self):
         data, _ = make_blobs(3, 30, seed=4)
@@ -183,9 +203,27 @@ class TestSelectNaturalK:
 
 
 # ---------------------------------------------------------------------------
-# _lloyd groups the rows once per iteration (bincount plus a stable argsort)
-# and squares x once per call. The per-cluster mask loop it replaced is kept
-# here as the reference, and the result must match it bit for bit.
+# kmeans runs the restarts of a call in lockstep: one D^2 draw pass per seed
+# (_plus_plus_seeds), then one stacked assign and one grouped update per Lloyd
+# iteration (_lockstep_lloyd). The per-restart kmeans it replaced is kept
+# here as the reference, on the per-cluster mask loop, and every result must
+# match it bit for bit.
+
+
+def _plus_plus_init(x, k, rng):
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)  # all points coincide with chosen centroids
+        centroids[i] = x[idx]
+        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+    return centroids
 
 
 def assign_reference(x, centroids):
@@ -230,14 +268,47 @@ def lloyd_reference(x, centroids):
     return labels, inertia, refilled
 
 
-def same_lloyd(x, centroids):
-    got_labels, got_inertia, got_refilled = _lloyd(x, centroids.copy())
-    want_labels, want_inertia, want_refilled = lloyd_reference(x, centroids.copy())
+def kmeans_reference(data, k, restarts=KMEANS_RESTARTS, seed=0):
+    x = np.asarray(data, dtype=np.float64)
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        result = lloyd_reference(x, _plus_plus_init(x, k, np.random.default_rng(child)))
+        if best is None or result[1] < best[1]:
+            best = result
+    labels, inertia, refilled = best
+    warning = None
+    if refilled:
+        warning = (
+            f"{refilled} of k={k} clusters were empty after k-means and each took one point "
+            "from a larger cluster; the data may have fewer than k distinct rows"
+        )
+    return ClusterModel(labels, k, inertia, method="kmeans", seed=seed, warning=warning)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def same_model(got, want):
     return (
-        got_labels.tobytes() == want_labels.tobytes()
-        and np.float64(got_inertia).tobytes() == np.float64(want_inertia).tobytes()
-        and got_refilled == want_refilled
+        same_bits(got.labels, want.labels)
+        and same_bits(np.float64(got.inertia), np.float64(want.inertia))
+        and got.warning == want.warning
     )
+
+
+def same_lloyd(x, starts):
+    """``_lockstep_lloyd`` on a (restarts, k, d) stack against the mask loop from each start."""
+    labels, inertia, refilled = _lockstep_lloyd(x, (x**2).sum(axis=1), starts.copy())
+    for r, start in enumerate(starts):
+        want_labels, want_inertia, want_refilled = lloyd_reference(x, start.copy())
+        if not (
+            same_bits(labels[r], want_labels)
+            and same_bits(np.float64(inertia[r]), np.float64(want_inertia))
+            and refilled[r] == want_refilled
+        ):
+            return False
+    return True
 
 
 # small integers make duplicate rows and tied distances common
@@ -248,42 +319,159 @@ lloyd_coordinate = st.one_of(
 
 
 @st.composite
-def lloyd_cases(draw):
-    n = draw(st.integers(2, 40))
+def point_sets(draw, max_n=40):
+    """Rows drawn from fewer distinct rows, so that duplicates and constant sets are common."""
+    n = draw(st.integers(2, max_n))
     d = draw(st.integers(1, 4))
     n_distinct = draw(st.integers(1, n))
     base = np.array(
         draw(st.lists(st.lists(lloyd_coordinate, min_size=d, max_size=d), min_size=n_distinct, max_size=n_distinct))
     )
-    x = base[draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))]
+    return base[draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))]
+
+
+@st.composite
+def lloyd_cases(draw):
+    x = draw(point_sets())
+    n = x.shape[0]
     k = draw(st.integers(2, n))
-    start = draw(st.sampled_from(["plus_plus", "rows", "far"]))
-    if start == "plus_plus":
-        centroids = _plus_plus_init(x, k, np.random.default_rng(draw(st.integers(0, 2**32))))
-    elif start == "rows":  # repeated starting rows tie, so some clusters start empty
-        centroids = x[draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))].copy()
-    else:  # centroids far outside the data, which no point is nearest to
-        centroids = x[:1].repeat(k, axis=0) + 1e5 * np.arange(k)[:, None]
-    return x, centroids
+    starts = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.sampled_from(["plus_plus", "rows", "far"]))
+        if start == "plus_plus":
+            starts.append(_plus_plus_init(x, k, np.random.default_rng(draw(st.integers(0, 2**32)))))
+        elif start == "rows":  # repeated starting rows tie, so some clusters start empty
+            starts.append(x[draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))])
+        else:  # centroids far outside the data, which no point is nearest to
+            starts.append(x[:1].repeat(k, axis=0) + 1e5 * np.arange(k)[:, None])
+    return x, np.stack(starts)
 
 
 class TestLloydMatchesMaskLoop:
     @settings(max_examples=300, deadline=None)
     @given(lloyd_cases())
     def test_bitwise(self, case):
-        x, centroids = case
-        assert same_lloyd(x, centroids)
+        x, starts = case
+        assert same_lloyd(x, starts)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_blobs_with_refills(self, seed):
         # 60 rows of 3 distinct points at k=6: empty clusters every iteration
         x = np.repeat(make_blobs(3, 1, dim=5, seed=seed)[0], 20, axis=0)
         for k in (3, 6, 60):
-            centroids = _plus_plus_init(x, k, np.random.default_rng(seed))
-            assert same_lloyd(x, centroids)
+            starts = np.stack([_plus_plus_init(x, k, np.random.default_rng(seed + r)) for r in range(3)])
+            assert same_lloyd(x, starts)
         assert kmeans(x, 6, restarts=3, seed=seed).warning is not None
 
     def test_wide_blobs(self):
         x = make_blobs(8, 15, dim=40, seed=3)[0]
-        for seed in range(5):
-            assert same_lloyd(x, _plus_plus_init(x, 8, np.random.default_rng(seed)))
+        starts = np.stack([_plus_plus_init(x, 8, np.random.default_rng(seed)) for seed in range(5)])
+        assert same_lloyd(x, starts)
+
+
+class TestSeedsMatchPerRestart:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(), st.integers(1, 6), st.integers(0, 2**32), st.data())
+    def test_bitwise(self, x, restarts, seed, data):
+        k = data.draw(st.integers(2, x.shape[0]))
+        children = np.random.SeedSequence(seed).spawn(restarts)
+        got = _plus_plus_seeds(x, k, [np.random.default_rng(child) for child in children])
+        want = np.stack([_plus_plus_init(x, k, np.random.default_rng(child)) for child in children])
+        assert same_bits(got, want)
+
+
+class TestD2DrawMatchesChoice:
+    """The inline draw must stay what numpy's ``Generator.choice(n, p=...)`` draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=n, max_size=n),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_bitwise(self, rows, seed):
+        d2 = np.array(rows)
+        n = d2.shape[1]
+        children = np.random.SeedSequence(seed).spawn(d2.shape[0])
+        got_rngs = [np.random.default_rng(child) for child in children]
+        want_rngs = [np.random.default_rng(child) for child in children]
+        got = _d2_draws(d2, got_rngs)
+        for r, rng in enumerate(want_rngs):
+            total = d2[r].sum()
+            want = rng.choice(n, p=d2[r] / total) if total > 0 else rng.integers(n)
+            assert got[r] == want
+        # each row used up as many random numbers as choice did
+        assert [rng.random() for rng in got_rngs] == [rng.random() for rng in want_rngs]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_on_a_step(self, seed):
+        # choice counts the steps at or below its random number
+        # (searchsorted side="right"): a number on a step draws the next index
+        u = np.random.default_rng(seed).random()
+        d2 = np.array([u, 1.0 - u])
+        assert d2.sum() == 1.0
+        want = np.random.default_rng(seed).choice(2, p=d2)
+        assert want == 1
+        assert _d2_draws(d2[None], [np.random.default_rng(seed)]).tolist() == [want]
+
+    def test_zero_entries_never_drawn(self):
+        d2 = np.array([[0.0, 2.0, 0.0, 0.0, 1.0, 0.0]] * 200)
+        draws = _d2_draws(d2, [np.random.default_rng(s) for s in range(200)])
+        assert set(draws.tolist()) == {1, 4}
+
+
+@st.composite
+def kmeans_cases(draw):
+    x = draw(point_sets(max_n=30))
+    n = x.shape[0]
+    k = draw(st.one_of(st.just(n), st.integers(2, n)))
+    return x, k, draw(st.integers(1, 12)), draw(st.integers(0, 2**32))
+
+
+class TestKmeansMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(kmeans_cases(), st.booleans())
+    def test_bitwise(self, case, one_per_block):
+        x, k, restarts, seed = case
+        block = 1 if one_per_block else cluster.KMEANS_BLOCK
+        with mock.patch.object(cluster, "KMEANS_BLOCK", block):
+            got = kmeans(x, k, restarts=restarts, seed=seed)
+        assert same_model(got, kmeans_reference(x, k, restarts=restarts, seed=seed))
+
+    @pytest.mark.parametrize(
+        "x, k",
+        [
+            (np.zeros((10, 3)), 3),
+            (np.repeat(np.array([[0.0, 1.0], [4.0, 4.0], [9.0, 0.0]]), 7, axis=0), 5),
+            (np.random.default_rng(0).normal(0, 1, (30, 1)), 4),
+            (np.random.default_rng(1).normal(0, 1, (12, 3)), 12),
+        ],
+        ids=["constant", "refills", "one_column", "k_equals_n"],
+    )
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_edge_cases(self, x, k, block):
+        block = cluster.KMEANS_BLOCK if block is None else block
+        with mock.patch.object(cluster, "KMEANS_BLOCK", block):
+            got = kmeans(x, k, restarts=12, seed=5)
+        assert same_model(got, kmeans_reference(x, k, restarts=12, seed=5))
+
+    def test_divisive_cluster(self, monkeypatch):
+        data = make_blobs(4, 15, dim=6, seed=5)[0]
+        got = divisive_cluster(data, 6, seed=3)
+        monkeypatch.setattr(cluster, "kmeans", kmeans_reference)
+        want = divisive_cluster(data, 6, seed=3)
+        assert same_model(got, want)
+        assert got.split_tree.to_dict() == want.split_tree.to_dict()
+
+    def test_select_natural_k(self, monkeypatch):
+        data = make_blobs(5, 12, dim=4, seed=6)[0]
+        got = select_natural_k(data, (2, 8), seed=1, restarts=6)
+        monkeypatch.setattr(cluster, "kmeans", kmeans_reference)
+        want = select_natural_k(data, (2, 8), seed=1, restarts=6)
+        for f in fields(got):
+            assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name

@@ -645,6 +645,43 @@ class TestBootstrapVotesMatchLoop:
             metrics.cophenetic_bootstrap(np.arange(20.0)[:, None], median_split, B=70000)
 
 
+# Each resample's votes were filled from triu_indices over all the pairs it
+# drew (int64 index arrays of about (0.63 n)^2 / 2 entries); _add_votes fills
+# them one drawn row at a time. The old fill is kept here as the reference,
+# and the counts must match it exactly.
+
+
+def add_votes_triu(votes, seen, idx, labels, n):
+    left, right = np.triu_indices(idx.size, k=1)
+    pair = metrics._pair_index(idx[left], idx[right], n)
+    seen[pair] += 1
+    votes[pair] += labels[left] == labels[right]
+
+
+@st.composite
+def resample_rounds(draw):
+    n = draw(st.integers(2, 40))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.int64)
+        labels = np.array(draw(st.lists(st.integers(0, 3), min_size=idx.size, max_size=idx.size)))
+        rounds.append((idx, labels))
+    return n, rounds
+
+
+class TestAddVotesMatchesTriuFill:
+    @settings(max_examples=200, deadline=None)
+    @given(resample_rounds())
+    def test_exact(self, case):
+        n, rounds = case
+        got = np.zeros((2, n * (n - 1) // 2), dtype=np.uint16)
+        want = np.zeros_like(got)
+        for idx, labels in rounds:
+            metrics._add_votes(got[0], got[1], idx, labels, n)
+            add_votes_triu(want[0], want[1], idx, labels, n)
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # silhouette took its distances from one n x n squareform(pdist(x)); it now
 # takes them from row blocks of cdist(x[rows], x). The dense version is kept
