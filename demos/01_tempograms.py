@@ -1,8 +1,9 @@
 """Tempograms 101: how a click track's tempo shows up in all four views.
 
-Synthesizes a 128 BPM click track, computes the Fourier and autocorrelation
-tempograms plus both cyclic foldings, and prints where each representation
-puts its energy. Run:
+Synthesizes a 128 BPM click track, runs the one-pass STFT (which keeps
+per-frame series, not a magnitude array), computes the Fourier and
+autocorrelation tempograms plus both cyclic foldings, and prints where each
+representation puts its energy. Run:
 
     python3 demos/01_tempograms.py
 """
@@ -24,8 +25,13 @@ BPM = 128
 clip = synth_click_track(BPM, duration=12)
 print(f"synthesized {clip.duration:.0f} s of clicks at {BPM} BPM")
 
-spec = stft(clip)
-nov = novelty_curve(spec)
+series = stft(clip)
+print(
+    f"STFT series: {series.n_frames} frames; per frame spectral shape, "
+    f"{series.mel_energy.shape[1]} mel, {series.chroma_energy.shape[1]} chroma "
+    f"and {series.band_energy.shape[1]} octave-band energies"
+)
+nov = novelty_curve(series)
 print(f"novelty curve: {nov.values.size} frames at {nov.frame_rate:.1f} fps")
 
 ftg = fourier_tempogram(nov)

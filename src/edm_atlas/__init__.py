@@ -7,10 +7,13 @@ together and plots/fixtures providing SVG emission and synthetic audio.
 
 from .audio import (
     AudioClip,
+    FrameSeries,
     MalformedWavError,
-    Spectrogram,
     UnsupportedWavError,
+    WavHeader,
+    frame_series,
     load_wav,
+    read_wav_header,
     resample,
     save_wav,
     stft,

@@ -1,31 +1,54 @@
-"""WAV decoding, resampling, spectrograms, and synthetic test signals.
+"""WAV decoding, resampling, the STFT pass, and synthetic test signals.
 
 The canonical analysis format is 22050 Hz mono float64 in [-1, 1]; every
 downstream module assumes it. Only uncompressed RIFF/WAVE files (16-bit
-integer or 32-bit float PCM, mono or stereo) are decoded -- convert lossy
-formats externally. The decoder is written against the raw chunk layout so
-that decode failures carry a precise diagnostic.
+integer or 32-bit float PCM, plain or WAVE_FORMAT_EXTENSIBLE, mono or
+stereo) are decoded -- convert lossy formats externally. The decoder reads
+the raw chunk headers, so that decode failures carry a precise diagnostic,
+and then decodes the data chunk DECODE_CHUNK frames at a time: neither the
+file's bytes nor its samples at their own rate are ever held whole.
+
+The STFT is one pass over frame blocks that keeps per-frame series
+(``FrameSeries``), never a whole magnitude array; every per-frame feature
+layer reads those series.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, upfirdn
 
 CANONICAL_RATE = 22050
 STFT_WINDOW = 2048
 STFT_HOP = 512
 
 FRAME_BLOCK = 256
+_FFT_ROWS = FRAME_BLOCK // 4  # frames per FFT call inside a block
+DECODE_CHUNK = 65536  # frames decoded (and resampled) at a time
+
+N_MEL_BANDS = 40
+ROLLOFF_FRACTION = 0.85
+CHROMA_MIN_FREQ = 55.0
+BAND_EDGES_HZ = (60.0, 120.0, 240.0, 480.0, 960.0, 1920.0)
+LOG_COMPRESSION = 1000.0
 
 CLICK_LEN_S = 0.005
 BPM_MIN = 30.0
 BPM_MAX = 480.0
+
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs that carry a plain format tag
+# in their first two bytes (PCM: 1, IEEE float: 3)
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+_ENCODINGS = {(1, 16): "<i2", (3, 32): "<f4"}  # (format tag, bits) -> sample dtype
 
 
 class MalformedWavError(ValueError):
@@ -58,102 +81,201 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-@dataclass
-class Spectrogram:
-    """Magnitude STFT: frames x bins, with the physical axes attached."""
+@dataclass(frozen=True)
+class WavHeader:
+    """A WAV file's encoding and data chunk, read from its chunk headers alone."""
 
-    magnitudes: np.ndarray  # (n_frames, n_bins), nonnegative
-    frame_rate: float  # frames per second = sample_rate / hop
-    bin_freqs: np.ndarray = field(repr=False)  # Hz per bin, ascending
-
-    def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        self.bin_freqs = np.asarray(self.bin_freqs, dtype=np.float64)
-        if self.magnitudes.ndim != 2:
-            raise ValueError("magnitudes must be a frames x bins matrix")
-        if self.magnitudes.shape[1] != self.bin_freqs.size:
-            raise ValueError("bin_freqs length must match bin count")
-        if not np.all(np.isfinite(self.magnitudes)) or np.any(self.magnitudes < 0):
-            raise ValueError("magnitudes must be finite and nonnegative")
-        if np.any(np.diff(self.bin_freqs) <= 0):
-            raise ValueError("bin_freqs must be strictly increasing")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+    path: Path
+    sample_rate: int
+    channels: int
+    dtype: str  # "<i2" (PCM16) or "<f4" (float32)
+    data_offset: int  # byte offset of the first sample in the file
+    n_frames: int  # samples per channel
 
     @property
-    def n_frames(self) -> int:
-        return self.magnitudes.shape[0]
+    def duration(self) -> float:
+        return self.n_frames / self.sample_rate
 
 
-def _find_chunks(raw: bytes):
-    """Yield (chunk_id, payload) for every top-level RIFF sub-chunk.
+def _format_tag(fmt: bytes, name: str) -> tuple[int, str]:
+    """The fmt chunk's effective format tag, and how to name it in a message.
 
-    Payloads are memoryview slices of ``raw``: no chunk body is copied.
+    A WAVE_FORMAT_EXTENSIBLE chunk carries its real format in a subformat
+    GUID; the PCM and IEEE float GUIDs map to tags 1 and 3, any other keeps
+    the extensible tag.
     """
-    view = memoryview(raw)
-    pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = view[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise MalformedWavError(
-                f"chunk {cid!r} declares {size} bytes but only {len(body)} remain"
-            )
-        yield cid, body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+    (tag,) = struct.unpack_from("<H", fmt, 0)
+    if tag != _WAVE_FORMAT_EXTENSIBLE:
+        return tag, f"format tag {tag}"
+    if len(fmt) < 40:
+        raise MalformedWavError(f"{name}: extensible fmt chunk truncated")
+    guid = fmt[24:40]
+    if guid[2:] != _SUBFORMAT_GUID_TAIL:
+        return tag, f"format tag {tag} (subformat GUID {guid.hex()})"
+    (sub,) = struct.unpack_from("<H", guid, 0)
+    return sub, f"format tag {tag} (subformat {sub})"
 
 
-def load_wav(path: str | Path) -> AudioClip:
-    """Decode a PCM WAV file to a mono AudioClip scaled to [-1, 1].
+def read_wav_header(path: str | Path) -> WavHeader:
+    """Parse a WAV file's chunk headers without decoding a sample.
 
-    Accepts 16-bit integer and 32-bit IEEE float encodings with 1 or 2
-    channels; stereo is averaged to mono. Raises FileNotFoundError for a
-    missing file, MalformedWavError for a broken container, and
+    Raises FileNotFoundError for a missing file, MalformedWavError for a
+    broken container or a data chunk without samples, and
     UnsupportedWavError for valid-but-unhandled encodings.
     """
     path = Path(path)
-    raw = path.read_bytes()
-
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise MalformedWavError(f"{path.name}: not a RIFF/WAVE file")
-
-    fmt = None
-    data = None
-    for cid, body in _find_chunks(raw):
-        if cid == b"fmt " and fmt is None:
-            if len(body) < 16:
-                raise MalformedWavError(f"{path.name}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data" and data is None:
-            data = body
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise MalformedWavError(f"{path.name}: not a RIFF/WAVE file")
+        fmt = data = None
+        pos = 12
+        while pos + 8 <= size:
+            fh.seek(pos)
+            cid, length = struct.unpack("<4sI", fh.read(8))
+            remain = min(length, size - pos - 8)
+            if remain < length:
+                raise MalformedWavError(
+                    f"{path.name}: chunk {cid!r} declares {length} bytes but only {remain} remain"
+                )
+            if cid == b"fmt " and fmt is None:
+                if length < 16:
+                    raise MalformedWavError(f"{path.name}: fmt chunk truncated")
+                fmt = fh.read(min(length, 40))
+            elif cid == b"data" and data is None:
+                data = (pos + 8, length)
+            pos += 8 + length + (length & 1)  # chunks are word-aligned
     if fmt is None:
         raise MalformedWavError(f"{path.name}: missing fmt chunk")
     if data is None:
         raise MalformedWavError(f"{path.name}: missing data chunk")
 
-    audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
+    _, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if rate == 0:
+        raise MalformedWavError(f"{path.name}: sample rate 0")
     if channels not in (1, 2):
         raise UnsupportedWavError(f"{path.name}: {channels} channels (need 1 or 2)")
-    if (audio_format, bits) == (1, 16):
-        samples = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
-        samples = samples.astype(np.float64)
-        samples /= 32768.0
-    elif (audio_format, bits) == (3, 32):
-        samples = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
-        samples = samples.astype(np.float64)
-        np.clip(samples, -1.0, 1.0, out=samples)
-    else:
-        raise UnsupportedWavError(
-            f"{path.name}: format tag {audio_format} at {bits} bits is not PCM16/float32"
-        )
-
-    if channels == 2:
-        samples = samples[: samples.size - samples.size % 2]
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    if samples.size == 0:
+    tag, label = _format_tag(fmt, path.name)
+    dtype = _ENCODINGS.get((tag, bits))
+    if dtype is None:
+        raise UnsupportedWavError(f"{path.name}: {label} at {bits} bits is not PCM16/float32")
+    offset, length = data
+    n_frames = length // np.dtype(dtype).itemsize // channels  # a partial frame is dropped
+    if n_frames == 0:
         raise MalformedWavError(f"{path.name}: data chunk holds no samples")
-    return AudioClip(samples, rate, source_id=path.stem)
+    return WavHeader(path, rate, channels, dtype, offset, n_frames)
+
+
+def _frame_reader(fh, header: WavHeader) -> Callable[[int, int], np.ndarray]:
+    """``read(start, stop)``: frames ``start:stop`` of the data chunk as mono float64.
+
+    PCM16 is scaled by 1/32768, float32 is clipped to [-1, 1], and stereo
+    is the mean of its two channels.
+    """
+    frame_bytes = np.dtype(header.dtype).itemsize * header.channels
+
+    def read(start: int, stop: int) -> np.ndarray:
+        fh.seek(header.data_offset + start * frame_bytes)
+        samples = np.frombuffer(fh.read((stop - start) * frame_bytes), dtype=header.dtype)
+        samples = samples.astype(np.float64)
+        if header.dtype == "<i2":
+            samples /= 32768.0
+        else:
+            np.clip(samples, -1.0, 1.0, out=samples)
+        if header.channels == 2:
+            samples = samples.reshape(-1, 2).mean(axis=1)
+        return samples
+
+    return read
+
+
+@lru_cache(maxsize=8)
+def _lowpass(up: int, down: int) -> np.ndarray:
+    """``resample_poly``'s default filter for ``up``/``down``: a Kaiser (beta 5) ``firwin`` times ``up``."""
+    max_rate = max(up, down)
+    h = firwin(2 * (10 * max_rate) + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h *= up
+    h.flags.writeable = False
+    return h
+
+
+def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down: int) -> np.ndarray:
+    """``scipy.signal.resample_poly(x, up, down)`` of ``x = read(0, n_in)``, bit for bit.
+
+    The filter and its pre- and post-padding are ``resample_poly``'s. The
+    output is filled one chunk of about DECODE_CHUNK input frames at a
+    time. ``upfirdn`` computes each output as one sequential sum over the
+    taps of its phase, from a zeroed accumulator, and reads only that
+    output's own window of inputs. So a chunk that starts on a multiple of
+    ``down`` (the phase of its first output is 0, as in the whole-array
+    call) and reaches back one whole filter phase before its first kept
+    output computes every kept output from the same inputs, taps and order.
+    """
+    h = _lowpass(up, down)
+    half_len = (h.size - 1) // 2
+    n_pre_pad = down - half_len % down
+    n_pre_remove = (half_len + n_pre_pad) // down
+    n_out = -(-n_in * up // down)
+    n_post_pad = 0
+    # upfirdn's output length must reach the last kept output
+    while ((n_in - 1) * up + h.size + n_pre_pad + n_post_pad - 1) // down + 1 < n_out + n_pre_remove:
+        n_post_pad += 1
+    taps = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(n_post_pad)))
+    per_phase = -(-taps.size // up)  # input samples one output reads
+
+    out = np.empty(n_out)
+    step = max(1, DECODE_CHUNK * up // down)
+    for first in range(0, n_out, step):
+        last = min(first + step, n_out)
+        # out[first:last] is upfirdn's y[g0:g1]; y[g] reads x up to index g * down // up
+        g0, g1 = first + n_pre_remove, last + n_pre_remove
+        start = max(0, g0 * down // up - per_phase + 1) // down * down
+        stop = min(n_in, (g1 - 1) * down // up + 1)
+        y = upfirdn(taps, read(start, stop), up, down)
+        skip = start * up // down
+        out[first:last] = y[g0 - skip : g1 - skip]
+    return out
+
+
+def _convert(read: Callable[[int, int], np.ndarray], n_in: int, rate: int, target: int) -> np.ndarray:
+    """``x = read(0, n_in)`` at ``rate``, as float64 at ``target``, DECODE_CHUNK frames at a time.
+
+    A resampled signal is clipped to [-1, 1].
+    """
+    if target <= 0:
+        raise ValueError("target_rate must be positive")
+    ratio = Fraction(target, rate).limit_denominator(1000)
+    if ratio == 0:
+        raise ValueError(f"cannot resample {rate} Hz to {target} Hz: the ratio rounds to 0")
+    if ratio == 1:
+        out = np.empty(n_in)
+        for start in range(0, n_in, DECODE_CHUNK):
+            stop = min(start + DECODE_CHUNK, n_in)
+            out[start:stop] = read(start, stop)
+    else:
+        out = _polyphase(read, n_in, ratio.numerator, ratio.denominator)
+    if target != rate:
+        np.clip(out, -1.0, 1.0, out=out)
+    return out
+
+
+def load_wav(path: str | Path, rate: int | None = None) -> AudioClip:
+    """Decode a PCM WAV file to a mono AudioClip scaled to [-1, 1].
+
+    Accepts 16-bit integer and 32-bit IEEE float encodings with 1 or 2
+    channels, also as WAVE_FORMAT_EXTENSIBLE; stereo is averaged to mono.
+    With ``rate``, each decoded chunk is resampled as it is read, exactly
+    as ``resample`` would resample the whole clip, so the samples at the
+    file's own rate never exist whole. Raises FileNotFoundError for a
+    missing file, MalformedWavError for a broken container, and
+    UnsupportedWavError for valid-but-unhandled encodings.
+    """
+    header = read_wav_header(path)
+    target = header.sample_rate if rate is None else rate
+    with header.path.open("rb") as fh:
+        samples = _convert(_frame_reader(fh, header), header.n_frames, header.sample_rate, target)
+    return AudioClip(samples, target, source_id=header.path.stem)
 
 
 def save_wav(clip: AudioClip, path: str | Path) -> None:
@@ -180,14 +302,14 @@ def save_wav(clip: AudioClip, path: str | Path) -> None:
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Band-limited polyphase resample; duration kept within one period."""
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    if target_rate == clip.sample_rate:
-        return AudioClip(clip.samples.copy(), clip.sample_rate, clip.source_id)
-    ratio = Fraction(target_rate, clip.sample_rate).limit_denominator(1000)
-    out = resample_poly(clip.samples, ratio.numerator, ratio.denominator)
-    np.clip(out, -1.0, 1.0, out=out)
+    """Band-limited polyphase resample; duration kept within one period.
+
+    Equals ``scipy.signal.resample_poly`` at the rational ratio (denominator
+    at most 1000) bit for bit, clipped to [-1, 1]; the same chunked kernel
+    that ``load_wav`` runs while decoding.
+    """
+    samples = clip.samples
+    out = _convert(lambda start, stop: samples[start:stop], samples.size, clip.sample_rate, target_rate)
     return AudioClip(out, target_rate, clip.source_id)
 
 
@@ -196,11 +318,11 @@ def frame_blocks(n: int) -> list[tuple[int, int]]:
 
     Blocks cover ``range(n)`` in order and differ in length by at most one
     row; none is shorter than ``FRAME_BLOCK // 2`` (128) unless ``n``
-    itself is. The per-frame layers (STFT, novelty, spectral statistics,
-    MFCC band energies, chroma, row energy) run one block at a time so that
-    no whole-spectrogram temporary is held, and the result must equal the
-    whole-array code bit for bit. That holds only for operations whose
-    per-row result does not depend on how many rows are computed together:
+    itself is. The STFT pass computes each block of magnitudes and reduces
+    it to per-frame series before the next one, and each series must
+    equal what the whole-array code computed, bit for bit. That holds only
+    for operations whose per-row result does not depend on how many rows
+    are computed together:
 
     * element-wise ufuncs, per-row FFTs and cumulative sums along a row are
       safe at any block height;
@@ -223,13 +345,183 @@ def frame_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def stft(clip: AudioClip, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectrogram:
-    """Hann-windowed magnitude STFT with frames = 1 + (n - window) // hop.
+def mel_filterbank(bin_freqs: np.ndarray) -> np.ndarray:
+    """Triangular mel filters (N_MEL_BANDS x n_bins) spanning 0..max bin freq."""
 
-    The spectrogram is float64, n_frames x (window_len // 2 + 1): about
-    121 MB for a 6-minute track at 22050 Hz with the default window and
-    hop. It is filled in frame blocks, so the windowed frames and their
-    complex spectra exist only one block at a time.
+    def to_mel(f):
+        return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
+
+    def from_mel(m):
+        return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
+
+    edges = from_mel(np.linspace(to_mel(0.0), to_mel(bin_freqs[-1]), N_MEL_BANDS + 2))
+    bank = np.zeros((N_MEL_BANDS, bin_freqs.size))
+    for b in range(N_MEL_BANDS):
+        lo, mid, hi = edges[b], edges[b + 1], edges[b + 2]
+        rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
+        falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
+        bank[b] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return bank
+
+
+@dataclass
+class FrameSeries:
+    """Per-frame series of one magnitude STFT: everything the feature layers read of it.
+
+    Per frame (``n_frames`` values, or rows):
+
+    * ``centroid``, ``spread``, ``entropy``, ``rolloff``: spectral shape,
+      0 for a silent frame; rolloff is the lowest bin frequency below which
+      ROLLOFF_FRACTION of the frame's energy lies;
+    * ``energy``: the sum of squared magnitudes;
+    * ``mel_energy``: N_MEL_BANDS triangular mel band energies;
+    * ``chroma_energy``: 12 pitch-class energies, bins at or above
+      CHROMA_MIN_FREQ folded against A440 (C first);
+    * ``band_energy``: one energy per octave band with a lower edge in
+      BAND_EDGES_HZ.
+
+    Per consecutive frame pair (``n_frames - 1`` values): ``flux``, the L2
+    norm of the positive magnitude differences, and ``log_flux``, the sum
+    of the positive differences of log(1 + LOG_COMPRESSION * magnitude).
+    """
+
+    frame_rate: float  # frames per second = sample_rate / hop
+    centroid: np.ndarray
+    spread: np.ndarray
+    entropy: np.ndarray
+    rolloff: np.ndarray
+    energy: np.ndarray
+    mel_energy: np.ndarray
+    chroma_energy: np.ndarray
+    band_energy: np.ndarray
+    flux: np.ndarray
+    log_flux: np.ndarray
+
+    @property
+    def n_frames(self) -> int:
+        return self.centroid.size
+
+
+def _pair_diffs(block: np.ndarray, before: np.ndarray | None) -> np.ndarray:
+    """``np.diff(rows, axis=0)`` of ``before`` (one row, or None) stacked on ``block``."""
+    if before is None:
+        return np.diff(block, axis=0)
+    out = np.empty_like(block)
+    np.subtract(block[:1], before, out=out[:1])
+    np.subtract(block[1:], block[:-1], out=out[1:])
+    return out
+
+
+def _measure(
+    magnitudes: Callable[[int, int], np.ndarray], n: int, frame_rate: float, bin_freqs: np.ndarray
+) -> FrameSeries:
+    """The FrameSeries of ``n`` frames, reduced one block of ``frame_blocks(n)`` at a time.
+
+    ``magnitudes(start, stop)`` gives the magnitudes of frames
+    ``start:stop``. Each frame-pair difference reaches one row back, so the
+    last row of a block is carried into the next. Temporaries are reused
+    in place where the arithmetic stays the same, so that at most two
+    block-sized arrays exist next to the block's magnitudes.
+    """
+    bank_t = mel_filterbank(bin_freqs).T
+    usable = bin_freqs >= CHROMA_MIN_FREQ
+    pitch = (np.round(12.0 * np.log2(bin_freqs[usable] / 440.0)).astype(int) + 9) % 12  # A -> 9
+    classes = [(c, pitch == c) for c in range(12) if np.any(pitch == c)]
+    bands = [(bin_freqs >= lo) & (bin_freqs < lo * 2.0) for lo in BAND_EDGES_HZ]
+    pairs = max(n - 1, 0)
+    out = FrameSeries(
+        frame_rate,
+        *(np.empty(n) for _ in range(5)),
+        np.empty((n, N_MEL_BANDS)),
+        np.zeros((n, 12)),
+        np.empty((n, len(bands))),
+        np.empty(pairs),
+        np.empty(pairs),
+    )
+    last = last_log = None
+    for start, stop in frame_blocks(n):
+        mags = magnitudes(start, stop)
+        rows = slice(start, stop)
+        totals = mags.sum(axis=1)
+        live = totals > 0
+        safe_tot = np.where(live, totals, 1.0)
+        centroid = np.where(live, (mags * bin_freqs).sum(axis=1) / safe_tot, 0.0)
+        out.centroid[rows] = centroid
+        work = np.square(bin_freqs - centroid[:, None])
+        np.multiply(mags, work, out=work)
+        out.spread[rows] = np.where(live, np.sqrt(work.sum(axis=1) / safe_tot), 0.0)
+        probs = np.divide(mags, safe_tot[:, None], out=work)
+        plogp = np.empty_like(probs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(probs, out=plogp)
+            np.multiply(probs, plogp, out=plogp)
+        plogp[~(probs > 0)] = 0.0
+        out.entropy[rows] = np.where(live, -plogp.sum(axis=1), 0.0)
+
+        power = np.square(mags, out=plogp)
+        cum = np.cumsum(power, axis=1, out=work)
+        idx = np.argmax(cum >= (ROLLOFF_FRACTION * cum[:, -1])[:, None], axis=1)
+        out.rolloff[rows] = np.where(cum[:, -1] > 0, bin_freqs[idx], 0.0)
+        del cum, probs, work
+        out.energy[rows] = power.sum(axis=1)
+        out.mel_energy[rows] = power @ bank_t
+        # F-ordered, like the whole-array gather: see frame_blocks
+        chroma_power = power[:, usable]
+        for c, sel in classes:
+            out.chroma_energy[rows, c] = chroma_power[:, sel].sum(axis=1)
+        del chroma_power
+        for j, mask in enumerate(bands):
+            out.band_energy[rows, j] = power[:, mask].sum(axis=1)
+        del power, plogp
+
+        diffs = slice(max(start - 1, 0), stop - 1)
+        # the L2 norm as np.linalg.norm takes it: sqrt of the row sums of x * x
+        rise = _pair_diffs(mags, last)
+        np.clip(rise, 0.0, None, out=rise)
+        np.multiply(rise, rise, out=rise)
+        out.flux[diffs] = np.sqrt(rise.sum(axis=1))
+        del rise
+        compressed = np.multiply(mags, LOG_COMPRESSION)
+        np.log1p(compressed, out=compressed)
+        rise = _pair_diffs(compressed, last_log)
+        np.clip(rise, 0.0, None, out=rise)
+        out.log_flux[diffs] = rise.sum(axis=1)
+        last, last_log = mags[-1:].copy(), compressed[-1:].copy()
+        del rise, compressed, mags
+    return out
+
+
+def frame_series(magnitudes: np.ndarray, frame_rate: float, bin_freqs: np.ndarray) -> FrameSeries:
+    """The FrameSeries of a given magnitude array (frames x bins), by the pass ``stft`` runs.
+
+    Magnitudes must be finite and nonnegative, and ``bin_freqs`` (Hz per
+    bin) strictly increasing.
+    """
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    bin_freqs = np.asarray(bin_freqs, dtype=np.float64)
+    if mags.ndim != 2:
+        raise ValueError("magnitudes must be a frames x bins matrix")
+    if mags.shape[1] != bin_freqs.size:
+        raise ValueError("bin_freqs length must match bin count")
+    if not np.all(np.isfinite(mags)) or np.any(mags < 0):
+        raise ValueError("magnitudes must be finite and nonnegative")
+    if np.any(np.diff(bin_freqs) <= 0):
+        raise ValueError("bin_freqs must be strictly increasing")
+    if frame_rate <= 0:
+        raise ValueError("frame_rate must be positive")
+    return _measure(lambda start, stop: mags[start:stop], mags.shape[0], frame_rate, bin_freqs)
+
+
+def stft(clip: AudioClip, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> FrameSeries:
+    """Hann-windowed magnitude STFT, reduced to its FrameSeries in one pass.
+
+    There are 1 + (n - window) // hop frames of window_len // 2 + 1 bins.
+    The magnitudes of one frame block at a time are computed and reduced to
+    the per-frame series, so the whole spectrogram (about 121 MB of
+    float64 for a 6-minute track at 22050 Hz) never exists. Each block's
+    spectra are taken _FFT_ROWS frames at a time, which holds the windowed
+    frames and their complex spectra to a quarter block; a row's FFT does
+    not depend on how many rows are taken together.
     """
     n = clip.samples.size
     if not (0 < hop <= window_len <= n):
@@ -239,11 +531,16 @@ def stft(clip: AudioClip, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) ->
     n_frames = 1 + (n - window_len) // hop
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window_len)[::hop]
     window = np.hanning(window_len)
-    mags = np.empty((n_frames, window_len // 2 + 1))
-    for start, stop in frame_blocks(n_frames):
-        np.abs(np.fft.rfft(frames[start:stop] * window, axis=1), out=mags[start:stop])
+
+    def magnitudes(start: int, stop: int) -> np.ndarray:
+        mags = np.empty((stop - start, window_len // 2 + 1))
+        for row in range(start, stop, _FFT_ROWS):
+            end = min(row + _FFT_ROWS, stop)
+            np.abs(np.fft.rfft(frames[row:end] * window, axis=1), out=mags[row - start : end - start])
+        return mags
+
     freqs = np.fft.rfftfreq(window_len, 1.0 / clip.sample_rate)
-    return Spectrogram(mags, clip.sample_rate / hop, freqs)
+    return _measure(magnitudes, n_frames, clip.sample_rate / hop, freqs)
 
 
 def synth_click_track(

@@ -14,116 +14,57 @@ import logging
 import numpy as np
 from scipy.fft import dct
 
-from .audio import Spectrogram, frame_blocks
-from .tempogram import LOG_COMPRESSION, TrackAnalysis, novelty_curve
+from .audio import BAND_EDGES_HZ, LOG_COMPRESSION, FrameSeries
+from .tempogram import TrackAnalysis, novelty_curve
 from .types import FeatureVector, stats_pair
 
 logger = logging.getLogger(__name__)
 
-N_MEL_BANDS = 40
 LOG_FLOOR = 1e-10
 N_MFCC = 13
-ROLLOFF_FRACTION = 0.85
-CHROMA_MIN_FREQ = 55.0
 PITCH_CLASSES = ["c", "cs", "d", "ds", "e", "f", "fs", "g", "gs", "a", "as", "b"]
 
 DFA_MIN_WINDOW_S = 0.1
 DFA_MAX_WINDOW_S = 5.0
 DFA_N_SCALES = 12
 
-BAND_EDGES_HZ = (60.0, 120.0, 240.0, 480.0, 960.0, 1920.0)
 EMPHASIS_LAG_RANGE_S = (0.125, 2.0)
 BAND_ENERGY_SHARE_FLOOR = 1e-6
 BAND_NOVELTY_FLOOR = 1e-2
 
 
-def spectral_stats(spec: Spectrogram) -> FeatureVector:
+def spectral_stats(series: FrameSeries) -> FeatureVector:
     """Mean and std over frames of centroid, spread, entropy, flux, rolloff.
 
     Silent frames contribute centroid = spread = entropy = rolloff = 0.
     Flux is the L2 norm of positive bin differences between frame pairs.
-    The per-frame series are computed in frame blocks; flux blocks overlap
-    by one row.
+    All five per-frame series come from the STFT pass.
     """
-    if spec.n_frames < 2:
+    if series.n_frames < 2:
         raise ValueError("spectral stats need at least 2 frames")
-    freqs = spec.bin_freqs
-    n = spec.n_frames
-    centroid, spread, entropy, rolloff = (np.empty(n) for _ in range(4))
-    for start, stop in frame_blocks(n):
-        mags = spec.magnitudes[start:stop]
-        rows = slice(start, stop)
-        totals = mags.sum(axis=1)
-        live = totals > 0
-        safe_tot = np.where(live, totals, 1.0)
-
-        centroid[rows] = np.where(live, (mags * freqs).sum(axis=1) / safe_tot, 0.0)
-        spread[rows] = np.where(
-            live,
-            np.sqrt((mags * (freqs - centroid[rows, None]) ** 2).sum(axis=1) / safe_tot),
-            0.0,
-        )
-        probs = mags / safe_tot[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
-        entropy[rows] = np.where(live, -plogp.sum(axis=1), 0.0)
-
-        cum = np.cumsum(mags**2, axis=1)
-        thresh = ROLLOFF_FRACTION * cum[:, -1]
-        idx = np.argmax(cum >= thresh[:, None], axis=1)
-        rolloff[rows] = np.where(cum[:, -1] > 0, freqs[idx], 0.0)
-
-    flux = np.empty(n - 1)
-    for start, stop in frame_blocks(n - 1):
-        diff = np.diff(spec.magnitudes[start : stop + 1], axis=0)
-        flux[start:stop] = np.linalg.norm(np.clip(diff, 0.0, None), axis=1)
-
     values, names = [], []
-    for label, series in (
-        ("centroid", centroid),
-        ("spread", spread),
-        ("entropy", entropy),
-        ("flux", flux),
-        ("rolloff", rolloff),
+    for label, values_per_frame in (
+        ("centroid", series.centroid),
+        ("spread", series.spread),
+        ("entropy", series.entropy),
+        ("flux", series.flux),
+        ("rolloff", series.rolloff),
     ):
-        m, s = stats_pair(series)
+        m, s = stats_pair(values_per_frame)
         values.extend([m, s])
         names.extend([f"spectral_{label}_mean", f"spectral_{label}_std"])
     return FeatureVector(np.array(values), names, ["spectral"] * 10)
 
 
-def mel_filterbank(bin_freqs: np.ndarray) -> np.ndarray:
-    """Triangular mel filters (N_MEL_BANDS x n_bins) spanning 0..max bin freq."""
-
-    def to_mel(f):
-        return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
-
-    def from_mel(m):
-        return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
-
-    edges = from_mel(np.linspace(to_mel(0.0), to_mel(bin_freqs[-1]), N_MEL_BANDS + 2))
-    bank = np.zeros((N_MEL_BANDS, bin_freqs.size))
-    for b in range(N_MEL_BANDS):
-        lo, mid, hi = edges[b], edges[b + 1], edges[b + 2]
-        rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
-        falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
-        bank[b] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return bank
-
-
-def mfcc_features(spec: Spectrogram) -> FeatureVector:
+def mfcc_features(series: FrameSeries) -> FeatureVector:
     """Mean/std of 13 MFCCs and their centered-difference deltas (52 dims).
 
-    The mel band energies are computed in frame blocks; see frame_blocks
-    for why the blocked matrix product equals the whole one.
+    The MFCCs are the orthonormal DCT-II of the log mel band energies that
+    the STFT pass keeps.
     """
-    if spec.n_frames < 3:
+    if series.n_frames < 3:
         raise ValueError("MFCC deltas need at least 3 frames")
-    bank = mel_filterbank(spec.bin_freqs)
-    band_energy = np.empty((spec.n_frames, bank.shape[0]))
-    for start, stop in frame_blocks(spec.n_frames):
-        band_energy[start:stop] = spec.magnitudes[start:stop] ** 2 @ bank.T
-    log_energy = np.log(np.maximum(band_energy, LOG_FLOOR))
+    log_energy = np.log(np.maximum(series.mel_energy, LOG_FLOOR))
     coeffs = dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
     deltas = (coeffs[2:] - coeffs[:-2]) / 2.0  # interior frames only
 
@@ -140,7 +81,7 @@ def mfcc_features(spec: Spectrogram) -> FeatureVector:
     return FeatureVector(np.array(values), names, ["timbral"] * 52)
 
 
-def chroma_features(spec: Spectrogram) -> FeatureVector:
+def chroma_features(series: FrameSeries) -> FeatureVector:
     """12 pitch-class energy means/stds plus two deviation measures (26 dims).
 
     Bin energy folds into pitch classes against A440; bins below 55 Hz are
@@ -148,20 +89,9 @@ def chroma_features(spec: Spectrogram) -> FeatureVector:
     uniform 1/12 profile. Deviations: mean per-frame chroma entropy and the
     std of the per-frame dominant-class index.
     """
-    if spec.n_frames < 1:
+    if series.n_frames < 1:
         raise ValueError("chroma needs at least 1 frame")
-    usable = spec.bin_freqs >= CHROMA_MIN_FREQ
-    freqs = spec.bin_freqs[usable]
-    pc = (np.round(12.0 * np.log2(freqs / 440.0)).astype(int) + 9) % 12  # A -> 9
-
-    chroma = np.zeros((spec.n_frames, 12))
-    for start, stop in frame_blocks(spec.n_frames):
-        # F-ordered, like the whole-array gather: see frame_blocks
-        energy = spec.magnitudes[start:stop][:, usable] ** 2
-        for c in range(12):
-            sel = pc == c
-            if np.any(sel):
-                chroma[start:stop, c] = energy[:, sel].sum(axis=1)
+    chroma = series.chroma_energy
     totals = chroma.sum(axis=1, keepdims=True)
     chroma = np.where(totals > 0, chroma / np.where(totals > 0, totals, 1.0), 1.0 / 12.0)
 
@@ -246,30 +176,24 @@ def danceability_dfa(analysis: TrackAnalysis) -> FeatureVector:
     return FeatureVector(np.array([alpha]), ["danceability_dfa"], ["rhythmic"])
 
 
-def band_beat_emphasis(spec: Spectrogram) -> FeatureVector:
+def band_beat_emphasis(series: FrameSeries) -> FeatureVector:
     """Beat emphasis per octave band (lower edges 60..1920 Hz, 6 dims).
 
-    Per band, an onset novelty curve is computed on the band-limited
-    spectrum and scaled by its mean; emphasis is the peak of its
+    Per band, an onset novelty curve is computed on the band's energy
+    envelope and scaled by its mean; emphasis is the peak of its
     autocorrelation over lags 0.125-2 s. Uncorrelated novelty gives values
     near 1, periodic beats give values well above 1, and a band with no
     onsets gives the 0 sentinel.
     """
     values, names = [], []
-    lag_lo = max(1, int(round(EMPHASIS_LAG_RANGE_S[0] * spec.frame_rate)))
-    lag_hi = int(round(EMPHASIS_LAG_RANGE_S[1] * spec.frame_rate))
-    row_energy = np.empty(spec.n_frames)
-    for start, stop in frame_blocks(spec.n_frames):
-        row_energy[start:stop] = (spec.magnitudes[start:stop] ** 2).sum(axis=1)
-    total_energy = float(row_energy.mean())
-    for lo in BAND_EDGES_HZ:
-        hi = lo * 2.0
-        mask = (spec.bin_freqs >= lo) & (spec.bin_freqs < hi)
-        # collapse the band to its energy envelope before the flux: per-bin
+    lag_lo = max(1, int(round(EMPHASIS_LAG_RANGE_S[0] * series.frame_rate)))
+    lag_hi = int(round(EMPHASIS_LAG_RANGE_S[1] * series.frame_rate))
+    total_energy = float(series.energy.mean())
+    for band, lo in enumerate(BAND_EDGES_HZ):
+        # the band is collapsed to its energy envelope before the flux: per-bin
         # flux of a steady low tone wiggles with frame phase, band energy not
-        envelope = np.sqrt((spec.magnitudes[:, mask] ** 2).sum(axis=1, keepdims=True))
-        sub = Spectrogram(envelope, spec.frame_rate, np.array([lo]))
-        nov = novelty_curve(sub).values
+        envelope = np.sqrt(series.band_energy[:, band])
+        nov = novelty_curve(series, band).values
         mean = nov.mean()
         # a band holding only leakage, or steady content with no onsets,
         # has no beat to emphasize -> 0 sentinel
@@ -290,9 +214,9 @@ def band_beat_emphasis(spec: Spectrogram) -> FeatureVector:
 
 
 _BLOCKS = (
-    ("spectral", lambda a: spectral_stats(a.spec)),
-    ("timbral", lambda a: mfcc_features(a.spec)),
-    ("harmonic", lambda a: chroma_features(a.spec)),
+    ("spectral", lambda a: spectral_stats(a.series)),
+    ("timbral", lambda a: mfcc_features(a.series)),
+    ("harmonic", lambda a: chroma_features(a.series)),
     ("tempo", tempo_estimates),
     ("danceability", danceability_dfa),
 )

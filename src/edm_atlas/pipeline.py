@@ -30,7 +30,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from . import metrics
-from .audio import CANONICAL_RATE, load_wav, resample
+from .audio import CANONICAL_RATE, load_wav, read_wav_header
 from .cluster import ClusterModel, divisive_cluster, kmeans, select_natural_k
 from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
@@ -154,27 +154,25 @@ def stage_seed(root_seed: int, stage: str) -> int:
 def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     """Full 92 + 64 + 6 feature vector for one manifest record.
 
-    The track is analysed once (spectrogram, novelty curve, both
-    tempograms) and every block reads that analysis.
+    The file is decoded and resampled to 22050 Hz in one chunked pass, and
+    a track shorter than MIN_DURATION_S is rejected from its header before
+    any sample is decoded. The track is analysed once (per-frame STFT
+    series, novelty curve, both tempograms) and every block reads that
+    analysis.
     """
     wav_path = Path(record.path)
     if not wav_path.is_absolute():
         wav_path = base_dir / wav_path
-    clip = load_wav(wav_path)
-    if clip.sample_rate != CANONICAL_RATE:
-        clip = resample(clip, CANONICAL_RATE)
+    duration = read_wav_header(wav_path).duration
+    if duration < MIN_DURATION_S:
+        raise ValueError(f"{duration:.2f} s of audio; extraction needs at least {MIN_DURATION_S:g} s")
 
-    if clip.duration < MIN_DURATION_S:
-        raise ValueError(
-            f"{clip.duration:.2f} s of audio; extraction needs at least {MIN_DURATION_S:g} s"
-        )
-
-    analysis = analyze_track(clip)
+    analysis = analyze_track(load_wav(wav_path, CANONICAL_RATE))
     return FeatureVector.concat(
         [
             fundamental_feature_vector(analysis),
             tempogram_feature_vector(analysis),
-            band_beat_emphasis(analysis.spec),
+            band_beat_emphasis(analysis.series),
         ]
     )
 

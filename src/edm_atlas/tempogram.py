@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, AudioClip, Spectrogram, frame_blocks, stft
+from .audio import CANONICAL_RATE, LOG_COMPRESSION, AudioClip, FrameSeries, stft
 from .types import FeatureVector
 
 TEMPO_MIN = 30
@@ -27,7 +27,6 @@ TEMPO_AXIS = np.arange(TEMPO_MIN, TEMPO_MAX + 1, dtype=np.float64)
 ANALYSIS_WINDOW_S = 8.0
 MIN_DURATION_S = 10.0  # shortest clip analyze_track accepts: its ~9.9 s novelty curve fills the window
 ANALYSIS_HOP_S = 1.0
-LOG_COMPRESSION = 1000.0
 REF_TEMPO = 60.0
 N_SCALE_BINS = 15
 TOP_BINS = 4
@@ -83,33 +82,38 @@ class CyclicTempogram:
             raise ValueError("cyclic magnitudes must be finite and nonnegative")
 
 
-def novelty_curve(spec: Spectrogram) -> NoveltyCurve:
+def novelty_curve(series: FrameSeries, band: int | None = None) -> NoveltyCurve:
     """Spectral-flux onset novelty with log compression and local-mean removal.
 
     Magnitudes are compressed as log(1 + 1000*|X|), differenced across
-    frames, half-wave rectified, summed over bins, then a centered 1 s
-    moving average is subtracted and the result rectified again. The
-    difference runs in frame blocks that overlap by one row. The curve
-    has one value fewer than the spectrogram has frames, and it must be at
-    least as long as the 1 s moving average.
+    frames, half-wave rectified and summed over bins (the STFT pass keeps
+    that sum as ``series.log_flux``); then a centered 1 s moving average is
+    subtracted and the result rectified again. With ``band`` (an index
+    into BAND_EDGES_HZ) the curve is that of the octave band's energy
+    envelope, sqrt(band energy), instead. The curve has one value fewer
+    than the series has frames, and it must be at least as long as the 1 s
+    moving average.
     """
-    win = max(1, int(round(spec.frame_rate)))
+    win = max(1, int(round(series.frame_rate)))
     min_frames = win + 1
-    if spec.n_frames < min_frames:
+    if series.n_frames < min_frames:
         raise ValueError(
             f"novelty needs at least {min_frames} spectrogram frames (1 s at "
-            f"{spec.frame_rate:g} frames/s), got {spec.n_frames}"
+            f"{series.frame_rate:g} frames/s), got {series.n_frames}"
         )
-    raw = np.empty(spec.n_frames - 1)
-    for start, stop in frame_blocks(raw.size):
-        compressed = np.log1p(LOG_COMPRESSION * spec.magnitudes[start : stop + 1])
-        raw[start:stop] = np.clip(np.diff(compressed, axis=0), 0.0, None).sum(axis=1)
+    if band is None:
+        raw = series.log_flux
+    else:
+        if not 0 <= band < series.band_energy.shape[1]:
+            raise ValueError(f"band must be in [0, {series.band_energy.shape[1]}), got {band}")
+        envelope = np.sqrt(series.band_energy[:, band])
+        raw = np.clip(np.diff(np.log1p(LOG_COMPRESSION * envelope)), 0.0, None)
 
     kernel = np.ones(win)
     local_sum = np.convolve(raw, kernel, mode="same")
     counts = np.convolve(np.ones_like(raw), kernel, mode="same")
     novelty = np.clip(raw - local_sum / counts, 0.0, None)
-    return NoveltyCurve(novelty, spec.frame_rate)
+    return NoveltyCurve(novelty, series.frame_rate)
 
 
 def _frame_params(nov: NoveltyCurve) -> tuple[int, int]:
@@ -246,20 +250,20 @@ def tempogram_summary(tg: Tempogram | CyclicTempogram) -> FeatureVector:
 class TrackAnalysis:
     """What every feature block of one track reads, computed once.
 
-    The clip, its spectrogram, its onset novelty curve, and the Fourier and
-    autocorrelation tempograms. Built by analyze_track, so the clip is at the
+    The clip, the per-frame series of its spectrogram, its onset novelty
+    curve, and the Fourier and autocorrelation tempograms. Built by analyze_track, so the clip is at the
     canonical rate and at least MIN_DURATION_S long.
     """
 
     clip: AudioClip
-    spec: Spectrogram
+    series: FrameSeries
     novelty: NoveltyCurve
     fourier: Tempogram
     autocorr: Tempogram
 
 
 def analyze_track(clip: AudioClip) -> TrackAnalysis:
-    """STFT, novelty curve and both tempograms of a 22050 Hz clip of 10 s or more.
+    """STFT series, novelty curve and both tempograms of a 22050 Hz clip of 10 s or more.
 
     The tempograms use the 8 s analysis window. This is the one precondition
     of every feature block: a clip at another rate, or shorter than
@@ -269,9 +273,9 @@ def analyze_track(clip: AudioClip) -> TrackAnalysis:
         raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")
     if clip.duration < MIN_DURATION_S:
         raise ValueError(f"track analysis needs at least {MIN_DURATION_S:g} s of audio")
-    spec = stft(clip)
-    nov = novelty_curve(spec)
-    return TrackAnalysis(clip, spec, nov, fourier_tempogram(nov), autocorr_tempogram(nov))
+    series = stft(clip)
+    nov = novelty_curve(series)
+    return TrackAnalysis(clip, series, nov, fourier_tempogram(nov), autocorr_tempogram(nov))
 
 
 def tempogram_feature_vector(analysis: TrackAnalysis) -> FeatureVector:

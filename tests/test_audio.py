@@ -1,13 +1,23 @@
 import struct
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import resample_poly
 
+from edm_atlas import audio
 from edm_atlas.audio import (
+    CANONICAL_RATE,
+    DECODE_CHUNK,
     AudioClip,
     MalformedWavError,
     UnsupportedWavError,
     load_wav,
+    read_wav_header,
     resample,
     save_wav,
     stft,
@@ -23,6 +33,22 @@ def wav_bytes(frames: bytes, channels=1, rate=44100, fmt=1, bits=16) -> bytes:
         channels * bits // 8, bits, b"data", len(frames),
     )
     return header + frames
+
+
+def subformat_guid(tag: int) -> bytes:
+    """The KSDATAFORMAT_SUBTYPE GUID of a plain format tag (1 = PCM, 3 = IEEE float)."""
+    return struct.pack("<IHH", tag, 0x0000, 0x0010) + bytes.fromhex("800000aa00389b71")
+
+
+def extensible_wav_bytes(frames: bytes, channels=1, rate=44100, bits=16, guid=None, cb_size=22) -> bytes:
+    """A WAVE_FORMAT_EXTENSIBLE file: the real format is the fmt chunk's subformat GUID."""
+    fmt = struct.pack(
+        "<HHIIHHHHI", 0xFFFE, channels, rate, rate * channels * bits // 8,
+        channels * bits // 8, bits, cb_size, bits, (1 << channels) - 1,
+    ) + (subformat_guid(1) if guid is None else guid)
+    fmt = fmt[: 18 + cb_size]
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(frames)) + frames
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 class TestLoadWav:
@@ -113,6 +139,73 @@ class TestLoadWav:
         with pytest.raises(MalformedWavError, match="declares 200 bytes but only 150 remain"):
             load_wav(path)
 
+    @pytest.mark.parametrize(
+        "channels, tag, bits, dtype",
+        [(1, 1, 16, "<i2"), (2, 1, 16, "<i2"), (1, 3, 32, "<f4"), (2, 3, 32, "<f4")],
+        ids=["pcm16_mono", "pcm16_stereo", "float32_mono", "float32_stereo"],
+    )
+    def test_extensible_decodes_as_plain_tag(self, tmp_path, channels, tag, bits, dtype):
+        rng = np.random.default_rng(channels * tag)
+        if dtype == "<i2":
+            data = rng.integers(-32768, 32768, 2 * 1001, dtype=np.int64).astype(dtype)
+        else:
+            data = rng.uniform(-1.2, 1.2, 2 * 1001).astype(dtype)
+        frames = data[: 1001 * channels].tobytes()
+        (tmp_path / "plain.wav").write_bytes(wav_bytes(frames, channels=channels, fmt=tag, bits=bits))
+        (tmp_path / "ext.wav").write_bytes(
+            extensible_wav_bytes(frames, channels=channels, bits=bits, guid=subformat_guid(tag))
+        )
+        plain = load_wav(tmp_path / "plain.wav")
+        ext = load_wav(tmp_path / "ext.wav")
+        assert ext.sample_rate == plain.sample_rate == 44100
+        assert ext.samples.size == 1001
+        assert ext.samples.tobytes() == plain.samples.tobytes()
+        assert load_wav(tmp_path / "ext.wav", CANONICAL_RATE).samples.tobytes() == (
+            load_wav(tmp_path / "plain.wav", CANONICAL_RATE).samples.tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "guid, bits, message",
+        [
+            (subformat_guid(2), 16, r"format tag 65534 \(subformat 2\) at 16 bits"),
+            (bytes(16), 16, r"format tag 65534 \(subformat GUID 0{32}\) at 16 bits"),
+            (subformat_guid(1), 24, r"format tag 65534 \(subformat 1\) at 24 bits"),
+            (subformat_guid(3), 64, r"format tag 65534 \(subformat 3\) at 64 bits"),
+        ],
+        ids=["adpcm", "null_guid", "pcm24", "float64"],
+    )
+    def test_extensible_other_subformats_rejected(self, tmp_path, guid, bits, message):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(extensible_wav_bytes(bytes(bits // 8 * 10), bits=bits, guid=guid))
+        with pytest.raises(UnsupportedWavError, match=message):
+            load_wav(path)
+
+    def test_extensible_without_subformat_is_malformed(self, tmp_path):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(extensible_wav_bytes(bytes(20), cb_size=0))
+        with pytest.raises(MalformedWavError, match="extensible fmt chunk truncated"):
+            load_wav(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "stereo.wav"
+        path.write_bytes(wav_bytes(bytes(4 * 1000 + 3), channels=2, rate=48000))
+        header = read_wav_header(path)
+        assert (header.sample_rate, header.channels, header.n_frames) == (48000, 2, 1000)
+        assert header.data_offset == 44
+        assert header.duration == pytest.approx(1000 / 48000)
+
+    def test_zero_sample_rate(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        path.write_bytes(wav_bytes(bytes(200), rate=0))
+        with pytest.raises(MalformedWavError, match="sample rate 0"):
+            read_wav_header(path)
+
+    def test_empty_data_chunk(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(wav_bytes(bytes(3), channels=2))
+        with pytest.raises(MalformedWavError, match="data chunk holds no samples"):
+            load_wav(path)
+
     def test_roundtrip(self, tmp_path):
         clip = synth_click_track(97, 2)
         save_wav(clip, tmp_path / "rt.wav")
@@ -158,22 +251,96 @@ class TestResample:
         clip = synth_click_track(120, 1)
         with pytest.raises(ValueError):
             resample(clip, 0)
+        with pytest.raises(ValueError, match="ratio rounds to 0"):
+            resample(clip, 1)
+
+
+SOURCE_RATES = [8000, 11025, 16000, 22050, 32000, 44100, 48000, 96000]
+
+
+def reference_decode(data: np.ndarray, channels: int) -> np.ndarray:
+    """The whole-array decode: PCM16 / 32768 or float32 clipped, then the stereo mean."""
+    samples = data.astype(np.float64)
+    if data.dtype == np.dtype("<i2"):
+        samples /= 32768.0
+    else:
+        np.clip(samples, -1.0, 1.0, out=samples)
+    return samples.reshape(-1, 2).mean(axis=1) if channels == 2 else samples
+
+
+def reference_resample(samples: np.ndarray, rate: int) -> np.ndarray:
+    if rate == CANONICAL_RATE:
+        return samples
+    ratio = Fraction(CANONICAL_RATE, rate).limit_denominator(1000)
+    return np.clip(resample_poly(samples, ratio.numerator, ratio.denominator), -1.0, 1.0)
+
+
+def check_chunked_kernel(rate, n_frames, dtype, channels, seed):
+    """load_wav, load_wav at 22050 Hz and resample against the whole-array references."""
+    rng = np.random.default_rng(seed)
+    if dtype == "<i2":
+        data = rng.integers(-32768, 32768, n_frames * channels, dtype=np.int64).astype(dtype)
+    else:
+        data = rng.uniform(-1.25, 1.25, n_frames * channels).astype(dtype)
+        data[rng.random(data.size) < 0.05] = -0.0
+    whole = reference_decode(data, channels)
+    want = reference_resample(whole, rate)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.wav"
+        tag, bits = (1, 16) if dtype == "<i2" else (3, 32)
+        path.write_bytes(wav_bytes(data.tobytes(), channels=channels, rate=rate, fmt=tag, bits=bits))
+        native = load_wav(path)
+        streamed = load_wav(path, CANONICAL_RATE)
+    assert native.sample_rate == rate
+    assert native.samples.tobytes() == whole.tobytes()
+    assert streamed.sample_rate == CANONICAL_RATE
+    assert streamed.samples.tobytes() == want.tobytes()
+    assert resample(native, CANONICAL_RATE).samples.tobytes() == want.tobytes()
+
+
+class TestChunkedKernelMatchesResamplePoly:
+    """Chunked decode and resample equal one whole-array resample_poly, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rate=st.sampled_from(SOURCE_RATES),
+        chunk=st.sampled_from([1, 2, 3, 5, 64]),
+        chunks=st.integers(1, 60),
+        edge=st.integers(-1, 1),
+        dtype=st.sampled_from(["<i2", "<f4"]),
+        channels=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_chunks(self, rate, chunk, chunks, edge, dtype, channels, seed):
+        # lengths on both sides of a chunk edge, with the chunk patched down
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(audio, "DECODE_CHUNK", chunk)
+            check_chunked_kernel(rate, max(1, chunks * chunk + edge), dtype, channels, seed)
+
+    @pytest.mark.parametrize("rate", [8000, 44100, 48000, 96000])
+    @pytest.mark.parametrize("n_frames", [DECODE_CHUNK - 1, DECODE_CHUNK, DECODE_CHUNK + 1, 2 * DECODE_CHUNK + 1])
+    def test_module_chunk(self, rate, n_frames):
+        check_chunked_kernel(rate, n_frames, "<i2", 2, seed=rate + n_frames)
 
 
 class TestStft:
     def test_zero_clip(self):
-        spec = stft(AudioClip(np.zeros(8192) + 0.0, 22050))
-        assert np.all(spec.magnitudes == 0.0)
+        series = stft(AudioClip(np.zeros(8192) + 0.0, 22050))
+        for name in ("energy", "band_energy", "flux", "log_flux", "centroid", "rolloff"):
+            assert np.all(getattr(series, name) == 0.0), name
 
     def test_sine_peak_bin(self):
+        # a pure tone's energy sits in the bins around it: centroid and
+        # rolloff within one bin of 440 Hz
         t = np.arange(22050) / 22050
-        spec = stft(AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), 22050))
-        peak_freqs = spec.bin_freqs[np.argmax(spec.magnitudes, axis=1)]
-        assert np.all(np.abs(peak_freqs - 440.0) <= 22050 / 2048)
+        series = stft(AudioClip(0.5 * np.sin(2 * np.pi * 440 * t), 22050))
+        assert np.all(np.abs(series.centroid - 440.0) <= 22050 / 2048)
+        assert np.all(np.abs(series.rolloff - 440.0) <= 22050 / 2048)
 
     def test_frame_count_formula(self):
-        spec = stft(AudioClip(np.ones(22050) * 0.1, 22050), window_len=2048, hop=512)
-        assert spec.n_frames == 40  # 1 + (22050 - 2048) // 512
+        series = stft(AudioClip(np.ones(22050) * 0.1, 22050), window_len=2048, hop=512)
+        assert series.n_frames == 40  # 1 + (22050 - 2048) // 512
+        assert series.flux.size == series.log_flux.size == 39
 
     def test_preconditions(self):
         clip = AudioClip(np.ones(1000) * 0.1, 22050)
@@ -186,13 +353,13 @@ class TestStft:
 
     def test_parseval_energy(self, noise_clip):
         window = 2048
-        spec = stft(noise_clip, window_len=window, hop=512)
-        mags = spec.magnitudes
-        # full-spectrum energy from the rfft half (even window length)
-        spectral = (mags[:, 0] ** 2 + mags[:, -1] ** 2 + 2 * (mags[:, 1:-1] ** 2).sum(axis=1)) / window
+        series = stft(noise_clip, window_len=window, hop=512)
+        # full-spectrum energy from the rfft half (even window length); the
+        # DC and Nyquist bins, 2 of 1025, are counted twice, well inside 1 %
+        spectral = 2 * series.energy / window
         hann = np.hanning(window)
         frames = np.lib.stride_tricks.sliding_window_view(noise_clip.samples, window)[::512]
-        frames = frames[: spec.n_frames]
+        frames = frames[: series.n_frames]
         direct = ((frames * hann) ** 2).sum(axis=1)
         assert abs(spectral.sum() / direct.sum() - 1.0) < 0.01
 

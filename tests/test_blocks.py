@@ -1,9 +1,13 @@
-"""Frame-blocked layers against their whole-array originals, bit for bit.
+"""The one-pass STFT series against the whole-array layers, bit for bit.
 
 The reference functions below are the whole-spectrogram implementations
-that the blocked code replaced; every blocked layer must reproduce them
-exactly at frame counts on both sides of each block edge.
+that the STFT pass replaced: each read a whole magnitude array (the
+``Spectrogram`` below). Every feature layer that now reads the per-frame
+series must reproduce them exactly at frame counts on both sides of each
+block edge.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,25 +15,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
-from edm_atlas.audio import FRAME_BLOCK, AudioClip, Spectrogram, frame_blocks, stft
-from edm_atlas.features import (
+from edm_atlas.audio import (
     BAND_EDGES_HZ,
+    CHROMA_MIN_FREQ,
+    FRAME_BLOCK,
+    LOG_COMPRESSION,
+    ROLLOFF_FRACTION,
+    AudioClip,
+    frame_blocks,
+    frame_series,
+    mel_filterbank,
+    stft,
+)
+from edm_atlas.features import (
     BAND_ENERGY_SHARE_FLOOR,
     BAND_NOVELTY_FLOOR,
-    CHROMA_MIN_FREQ,
     EMPHASIS_LAG_RANGE_S,
     LOG_FLOOR,
     N_MFCC,
     PITCH_CLASSES,
-    ROLLOFF_FRACTION,
     band_beat_emphasis,
     chroma_features,
-    mel_filterbank,
     mfcc_features,
     spectral_stats,
 )
 from edm_atlas.tempogram import (
-    LOG_COMPRESSION,
     TEMPO_AXIS,
     NoveltyCurve,
     _fourier_kernel,
@@ -45,6 +55,23 @@ HOP = 512
 # at most one block, one block + 1, 2 x block -/+ 1, and counts that fixed
 # 256-row blocks would end with a 1-row tail (513, 769)
 FRAME_COUNTS = [45, 200, 256, 257, 258, 383, 384, 511, 512, 513, 514, 769, 770]
+
+
+@dataclass
+class Spectrogram:
+    """A whole magnitude STFT, frames x bins, with its physical axes."""
+
+    magnitudes: np.ndarray
+    frame_rate: float
+    bin_freqs: np.ndarray
+
+    @property
+    def n_frames(self):
+        return self.magnitudes.shape[0]
+
+
+def series_of(spec):
+    return frame_series(spec.magnitudes, spec.frame_rate, spec.bin_freqs)
 
 
 def ref_stft(clip, window_len=WINDOW, hop=HOP):
@@ -115,14 +142,17 @@ def ref_chroma(spec):
     return np.concatenate([chroma.mean(axis=0), chroma.std(axis=0), tail])
 
 
+def ref_band_mask(spec, lo):
+    return (spec.bin_freqs >= lo) & (spec.bin_freqs < lo * 2.0)
+
+
 def ref_band_emphasis(spec):
     values = []
     lag_lo = max(1, int(round(EMPHASIS_LAG_RANGE_S[0] * spec.frame_rate)))
     lag_hi = int(round(EMPHASIS_LAG_RANGE_S[1] * spec.frame_rate))
     total_energy = float((spec.magnitudes**2).sum(axis=1).mean())
     for lo in BAND_EDGES_HZ:
-        mask = (spec.bin_freqs >= lo) & (spec.bin_freqs < lo * 2.0)
-        envelope = np.sqrt((spec.magnitudes[:, mask] ** 2).sum(axis=1, keepdims=True))
+        envelope = np.sqrt((spec.magnitudes[:, ref_band_mask(spec, lo)] ** 2).sum(axis=1, keepdims=True))
         nov = ref_novelty(Spectrogram(envelope, spec.frame_rate, np.array([lo]))).values
         mean = nov.mean()
         empty_band = float((envelope**2).mean()) <= BAND_ENERGY_SHARE_FLOOR * total_energy
@@ -179,22 +209,34 @@ class TestBlockedLayersMatchWholeArray:
         clip = AudioClip(samples, RATE)
         got, want = stft(clip), ref_stft(clip)
         assert got.n_frames == n_frames
-        assert same_bytes(got.magnitudes, want.magnitudes)
+        assert same_bytes(spectral_stats(got).values, ref_spectral_stats(want))
+        assert same_bytes(mfcc_features(got).values, ref_mfcc(want))
+        assert same_bytes(chroma_features(got).values, ref_chroma(want))
+        assert same_bytes(novelty_curve(got).values, ref_novelty(want).values)
+        assert same_bytes(band_beat_emphasis(got).values, ref_band_emphasis(want))
+        whole = series_of(want)
+        for name in vars(whole):
+            assert same_bytes(getattr(got, name), getattr(whole, name)), name
 
     @settings(max_examples=30, deadline=None)
     @given(spec=spectrograms())
     def test_novelty(self, spec):
-        assert same_bytes(novelty_curve(spec).values, ref_novelty(spec).values)
+        series = series_of(spec)
+        assert same_bytes(novelty_curve(series).values, ref_novelty(spec).values)
+        for band, lo in enumerate(BAND_EDGES_HZ):
+            envelope = np.sqrt((spec.magnitudes[:, ref_band_mask(spec, lo)] ** 2).sum(axis=1, keepdims=True))
+            want = ref_novelty(Spectrogram(envelope, spec.frame_rate, np.array([lo])))
+            assert same_bytes(novelty_curve(series, band).values, want.values)
 
     @settings(max_examples=30, deadline=None)
     @given(spec=spectrograms())
     def test_spectral_stats(self, spec):
-        assert same_bytes(spectral_stats(spec).values, ref_spectral_stats(spec))
+        assert same_bytes(spectral_stats(series_of(spec)).values, ref_spectral_stats(spec))
 
     @settings(max_examples=30, deadline=None)
     @given(spec=spectrograms())
     def test_mfcc(self, spec):
-        assert same_bytes(mfcc_features(spec).values, ref_mfcc(spec))
+        assert same_bytes(mfcc_features(series_of(spec)).values, ref_mfcc(spec))
 
     def test_filter_bank_product_rows_at_every_block_height(self):
         # every height frame_blocks can give when there is more than one block
@@ -215,26 +257,26 @@ class TestBlockedLayersMatchWholeArray:
     @settings(max_examples=30, deadline=None)
     @given(spec=spectrograms())
     def test_chroma(self, spec):
-        vec = chroma_features(spec)
+        vec = chroma_features(series_of(spec))
         assert len(vec) == 2 * len(PITCH_CLASSES) + 2
         assert same_bytes(vec.values, ref_chroma(spec))
 
     @settings(max_examples=20, deadline=None)
     @given(spec=spectrograms())
     def test_band_emphasis(self, spec):
-        assert same_bytes(band_beat_emphasis(spec).values, ref_band_emphasis(spec))
+        assert same_bytes(band_beat_emphasis(series_of(spec)).values, ref_band_emphasis(spec))
 
 
 class TestNoveltyMinimumLength:
     def test_shorter_than_moving_average_names_minimum(self):
         # 1 s at 43 frames/s needs 44 frames; the parent failed with a shape error
-        spec = Spectrogram(np.ones((43, 4)), 43.0, np.arange(4) + 1.0)
+        series = frame_series(np.ones((43, 4)), 43.0, np.arange(4) + 1.0)
         with pytest.raises(ValueError, match="at least 44 spectrogram frames"):
-            novelty_curve(spec)
+            novelty_curve(series)
 
     def test_exact_minimum_runs(self):
-        spec = Spectrogram(np.ones((44, 4)), 43.0, np.arange(4) + 1.0)
-        assert novelty_curve(spec).values.size == 43
+        series = frame_series(np.ones((44, 4)), 43.0, np.arange(4) + 1.0)
+        assert novelty_curve(series).values.size == 43
 
 
 class TestFourierKernelCache:

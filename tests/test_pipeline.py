@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import count_calls, make_blobs
 from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram, trees
-from edm_atlas.audio import load_wav, save_wav, synth_click_track
+from edm_atlas.audio import STFT_HOP, STFT_WINDOW, AudioClip, load_wav, save_wav, synth_click_track
 from edm_atlas.cluster import select_natural_k
 from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
@@ -36,7 +37,15 @@ from edm_atlas.pipeline import (
     stage_seed,
 )
 from edm_atlas.plots import pca_project, radar_svg, scatter_svg
-from edm_atlas.table import MANIFEST_COLUMNS, FeatureMatrix, load_labels, load_manifest, load_matrix, save_matrix
+from edm_atlas.table import (
+    MANIFEST_COLUMNS,
+    FeatureMatrix,
+    TrackRecord,
+    load_labels,
+    load_manifest,
+    load_matrix,
+    save_matrix,
+)
 from edm_atlas.tempogram import analyze_track, tempogram_feature_vector
 
 
@@ -154,7 +163,7 @@ class TestOneAnalysisPerTrack:
         parts = [
             fundamental_feature_vector(analyze_track(clip)),
             tempogram_feature_vector(analyze_track(clip)),
-            band_beat_emphasis(analyze_track(clip).spec),
+            band_beat_emphasis(analyze_track(clip).series),
         ]
         assert vec.names == [name for part in parts for name in part.names]
         assert vec.values.tobytes() == np.concatenate([part.values for part in parts]).tobytes()
@@ -169,6 +178,15 @@ class TestShortTracks:
             extract_track(load_manifest(manifest)[0], tmp_path)
         assert stft_calls == []
 
+    @pytest.mark.parametrize("rate", [22050, 44100])
+    def test_rejected_from_header(self, tmp_path, monkeypatch, rate):
+        # the header's frame count decides: no sample is decoded
+        save_wav(AudioClip(np.zeros(int(rate * 9.99)), rate), tmp_path / "short.wav")
+        decoded = count_calls(monkeypatch, audio, "load_wav")
+        with pytest.raises(ValueError, match=r"^9\.99 s of audio; extraction needs at least 10 s$"):
+            extract_track(TrackRecord("short", "short.wav", "house"), tmp_path)
+        assert decoded == []
+
     def test_batch_continues(self, tmp_path, caplog):
         manifest = write_manifest(tmp_path, {"half_second": 0.5, "one_second": 1.0, "full": 11.0})
         cfg = RunConfig(manifest=str(manifest), out=str(tmp_path / "out"), workers=1)
@@ -177,6 +195,24 @@ class TestShortTracks:
         assert failed == ["half_second", "one_second"]
         assert matrix.row_ids == ["full"]
         assert "extraction needs at least 10 s" in caplog.text
+
+
+class TestExtractionMemory:
+    def test_traced_peak_below_clip_and_half_a_spectrogram(self, tmp_path):
+        # A 60 s 44.1 kHz track. Holding its whole magnitude spectrogram, or
+        # its whole 44.1 kHz samples next to the clip, goes over the bound.
+        rng = np.random.default_rng(0)
+        save_wav(AudioClip(0.5 * rng.uniform(-1.0, 1.0, 60 * 44100), 44100), tmp_path / "long.wav")
+        n = 60 * 22050
+        clip_bytes = 8 * n
+        spectrogram_bytes = 8 * (1 + (n - STFT_WINDOW) // STFT_HOP) * (STFT_WINDOW // 2 + 1)
+        tracemalloc.start()
+        try:
+            extract_track(TrackRecord("long", "long.wav", "house"), tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < clip_bytes + spectrogram_bytes / 2
 
 
 class _RecordingPool:

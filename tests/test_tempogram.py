@@ -3,7 +3,7 @@ import pytest
 
 from conftest import count_calls
 from edm_atlas import audio
-from edm_atlas.audio import AudioClip, Spectrogram, stft, synth_click_track
+from edm_atlas.audio import AudioClip, frame_series, stft, synth_click_track
 from edm_atlas.tempogram import (
     NoveltyCurve,
     Tempogram,
@@ -31,8 +31,8 @@ def local_peaks(profile):
 
 class TestNoveltyCurve:
     def test_constant_spectrum_is_silent(self):
-        spec = Spectrogram(np.full((50, 8), 3.0), 43.0, np.arange(8) * 100.0 + 100)
-        assert np.all(novelty_curve(spec).values == 0.0)
+        series = frame_series(np.full((50, 8), 3.0), 43.0, np.arange(8) * 100.0 + 100)
+        assert np.all(novelty_curve(series).values == 0.0)
 
     def test_click_peak_spacing(self, click_120):
         nov = novelty_curve(stft(click_120))
@@ -52,9 +52,16 @@ class TestNoveltyCurve:
         assert peaks_a == peaks_b
 
     def test_needs_two_frames(self):
-        spec = Spectrogram(np.ones((1, 4)), 43.0, np.arange(4) + 1.0)
+        series = frame_series(np.ones((1, 4)), 43.0, np.arange(4) + 1.0)
         with pytest.raises(ValueError):
-            novelty_curve(spec)
+            novelty_curve(series)
+
+    def test_band_out_of_range(self, click_120):
+        series = stft(click_120)
+        assert novelty_curve(series, 5).values.size == series.n_frames - 1
+        for band in (-1, 6):
+            with pytest.raises(ValueError, match=r"band must be in \[0, 6\)"):
+                novelty_curve(series, band)
 
 
 class TestFourierTempogram:
