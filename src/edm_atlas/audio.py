@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.signal import firwin, upfirdn
 
 CANONICAL_RATE = 22050
 STFT_WINDOW = 2048
@@ -193,6 +192,8 @@ def _frame_reader(fh, header: WavHeader) -> Callable[[int, int], np.ndarray]:
 @lru_cache(maxsize=8)
 def _lowpass(up: int, down: int) -> np.ndarray:
     """``resample_poly``'s default filter for ``up``/``down``: a Kaiser (beta 5) ``firwin`` times ``up``."""
+    from scipy.signal import firwin  # loads scipy.signal only for a clip that needs resampling
+
     max_rate = max(up, down)
     h = firwin(2 * (10 * max_rate) + 1, 1.0 / max_rate, window=("kaiser", 5.0))
     h *= up
@@ -212,6 +213,8 @@ def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down:
     call) and reaches back one whole filter phase before its first kept
     output computes every kept output from the same inputs, taps and order.
     """
+    from scipy.signal import upfirdn
+
     h = _lowpass(up, down)
     half_len = (h.size - 1) // 2
     n_pre_pad = down - half_len % down

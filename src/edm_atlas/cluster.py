@@ -317,7 +317,9 @@ def divisive_cluster(data, k_target: int, seed: int = 0) -> ClusterModel:
         node.children = (left, right)
         for child in (left, right):
             leaves[child.node_id] = child
-            h_scores[child.node_id] = heterogeneity(x[child.indices], seed=next_seed())
+        if len(leaves) < k_target:  # the last split's children are never chosen from
+            for child in (left, right):
+                h_scores[child.node_id] = heterogeneity(x[child.indices], seed=next_seed())
 
     labels = np.empty(n, dtype=np.int64)
     ordered = [leaves[nid] for nid in sorted(leaves)]

@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
-from scipy.stats import rankdata
 
 from .parallel import pool_map
 from .table import FeatureMatrix, write_csv
@@ -429,11 +428,23 @@ def map_columns_to_dimensions(
 
 
 def _midrank_percentiles(values: np.ndarray) -> np.ndarray:
-    """0-based mid-ranks (ties share their mean rank) scaled to 0-100; a lone value ranks 50."""
+    """0-based mid-ranks (ties share their mean rank) scaled to 0-100; a lone value ranks 50.
+
+    ``values`` must be finite (here, cluster means of z-scores). The ranks
+    equal ``scipy.stats.rankdata(values) - 1`` bit for bit: whole and half
+    ranks are exact in float64.
+    """
     k = values.size
     if k == 1:
         return np.array([50.0])
-    return 100.0 * (rankdata(values) - 1.0) / (k - 1)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # each tie group spans sorted positions first..last
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], k] - 1
+    ranks = np.empty(k)
+    ranks[order] = np.repeat((starts + ends) / 2.0, ends - starts + 1)
+    return 100.0 * ranks / (k - 1)
 
 
 def cluster_profiles(

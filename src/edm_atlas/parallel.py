@@ -13,8 +13,10 @@ must pickle: nothing may rest on state a forked worker inherits, so the
 pool works under fork, spawn and forkserver alike. A task must not call
 ``pool_map`` with more than one worker itself, so pools never nest.
 Workers start with the platform's default method (fork on Linux before
-Python 3.14), which takes milliseconds; under spawn every worker of every
-pool re-imports numpy and scipy, about a second each on a 2-vCPU host.
+Python 3.14), which takes milliseconds; under spawn or forkserver every
+worker of every pool re-imports numpy and the package's scipy modules:
+a 2-worker pool started from a process that has imported the CLI took
+0.8-1.0 s to run its first task on a 2-vCPU host.
 """
 
 from __future__ import annotations

@@ -475,3 +475,75 @@ class TestKmeansMatchesReference:
         want = select_natural_k(data, (2, 8), seed=1, restarts=6)
         for f in fields(got):
             assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+# ---------------------------------------------------------------------------
+# divisive_cluster no longer scores the two children of its last split: once
+# k_target leaves exist no leaf is chosen again, and leaves carry h=None. The
+# old loop, which scored them, is kept here as the reference.
+
+
+def divisive_reference(data, k_target, seed=0):
+    x = np.asarray(data, dtype=np.float64)
+    n = x.shape[0]
+    ss = np.random.SeedSequence(seed)
+
+    def next_seed():
+        return int(ss.spawn(1)[0].generate_state(1)[0])
+
+    root = cluster.SplitNode(0, np.arange(n))
+    h_scores = {0: heterogeneity(x, seed=next_seed())}
+    leaves = {0: root}
+    next_id = 1
+    warning = None
+    while len(leaves) < k_target:
+        candidates = [(nid, h_scores[nid]) for nid in sorted(leaves)]
+        best_id, best_h = max(candidates, key=lambda t: (t[1], leaves[t[0]].size, -t[0]))
+        if best_h <= 0:
+            warning = f"all heterogeneity scores 0 at k={len(leaves)}; cannot reach k_target={k_target}"
+            break
+        node = leaves.pop(best_id)
+        split = kmeans(x[node.indices], 2, restarts=cluster.SPLIT_RESTARTS, seed=next_seed())
+        left = cluster.SplitNode(next_id, node.indices[split.labels == 0])
+        right = cluster.SplitNode(next_id + 1, node.indices[split.labels == 1])
+        next_id += 2
+        node.h = best_h
+        node.children = (left, right)
+        for child in (left, right):
+            leaves[child.node_id] = child
+            h_scores[child.node_id] = heterogeneity(x[child.indices], seed=next_seed())
+    labels = np.empty(n, dtype=np.int64)
+    ordered = [leaves[nid] for nid in sorted(leaves)]
+    inertia = 0.0
+    for c, leaf in enumerate(ordered):
+        labels[leaf.indices] = c
+        members = x[leaf.indices]
+        inertia += float(((members - members.mean(axis=0)) ** 2).sum())
+    return ClusterModel(labels, len(ordered), inertia, method="divisive", seed=seed, split_tree=root, warning=warning)
+
+
+class TestDivisiveMatchesReference:
+    @pytest.mark.parametrize("k", [2, 3, 6, 10])
+    def test_heterogeneity_calls(self, k):
+        data = np.random.default_rng(k).normal(0, 1, (60, 4))
+        with mock.patch.object(cluster, "heterogeneity", wraps=heterogeneity) as spy:
+            model = divisive_cluster(data, k, seed=0)
+        assert model.k == k and model.warning is None
+        assert spy.call_count == 2 * k - 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "data, k",
+        [
+            (make_blobs(4, 15, dim=5, seed=7)[0], 7),
+            (np.random.default_rng(2).normal(0, 1, (40, 3)), 10),
+            (np.repeat(np.random.default_rng(3).normal(0, 1, (6, 2)), 4, axis=0), 9),
+            (np.ones((20, 3)), 3),
+        ],
+        ids=["blobs", "noise", "duplicates", "constant"],
+    )
+    def test_same_model_and_tree(self, data, k, seed):
+        got = divisive_cluster(data, k, seed=seed)
+        want = divisive_reference(data, k, seed=seed)
+        assert same_model(got, want)
+        assert got.split_tree.to_dict() == want.split_tree.to_dict()

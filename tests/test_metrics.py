@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.stats import rankdata
 
 from conftest import make_blobs
 from edm_atlas import metrics
@@ -563,6 +564,32 @@ class TestArrayPassesMatchLoops:
     def test_midranks_ties(self):
         values = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
         assert metrics._midrank_percentiles(values).tolist() == [87.5, 12.5, 87.5, 50.0, 12.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, 1.0, -1.5]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_midranks_match_rankdata(self, values, rnd):
+        values = values + rnd.sample(values, len(values) // 2)  # forced ties
+        rnd.shuffle(values)
+        values = np.array(values)
+        want = 100.0 * (rankdata(values) - 1.0) / (values.size - 1)
+        got = metrics._midrank_percentiles(values)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_midranks_signed_zero_tie(self):
+        assert metrics._midrank_percentiles(np.array([0.0, -0.0, 1.0])).tolist() == [25.0, 25.0, 100.0]
+
+    def test_midranks_lone_value(self):
+        assert metrics._midrank_percentiles(np.array([-3.0])).tolist() == [50.0]
 
 
 # ---------------------------------------------------------------------------
