@@ -11,7 +11,6 @@ Run:
 import numpy as np
 
 from edm_atlas import (
-    LabelVector,
     ari,
     divisive_cluster,
     engineer_features,
@@ -38,12 +37,11 @@ data = np.column_stack([informative, noise])
 names = [f"signal_{i}" for i in range(4)] + [f"noise_{i:02d}" for i in range(d_noise)]
 groups = ["rhythmic", "spectral", "harmonic", "timbral"] + ["spectral"] * d_noise
 m = FeatureMatrix([f"track_{i:03d}" for i in range(n)], names, groups, data)
-labels = LabelVector(y, [f"genre_{i}" for i in range(n_classes)])
 
 engineered = engineer_features(m)
 print(f"engineering: {m.shape[1]} -> {engineered.shape[1]} columns")
 normalized = ensemble_normalize(engineered)
-selected, report = ensemble_select(normalized, labels, top_k=20, seed=0)
+selected, report = ensemble_select(normalized, y, top_k=20, seed=0)  # y: class index per row
 
 order = np.argsort(-report.ensemble)
 print("\ntop 8 features by ensemble score:")

@@ -49,14 +49,12 @@ from .metrics import (
     silhouette,
 )
 from .selection import (
-    LabelVector,
     SelectionReport,
     anova_f,
     cluster_separation_score,
     engineer_features,
     ensemble_normalize,
     ensemble_select,
-    forest_importance,
     mutual_info,
     variance_score,
 )

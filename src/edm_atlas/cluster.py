@@ -19,8 +19,8 @@ import numpy as np
 
 from . import metrics
 from .parallel import pool_map
-from .selection import _min_max
 from .table import write_csv
+from .types import min_max
 
 logger = logging.getLogger(__name__)
 
@@ -415,7 +415,7 @@ def select_natural_k(
         ch = np.where(finite, ch, cap)
 
     elbow = _chord_distance(ks.astype(np.float64), inertia)
-    sil_n, ch_n, elbow_n = _min_max(sil), _min_max(ch), _min_max(elbow)
+    sil_n, ch_n, elbow_n = min_max(sil), min_max(ch), min_max(elbow)
     w_s, w_c, w_e = CONSENSUS_WEIGHTS
     consensus = w_s * sil_n + w_c * ch_n + w_e * elbow_n
     chosen = int(ks[int(np.argmax(consensus))])  # argmax takes the smaller k on ties

@@ -3,11 +3,13 @@
 Every stage derives its randomness from the single root seed through a
 stage-name hash (``stage_seed``), so a partial rerun of any stage with the
 same config reproduces its outputs byte for byte. Stages communicate
-through files in the output directory:
+through files in the output directory. ``cluster`` alone writes the
+selection files; ``sweep``, and ``plot`` without ``selected.csv``, select
+in memory.
 
 * ``features.csv``          extracted feature matrix (extract)
-* ``selection_report.csv``  per-feature selection scores (cluster/sweep)
-* ``selected.csv``          matrix restricted to the selected features
+* ``selection_report.csv``  per-feature selection scores (cluster)
+* ``selected.csv``          matrix restricted to the selected features (cluster)
 * ``labels_<method>.csv`` / ``model_<method>.json``   clustering outputs
 * ``report_<method>.json``  evaluation metrics
 * ``sweep.csv``             per-k validity indices and consensus
@@ -36,7 +38,7 @@ from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
 from .parallel import pool_map
 from .plots import pca_project, radar_svg, scatter_svg
-from .selection import LabelVector, engineer_features, ensemble_normalize, ensemble_select
+from .selection import SelectionReport, engineer_features, ensemble_normalize, ensemble_select
 from .table import (
     ConfigError,
     FeatureMatrix,
@@ -245,36 +247,46 @@ def _check_catalog(genres: list[str]) -> None:
         )
 
 
-def prepare_selected(cfg: RunConfig, check_tracks: Callable[[int], None]) -> tuple[FeatureMatrix, LabelVector]:
-    """engineer -> normalize -> select, persisting the selection artifacts."""
-    matrix, genres = _load_features(cfg)
-    check_tracks(matrix.shape[0])
-    _check_catalog(genres)
-    labels = LabelVector.from_strings(genres)
+def _class_indices(genres: list[str]) -> np.ndarray:
+    """Each track's genre as its index in sorted genre order."""
+    index = {g: i for i, g in enumerate(sorted(set(genres)))}
+    return np.array([index[g] for g in genres], dtype=np.int64)
+
+
+def prepare_selected(cfg: RunConfig, matrix: FeatureMatrix, y: np.ndarray) -> tuple[FeatureMatrix, SelectionReport]:
+    """engineer -> normalize -> select on the extracted matrix; writes nothing.
+
+    ``y`` holds each track's genre class index.
+    """
     engineered = engineer_features(matrix)
     normalized = ensemble_normalize(engineered)
     top_k = min(cfg.top_k, normalized.shape[1])
     if top_k < cfg.top_k:
         logger.warning("top_k clipped to %d available features", top_k)
-    selected, report = ensemble_select(
-        normalized, labels, top_k=top_k, seed=stage_seed(cfg.seed, "select"), workers=cfg.workers
-    )
-    out_dir = Path(cfg.out)
-    report.write_csv(out_dir / "selection_report.csv")
-    save_matrix(selected, out_dir / "selected.csv")
-    return selected, labels
+    return ensemble_select(normalized, y, top_k=top_k, seed=stage_seed(cfg.seed, "select"), workers=cfg.workers)
 
 
-def _clustering_input(cfg: RunConfig, check_tracks: Callable[[int], None]) -> tuple[FeatureMatrix, LabelVector]:
-    """The embeddings when supplied, else the selected matrix; ``check_tracks`` runs first."""
+def _clustering_input(
+    cfg: RunConfig, check_tracks: Callable[[int], None]
+) -> tuple[FeatureMatrix, np.ndarray, SelectionReport | None]:
+    """The clustering matrix, each row's genre class index, and the selection report.
+
+    The matrix is the embeddings when supplied (no selection, so no report),
+    else the selected features. ``check_tracks`` and the catalog check run
+    before any work.
+    """
     if cfg.embeddings:
         records = load_manifest(cfg.manifest)
         matrix = import_embeddings(cfg.embeddings, records)
         check_tracks(matrix.shape[0])
-        labels = LabelVector.from_strings([r.genre for r in records])
         logger.info("embeddings supplied: selection stage skipped")
-        return matrix, labels
-    return prepare_selected(cfg, check_tracks)
+        return matrix, _class_indices([r.genre for r in records]), None
+    matrix, genres = _load_features(cfg)
+    check_tracks(matrix.shape[0])
+    _check_catalog(genres)
+    y = _class_indices(genres)
+    selected, report = prepare_selected(cfg, matrix, y)
+    return selected, y, report
 
 
 def _kmeans_labels(x: np.ndarray, seed: int, k: int) -> np.ndarray:
@@ -307,9 +319,12 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
         if cfg.k >= n:  # the internal indices (Davies-Bouldin, silhouette) need k < n
             raise ConfigError(f"k={cfg.k} must be below the number of tracks ({n})")
 
-    matrix, labels = _clustering_input(cfg, check_tracks)
+    matrix, truth, selection = _clustering_input(cfg, check_tracks)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if selection is not None:
+        selection.write_csv(out_dir / "selection_report.csv")
+        save_matrix(matrix, out_dir / "selected.csv")
 
     methods = ("kmeans", "divisive") if cfg.method == "both" else (cfg.method,)
     reports: dict[str, metrics.EvaluationReport] = {}
@@ -328,7 +343,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
         report = metrics.evaluate_all(
             matrix.data,
             model.labels,
-            labels.labels,
+            truth,
             clusterer,
             seed=stage_seed(cfg.seed, f"bootstrap:{method}"),
             split_tree=model.split_tree,
@@ -349,7 +364,7 @@ def cmd_sweep(cfg: RunConfig):
         if cfg.k_max > n:
             raise ConfigError(f"k-max={cfg.k_max} exceeds {n} tracks")
 
-    matrix, _ = _clustering_input(cfg, check_tracks)
+    matrix, _, _ = _clustering_input(cfg, check_tracks)
     result = select_natural_k(
         matrix.data,
         (cfg.k_min, cfg.k_max),
@@ -396,6 +411,13 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
             for v in raw.values()
         ):
             raise ConfigError(f"{override}: expected {{dimension: [[name substrings], [column groups]]}}")
+        unknown = sorted(set(raw) - set(metrics.PROFILE_DIMENSIONS))
+        if unknown:
+            # profiles.csv has one column per known dimension; another would be drawn but never written
+            raise ConfigError(
+                f"{override}: unknown dimensions {', '.join(unknown)}; "
+                f"known: {', '.join(metrics.PROFILE_DIMENSIONS)}"
+            )
         rules = {dim: (tuple(v[0]), tuple(v[1])) for dim, v in raw.items()}
         logger.info("using dimension mapping override from %s", override)
 
@@ -420,7 +442,7 @@ def cmd_plot(cfg: RunConfig) -> Path:
     if selected_path.exists() and not cfg.embeddings:
         matrix = load_matrix(selected_path)
     else:
-        matrix, _ = _clustering_input(cfg, lambda n: None)
+        matrix, _, _ = _clustering_input(cfg, lambda n: None)
     labels = load_labels(_resolve_labels_path(cfg), matrix.row_ids)
     points, variances = pca_project(matrix.data)
     svg = scatter_svg(

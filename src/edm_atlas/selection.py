@@ -21,6 +21,7 @@ import numpy as np
 from .metrics import mi_score
 from .table import FeatureMatrix, write_csv
 from .trees import forest_gini_importance
+from .types import min_max
 
 logger = logging.getLogger(__name__)
 
@@ -41,29 +42,6 @@ ENGINEER_TOP_SKEW = 20
 INTERACTION_GROUPS = ("spectral", "timbral", "harmonic", "rhythmic", "tempogram")
 MI_BINS = 16
 DEFAULT_TOP_K = 100
-
-
-@dataclass
-class LabelVector:
-    """Integer class labels aligned to matrix rows."""
-
-    labels: np.ndarray
-    class_names: list[str]
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.size and self.labels.max() >= len(self.class_names):
-            raise ValueError("label index exceeds class_names")
-
-    @classmethod
-    def from_strings(cls, genres) -> "LabelVector":
-        names = sorted(set(genres))
-        index = {g: i for i, g in enumerate(names)}
-        return cls(np.array([index[g] for g in genres]), names)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
 
 
 @dataclass
@@ -237,10 +215,10 @@ def ensemble_normalize(m: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(m.row_ids, list(m.col_names), list(m.col_groups), out)
 
 
-def _check_labels(labels: LabelVector, n_rows: int, min_per_class: int = 1) -> None:
-    if labels.labels.size != n_rows:
+def _check_labels(y: np.ndarray, n_rows: int, min_per_class: int = 1) -> None:
+    if y.size != n_rows:
         raise ValueError("labels not aligned to matrix rows")
-    counts = np.bincount(labels.labels, minlength=labels.n_classes)
+    counts = np.bincount(y)
     if (counts > 0).sum() < 2:
         raise ValueError("need at least 2 classes")
     if np.any((counts > 0) & (counts < min_per_class)):
@@ -279,64 +257,48 @@ def _with_sentinel(f: np.ndarray, infinite: np.ndarray) -> np.ndarray:
     return out
 
 
-def anova_f(m: FeatureMatrix, labels: LabelVector) -> np.ndarray:
-    """One-way ANOVA F statistic per column."""
-    _check_labels(labels, m.shape[0], min_per_class=2)
-    f, infinite = _f_ratio(m.data, labels.labels)
+def anova_f(data: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One-way ANOVA F statistic per column of ``data``; ``y`` holds each row's class index."""
+    _check_labels(y, data.shape[0], min_per_class=2)
+    f, infinite = _f_ratio(data, y)
     return _with_sentinel(f, infinite)
 
 
-def mutual_info(m: FeatureMatrix, labels: LabelVector, bins: int = MI_BINS) -> np.ndarray:
+def mutual_info(data: np.ndarray, y: np.ndarray, bins: int = MI_BINS) -> np.ndarray:
     """Plug-in mutual information (nats) between equal-frequency-binned
-    feature values and the class label."""
-    _check_labels(labels, m.shape[0])
-    y = labels.labels
-    scores = np.empty(m.shape[1])
-    for j in range(m.shape[1]):
-        col = m.data[:, j]
+    column values and the class index ``y``."""
+    _check_labels(y, data.shape[0])
+    scores = np.empty(data.shape[1])
+    for j in range(data.shape[1]):
+        col = data[:, j]
         edges = np.unique(np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1]))
         binned = np.searchsorted(edges, col, side="right")
         scores[j] = mi_score(binned, y)
     return scores
 
 
-def forest_importance(
-    m: FeatureMatrix, labels: LabelVector, mode: str, seed: int = 0, workers: int = 1
-) -> np.ndarray:
-    """Gini importance from the from-scratch tree ensemble (sums to 1); ``workers`` sizes its tree pool."""
-    _check_labels(labels, m.shape[0])
-    return forest_gini_importance(m.data, labels.labels, mode=mode, seed=seed, workers=workers)
-
-
-def variance_score(m: FeatureMatrix) -> np.ndarray:
+def variance_score(data: np.ndarray) -> np.ndarray:
     """Sample variance per column."""
-    if m.shape[0] < 2:
-        return np.zeros(m.shape[1])
-    return m.data.var(axis=0, ddof=1)
+    if data.shape[0] < 2:
+        return np.zeros(data.shape[1])
+    return data.var(axis=0, ddof=1)
 
 
-def cluster_separation_score(m: FeatureMatrix, labels: LabelVector) -> np.ndarray:
-    """Per-column 1-D Calinski-Harabasz index of the genre labeling."""
-    _check_labels(labels, m.shape[0])
-    f, infinite = _f_ratio(m.data, labels.labels)
+def cluster_separation_score(data: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-column 1-D Calinski-Harabasz index of the class labeling ``y``."""
+    _check_labels(y, data.shape[0])
+    f, infinite = _f_ratio(data, y)
     return _with_sentinel(f, infinite)
-
-
-def _min_max(scores: np.ndarray) -> np.ndarray:
-    lo, hi = scores.min(), scores.max()
-    if hi <= lo:
-        return np.zeros_like(scores)
-    return (scores - lo) / (hi - lo)
 
 
 def ensemble_select(
     m: FeatureMatrix,
-    labels: LabelVector,
+    y: np.ndarray,
     top_k: int = DEFAULT_TOP_K,
     seed: int = 0,
     workers: int = 1,
 ) -> tuple[FeatureMatrix, SelectionReport]:
-    """Keep the top_k features by weighted ensemble score.
+    """Keep the top_k features by weighted ensemble score; ``y`` holds each row's class index.
 
     Scoring happens in canonical (name-sorted) column order so that the
     result is invariant to the input column order; ensemble ties also break
@@ -347,27 +309,24 @@ def ensemble_select(
     if top_k > d:
         raise ValueError(f"top_k {top_k} exceeds {d} available features")
     canon = sorted(range(d), key=lambda i: m.col_names[i])
-    m_canon = FeatureMatrix(
-        m.row_ids,
-        [m.col_names[i] for i in canon],
-        [m.col_groups[i] for i in canon],
-        m.data[:, canon],
-    )
+    # the gather comes back column-major; a C-contiguous copy would round
+    # the F sums, and so the scores, differently
+    data = m.data[:, canon]
     # anova_f and cluster_separation_score are the same F ratio; the
-    # stricter anova_f label check covers both
-    f_ratio = anova_f(m_canon, labels)
+    # stricter anova_f label check covers every score
+    f_ratio = anova_f(data, y)
     raw_canon = {
         "anova_f": f_ratio,
-        "mutual_info": mutual_info(m_canon, labels),
-        "rf_importance": forest_importance(m_canon, labels, "random_forest", seed=seed, workers=workers),
-        "et_importance": forest_importance(m_canon, labels, "extra_trees", seed=seed + 1, workers=workers),
-        "variance": variance_score(m_canon),
+        "mutual_info": mutual_info(data, y),
+        "rf_importance": forest_gini_importance(data, y, mode="random_forest", seed=seed, workers=workers),
+        "et_importance": forest_gini_importance(data, y, mode="extra_trees", seed=seed + 1, workers=workers),
+        "variance": variance_score(data),
         "cluster_sep": f_ratio,
     }
     undo = np.empty(d, dtype=int)
     undo[canon] = np.arange(d)
     raw = {k: v[undo] for k, v in raw_canon.items()}
-    normalized = {k: _min_max(v) for k, v in raw.items()}
+    normalized = {k: min_max(v) for k, v in raw.items()}
     ensemble = np.zeros(d)
     for method, weight in METHOD_WEIGHTS.items():
         ensemble += weight * normalized[method]

@@ -63,3 +63,11 @@ def stats_pair(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """(mean, population std) of a 1-D series."""
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std())
+
+
+def min_max(scores: np.ndarray) -> np.ndarray:
+    """Scores rescaled to [0, 1]; all zeros when they are constant."""
+    lo, hi = scores.min(), scores.max()
+    if hi <= lo:
+        return np.zeros_like(scores)
+    return (scores - lo) / (hi - lo)

@@ -17,7 +17,6 @@ from edm_atlas.pipeline import RunConfig, cmd_cluster, cmd_extract, cmd_fixtures
 from edm_atlas.selection import (
     METHOD_WEIGHTS,
     NORMALIZE_WEIGHTS,
-    LabelVector,
     ensemble_normalize,
     ensemble_select,
     power_scale,
@@ -184,8 +183,7 @@ class TestCriterion7SelectionEnsemble:
                 ["spectral"] * d,
                 data,
             )
-            labels = LabelVector(y, [f"c{i}" for i in range(n_classes)])
-            _, rep = ensemble_select(m, labels, top_k=10, seed=run)
+            _, rep = ensemble_select(m, y, top_k=10, seed=run)
             if int(np.argmax(rep.ensemble)) == planted:
                 hits += 1
             for scores in rep.normalized.values():

@@ -6,7 +6,7 @@ import pickle
 import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 from typing import get_type_hints
@@ -270,13 +270,14 @@ class TestAnalysisWorkers:
             trees.forest_gini_importance(data, truth, mode=mode, seed=1, workers=workers)
         assert recording_pool == expected * 2
 
-    def test_selection_pool_sizes(self, fixture_run, tmp_path, recording_pool):
-        (tmp_path / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
-        cfg = RunConfig(manifest=fixture_run.manifest, out=str(tmp_path), seed=7, workers=2)
-        pipeline.prepare_selected(cfg, lambda n: None)
+    def test_selection_pool_sizes(self, fixture_run, recording_pool):
+        matrix, genres = pipeline._load_features(fixture_run)
+        cfg = replace(fixture_run, workers=2)
+        selected, _ = pipeline.prepare_selected(cfg, matrix, pipeline._class_indices(genres))
         assert recording_pool == [2, 2]  # one pool per forest
-        selected = (Path(fixture_run.out) / "selected.csv").read_bytes()
-        assert (tmp_path / "selected.csv").read_bytes() == selected
+        want = load_matrix(Path(fixture_run.out) / "selected.csv")  # cluster's, at one worker
+        assert (selected.row_ids, selected.col_names) == (want.row_ids, want.col_names)
+        assert selected.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize(
         ("workers", "B", "expected"), [(1, 6, []), (8, 1, []), (8, 6, [6]), (3, 6, [3])]
@@ -380,6 +381,41 @@ class TestCluster:
         selected = load_matrix(out / "selected.csv")
         assert selected.shape == (20, 100)
         assert sum(line.endswith(",1") for line in report_lines[1:]) == 100
+
+
+class TestOneSelectionWriter:
+    """Only cluster writes the selection files; sweep and plot's fallback select in memory."""
+
+    FILES = ("selected.csv", "selection_report.csv")
+
+    def clustered(self, fixture_run, tmp_path) -> Path:
+        """A run directory as cluster (seed 7) left it."""
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("features.csv", "labels_kmeans.csv", *self.FILES):
+            (out / name).write_bytes((Path(fixture_run.out) / name).read_bytes())
+        return out
+
+    def selection_bytes(self, out: Path) -> dict:
+        return {name: (out / name).read_bytes() for name in self.FILES if (out / name).exists()}
+
+    @pytest.mark.parametrize("flags", [["--top-k", "50"], ["--seed", "3"]], ids=["top_k", "seed"])
+    def test_sweep_leaves_selection_files(self, fixture_run, tmp_path, flags):
+        out = self.clustered(fixture_run, tmp_path)
+        before = self.selection_bytes(out)
+        argv = ["sweep", "--manifest", fixture_run.manifest, "--out", str(out), "--seed", "7", "--workers", "1"]
+        assert cli_main([*argv, "--k-min", "2", "--k-max", "4", "--restarts", "2", *flags]) == 0
+        assert (out / "sweep.csv").exists()
+        assert self.selection_bytes(out) == before
+
+    def test_plot_without_selected_csv_writes_none(self, fixture_run, tmp_path):
+        out = self.clustered(fixture_run, tmp_path)
+        (out / "selected.csv").unlink()
+        before = self.selection_bytes(out)
+        argv = ["plot", "--manifest", fixture_run.manifest, "--out", str(out), "--seed", "7", "--workers", "1"]
+        assert cli_main(argv) == 0
+        assert (out / "scatter.svg").exists()
+        assert self.selection_bytes(out) == before  # selected.csv stays absent
 
 
 class TestSweep:
@@ -658,8 +694,12 @@ class TestBadUserFiles:
             ('{\n  "energy": [["mfcc_00"], []],\n  "tempo": [["bpm"]\n}\n', "line 4 is not valid JSON"),
             ('[["bpm"], []]', "expected {dimension: [[name substrings], [column groups]]}"),
             ('{"tempo": [["bpm"]]}', "expected {dimension: [[name substrings], [column groups]]}"),
+            (
+                '{"energy": [["rms"], []], "bass": [["bass"], []]}',
+                "unknown dimensions bass; known: energy, danceability, tempo, harmonic, rhythmic, electronic",
+            ),
         ],
-        ids=["unparsable", "not_an_object", "one_list"],
+        ids=["unparsable", "not_an_object", "one_list", "unknown_dimension"],
     )
     def test_bad_dimension_map(self, fixture_run, capsys, text, message):
         path = Path(fixture_run.out) / "dimension_map.json"

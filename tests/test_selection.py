@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,13 @@ from edm_atlas.selection import (
     METHOD_WEIGHTS,
     MI_BINS,
     YJ_LAMBDA_GRID,
-    LabelVector,
+    SelectionReport,
     _yeo_johnson_grid,
     anova_f,
     cluster_separation_score,
     engineer_features,
     ensemble_normalize,
     ensemble_select,
-    forest_importance,
     mutual_info,
     power_scale,
     robust_scale,
@@ -22,6 +23,7 @@ from edm_atlas.selection import (
     variance_score,
 )
 from edm_atlas.table import FeatureMatrix
+from edm_atlas.types import min_max
 from edm_atlas import trees
 from edm_atlas.trees import _best_split_random, _best_split_scan, _gini
 
@@ -275,30 +277,28 @@ def anova_oracle(col, y):
 class TestAnovaF:
     def test_identical_across_classes_zero(self):
         y = np.repeat([0, 1], 20)
-        m = matrix_of(np.tile(np.arange(20.0), 2)[:, None])
-        scores = anova_f(m, LabelVector(y, ["a", "b"]))
+        scores = anova_f(np.tile(np.arange(20.0), 2)[:, None], y)
         assert scores[0] == 0.0
 
     def test_perfect_separation_sentinel(self):
         rng = np.random.default_rng(8)
         y = np.repeat([0, 1], 50)
         data = np.column_stack([y.astype(float), rng.normal(0, 1, 100)])
-        scores = anova_f(matrix_of(data), LabelVector(y, ["a", "b"]))
+        scores = anova_f(data, y)
         assert scores[0] >= 10 * scores[1]
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(9)
         y = np.repeat([0, 1], 100)
         col = np.concatenate([rng.normal(0, 1, 100), rng.normal(3, 1, 100)])
-        scores = anova_f(matrix_of(col[:, None]), LabelVector(y, ["a", "b"]))
+        scores = anova_f(col[:, None], y)
         expected = anova_oracle(col, y)
         assert scores[0] == pytest.approx(expected, rel=0.2)
         assert scores[0] == pytest.approx(expected, rel=1e-9)  # same formula, tight too
 
     def test_single_class_rejected(self):
-        m = matrix_of(np.arange(10.0)[:, None])
         with pytest.raises(ValueError):
-            anova_f(m, LabelVector(np.zeros(10, dtype=int), ["only"]))
+            anova_f(np.arange(10.0)[:, None], np.zeros(10, dtype=int))
 
 
 class TestMutualInfo:
@@ -306,21 +306,21 @@ class TestMutualInfo:
         rng = np.random.default_rng(10)
         col = rng.normal(0, 1, 1000)
         y = rng.integers(0, 4, 1000)
-        scores = mutual_info(matrix_of(col[:, None]), LabelVector(y, list("abcd")))
+        scores = mutual_info(col[:, None], y)
         assert scores[0] < 0.05
 
     def test_feature_equals_label_reaches_entropy(self):
         rng = np.random.default_rng(11)
         y = rng.integers(0, 4, 1000)
         col = y + 0.001 * rng.normal(0, 1, 1000)
-        scores = mutual_info(matrix_of(col[:, None]), LabelVector(y, list("abcd")))
+        scores = mutual_info(col[:, None], y)
         counts = np.bincount(y)
         h_label = -(counts / 1000 * np.log(counts / 1000)).sum()
         assert scores[0] == pytest.approx(h_label, rel=0.10)
 
     def test_constant_feature_zero(self):
         y = np.repeat([0, 1], 25)
-        scores = mutual_info(matrix_of(np.full((50, 1), 2.0)), LabelVector(y, ["a", "b"]))
+        scores = mutual_info(np.full((50, 1), 2.0), y)
         assert scores[0] == 0.0
 
 
@@ -338,14 +338,14 @@ def discrete_mi_loop(a, b, n):
     return float(max(terms.sum(), 0.0))
 
 
-def mutual_info_loop(m, labels, bins=MI_BINS):
-    n = m.shape[0]
-    scores = np.empty(m.shape[1])
-    for j in range(m.shape[1]):
-        col = m.data[:, j]
+def mutual_info_loop(x, y, bins=MI_BINS):
+    n = x.shape[0]
+    scores = np.empty(x.shape[1])
+    for j in range(x.shape[1]):
+        col = x[:, j]
         edges = np.unique(np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1]))
         binned = np.searchsorted(edges, col, side="right")
-        scores[j] = discrete_mi_loop(binned, labels.labels, n)
+        scores[j] = discrete_mi_loop(binned, y, n)
     return scores
 
 
@@ -367,9 +367,8 @@ class TestMutualInfoMatchesLoop:
         x = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
         # every class present; the rest drawn freely, including singleton classes
         y = np.r_[np.arange(k), data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))]
-        y = y[np.array(data.draw(st.permutations(range(n))), dtype=np.int64)]
-        m, labels = matrix_of(x), LabelVector(y, [f"g{i}" for i in range(k)])
-        assert mutual_info(m, labels, bins=bins).tobytes() == mutual_info_loop(m, labels, bins).tobytes()
+        y = y[np.array(data.draw(st.permutations(range(n))), dtype=np.int64)].astype(np.int64)
+        assert mutual_info(x, y, bins=bins).tobytes() == mutual_info_loop(x, y, bins).tobytes()
 
 
 def forest_reference(X, y, mode, seed):
@@ -412,27 +411,27 @@ class TestForestImportance:
         rng = np.random.default_rng(seed)
         data = rng.normal(0, 1, (n, d))
         y = (data[:, 4] > 0).astype(int)
-        return matrix_of(data), LabelVector(y, ["lo", "hi"])
+        return data, y
 
     def test_importances_sum_to_one(self):
-        m, labels = self.planted()
+        data, y = self.planted()
         for mode in ("random_forest", "extra_trees"):
-            scores = forest_importance(m, labels, mode, seed=0)
+            scores = trees.forest_gini_importance(data, y, mode=mode, seed=0)
             assert scores.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_planted_signal_dominates(self):
-        m, labels = self.planted()
+        data, y = self.planted()
         for mode in ("random_forest", "extra_trees"):
-            scores = forest_importance(m, labels, mode, seed=0)
+            scores = trees.forest_gini_importance(data, y, mode=mode, seed=0)
             assert scores[4] > 0.5
 
     def test_duplicated_column_shares_importance(self):
         rng = np.random.default_rng(13)
         data = rng.normal(0, 1, (300, 6))
         y = (data[:, 0] > 0).astype(int)
-        single = forest_importance(matrix_of(data), LabelVector(y, ["a", "b"]), "random_forest", seed=1)
+        single = trees.forest_gini_importance(data, y, mode="random_forest", seed=1)
         dup = np.column_stack([data, data[:, 0]])
-        shared = forest_importance(matrix_of(dup), LabelVector(y, ["a", "b"]), "random_forest", seed=1)
+        shared = trees.forest_gini_importance(dup, y, mode="random_forest", seed=1)
         combined = shared[0] + shared[6]
         assert combined == pytest.approx(single[0], rel=0.3)
 
@@ -445,46 +444,44 @@ class TestForestImportance:
         assert got.tobytes() == forest_reference(data, y, mode, 6).tobytes()
 
     def test_deterministic(self):
-        m, labels = self.planted()
-        a = forest_importance(m, labels, "random_forest", seed=3)
-        b = forest_importance(m, labels, "random_forest", seed=3)
+        data, y = self.planted()
+        a = trees.forest_gini_importance(data, y, mode="random_forest", seed=3)
+        b = trees.forest_gini_importance(data, y, mode="random_forest", seed=3)
         assert np.array_equal(a, b)
 
     def test_needs_enough_samples(self):
-        m = matrix_of(np.random.default_rng(0).normal(0, 1, (10, 3)))
-        labels = LabelVector(np.repeat([0, 1], 5), ["a", "b"])
-        with pytest.raises(ValueError):
-            forest_importance(m, labels, "random_forest")
+        data = np.random.default_rng(0).normal(0, 1, (10, 3))
+        with pytest.raises(ValueError, match=f"at least {trees.MIN_SAMPLES} samples"):
+            trees.forest_gini_importance(data, np.repeat([0, 1], 5), mode="random_forest")
 
 
 class TestVarianceScore:
     def test_constant_zero(self):
-        assert variance_score(matrix_of(np.full((30, 1), 9.0)))[0] == 0.0
+        assert variance_score(np.full((30, 1), 9.0))[0] == 0.0
 
     def test_balanced_pm_one(self):
         col = np.tile([-1.0, 1.0], 50)
-        assert variance_score(matrix_of(col[:, None]))[0] == pytest.approx(1.0, rel=0.02)
+        assert variance_score(col[:, None])[0] == pytest.approx(1.0, rel=0.02)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(14)
         col = rng.normal(0, 1, 200)
-        v1 = variance_score(matrix_of(col[:, None]))[0]
-        v2 = variance_score(matrix_of((2 * col)[:, None]))[0]
+        v1 = variance_score(col[:, None])[0]
+        v2 = variance_score((2 * col)[:, None])[0]
         assert v2 == pytest.approx(4 * v1)
 
 
 class TestClusterSeparation:
     def test_identical_across_classes_zero(self):
         y = np.repeat([0, 1], 20)
-        m = matrix_of(np.tile(np.arange(20.0), 2)[:, None])
-        assert cluster_separation_score(m, LabelVector(y, ["a", "b"]))[0] == 0.0
+        assert cluster_separation_score(np.tile(np.arange(20.0), 2)[:, None], y)[0] == 0.0
 
     def test_perfect_separation_huge(self):
         rng = np.random.default_rng(15)
         n = 100
         y = np.repeat([0, 1], n // 2)
         col = y * 100.0 + rng.normal(0, 0.1, n)
-        score = cluster_separation_score(matrix_of(col[:, None]), LabelVector(y, ["a", "b"]))[0]
+        score = cluster_separation_score(col[:, None], y)[0]
         assert score > n
 
     def test_shuffled_labels_near_one(self):
@@ -493,9 +490,7 @@ class TestClusterSeparation:
         for trial in range(20):
             col = rng.normal(0, 1, 400)
             y = rng.integers(0, 4, 400)
-            scores.append(
-                cluster_separation_score(matrix_of(col[:, None]), LabelVector(y, list("abcd")))[0]
-            )
+            scores.append(cluster_separation_score(col[:, None], y)[0])
         assert 0.3 < np.mean(scores) < 3.0
 
 
@@ -518,7 +513,7 @@ class TestEnsembleSelect:
         # feature 0 dominates every criterion: label-aligned and largest variance
         data = np.column_stack([y * 10.0] + [0.01 * rng.normal(0, 1, n) for _ in range(5)])
         m = matrix_of(data)
-        _, report = ensemble_select(m, LabelVector(y, list("abcd")), top_k=3, seed=0)
+        _, report = ensemble_select(m, y, top_k=3, seed=0)
         assert report.ensemble[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_planted_feature_ranked_first(self):
@@ -528,7 +523,7 @@ class TestEnsembleSelect:
         data = rng.normal(0, 1, (n, d))
         data[:, 17] = y + 0.05 * rng.normal(0, 1, n)
         m = matrix_of(data)
-        selected, report = ensemble_select(m, LabelVector(y, list("abcd")), top_k=5, seed=0)
+        selected, report = ensemble_select(m, y, top_k=5, seed=0)
         assert np.argmax(report.ensemble) == 17
         assert "f017" in selected.col_names
 
@@ -536,17 +531,15 @@ class TestEnsembleSelect:
         rng = np.random.default_rng(23)
         y = rng.integers(0, 3, 60)
         m = matrix_of(rng.normal(0, 1, (60, 6)))
-        labels = LabelVector(y, list("abc"))
-        _, report = ensemble_select(m, labels, top_k=3, seed=0)
+        _, report = ensemble_select(m, y, top_k=3, seed=0)
         assert np.array_equal(report.raw["anova_f"], report.raw["cluster_sep"])
         # scoring runs on a column-gathered copy, so sums may round differently
-        assert report.raw["cluster_sep"] == pytest.approx(cluster_separation_score(m, labels), rel=1e-12)
+        assert report.raw["cluster_sep"] == pytest.approx(cluster_separation_score(m.data, y), rel=1e-12)
 
     def test_top_k_exceeds_d(self):
         m = matrix_of(np.random.default_rng(0).normal(0, 1, (30, 4)))
-        labels = LabelVector(np.repeat([0, 1], 15), ["a", "b"])
         with pytest.raises(ValueError):
-            ensemble_select(m, labels, top_k=5)
+            ensemble_select(m, np.repeat([0, 1], 15), top_k=5)
 
     def test_column_order_invariance(self):
         rng = np.random.default_rng(19)
@@ -562,9 +555,8 @@ class TestEnsembleSelect:
             [m.col_groups[i] for i in perm],
             m.data[:, perm],
         )
-        labels = LabelVector(y, list("abc"))
-        sel_a, _ = ensemble_select(m, labels, top_k=4, seed=5)
-        sel_b, _ = ensemble_select(m_perm, labels, top_k=4, seed=5)
+        sel_a, _ = ensemble_select(m, y, top_k=4, seed=5)
+        sel_b, _ = ensemble_select(m_perm, y, top_k=4, seed=5)
         assert set(sel_a.col_names) == set(sel_b.col_names)
 
     def test_row_order_invariance_of_selected_set(self):
@@ -581,17 +573,15 @@ class TestEnsembleSelect:
         m_perm = FeatureMatrix(
             [m.row_ids[i] for i in perm], m.col_names, m.col_groups, m.data[perm]
         )
-        labels = LabelVector(y, ["a", "b"])
-        labels_perm = LabelVector(y[perm], ["a", "b"])
-        sel_a, _ = ensemble_select(m, labels, top_k=2, seed=1)
-        sel_b, _ = ensemble_select(m_perm, labels_perm, top_k=2, seed=1)
+        sel_a, _ = ensemble_select(m, y, top_k=2, seed=1)
+        sel_b, _ = ensemble_select(m_perm, y[perm], top_k=2, seed=1)
         assert set(sel_a.col_names) == set(sel_b.col_names) == {"f002", "f007"}
 
     def test_report_csv(self, tmp_path):
         rng = np.random.default_rng(20)
         y = rng.integers(0, 2, 60)
         m = matrix_of(rng.normal(0, 1, (60, 5)))
-        _, report = ensemble_select(m, LabelVector(y, ["a", "b"]), top_k=2, seed=0)
+        _, report = ensemble_select(m, y, top_k=2, seed=0)
         report.write_csv(tmp_path / "report.csv")
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert len(lines) == 6
@@ -604,7 +594,103 @@ class TestEnsembleSelect:
         rng = np.random.default_rng(21)
         y = rng.integers(0, 3, 90)
         m = matrix_of(rng.normal(0, 1, (90, 8)))
-        _, report = ensemble_select(m, LabelVector(y, list("abc")), top_k=4, seed=0)
+        _, report = ensemble_select(m, y, top_k=4, seed=0)
         for scores in report.normalized.values():
             assert scores.min() >= 0.0 and scores.max() <= 1.0
         assert np.all(report.ensemble >= 0.0) and np.all(report.ensemble <= 1.0)
+
+
+@dataclass
+class LabelVector:
+    """The former class-label container, kept for the reference below."""
+
+    labels: np.ndarray
+    class_names: list[str]
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.size and self.labels.max() >= len(self.class_names):
+            raise ValueError("label index exceeds class_names")
+
+    @classmethod
+    def from_strings(cls, genres) -> "LabelVector":
+        names = sorted(set(genres))
+        index = {g: i for i, g in enumerate(names)}
+        return cls(np.array([index[g] for g in genres]), names)
+
+
+def forest_importance(m, labels, mode, seed=0, workers=1):
+    """The former pass-through to the tree ensemble."""
+    return trees.forest_gini_importance(m.data, labels.labels, mode=mode, seed=seed, workers=workers)
+
+
+def ensemble_select_reference(m, labels, top_k, seed=0):
+    """The former container-based ensemble_select: scores a re-validated name-sorted FeatureMatrix."""
+    d = m.shape[1]
+    canon = sorted(range(d), key=lambda i: m.col_names[i])
+    m_canon = FeatureMatrix(
+        m.row_ids,
+        [m.col_names[i] for i in canon],
+        [m.col_groups[i] for i in canon],
+        m.data[:, canon],
+    )
+    f_ratio = anova_f(m_canon.data, labels.labels)
+    raw_canon = {
+        "anova_f": f_ratio,
+        "mutual_info": mutual_info(m_canon.data, labels.labels),
+        "rf_importance": forest_importance(m_canon, labels, "random_forest", seed=seed),
+        "et_importance": forest_importance(m_canon, labels, "extra_trees", seed=seed + 1),
+        "variance": variance_score(m_canon.data),
+        "cluster_sep": f_ratio,
+    }
+    undo = np.empty(d, dtype=int)
+    undo[canon] = np.arange(d)
+    raw = {k: v[undo] for k, v in raw_canon.items()}
+    normalized = {k: min_max(v) for k, v in raw.items()}
+    ensemble = np.zeros(d)
+    for method, weight in METHOD_WEIGHTS.items():
+        ensemble += weight * normalized[method]
+    order = sorted(range(d), key=lambda i: (-ensemble[i], m.col_names[i]))
+    selected = np.zeros(d, dtype=bool)
+    selected[order[:top_k]] = True
+    return m.select(selected), SelectionReport(list(m.col_names), raw, normalized, ensemble, selected)
+
+
+class TestEnsembleSelectMatchesContainerReference:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(trees.MIN_SAMPLES, 32),
+        d=st.integers(1, 7),
+        k=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_bitwise(self, n, d, k, seed, data):
+        value = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        )
+        x = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
+        # every class at least twice, as the F ratio needs; the rest drawn freely
+        genres = [f"g{c}" for c in range(k)] * 2
+        genres += data.draw(st.lists(st.sampled_from(genres[:k]), min_size=n - 2 * k, max_size=n - 2 * k))
+        genres = [genres[i] for i in data.draw(st.permutations(range(n)))]
+        # column names in a drawn order, so the name-sorted gather is out of order
+        names = [f"c{i}" for i in data.draw(st.permutations(range(d)))]
+        m = FeatureMatrix([f"t{i}" for i in range(n)], names, ["spectral"] * d, x)
+        top_k = data.draw(st.integers(1, d))
+        labels = LabelVector.from_strings(genres)
+
+        selected, report = ensemble_select(m, labels.labels, top_k=top_k, seed=seed)
+        want_selected, want = ensemble_select_reference(m, labels, top_k, seed=seed)
+
+        assert report.feature_names == want.feature_names
+        for method in METHOD_WEIGHTS:
+            assert report.raw[method].tobytes() == want.raw[method].tobytes(), method
+            assert report.normalized[method].tobytes() == want.normalized[method].tobytes(), method
+        assert report.ensemble.tobytes() == want.ensemble.tobytes()
+        assert report.selected.tobytes() == want.selected.tobytes()
+        assert (selected.row_ids, selected.col_names, selected.col_groups) == (
+            want_selected.row_ids, want_selected.col_names, want_selected.col_groups
+        )
+        assert selected.data.tobytes() == want_selected.data.tobytes()
