@@ -9,6 +9,7 @@ from .audio import (
     AudioClip,
     FrameSeries,
     MalformedWavError,
+    SampleStream,
     UnsupportedWavError,
     WavHeader,
     frame_series,
@@ -17,6 +18,7 @@ from .audio import (
     resample,
     save_wav,
     stft,
+    stream_wav,
     synth_click_track,
     synth_noise,
     synth_sine,

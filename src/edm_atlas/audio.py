@@ -1,16 +1,28 @@
 """WAV decoding, resampling, the STFT pass, and synthetic test signals.
 
 The canonical analysis format is 22050 Hz mono float64 in [-1, 1]; every
-downstream module assumes it. Only uncompressed RIFF/WAVE files (16-bit
-integer or 32-bit float PCM, plain or WAVE_FORMAT_EXTENSIBLE, mono or
-stereo) are decoded -- convert lossy formats externally. The decoder reads
-the raw chunk headers, so that decode failures carry a precise diagnostic,
-and then decodes the data chunk DECODE_CHUNK frames at a time: neither the
-file's bytes nor its samples at their own rate are ever held whole.
+downstream module assumes it. Only uncompressed RIFF/WAVE files (16- or
+24-bit integer or 32-bit float PCM, plain or WAVE_FORMAT_EXTENSIBLE, mono
+or stereo) are decoded -- convert lossy formats externally. The decoder
+reads the raw chunk headers, so that decode failures carry a precise
+diagnostic, and then decodes the data chunk DECODE_CHUNK frames at a time.
 
-The STFT is one pass over frame blocks that keeps per-frame series
-(``FrameSeries``), never a whole magnitude array; every per-frame feature
-layer reads those series.
+A signal reaches the STFT as a ``SampleStream``: its length and rate, and
+its samples as consecutive chunks, read once and in order. ``stream_wav``
+decodes and resamples a file one chunk at a time as the STFT reads it, and
+the STFT copies only the samples of one frame block at a time into a
+preallocated buffer. So on the extraction path no whole-track sample
+array exists, neither at the file's rate nor at 22050 Hz. ``load_wav`` and
+``resample`` collect the same chunks into an AudioClip, and ``stft`` of an
+AudioClip reads a view of its array through the same pass.
+
+The STFT keeps per-frame series (``FrameSeries``), never a whole
+magnitude array; every per-frame feature layer reads those series.
+
+Resampling keeps ``scipy.signal.upfirdn``. A numpy polyphase kernel that
+matched it bit for bit (at ratios 1/2, 147/160, 147/80, 3/2 and 2/1) took
+0.41 s per 6-minute 44.1 kHz track where ``upfirdn`` took 0.21 s (one
+x86-64 core).
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,7 +59,9 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs that carry a plain format tag
 # in their first two bytes (PCM: 1, IEEE float: 3)
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
-_ENCODINGS = {(1, 16): "<i2", (3, 32): "<f4"}  # (format tag, bits) -> sample dtype
+# (format tag, bits) -> sample dtype; "<i3" (packed 3-byte PCM) is assembled by hand
+_ENCODINGS = {(1, 16): "<i2", (1, 24): "<i3", (3, 32): "<f4"}
+_SAMPLE_BYTES = {"<i2": 2, "<i3": 3, "<f4": 4}
 
 
 class MalformedWavError(ValueError):
@@ -81,13 +95,31 @@ class AudioClip:
 
 
 @dataclass(frozen=True)
+class SampleStream:
+    """A mono signal read once, in order: ``n_samples`` float64 samples in consecutive chunks.
+
+    ``chunks`` is an iterator, so only one reader can consume it; the
+    length, rate and duration are known before a sample is read.
+    """
+
+    chunks: Iterator[np.ndarray]
+    n_samples: int
+    sample_rate: int
+    source_id: str = ""
+
+    @property
+    def duration(self) -> float:
+        return self.n_samples / self.sample_rate
+
+
+@dataclass(frozen=True)
 class WavHeader:
     """A WAV file's encoding and data chunk, read from its chunk headers alone."""
 
     path: Path
     sample_rate: int
     channels: int
-    dtype: str  # "<i2" (PCM16) or "<f4" (float32)
+    dtype: str  # "<i2" (PCM16), "<i3" (PCM24) or "<f4" (float32)
     data_offset: int  # byte offset of the first sample in the file
     n_frames: int  # samples per channel
 
@@ -158,30 +190,39 @@ def read_wav_header(path: str | Path) -> WavHeader:
     tag, label = _format_tag(fmt, path.name)
     dtype = _ENCODINGS.get((tag, bits))
     if dtype is None:
-        raise UnsupportedWavError(f"{path.name}: {label} at {bits} bits is not PCM16/float32")
+        raise UnsupportedWavError(f"{path.name}: {label} at {bits} bits is not PCM16/PCM24/float32")
     offset, length = data
-    n_frames = length // np.dtype(dtype).itemsize // channels  # a partial frame is dropped
+    n_frames = length // _SAMPLE_BYTES[dtype] // channels  # a partial frame is dropped
     if n_frames == 0:
         raise MalformedWavError(f"{path.name}: data chunk holds no samples")
     return WavHeader(path, rate, channels, dtype, offset, n_frames)
 
 
-def _frame_reader(fh, header: WavHeader) -> Callable[[int, int], np.ndarray]:
+def _frame_reader(header: WavHeader) -> Callable[[int, int], np.ndarray]:
     """``read(start, stop)``: frames ``start:stop`` of the data chunk as mono float64.
 
-    PCM16 is scaled by 1/32768, float32 is clipped to [-1, 1], and stereo
-    is the mean of its two channels.
+    PCM16 is scaled by 1/32768 and PCM24 by 1/8388608, float32 is clipped
+    to [-1, 1], and stereo is the mean of its two channels. Each call
+    opens the file for its one read, so no file stays open between chunks.
     """
-    frame_bytes = np.dtype(header.dtype).itemsize * header.channels
+    frame_bytes = _SAMPLE_BYTES[header.dtype] * header.channels
 
     def read(start: int, stop: int) -> np.ndarray:
-        fh.seek(header.data_offset + start * frame_bytes)
-        samples = np.frombuffer(fh.read((stop - start) * frame_bytes), dtype=header.dtype)
-        samples = samples.astype(np.float64)
-        if header.dtype == "<i2":
-            samples /= 32768.0
+        with header.path.open("rb") as fh:
+            fh.seek(header.data_offset + start * frame_bytes)
+            raw = fh.read((stop - start) * frame_bytes)
+        if header.dtype == "<i3":
+            # three little-endian bytes as the top of an int32, shifted back down with their sign
+            wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+            wide[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+            samples = (wide.view("<i4")[:, 0] >> 8).astype(np.float64)
+            samples /= 8388608.0
         else:
-            np.clip(samples, -1.0, 1.0, out=samples)
+            samples = np.frombuffer(raw, dtype=header.dtype).astype(np.float64)
+            if header.dtype == "<i2":
+                samples /= 32768.0
+            else:
+                np.clip(samples, -1.0, 1.0, out=samples)
         if header.channels == 2:
             samples = samples.reshape(-1, 2).mean(axis=1)
         return samples
@@ -201,13 +242,13 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     return h
 
 
-def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down: int) -> np.ndarray:
-    """``scipy.signal.resample_poly(x, up, down)`` of ``x = read(0, n_in)``, bit for bit.
+def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down: int) -> Iterator[np.ndarray]:
+    """``scipy.signal.resample_poly(x, up, down)`` of ``x = read(0, n_in)``, bit for bit, in chunks.
 
     The filter and its pre- and post-padding are ``resample_poly``'s. The
-    output is filled one chunk of about DECODE_CHUNK input frames at a
-    time. ``upfirdn`` computes each output as one sequential sum over the
-    taps of its phase, from a zeroed accumulator, and reads only that
+    output is yielded in consecutive chunks, one per about DECODE_CHUNK
+    input frames. ``upfirdn`` computes each output as one sequential sum
+    over the taps of its phase, from a zeroed accumulator, and reads only that
     output's own window of inputs. So a chunk that starts on a multiple of
     ``down`` (the phase of its first output is 0, as in the whole-array
     call) and reaches back one whole filter phase before its first kept
@@ -227,7 +268,6 @@ def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down:
     taps = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(n_post_pad)))
     per_phase = -(-taps.size // up)  # input samples one output reads
 
-    out = np.empty(n_out)
     step = max(1, DECODE_CHUNK * up // down)
     for first in range(0, n_out, step):
         last = min(first + step, n_out)
@@ -237,48 +277,79 @@ def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down:
         stop = min(n_in, (g1 - 1) * down // up + 1)
         y = upfirdn(taps, read(start, stop), up, down)
         skip = start * up // down
-        out[first:last] = y[g0 - skip : g1 - skip]
-    return out
+        yield y[g0 - skip : g1 - skip]
 
 
-def _convert(read: Callable[[int, int], np.ndarray], n_in: int, rate: int, target: int) -> np.ndarray:
-    """``x = read(0, n_in)`` at ``rate``, as float64 at ``target``, DECODE_CHUNK frames at a time.
+def _convert(
+    read: Callable[[int, int], np.ndarray], n_in: int, up: int, down: int, clipped: bool
+) -> Iterator[np.ndarray]:
+    """Consecutive chunks of ``x = read(0, n_in)`` resampled by ``up / down``, about DECODE_CHUNK input frames each.
 
-    A resampled signal is clipped to [-1, 1].
+    With ``clipped`` (the rate changes) each chunk is clipped to [-1, 1].
+    A chunk that is not finite raises AudioClip's ValueError.
+    """
+    if up == down:
+        chunks = (read(start, min(start + DECODE_CHUNK, n_in)) for start in range(0, n_in, DECODE_CHUNK))
+    else:
+        chunks = _polyphase(read, n_in, up, down)
+    for chunk in chunks:
+        if clipped:
+            # a 1/1 chunk may be a view of the caller's array, which is never written
+            chunk = np.clip(chunk, -1.0, 1.0, out=None if up == down else chunk)
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("AudioClip samples must be finite")
+        yield chunk
+
+
+def _resampled(
+    read: Callable[[int, int], np.ndarray], n_in: int, rate: int, target: int, source_id: str
+) -> SampleStream:
+    """``x = read(0, n_in)`` at ``rate`` as a stream at ``target``: nothing is read until the stream is.
+
+    ``resample_poly`` at the rational ratio (denominator at most 1000),
+    clipped to [-1, 1] where the rate changes.
     """
     if target <= 0:
         raise ValueError("target_rate must be positive")
     ratio = Fraction(target, rate).limit_denominator(1000)
     if ratio == 0:
         raise ValueError(f"cannot resample {rate} Hz to {target} Hz: the ratio rounds to 0")
-    if ratio == 1:
-        out = np.empty(n_in)
-        for start in range(0, n_in, DECODE_CHUNK):
-            stop = min(start + DECODE_CHUNK, n_in)
-            out[start:stop] = read(start, stop)
-    else:
-        out = _polyphase(read, n_in, ratio.numerator, ratio.denominator)
-    if target != rate:
-        np.clip(out, -1.0, 1.0, out=out)
-    return out
+    up, down = ratio.numerator, ratio.denominator
+    return SampleStream(_convert(read, n_in, up, down, target != rate), -(-n_in * up // down), target, source_id)
+
+
+def _collect(stream: SampleStream) -> AudioClip:
+    """The whole stream as one AudioClip."""
+    samples = np.empty(stream.n_samples)
+    pos = 0
+    for chunk in stream.chunks:
+        samples[pos : pos + chunk.size] = chunk
+        pos += chunk.size
+    return AudioClip(samples, stream.sample_rate, stream.source_id)
+
+
+def stream_wav(header: WavHeader, rate: int | None = None) -> SampleStream:
+    """A WAV file's samples as a SampleStream, at ``rate`` if given.
+
+    Each DECODE_CHUNK frames are decoded (and resampled, exactly as
+    ``resample`` would resample the whole clip) only when the stream's
+    reader reaches them, so no sample is decoded before the stream is read.
+    """
+    target = header.sample_rate if rate is None else rate
+    return _resampled(_frame_reader(header), header.n_frames, header.sample_rate, target, header.path.stem)
 
 
 def load_wav(path: str | Path, rate: int | None = None) -> AudioClip:
     """Decode a PCM WAV file to a mono AudioClip scaled to [-1, 1].
 
-    Accepts 16-bit integer and 32-bit IEEE float encodings with 1 or 2
-    channels, also as WAVE_FORMAT_EXTENSIBLE; stereo is averaged to mono.
-    With ``rate``, each decoded chunk is resampled as it is read, exactly
-    as ``resample`` would resample the whole clip, so the samples at the
-    file's own rate never exist whole. Raises FileNotFoundError for a
-    missing file, MalformedWavError for a broken container, and
-    UnsupportedWavError for valid-but-unhandled encodings.
+    Accepts 16- and 24-bit integer and 32-bit IEEE float encodings with 1
+    or 2 channels, also as WAVE_FORMAT_EXTENSIBLE; stereo is averaged to
+    mono. The clip collects the chunks of ``stream_wav``, so with ``rate``
+    the samples at the file's own rate never exist whole. Raises
+    FileNotFoundError for a missing file, MalformedWavError for a broken
+    container, and UnsupportedWavError for valid-but-unhandled encodings.
     """
-    header = read_wav_header(path)
-    target = header.sample_rate if rate is None else rate
-    with header.path.open("rb") as fh:
-        samples = _convert(_frame_reader(fh, header), header.n_frames, header.sample_rate, target)
-    return AudioClip(samples, target, source_id=header.path.stem)
+    return _collect(stream_wav(read_wav_header(path), rate))
 
 
 def save_wav(clip: AudioClip, path: str | Path) -> None:
@@ -309,11 +380,12 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
     Equals ``scipy.signal.resample_poly`` at the rational ratio (denominator
     at most 1000) bit for bit, clipped to [-1, 1]; the same chunked kernel
-    that ``load_wav`` runs while decoding.
+    that ``stream_wav`` runs while decoding.
     """
     samples = clip.samples
-    out = _convert(lambda start, stop: samples[start:stop], samples.size, clip.sample_rate, target_rate)
-    return AudioClip(out, target_rate, clip.source_id)
+    return _collect(
+        _resampled(lambda start, stop: samples[start:stop], samples.size, clip.sample_rate, target_rate, clip.source_id)
+    )
 
 
 def frame_blocks(n: int) -> list[tuple[int, int]]:
@@ -515,35 +587,86 @@ def frame_series(magnitudes: np.ndarray, frame_rate: float, bin_freqs: np.ndarra
     return _measure(lambda start, stop: mags[start:stop], mags.shape[0], frame_rate, bin_freqs)
 
 
-def stft(clip: AudioClip, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> FrameSeries:
+class _SpanBuffer:
+    """A forward-only window on a stream's chunks, held in one preallocated array.
+
+    ``take(lo, hi)`` returns samples ``lo:hi`` as a view of the buffer,
+    valid until the next call. Neither bound may move back, ``lo`` may not
+    pass the previous ``hi``, and ``hi - lo`` is at most ``size``. Samples
+    before ``lo`` are dropped, and a chunk is read only when a span reaches
+    into it; of each chunk only what a span needs is copied.
+    """
+
+    def __init__(self, chunks: Iterator[np.ndarray], size: int):
+        self._chunks = chunks
+        self._buf = np.empty(size)
+        self._start = 0  # stream index of self._buf[0]
+        self._held = 0  # samples held from self._start on
+        self._rest = self._buf[:0]  # the part of the last chunk read not yet copied
+
+    def take(self, lo: int, hi: int) -> np.ndarray:
+        drop = lo - self._start
+        self._held -= drop
+        self._buf[: self._held] = self._buf[drop : drop + self._held]
+        self._start = lo
+        while self._held < hi - lo:
+            if not self._rest.size:
+                self._rest = next(self._chunks, None)
+                if self._rest is None:
+                    raise ValueError(f"sample stream ended at sample {lo + self._held}, before sample {hi}")
+            n = min(self._rest.size, hi - lo - self._held)
+            self._buf[self._held : self._held + n] = self._rest[:n]
+            self._rest = self._rest[n:]
+            self._held += n
+        return self._buf[: hi - lo]
+
+
+def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> FrameSeries:
     """Hann-windowed magnitude STFT, reduced to its FrameSeries in one pass.
 
     There are 1 + (n - window) // hop frames of window_len // 2 + 1 bins.
-    The magnitudes of one frame block at a time are computed and reduced to
-    the per-frame series, so the whole spectrogram (about 121 MB of
-    float64 for a 6-minute track at 22050 Hz) never exists. Each block's
-    spectra are taken _FFT_ROWS frames at a time, which holds the windowed
-    frames and their complex spectra to a quarter block; a row's FFT does
-    not depend on how many rows are taken together.
+    The samples are read once, in order. The samples of one frame block,
+    ``start * hop`` to ``(stop - 1) * hop + window_len``, are copied into
+    a preallocated buffer as long as the longest block's (about 200,000
+    samples, 1.6 MB), so a stream from ``stream_wav`` is decoded and
+    resampled only as far as the pass has reached, and the track's samples
+    never exist whole. The magnitudes of one frame block at a time are
+    computed and reduced to the per-frame series, so the whole spectrogram
+    (about 121 MB of float64 for a 6-minute track at 22050 Hz) never
+    exists either. Each block's spectra are taken _FFT_ROWS frames at a
+    time, which holds the windowed frames and their complex spectra to a
+    quarter block; a row's FFT does not depend on how many rows are taken
+    together. A stream is read to its end, so that every sample of it
+    passes its finiteness check.
     """
-    n = clip.samples.size
+    if isinstance(clip, AudioClip):  # one chunk: a view of its array
+        stream = SampleStream(iter((clip.samples,)), clip.samples.size, clip.sample_rate, clip.source_id)
+    else:
+        stream = clip
+    n = stream.n_samples
     if not (0 < hop <= window_len <= n):
         raise ValueError(
             f"need 0 < hop ({hop}) <= window_len ({window_len}) <= n_samples ({n})"
         )
     n_frames = 1 + (n - window_len) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window_len)[::hop]
+    longest = max(stop - start for start, stop in frame_blocks(n_frames))
+    samples = _SpanBuffer(stream.chunks, (longest - 1) * hop + window_len)
     window = np.hanning(window_len)
 
     def magnitudes(start: int, stop: int) -> np.ndarray:
+        span = samples.take(start * hop, (stop - 1) * hop + window_len)
+        frames = np.lib.stride_tricks.sliding_window_view(span, window_len)[::hop]
         mags = np.empty((stop - start, window_len // 2 + 1))
-        for row in range(start, stop, _FFT_ROWS):
-            end = min(row + _FFT_ROWS, stop)
-            np.abs(np.fft.rfft(frames[row:end] * window, axis=1), out=mags[row - start : end - start])
+        for row in range(0, stop - start, _FFT_ROWS):
+            end = min(row + _FFT_ROWS, stop - start)
+            np.abs(np.fft.rfft(frames[row:end] * window, axis=1), out=mags[row:end])
         return mags
 
-    freqs = np.fft.rfftfreq(window_len, 1.0 / clip.sample_rate)
-    return _measure(magnitudes, n_frames, clip.sample_rate / hop, freqs)
+    freqs = np.fft.rfftfreq(window_len, 1.0 / stream.sample_rate)
+    series = _measure(magnitudes, n_frames, stream.sample_rate / hop, freqs)
+    for _ in stream.chunks:  # the samples after the last frame
+        pass
+    return series
 
 
 def synth_click_track(

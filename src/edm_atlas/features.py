@@ -229,7 +229,7 @@ def fundamental_feature_vector(analysis: TrackAnalysis) -> FeatureVector:
         try:
             parts.append(fn(analysis))
         except Exception as exc:
-            raise ValueError(f"{block_name} features failed for {analysis.clip.source_id!r}: {exc}") from exc
+            raise ValueError(f"{block_name} features failed for {analysis.source_id!r}: {exc}") from exc
     vec = FeatureVector.concat(parts)
     assert len(vec) == 92, f"fundamental schema drifted: {len(vec)} dims"
     return vec

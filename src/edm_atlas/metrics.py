@@ -458,14 +458,16 @@ def cluster_profiles(
     Columns are z-scored, averaged within each dimension per cluster, and
     the cluster means are converted to percentile ranks over clusters
     (mid-rank ties; a lone cluster ranks 50). Dimensions with no matching
-    columns are reported as absent.
+    columns are reported as absent, and a warning names each of them: every
+    one of PROFILE_DIMENSIONS that gets no column, whether or not the
+    rules name it.
     """
     y = _labels(labels)
     if y.size != m.shape[0] or len(genres) != m.shape[0]:
         raise ValueError("labels and genres must align with matrix rows")
     mapping = map_columns_to_dimensions(m.col_names, m.col_groups, rules)
-    for dim, cols in mapping.items():
-        if not cols:
+    for dim in dict.fromkeys((*PROFILE_DIMENSIONS, *mapping)):
+        if not mapping.get(dim):
             logger.warning("no columns matched profile dimension %r; reported absent", dim)
 
     std = m.data.std(axis=0)

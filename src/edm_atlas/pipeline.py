@@ -32,7 +32,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from . import metrics
-from .audio import CANONICAL_RATE, load_wav, read_wav_header
+from .audio import CANONICAL_RATE, read_wav_header, stream_wav
 from .cluster import ClusterModel, divisive_cluster, kmeans, select_natural_k
 from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
@@ -156,20 +156,20 @@ def stage_seed(root_seed: int, stage: str) -> int:
 def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     """Full 92 + 64 + 6 feature vector for one manifest record.
 
-    The file is decoded and resampled to 22050 Hz in one chunked pass, and
-    a track shorter than MIN_DURATION_S is rejected from its header before
-    any sample is decoded. The track is analysed once (per-frame STFT
-    series, novelty curve, both tempograms) and every block reads that
-    analysis.
+    A track shorter than MIN_DURATION_S is rejected from its header before
+    any sample is decoded. The file is decoded and resampled to 22050 Hz
+    one chunk at a time as the STFT reads it, so no whole-track sample
+    array exists. The track is analysed once (per-frame STFT series,
+    novelty curve, both tempograms) and every block reads that analysis.
     """
     wav_path = Path(record.path)
     if not wav_path.is_absolute():
         wav_path = base_dir / wav_path
-    duration = read_wav_header(wav_path).duration
-    if duration < MIN_DURATION_S:
-        raise ValueError(f"{duration:.2f} s of audio; extraction needs at least {MIN_DURATION_S:g} s")
+    header = read_wav_header(wav_path)
+    if header.duration < MIN_DURATION_S:
+        raise ValueError(f"{header.duration:.2f} s of audio; extraction needs at least {MIN_DURATION_S:g} s")
 
-    analysis = analyze_track(load_wav(wav_path, CANONICAL_RATE))
+    analysis = analyze_track(stream_wav(header, CANONICAL_RATE))
     return FeatureVector.concat(
         [
             fundamental_feature_vector(analysis),

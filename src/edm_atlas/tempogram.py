@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, LOG_COMPRESSION, AudioClip, FrameSeries, stft
+from .audio import CANONICAL_RATE, LOG_COMPRESSION, AudioClip, FrameSeries, SampleStream, stft
 from .types import FeatureVector
 
 TEMPO_MIN = 30
@@ -250,24 +250,26 @@ def tempogram_summary(tg: Tempogram | CyclicTempogram) -> FeatureVector:
 class TrackAnalysis:
     """What every feature block of one track reads, computed once.
 
-    The clip, the per-frame series of its spectrogram, its onset novelty
-    curve, and the Fourier and autocorrelation tempograms. Built by analyze_track, so the clip is at the
-    canonical rate and at least MIN_DURATION_S long.
+    The track's source id, the per-frame series of its spectrogram, its
+    onset novelty curve, and the Fourier and autocorrelation tempograms.
+    Built by analyze_track, so the track is at the canonical rate and at
+    least MIN_DURATION_S long. Its samples are not kept.
     """
 
-    clip: AudioClip
+    source_id: str
     series: FrameSeries
     novelty: NoveltyCurve
     fourier: Tempogram
     autocorr: Tempogram
 
 
-def analyze_track(clip: AudioClip) -> TrackAnalysis:
+def analyze_track(clip: AudioClip | SampleStream) -> TrackAnalysis:
     """STFT series, novelty curve and both tempograms of a 22050 Hz clip of 10 s or more.
 
     The tempograms use the 8 s analysis window. This is the one precondition
     of every feature block: a clip at another rate, or shorter than
-    MIN_DURATION_S, raises ValueError before the STFT.
+    MIN_DURATION_S, raises ValueError before the STFT. A SampleStream is
+    checked from its rate and length, before a sample of it is read.
     """
     if clip.sample_rate != CANONICAL_RATE:
         raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")
@@ -275,7 +277,7 @@ def analyze_track(clip: AudioClip) -> TrackAnalysis:
         raise ValueError(f"track analysis needs at least {MIN_DURATION_S:g} s of audio")
     series = stft(clip)
     nov = novelty_curve(series)
-    return TrackAnalysis(clip, series, nov, fourier_tempogram(nov), autocorr_tempogram(nov))
+    return TrackAnalysis(clip.source_id, series, nov, fourier_tempogram(nov), autocorr_tempogram(nov))
 
 
 def tempogram_feature_vector(analysis: TrackAnalysis) -> FeatureVector:

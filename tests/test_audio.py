@@ -169,10 +169,10 @@ class TestLoadWav:
         [
             (subformat_guid(2), 16, r"format tag 65534 \(subformat 2\) at 16 bits"),
             (bytes(16), 16, r"format tag 65534 \(subformat GUID 0{32}\) at 16 bits"),
-            (subformat_guid(1), 24, r"format tag 65534 \(subformat 1\) at 24 bits"),
+            (subformat_guid(1), 32, r"format tag 65534 \(subformat 1\) at 32 bits"),
             (subformat_guid(3), 64, r"format tag 65534 \(subformat 3\) at 64 bits"),
         ],
-        ids=["adpcm", "null_guid", "pcm24", "float64"],
+        ids=["adpcm", "null_guid", "pcm32", "float64"],
     )
     def test_extensible_other_subformats_rejected(self, tmp_path, guid, bits, message):
         path = tmp_path / "ext.wav"
@@ -213,6 +213,42 @@ class TestLoadWav:
         assert back.sample_rate == clip.sample_rate
         # 16-bit quantization: one write/read step is at most 1.5/32768
         assert np.max(np.abs(back.samples - clip.samples)) <= 1.5 / 32768
+
+
+def pcm24_bytes(pcm16: np.ndarray) -> bytes:
+    """PCM16 samples shifted left 8 bits, as packed little-endian 3-byte PCM24."""
+    return (pcm16.astype("<i4") << 8).view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+
+
+class TestPcm24:
+    def test_sample_values(self, tmp_path):
+        # full scale, the smallest steps and a sign in the top byte only
+        raw = bytes.fromhex("000080" "ffff7f" "010000" "ffffff" "000001")
+        path = tmp_path / "pcm24.wav"
+        path.write_bytes(wav_bytes(raw, fmt=1, bits=24))
+        assert read_wav_header(path).dtype == "<i3"
+        want = np.array([-8388608, 8388607, 1, -1, 65536]) / 8388608.0
+        assert load_wav(path).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", [CANONICAL_RATE, 44100])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+    def test_shifted_pcm16_decodes_to_the_same_samples(self, tmp_path, rate, channels, extensible):
+        n_frames = 3 * 1000 + 7
+        pcm16 = np.random.default_rng(rate + channels).integers(-32768, 32768, n_frames * channels).astype("<i2")
+        pcm16[:4] = [-32768, 32767, 0, -1]
+        (tmp_path / "pcm16.wav").write_bytes(wav_bytes(pcm16.tobytes(), channels=channels, rate=rate))
+        if extensible:
+            blob = extensible_wav_bytes(pcm24_bytes(pcm16), channels=channels, rate=rate, bits=24)
+        else:
+            blob = wav_bytes(pcm24_bytes(pcm16), channels=channels, rate=rate, bits=24)
+        (tmp_path / "pcm24.wav").write_bytes(blob)
+        assert read_wav_header(tmp_path / "pcm24.wav").n_frames == n_frames
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(audio, "DECODE_CHUNK", 1000)  # decoded in four chunks
+            for target in (None, CANONICAL_RATE, 44100):
+                want = load_wav(tmp_path / "pcm16.wav", target).samples
+                assert load_wav(tmp_path / "pcm24.wav", target).samples.tobytes() == want.tobytes()
 
 
 def spectral_peak_hz(clip: AudioClip) -> float:

@@ -374,6 +374,27 @@ class TestClusterProfiles:
         assert profiles[0].dimensions["energy"] is None
         assert "energy" in caplog.text
 
+    def test_dimensions_left_out_of_the_rules_are_logged(self, caplog, tmp_path):
+        # rules that name only energy blank the other five dimensions, and say so
+        rng = np.random.default_rng(22)
+        m = FeatureMatrix(
+            [f"t{i}" for i in range(60)],
+            ["mfcc_00", "bpm", "chroma_00_mean"],
+            ["timbral", "meta", "harmonic"],
+            np.column_stack([np.r_[np.full(30, 5.0), np.full(30, 1.0)], rng.uniform(0, 1, (60, 2))]),
+        )
+        labels = np.repeat([0, 1], 30)
+        with caplog.at_level("WARNING", logger=metrics.logger.name):
+            profiles = metrics.cluster_profiles(m, labels, ["a"] * 60, rules={"energy": (("mfcc_00",), ())})
+        assert [r.getMessage() for r in caplog.records] == [
+            f"no columns matched profile dimension {dim!r}; reported absent"
+            for dim in metrics.PROFILE_DIMENSIONS
+            if dim != "energy"
+        ]
+        metrics.profiles_to_csv(profiles, tmp_path / "profiles.csv")
+        rows = (tmp_path / "profiles.csv").read_text().splitlines()[2:]
+        assert [row.split(",", 4)[4] for row in rows] == ["100.0,,,,,", "0.0,,,,,"]
+
     def test_purity_and_majority(self):
         m = self.profile_matrix()
         labels = np.repeat([0, 1], 30)

@@ -214,6 +214,23 @@ class TestExtractionMemory:
             tracemalloc.stop()
         assert peak < clip_bytes + spectrogram_bytes / 2
 
+    def test_traced_peak_grows_slower_than_the_clip(self, tmp_path):
+        # Only the per-frame series may grow with the track. A 22050 Hz clip
+        # grows by 10.6 MB a minute; the traced peak must grow by less than half that.
+        rng = np.random.default_rng(1)
+        for seconds in (60, 120):
+            save_wav(AudioClip(0.5 * rng.uniform(-1.0, 1.0, seconds * 44100), 44100), tmp_path / f"t{seconds}.wav")
+        extract_track(TrackRecord("t60", "t60.wav", "house"), tmp_path)  # scipy.signal is imported untraced
+        peaks = []
+        for seconds in (60, 120):
+            tracemalloc.start()
+            try:
+                extract_track(TrackRecord(f"t{seconds}", f"t{seconds}.wav", "house"), tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 8 * 60 * 22050
+
 
 class _RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records its size."""

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import count_calls
 from edm_atlas import audio
-from edm_atlas.audio import AudioClip, frame_series, stft, synth_click_track
+from edm_atlas.audio import AudioClip, SampleStream, frame_series, stft, synth_click_track
 from edm_atlas.tempogram import (
     NoveltyCurve,
     Tempogram,
@@ -179,8 +179,11 @@ class TestAnalyzeTrack:
         [
             (AudioClip(np.zeros(44100 * 11), 44100), "canonical 22050 Hz"),
             (AudioClip(np.zeros(int(22050 * 9.9)), 22050), "at least 10 s of audio"),
+            # a stream is checked from its rate and length: it holds no sample to read
+            (SampleStream(iter(()), 44100 * 11, 44100), "canonical 22050 Hz"),
+            (SampleStream(iter(()), int(22050 * 9.9), 22050), "at least 10 s of audio"),
         ],
-        ids=["44100_hz", "9.9_s"],
+        ids=["44100_hz", "9.9_s", "stream_44100_hz", "stream_9.9_s"],
     )
     def test_rejected_before_stft(self, monkeypatch, clip, message):
         stft_calls = count_calls(monkeypatch, audio, "stft")
