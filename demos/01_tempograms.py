@@ -19,6 +19,7 @@ from edm_atlas import (
     synth_click_track,
     tempogram_summary,
 )
+from edm_atlas.tempogram import REF_TEMPO
 
 BPM = 128
 
@@ -39,8 +40,8 @@ atg = autocorr_tempogram(nov)
 
 f_profile = ftg.magnitudes.mean(axis=0)
 a_profile = atg.magnitudes.mean(axis=0)
-print(f"\nfourier tempogram argmax:        {ftg.tempo_axis[np.argmax(f_profile)]:.0f} BPM")
-print(f"autocorrelation tempogram argmax: {atg.tempo_axis[np.argmax(a_profile)]:.0f} BPM")
+print(f"\nfourier tempogram argmax:        {ftg.axis[np.argmax(f_profile)]:.0f} BPM")
+print(f"autocorrelation tempogram argmax: {atg.axis[np.argmax(a_profile)]:.0f} BPM")
 print("(the autocorrelation view emphasizes subharmonics: half tempo is a strong peak)")
 
 half_idx = int(BPM / 2 - 30)
@@ -53,7 +54,7 @@ for tg in (ftg, atg):
     best = np.argmax(profile)
     print(
         f"\ncyclic {tg.kind}: argmax scale bin {best} "
-        f"(s = {cyc.scale_axis[best]:.3f} relative to {cyc.ref_tempo:.0f} BPM)"
+        f"(s = {cyc.axis[best]:.3f} relative to {REF_TEMPO:.0f} BPM)"
     )
     print("  -> 64, 128, and 256 BPM would all land on the same bin: octaves are folded")
 

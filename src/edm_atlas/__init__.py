@@ -72,7 +72,6 @@ from .table import (
     save_matrix,
 )
 from .tempogram import (
-    CyclicTempogram,
     NoveltyCurve,
     Tempogram,
     TrackAnalysis,

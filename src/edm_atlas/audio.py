@@ -37,6 +37,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .types import row_blocks
+
 CANONICAL_RATE = 22050
 STFT_WINDOW = 2048
 STFT_HOP = 512
@@ -388,38 +390,6 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     )
 
 
-def frame_blocks(n: int) -> list[tuple[int, int]]:
-    """Split ``n`` rows into near-equal ``(start, stop)`` blocks of about ``FRAME_BLOCK`` rows.
-
-    Blocks cover ``range(n)`` in order and differ in length by at most one
-    row; none is shorter than ``FRAME_BLOCK // 2`` (128) unless ``n``
-    itself is. The STFT pass computes each block of magnitudes and reduces
-    it to per-frame series before the next one, and each series must
-    equal what the whole-array code computed, bit for bit. That holds only
-    for operations whose per-row result does not depend on how many rows
-    are computed together:
-
-    * element-wise ufuncs, per-row FFTs and cumulative sums along a row are
-      safe at any block height;
-    * a reduction along a row depends on the memory layout: numpy sums a
-      C-ordered row pairwise but an F-ordered one (what ``x[:, mask]``
-      returns) sequentially, and a 1-row block is both, so it takes the
-      pairwise path. Balanced blocks never leave such a 1-row tail, which
-      fixed-size blocks would (513 frames at 256 rows);
-    * a matrix product depends on the row count through the BLAS kernel:
-      OpenBLAS takes a separate small-matrix kernel, with its own rounding,
-      for small products (with the MFCC filter bank, blocks of 24 rows or
-      fewer on scipy-openblas 0.3.31). When ``n`` needs more than one
-      block, every block has 192 to 320 rows, far above that; the tests
-      check every height from 128 to 383.
-    """
-    if n <= 0:
-        return []
-    n_blocks = max(1, (n + FRAME_BLOCK // 2) // FRAME_BLOCK)
-    edges = [n * i // n_blocks for i in range(n_blocks + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def mel_filterbank(bin_freqs: np.ndarray) -> np.ndarray:
     """Triangular mel filters (N_MEL_BANDS x n_bins) spanning 0..max bin freq."""
 
@@ -490,7 +460,7 @@ def _pair_diffs(block: np.ndarray, before: np.ndarray | None) -> np.ndarray:
 def _measure(
     magnitudes: Callable[[int, int], np.ndarray], n: int, frame_rate: float, bin_freqs: np.ndarray
 ) -> FrameSeries:
-    """The FrameSeries of ``n`` frames, reduced one block of ``frame_blocks(n)`` at a time.
+    """The FrameSeries of ``n`` frames, reduced one block of ``row_blocks(n, FRAME_BLOCK)`` at a time.
 
     ``magnitudes(start, stop)`` gives the magnitudes of frames
     ``start:stop``. Each frame-pair difference reaches one row back, so the
@@ -514,7 +484,7 @@ def _measure(
         np.empty(pairs),
     )
     last = last_log = None
-    for start, stop in frame_blocks(n):
+    for start, stop in row_blocks(n, FRAME_BLOCK):
         mags = magnitudes(start, stop)
         rows = slice(start, stop)
         totals = mags.sum(axis=1)
@@ -540,7 +510,7 @@ def _measure(
         del cum, probs, work
         out.energy[rows] = power.sum(axis=1)
         out.mel_energy[rows] = power @ bank_t
-        # F-ordered, like the whole-array gather: see frame_blocks
+        # F-ordered, like the whole-array gather: see types.row_blocks
         chroma_power = power[:, usable]
         for c, sel in classes:
             out.chroma_energy[rows, c] = chroma_power[:, sel].sum(axis=1)
@@ -649,7 +619,7 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
             f"need 0 < hop ({hop}) <= window_len ({window_len}) <= n_samples ({n})"
         )
     n_frames = 1 + (n - window_len) // hop
-    longest = max(stop - start for start, stop in frame_blocks(n_frames))
+    longest = max(stop - start for start, stop in row_blocks(n_frames, FRAME_BLOCK))
     samples = _SpanBuffer(stream.chunks, (longest - 1) * hop + window_len)
     window = np.hanning(window_len)
 

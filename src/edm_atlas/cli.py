@@ -43,17 +43,18 @@ def _setup_logging() -> None:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    defaults = RunConfig()
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--manifest", help="track manifest CSV")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="root seed (default 0)")
-    sub.add_argument("--k", type=int, help="fixed cluster count (default 35)")
-    sub.add_argument("--k-min", type=int, dest="k_min", help="sweep lower bound (default 15)")
-    sub.add_argument("--k-max", type=int, dest="k_max", help="sweep upper bound (default 40)")
-    sub.add_argument("--restarts", type=int, help="k-means restarts (default 50)")
+    sub.add_argument("--seed", type=int, help=f"root seed (default {defaults.seed})")
+    sub.add_argument("--k", type=int, help=f"fixed cluster count (default {defaults.k})")
+    sub.add_argument("--k-min", type=int, dest="k_min", help=f"sweep lower bound (default {defaults.k_min})")
+    sub.add_argument("--k-max", type=int, dest="k_max", help=f"sweep upper bound (default {defaults.k_max})")
+    sub.add_argument("--restarts", type=int, help=f"k-means restarts (default {defaults.restarts})")
     sub.add_argument("--method", choices=["kmeans", "divisive", "both"], help="clustering method")
     sub.add_argument("--embeddings", help="precomputed embedding CSV (skips selection)")
-    sub.add_argument("--top-k", type=int, dest="top_k", help="features to keep (default 100)")
+    sub.add_argument("--top-k", type=int, dest="top_k", help=f"features to keep (default {defaults.top_k})")
     sub.add_argument(
         "--workers",
         type=int,

@@ -10,7 +10,6 @@ inertia curve.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import metrics
 from .parallel import pool_map
-from .table import write_csv
+from .table import write_csv, write_json
 from .types import min_max
 
 logger = logging.getLogger(__name__)
@@ -94,9 +93,7 @@ class ClusterModel:
             "warning": self.warning,
             "split_tree": self.split_tree.to_dict() if self.split_tree else None,
         }
-        Path(sidecar_path).write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(sidecar_path, sidecar)
 
 
 def _d2_draws(d2: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:

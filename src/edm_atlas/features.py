@@ -123,8 +123,8 @@ def tempo_estimates(analysis: TrackAnalysis) -> FeatureVector:
         logger.warning("silent input: tempo estimates fall back to 0 BPM sentinel")
         return FeatureVector(np.zeros(3), names, ["rhythmic"] * 3)
     ftg, atg = analysis.fourier, analysis.autocorr
-    bpm_f = float(ftg.tempo_axis[np.argmax(ftg.magnitudes.mean(axis=0))])
-    bpm_a = float(atg.tempo_axis[np.argmax(atg.magnitudes.mean(axis=0))])
+    bpm_f = float(ftg.axis[np.argmax(ftg.magnitudes.mean(axis=0))])
+    bpm_a = float(atg.axis[np.argmax(atg.magnitudes.mean(axis=0))])
     geo = float(np.sqrt(bpm_f * bpm_a))
     return FeatureVector(np.array([bpm_f, bpm_a, geo]), names, ["rhythmic"] * 3)
 

@@ -10,7 +10,6 @@ its normalized form. All logarithms are natural.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from math import comb
@@ -21,14 +20,15 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .parallel import pool_map
-from .table import FeatureMatrix, write_csv
+from .table import FeatureMatrix, write_csv, write_json
+from .types import row_blocks
 
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 BOOTSTRAP_RESAMPLES = 50
 PAIR_MIN_OBSERVATIONS = 5
-SILHOUETTE_BLOCK = 1024  # rows of distances silhouette holds at once; at least 2
+SILHOUETTE_BLOCK = 1024  # about this many rows of distances silhouette holds at once
 
 PROFILE_DIMENSIONS = ("energy", "danceability", "tempo", "harmonic", "rhythmic", "electronic")
 
@@ -127,8 +127,9 @@ def purity(pred, true) -> float:
 def silhouette(data, labels) -> float:
     """Mean silhouette coefficient; singleton clusters contribute 0.
 
-    Distances are computed ``SILHOUETTE_BLOCK`` rows at a time, so the call
-    holds a (SILHOUETTE_BLOCK, n) float64 block rather than an n x n matrix.
+    Distances are computed in blocks of about ``SILHOUETTE_BLOCK`` rows
+    (fewer than 1.5 times as many; ``types.row_blocks``), so the call holds
+    one (rows, n) float64 block rather than an n x n matrix.
     """
     x = _as_array(data)
     y = _labels(labels)
@@ -140,12 +141,9 @@ def silhouette(data, labels) -> float:
     counts = np.bincount(y_idx)
     # per-sample summed distance to each cluster. A gather of two or more
     # rows is Fortran-ordered and sums column by column at any row count;
-    # one row would sum pairwise, so a lone last row joins the block before it
-    edges = [*range(0, n, SILHOUETTE_BLOCK), n]
-    if len(edges) > 2 and n - edges[-2] == 1:
-        del edges[-2]
+    # one row would sum pairwise, and no block has one row
     sums = np.zeros((n, k))
-    for start, end in zip(edges[:-1], edges[1:]):
+    for start, end in row_blocks(n, SILHOUETTE_BLOCK):
         dist = cdist(x[start:end], x)
         for c in range(k):
             sums[start:end, c] = dist[:, y_idx == c].sum(axis=1)
@@ -342,7 +340,7 @@ class EvaluationReport:
     distribution: dict[str, float]
     context: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def save(self, path: str | Path) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "context": self.context,
@@ -350,10 +348,7 @@ class EvaluationReport:
             "internal": self.internal,
             "distribution": self.distribution,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_json(path, payload)
 
 
 def evaluate_all(

@@ -33,12 +33,12 @@ import numpy as np
 
 from . import metrics
 from .audio import CANONICAL_RATE, read_wav_header, stream_wav
-from .cluster import ClusterModel, divisive_cluster, kmeans, select_natural_k
+from .cluster import DEFAULT_K_RANGE, KMEANS_RESTARTS, ClusterModel, divisive_cluster, kmeans, select_natural_k
 from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
 from .parallel import pool_map
 from .plots import pca_project, radar_svg, scatter_svg
-from .selection import SelectionReport, engineer_features, ensemble_normalize, ensemble_select
+from .selection import DEFAULT_TOP_K, SelectionReport, engineer_features, ensemble_normalize, ensemble_select
 from .table import (
     ConfigError,
     FeatureMatrix,
@@ -75,10 +75,10 @@ class RunConfig:
     out: str | None = None
     seed: int = 0
     k: int = 35
-    k_min: int = 15
-    k_max: int = 40
-    restarts: int = 50
-    top_k: int = 100
+    k_min: int = DEFAULT_K_RANGE[0]
+    k_max: int = DEFAULT_K_RANGE[1]
+    restarts: int = KMEANS_RESTARTS
+    top_k: int = DEFAULT_TOP_K
     method: str = "kmeans"  # kmeans | divisive | both
     embeddings: str | None = None
     workers: int = field(default_factory=_usable_cpus)
@@ -156,20 +156,16 @@ def stage_seed(root_seed: int, stage: str) -> int:
 def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     """Full 92 + 64 + 6 feature vector for one manifest record.
 
-    A track shorter than MIN_DURATION_S is rejected from its header before
-    any sample is decoded. The file is decoded and resampled to 22050 Hz
-    one chunk at a time as the STFT reads it, so no whole-track sample
-    array exists. The track is analysed once (per-frame STFT series,
-    novelty curve, both tempograms) and every block reads that analysis.
+    ``analyze_track`` rejects a track shorter than MIN_DURATION_S at 22050 Hz
+    from the stream's length, before any sample is decoded. The file is
+    decoded and resampled one chunk at a time as the STFT reads it, so no
+    whole-track sample array exists. The track is analysed once (per-frame
+    STFT series, novelty curve, both tempograms) and every block reads it.
     """
     wav_path = Path(record.path)
     if not wav_path.is_absolute():
         wav_path = base_dir / wav_path
-    header = read_wav_header(wav_path)
-    if header.duration < MIN_DURATION_S:
-        raise ValueError(f"{header.duration:.2f} s of audio; extraction needs at least {MIN_DURATION_S:g} s")
-
-    analysis = analyze_track(stream_wav(header, CANONICAL_RATE))
+    analysis = analyze_track(stream_wav(read_wav_header(wav_path), CANONICAL_RATE))
     return FeatureVector.concat(
         [
             fundamental_feature_vector(analysis),
@@ -407,7 +403,9 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{override}: line {exc.lineno} is not valid JSON: {exc.msg}") from None
         if not isinstance(raw, dict) or not all(
-            isinstance(v, list) and len(v) == 2 and all(isinstance(x, list) for x in v)
+            isinstance(v, list)
+            and len(v) == 2
+            and all(isinstance(x, list) and all(isinstance(entry, str) for entry in x) for x in v)
             for v in raw.values()
         ):
             raise ConfigError(f"{override}: expected {{dimension: [[name substrings], [column groups]]}}")

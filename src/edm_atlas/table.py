@@ -1,4 +1,4 @@
-"""Track manifests, feature matrices, embeddings and cluster labels as CSV.
+"""Track manifests, feature matrices, embeddings and cluster labels as CSV; JSON sidecars.
 
 The manifest has header ``track_id,path,genre,bpm,key,length_s``. Feature
 matrices have a ``track_id`` + feature-name header, a ``#group:`` tag line,
@@ -12,11 +12,13 @@ line and, for a number, the column.
 
 One writer, ``write_csv``, writes every output CSV: floats with ``repr``, and
 a cell holding ``,``, ``"``, CR or LF quoted so ``csv.reader`` reads it back.
+One writer, ``write_json``, writes every output JSON file.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 from dataclasses import dataclass
@@ -257,6 +259,11 @@ def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
             cells = [_cell(value) for value in row]
             # a lone empty cell is quoted: a blank line reads back as no cells
             fh.write((",".join(cells) if cells != [""] else '""') + "\n")
+
+
+def write_json(path: str | Path, payload: Mapping) -> None:
+    """Write ``payload`` as JSON with sorted keys and a two-space indent, ending in a newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def save_matrix(m: FeatureMatrix, path: str | Path) -> None:

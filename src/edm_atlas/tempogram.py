@@ -12,7 +12,7 @@ Tempo grid: 1 BPM resolution over [30, 480]. Analysis window 8 s, hop 1 s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,13 +23,18 @@ from .types import FeatureVector
 TEMPO_MIN = 30
 TEMPO_MAX = 480
 TEMPO_AXIS = np.arange(TEMPO_MIN, TEMPO_MAX + 1, dtype=np.float64)
+TEMPO_AXIS.flags.writeable = False
 
 ANALYSIS_WINDOW_S = 8.0
 MIN_DURATION_S = 10.0  # shortest clip analyze_track accepts: its ~9.9 s novelty curve fills the window
 ANALYSIS_HOP_S = 1.0
 REF_TEMPO = 60.0
 N_SCALE_BINS = 15
+SCALE_AXIS = 2.0 ** (np.arange(N_SCALE_BINS) / N_SCALE_BINS)  # s in [1, 2): tempo s * REF_TEMPO * 2^k
+SCALE_AXIS.flags.writeable = False
 TOP_BINS = 4
+
+TEMPOGRAM_KINDS = ("fourier", "autocorr", "cyclic_fourier", "cyclic_autocorr")
 
 
 @dataclass
@@ -49,37 +54,24 @@ class NoveltyCurve:
 
 @dataclass
 class Tempogram:
-    """time_frames x tempo_bins magnitudes on the shared BPM axis."""
+    """time_frames x bins magnitudes of one of the TEMPOGRAM_KINDS, on the shared read-only
+    ``axis``: TEMPO_AXIS (BPM), or SCALE_AXIS for the ``cyclic_`` kinds."""
 
     magnitudes: np.ndarray
-    tempo_axis: np.ndarray = field(repr=False)
-    kind: str = "fourier"  # "fourier" or "autocorr"
+    kind: str
 
     def __post_init__(self):
+        if self.kind not in TEMPOGRAM_KINDS:
+            raise ValueError(f"tempogram kind must be one of {', '.join(TEMPOGRAM_KINDS)}, got {self.kind!r}")
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        self.tempo_axis = np.asarray(self.tempo_axis, dtype=np.float64)
+        if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.axis.size:
+            raise ValueError(f"{self.kind} tempogram magnitudes must be frames x {self.axis.size} bins")
         if not np.all(np.isfinite(self.magnitudes)) or np.any(self.magnitudes < 0):
             raise ValueError("tempogram magnitudes must be finite and nonnegative")
-        if np.any(np.diff(self.tempo_axis) <= 0):
-            raise ValueError("tempo_axis must be strictly increasing")
 
-
-@dataclass
-class CyclicTempogram:
-    """time_frames x scale_bins, scales s in [1, 2) relative to ref_tempo."""
-
-    magnitudes: np.ndarray
-    scale_axis: np.ndarray = field(repr=False)
-    ref_tempo: float = REF_TEMPO
-    kind: str = "cyclic_fourier"
-
-    def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        self.scale_axis = np.asarray(self.scale_axis, dtype=np.float64)
-        if np.any(self.scale_axis < 1.0) or np.any(self.scale_axis >= 2.0):
-            raise ValueError("scale_axis must lie in [1, 2)")
-        if np.any(self.magnitudes < 0) or not np.all(np.isfinite(self.magnitudes)):
-            raise ValueError("cyclic magnitudes must be finite and nonnegative")
+    @property
+    def axis(self) -> np.ndarray:
+        return SCALE_AXIS if self.kind.startswith("cyclic_") else TEMPO_AXIS
 
 
 def novelty_curve(series: FrameSeries, band: int | None = None) -> NoveltyCurve:
@@ -154,7 +146,7 @@ def fourier_tempogram(nov: NoveltyCurve) -> Tempogram:
     win, hop = _frame_params(nov)
     segs = _segments(nov.values, win, hop)
     mags = np.abs(segs @ _fourier_kernel(win, nov.frame_rate))
-    return Tempogram(mags, TEMPO_AXIS.copy(), kind="fourier")
+    return Tempogram(mags, "fourier")
 
 
 def autocorr_tempogram(nov: NoveltyCurve) -> Tempogram:
@@ -183,20 +175,15 @@ def autocorr_tempogram(nov: NoveltyCurve) -> Tempogram:
     mags = np.empty((acf_norm.shape[0], TEMPO_AXIS.size))
     for i, row in enumerate(acf_norm):
         mags[i] = np.interp(lags_for_bpm, lag_axis, row)
-    return Tempogram(mags, TEMPO_AXIS.copy(), kind="autocorr")
+    return Tempogram(mags, "autocorr")
 
 
-def cyclic_tempogram(tg: Tempogram) -> CyclicTempogram:
-    """Fold a tempogram over octaves: sum magnitudes at all tempi s*rho*2^k.
-
-    rho is REF_TEMPO (60 BPM) and the N_SCALE_BINS (15) scale bins s are
-    log-spaced in [1, 2). Tempi are read off the BPM grid by linear
-    interpolation; octaves falling outside the axis are skipped.
-    """
-    scales = 2.0 ** (np.arange(N_SCALE_BINS) / N_SCALE_BINS)
-    axis = tg.tempo_axis
+@lru_cache(maxsize=1)
+def _fold_weights() -> np.ndarray:
+    """(scale bins, tempo bins) octave-fold weights on TEMPO_AXIS; shared and read-only."""
+    axis = TEMPO_AXIS
     weights = np.zeros((N_SCALE_BINS, axis.size))
-    for j, s in enumerate(scales):
+    for j, s in enumerate(SCALE_AXIS):
         k_lo = int(np.ceil(np.log2(axis[0] / (s * REF_TEMPO))))
         k_hi = int(np.floor(np.log2(axis[-1] / (s * REF_TEMPO))))
         for k in range(k_lo, k_hi + 1):
@@ -210,12 +197,23 @@ def cyclic_tempogram(tg: Tempogram) -> CyclicTempogram:
                 frac = (tempo - axis[idx - 1]) / (axis[idx] - axis[idx - 1])
                 weights[j, idx - 1] += 1.0 - frac
                 weights[j, idx] += frac
-    mags = tg.magnitudes @ weights.T
-    kind = f"cyclic_{tg.kind}"
-    return CyclicTempogram(np.clip(mags, 0.0, None), scales, REF_TEMPO, kind)
+    weights.flags.writeable = False
+    return weights
 
 
-def tempogram_summary(tg: Tempogram | CyclicTempogram) -> FeatureVector:
+def cyclic_tempogram(tg: Tempogram) -> Tempogram:
+    """Fold a tempogram over octaves: sum magnitudes at all tempi s*rho*2^k.
+
+    rho is REF_TEMPO (60 BPM) and the N_SCALE_BINS (15) scale bins s of
+    SCALE_AXIS are log-spaced in [1, 2). Tempi are read off the BPM grid by
+    linear interpolation; octaves falling outside the axis are skipped.
+    ``tg`` is a ``fourier`` or ``autocorr`` tempogram.
+    """
+    mags = tg.magnitudes @ _fold_weights().T
+    return Tempogram(np.clip(mags, 0.0, None), f"cyclic_{tg.kind}")
+
+
+def tempogram_summary(tg: Tempogram) -> FeatureVector:
     """Per-bin statistics of the TOP_BINS (4) strongest tempo (or scale) bins.
 
     Bins are ranked by time-averaged magnitude; each of the top bins
@@ -223,8 +221,8 @@ def tempogram_summary(tg: Tempogram | CyclicTempogram) -> FeatureVector:
     std, and strength relative to the rank-1 bin. An all-zero tempogram
     yields an all-zero summary.
     """
-    axis = tg.tempo_axis if isinstance(tg, Tempogram) else tg.scale_axis
-    axis_name = "bpm" if isinstance(tg, Tempogram) else "scale"
+    axis = tg.axis
+    axis_name = "scale" if axis is SCALE_AXIS else "bpm"
 
     mean_mag = tg.magnitudes.mean(axis=0)
     std_mag = tg.magnitudes.std(axis=0)
@@ -274,7 +272,7 @@ def analyze_track(clip: AudioClip | SampleStream) -> TrackAnalysis:
     if clip.sample_rate != CANONICAL_RATE:
         raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")
     if clip.duration < MIN_DURATION_S:
-        raise ValueError(f"track analysis needs at least {MIN_DURATION_S:g} s of audio")
+        raise ValueError(f"track analysis needs at least {MIN_DURATION_S:g} s of audio, got {clip.duration:.2f} s")
     series = stft(clip)
     nov = novelty_curve(series)
     return TrackAnalysis(clip.source_id, series, nov, fourier_tempogram(nov), autocorr_tempogram(nov))

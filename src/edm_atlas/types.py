@@ -1,4 +1,4 @@
-"""Shared lightweight containers for extracted features."""
+"""Shared lightweight containers for extracted features, and the one row partition."""
 
 from __future__ import annotations
 
@@ -71,3 +71,36 @@ def min_max(scores: np.ndarray) -> np.ndarray:
     if hi <= lo:
         return np.zeros_like(scores)
     return (scores - lo) / (hi - lo)
+
+
+def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """Split ``n`` rows into near-equal ``(start, stop)`` blocks of about ``size`` rows.
+
+    Blocks cover ``range(n)`` in order and differ in length by at most one
+    row. Each has fewer than ``1.5 * size`` rows (at most 3 at ``size`` 1
+    or 2) and at least ``size // 2`` unless ``n`` is smaller, and with at
+    most ``n // 2`` blocks none has one row when ``n >= 2``. The STFT pass
+    and ``metrics.silhouette`` compute one block at a time, and each must
+    equal what the whole-array code computed, bit for bit. That holds only
+    for operations whose per-row result does not depend on how many rows
+    are computed together:
+
+    * element-wise ufuncs, per-row FFTs and cumulative sums along a row are
+      safe at any block height;
+    * a reduction along a row depends on the memory layout: numpy sums a
+      C-ordered row pairwise but an F-ordered one (what ``x[:, mask]``
+      returns) sequentially, and a 1-row block is both, so it takes the
+      pairwise path. Balanced blocks never leave such a 1-row tail, which
+      fixed-size blocks would (513 frames at 256 rows);
+    * a matrix product depends on the row count through the BLAS kernel:
+      OpenBLAS takes a separate small-matrix kernel, with its own rounding,
+      for small products (with the MFCC filter bank, blocks of 24 rows or
+      fewer on scipy-openblas 0.3.31). At ``size`` 256, when ``n`` needs
+      more than one block, every block has 192 to 320 rows, far above
+      that; the tests check every height from 128 to 383.
+    """
+    if n <= 0:
+        return []
+    n_blocks = max(1, min((n + size // 2) // size, n // 2))
+    edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))

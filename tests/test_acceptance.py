@@ -54,12 +54,12 @@ class TestCriterion1TempogramCorrectness:
             atg = autocorr_tempogram(nov)
             worst_runtime = max(worst_runtime, time.monotonic() - start)
 
-            estimate = ftg.tempo_axis[np.argmax(ftg.magnitudes.mean(axis=0))]
+            estimate = ftg.axis[np.argmax(ftg.magnitudes.mean(axis=0))]
             worst_err = max(worst_err, abs(estimate - bpm))
 
             profile = atg.magnitudes.mean(axis=0)
             peaks = [
-                atg.tempo_axis[i]
+                atg.axis[i]
                 for i in range(1, profile.size - 1)
                 if profile[i] >= profile[i - 1] and profile[i] >= profile[i + 1] and profile[i] > 0
             ]

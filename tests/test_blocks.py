@@ -22,7 +22,6 @@ from edm_atlas.audio import (
     LOG_COMPRESSION,
     ROLLOFF_FRACTION,
     AudioClip,
-    frame_blocks,
     frame_series,
     mel_filterbank,
     stft,
@@ -46,7 +45,7 @@ from edm_atlas.tempogram import (
     fourier_tempogram,
     novelty_curve,
 )
-from edm_atlas.types import stats_pair
+from edm_atlas.types import row_blocks, stats_pair
 
 RATE = 22050
 WINDOW = 2048
@@ -182,21 +181,44 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def frame_blocks(n):
+    """The STFT's own partition before ``types.row_blocks`` took its place: the reference at 256 rows."""
+    if n <= 0:
+        return []
+    n_blocks = max(1, (n + FRAME_BLOCK // 2) // FRAME_BLOCK)
+    edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 class TestFrameBlocks:
     def test_cover_in_order_and_balanced(self):
         for n in range(0, 3000):
-            blocks = frame_blocks(n)
-            stops = [0] + [b for _, b in blocks]
-            assert [a for a, _ in blocks] == stops[:-1]
-            assert stops[-1] == n
+            blocks = row_blocks(n, FRAME_BLOCK)
+            assert blocks == frame_blocks(n)
             sizes = {b - a for a, b in blocks}
-            assert max(sizes, default=0) - min(sizes, default=0) <= 1
             if n >= FRAME_BLOCK // 2:
                 assert min(sizes) >= FRAME_BLOCK // 2
                 assert max(sizes) < FRAME_BLOCK * 3 // 2
 
     def test_no_one_row_tail(self):
-        assert [b - a for a, b in frame_blocks(2 * FRAME_BLOCK + 1)] == [256, 257]
+        assert [b - a for a, b in row_blocks(2 * FRAME_BLOCK + 1, FRAME_BLOCK)] == [256, 257]
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 5000), size=st.one_of(st.integers(1, 8), st.integers(1, 3000)))
+    def test_partition(self, n, size):
+        blocks = row_blocks(n, size)
+        stops = [0] + [b for _, b in blocks]
+        assert [a for a, _ in blocks] == stops[:-1]
+        assert stops[-1] == n
+        lengths = [b - a for a, b in blocks]
+        assert max(lengths, default=0) - min(lengths, default=0) <= 1
+        assert max(lengths, default=0) < 1.5 * size if size >= 3 else max(lengths, default=0) <= 3
+        if n >= 2:
+            assert min(lengths) >= 2
+        if n >= max(size // 2, 1):
+            assert min(lengths) >= size // 2
 
 
 class TestBlockedLayersMatchWholeArray:
@@ -239,7 +261,7 @@ class TestBlockedLayersMatchWholeArray:
         assert same_bytes(mfcc_features(series_of(spec)).values, ref_mfcc(spec))
 
     def test_filter_bank_product_rows_at_every_block_height(self):
-        # every height frame_blocks can give when there is more than one block
+        # every height row_blocks(n, FRAME_BLOCK) can give when there is more than one block
         # (and down to half the target), at two row offsets, against one
         # whole-matrix product
         freqs = np.fft.rfftfreq(WINDOW, 1.0 / RATE)

@@ -765,7 +765,13 @@ def silhouette_dense(data, labels):
 
 @st.composite
 def wide_labeled_points(draw):
-    n = draw(st.integers(3, 300))
+    """Points, labels and a block size: any size up to n + 1, or 2, 3 or 4 with n just above a multiple of it."""
+    if draw(st.booleans()):
+        block = draw(st.sampled_from([2, 3, 4]))
+        n = block * draw(st.integers(1, 300 // block)) + draw(st.integers(1, 2))
+    else:
+        n = draw(st.integers(3, 300))
+        block = draw(st.integers(2, n + 1))
     d = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     x = rng.normal(0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, d))
@@ -773,7 +779,7 @@ def wide_labeled_points(draw):
         x = x[rng.integers(0, max(1, n // 3), n)]
     k = draw(st.integers(2, min(n, 40)))
     labels = np.r_[np.arange(k), rng.integers(0, k, n - k)]
-    return x, rng.permutation(labels), draw(st.integers(2, n + 1))
+    return x, rng.permutation(labels), block
 
 
 class TestSilhouetteBlocksMatchDense:

@@ -180,12 +180,18 @@ class TestShortTracks:
 
     @pytest.mark.parametrize("rate", [22050, 44100])
     def test_rejected_from_header(self, tmp_path, monkeypatch, rate):
-        # the header's frame count decides: no sample is decoded
+        # the stream's length, known from the header, decides: the STFT never reads a sample
         save_wav(AudioClip(np.zeros(int(rate * 9.99)), rate), tmp_path / "short.wav")
-        decoded = count_calls(monkeypatch, audio, "load_wav")
-        with pytest.raises(ValueError, match=r"^9\.99 s of audio; extraction needs at least 10 s$"):
+        stft_calls = count_calls(monkeypatch, audio, "stft")
+        with pytest.raises(ValueError, match=r"^track analysis needs at least 10 s of audio, got 9\.99 s$"):
             extract_track(TrackRecord("short", "short.wav", "house"), tmp_path)
-        assert decoded == []
+        assert stft_calls == []
+
+    def test_floor_applies_at_the_analysis_rate(self, tmp_path):
+        # 479,999 frames at 48 kHz last 9.99998 s but resample to 220,500 samples: 10 s at 22050 Hz
+        rng = np.random.default_rng(0)
+        save_wav(AudioClip(0.5 * rng.uniform(-1.0, 1.0, 479_999), 48000), tmp_path / "edge.wav")
+        assert len(extract_track(TrackRecord("edge", "edge.wav", "house"), tmp_path)) == 92 + 64 + 6
 
     def test_batch_continues(self, tmp_path, caplog):
         manifest = write_manifest(tmp_path, {"half_second": 0.5, "one_second": 1.0, "full": 11.0})
@@ -194,7 +200,7 @@ class TestShortTracks:
             matrix, failed = cmd_extract(cfg)
         assert failed == ["half_second", "one_second"]
         assert matrix.row_ids == ["full"]
-        assert "extraction needs at least 10 s" in caplog.text
+        assert "track analysis needs at least 10 s of audio, got 0.50 s" in caplog.text
 
 
 class TestExtractionMemory:
@@ -206,6 +212,7 @@ class TestExtractionMemory:
         n = 60 * 22050
         clip_bytes = 8 * n
         spectrogram_bytes = 8 * (1 + (n - STFT_WINDOW) // STFT_HOP) * (STFT_WINDOW // 2 + 1)
+        extract_track(TrackRecord("long", "long.wav", "house"), tmp_path)  # scipy.signal is imported untraced
         tracemalloc.start()
         try:
             extract_track(TrackRecord("long", "long.wav", "house"), tmp_path)
@@ -711,12 +718,14 @@ class TestBadUserFiles:
             ('{\n  "energy": [["mfcc_00"], []],\n  "tempo": [["bpm"]\n}\n', "line 4 is not valid JSON"),
             ('[["bpm"], []]', "expected {dimension: [[name substrings], [column groups]]}"),
             ('{"tempo": [["bpm"]]}', "expected {dimension: [[name substrings], [column groups]]}"),
+            ('{"energy": [[1], []]}', "expected {dimension: [[name substrings], [column groups]]}"),
+            ('{"energy": [["mfcc_00"], [null]]}', "expected {dimension: [[name substrings], [column groups]]}"),
             (
                 '{"energy": [["rms"], []], "bass": [["bass"], []]}',
                 "unknown dimensions bass; known: energy, danceability, tempo, harmonic, rhythmic, electronic",
             ),
         ],
-        ids=["unparsable", "not_an_object", "one_list", "unknown_dimension"],
+        ids=["unparsable", "not_an_object", "one_list", "number_substring", "null_group", "unknown_dimension"],
     )
     def test_bad_dimension_map(self, fixture_run, capsys, text, message):
         path = Path(fixture_run.out) / "dimension_map.json"

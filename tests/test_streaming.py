@@ -121,7 +121,7 @@ class TestStreamedStft:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_any_chunking_equals_whole_array(self, frames, tail, sizes, seed):
-        # frame counts on both sides of the frame_blocks edges, any chunk sizes
+        # frame counts on both sides of the STFT's block edges, any chunk sizes
         n = STFT_WINDOW + (frames - 1) * STFT_HOP + tail
         clip = AudioClip(np.random.default_rng(seed).uniform(-1.0, 1.0, n), CANONICAL_RATE)
         want = reference_stft(clip)
@@ -148,7 +148,7 @@ def edge_frames(kind: str, rate: int, step: int, edge: int) -> int:
 
     ``decode``: ``edge`` frames off a multiple of DECODE_CHUNK. ``block``:
     a 22050 Hz length whose frame count is ``edge`` off a point where
-    ``frame_blocks`` adds a block.
+    ``row_blocks(n, FRAME_BLOCK)`` adds a block.
     """
     if kind == "decode":
         return (-(-10 * rate // DECODE_CHUNK) + step) * DECODE_CHUNK + edge

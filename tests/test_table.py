@@ -19,6 +19,7 @@ from edm_atlas.table import (
     save_labels,
     save_matrix,
     write_csv,
+    write_json,
 )
 from edm_atlas.types import FeatureVector
 
@@ -301,6 +302,13 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv(path, [["id", "x", "n"], ['a "b", c', 0.1, np.int64(3)], ["c\rd", np.float64(-0.0), True]])
         assert path.read_bytes() == b'id,x,n\n"a ""b"", c",0.1,3\n"c\rd",-0.0,True\n'
+
+
+def test_write_json_layout(tmp_path):
+    # the layout both JSON sidecars (model_<method>.json, report_<method>.json) are written in
+    path = tmp_path / "out.json"
+    write_json(path, {"b": {"z": None, "y": 0.1}, "a": [1, "é"]})
+    assert path.read_bytes() == '{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": {\n    "y": 0.1,\n    "z": null\n  }\n}\n'.encode()
 
 
 # Every input CSV goes through one reader: each defect gets the same

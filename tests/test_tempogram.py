@@ -5,8 +5,12 @@ from conftest import count_calls
 from edm_atlas import audio
 from edm_atlas.audio import AudioClip, SampleStream, frame_series, stft, synth_click_track
 from edm_atlas.tempogram import (
+    SCALE_AXIS,
+    TEMPO_AXIS,
+    TEMPOGRAM_KINDS,
     NoveltyCurve,
     Tempogram,
+    _fold_weights,
     analyze_track,
     autocorr_tempogram,
     cyclic_tempogram,
@@ -18,7 +22,7 @@ from edm_atlas.tempogram import (
 
 
 def time_avg_argmax_bpm(tg) -> float:
-    return float(tg.tempo_axis[np.argmax(tg.magnitudes.mean(axis=0))])
+    return float(tg.axis[np.argmax(tg.magnitudes.mean(axis=0))])
 
 
 def local_peaks(profile):
@@ -72,7 +76,7 @@ class TestFourierTempogram:
     def test_tempo_harmonic_magnitude(self, click_60):
         tg = fourier_tempogram(novelty_curve(stft(click_60)))
         profile = tg.magnitudes.mean(axis=0)
-        at = lambda bpm: profile[int(bpm - tg.tempo_axis[0])]
+        at = lambda bpm: profile[int(bpm - tg.axis[0])]
         assert at(120) >= 0.5 * at(60)
 
     def test_zero_novelty(self):
@@ -88,7 +92,7 @@ class TestAutocorrTempogram:
     def test_click_peak_and_subharmonic(self, click_120):
         tg = autocorr_tempogram(novelty_curve(stft(click_120)))
         profile = tg.magnitudes.mean(axis=0)
-        peak_bpms = tg.tempo_axis[local_peaks(profile)]
+        peak_bpms = tg.axis[local_peaks(profile)]
         assert np.any(np.abs(peak_bpms - 120.0) <= 2.0)
         assert np.any(np.abs(peak_bpms - 60.0) <= 2.0)
 
@@ -104,7 +108,7 @@ class TestAutocorrTempogram:
         tg = autocorr_tempogram(NoveltyCurve(values, frame_rate))
         profile = tg.magnitudes.mean(axis=0)
         expected_bpm = 60.0 * frame_rate / period
-        assert abs(tg.tempo_axis[np.argmax(profile)] - expected_bpm) <= 2.0
+        assert abs(tg.axis[np.argmax(profile)] - expected_bpm) <= 2.0
         # direct autocorrelation oracle on one window: peak at lag == period
         win = int(8 * frame_rate)
         seg = values[:win] * np.hanning(win)
@@ -125,12 +129,12 @@ class TestCyclicTempogram:
     def test_single_bin_at_ref_tempo(self):
         mags = np.zeros((10, 451))
         mags[:, 30] = 1.0  # tempo axis starts at 30 BPM -> index 30 is 60 BPM
-        tg = Tempogram(mags, np.arange(30, 481, dtype=float), kind="fourier")
+        tg = Tempogram(mags, "fourier")
         cyc = cyclic_tempogram(tg)
         assert np.argmax(cyc.magnitudes.mean(axis=0)) == 0  # scale s = 1
 
     def test_uniform_tempogram_near_uniform(self):
-        tg = Tempogram(np.ones((5, 451)), np.arange(30, 481, dtype=float), kind="fourier")
+        tg = Tempogram(np.ones((5, 451)), "fourier")
         cyc = cyclic_tempogram(tg)
         profile = cyc.magnitudes.mean(axis=0)
         # every scale bin sums 4 octaves of mass; s = 1 also catches 480
@@ -139,10 +143,41 @@ class TestCyclicTempogram:
 
     def test_linearity(self, click_120):
         tg = fourier_tempogram(novelty_curve(stft(click_120)))
-        doubled = Tempogram(2.0 * tg.magnitudes, tg.tempo_axis, kind=tg.kind)
+        doubled = Tempogram(2.0 * tg.magnitudes, tg.kind)
         a = cyclic_tempogram(tg).magnitudes
         b = cyclic_tempogram(doubled).magnitudes
         assert np.allclose(b, 2.0 * a, rtol=1e-12)
+
+
+class TestTempogramType:
+    def test_axis_by_kind(self, click_120):
+        tg = fourier_tempogram(novelty_curve(stft(click_120)))
+        cyc = cyclic_tempogram(tg)
+        assert tg.axis is TEMPO_AXIS and cyc.axis is SCALE_AXIS
+        assert cyc.kind == "cyclic_fourier"
+        for kind, axis in zip(TEMPOGRAM_KINDS, (TEMPO_AXIS, TEMPO_AXIS, SCALE_AXIS, SCALE_AXIS)):
+            assert Tempogram(np.zeros((2, axis.size)), kind).axis is axis
+
+    def test_shared_axes_and_weights_are_read_only(self):
+        for shared in (TEMPO_AXIS, SCALE_AXIS, _fold_weights()):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+        assert _fold_weights() is _fold_weights()
+
+    @pytest.mark.parametrize(
+        "mags, kind, message",
+        [
+            (np.zeros((2, 451)), "cyclic", "kind must be one of fourier, autocorr, cyclic_fourier, cyclic_autocorr"),
+            (np.zeros((2, 15)), "fourier", "fourier tempogram magnitudes must be frames x 451 bins"),
+            (np.zeros(451), "autocorr", "autocorr tempogram magnitudes must be frames x 451 bins"),
+            (-np.ones((2, 15)), "cyclic_fourier", "finite and nonnegative"),
+            (np.full((2, 451), np.nan), "fourier", "finite and nonnegative"),
+        ],
+        ids=["unknown_kind", "wrong_width", "one_dimensional", "negative", "nan"],
+    )
+    def test_rejected(self, mags, kind, message):
+        with pytest.raises(ValueError, match=message):
+            Tempogram(mags, kind)
 
 
 class TestTempogramSummary:
@@ -154,14 +189,14 @@ class TestTempogramSummary:
         assert values["tg_fourier_r1_rel_strength"] == 1.0
 
     def test_zero_tempogram(self):
-        tg = Tempogram(np.zeros((5, 451)), np.arange(30, 481, dtype=float))
+        tg = Tempogram(np.zeros((5, 451)), "fourier")
         vec = tempogram_summary(tg)
         assert np.all(vec.values == 0.0)
 
     def test_stationary_zero_std(self):
         rng = np.random.default_rng(0)
         row = rng.uniform(0, 1, 451)
-        tg = Tempogram(np.tile(row, (6, 1)), np.arange(30, 481, dtype=float))
+        tg = Tempogram(np.tile(row, (6, 1)), "fourier")
         vec = tempogram_summary(tg)
         stds = [v for n, v in zip(vec.names, vec.values) if n.endswith("mag_std")]
         assert np.all(np.array(stds) <= 1e-12)
