@@ -54,7 +54,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--restarts", type=int, help=f"k-means restarts (default {defaults.restarts})")
     sub.add_argument("--method", choices=["kmeans", "divisive", "both"], help="clustering method")
     sub.add_argument("--embeddings", help="precomputed embedding CSV (skips selection)")
-    sub.add_argument("--top-k", type=int, dest="top_k", help=f"features to keep (default {defaults.top_k})")
+    sub.add_argument("--top-k", type=int, dest="top_k", help=f"features cluster keeps (default {defaults.top_k})")
     sub.add_argument(
         "--workers",
         type=int,

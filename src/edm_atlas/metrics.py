@@ -10,6 +10,7 @@ its normalized form. All logarithms are natural.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from math import comb
@@ -20,13 +21,14 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .parallel import pool_map
-from .table import FeatureMatrix, write_csv, write_json
+from .table import ConfigError, FeatureMatrix, write_csv, write_json
 from .types import row_blocks
 
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 BOOTSTRAP_RESAMPLES = 50
+MIN_BOOTSTRAP_SAMPLES = 10  # fewest rows cophenetic_bootstrap re-clusters
 PAIR_MIN_OBSERVATIONS = 5
 SILHOUETTE_BLOCK = 1024  # about this many rows of distances silhouette holds at once
 
@@ -41,6 +43,27 @@ DEFAULT_DIMENSION_RULES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "rhythmic": (("onset", "beat", "percuss", "tg_"), ("rhythmic", "tempogram")),
     "electronic": (("spectral_", "mfcc", "timbre"), ("spectral", "timbral")),
 }
+
+
+def load_dimension_rules(path: str | Path) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Rules from a ``{dimension: [[name substrings], [column groups]]}`` JSON file; ConfigError if malformed."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno} is not valid JSON: {exc.msg}") from None
+    if not isinstance(raw, dict) or not all(
+        isinstance(v, list)
+        and len(v) == 2
+        and all(isinstance(x, list) and all(isinstance(entry, str) for entry in x) for x in v)
+        for v in raw.values()
+    ):
+        raise ConfigError(f"{path}: expected {{dimension: [[name substrings], [column groups]]}}")
+    unknown = sorted(set(raw) - set(PROFILE_DIMENSIONS))
+    if unknown:
+        # profiles.csv has one column per known dimension; another would be drawn but never written
+        raise ConfigError(f"{path}: unknown dimensions {', '.join(unknown)}; known: {', '.join(PROFILE_DIMENSIONS)}")
+    logger.info("using dimension mapping override from %s", path)
+    return {dim: (tuple(v[0]), tuple(v[1])) for dim, v in raw.items()}
 
 
 def _as_array(data) -> np.ndarray:
@@ -261,8 +284,8 @@ def cophenetic_bootstrap(
     """
     x = _as_array(data)
     n = x.shape[0]
-    if n < 10:
-        raise ValueError("bootstrap stability needs at least 10 samples")
+    if n < MIN_BOOTSTRAP_SAMPLES:
+        raise ValueError(f"bootstrap stability needs at least {MIN_BOOTSTRAP_SAMPLES} samples")
     if B > np.iinfo(np.uint16).max:
         raise ValueError(f"B={B} resamples overflow the uint16 vote counts")
     base = np.asarray(clusterer(x, seed), dtype=np.int64)

@@ -3,9 +3,9 @@
 Every stage derives its randomness from the single root seed through a
 stage-name hash (``stage_seed``), so a partial rerun of any stage with the
 same config reproduces its outputs byte for byte. Stages communicate
-through files in the output directory. ``cluster`` alone writes the
-selection files; ``sweep``, and ``plot`` without ``selected.csv``, select
-in memory.
+through files in the output directory. ``cluster`` is the one stage that
+selects features: ``sweep`` and ``plot`` analyse the ``selected.csv`` it
+wrote, or the ``--embeddings`` matrix.
 
 * ``features.csv``          extracted feature matrix (extract)
 * ``selection_report.csv``  per-feature selection scores (cluster)
@@ -20,7 +20,6 @@ in memory.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 from collections import Counter
@@ -262,27 +261,22 @@ def prepare_selected(cfg: RunConfig, matrix: FeatureMatrix, y: np.ndarray) -> tu
     return ensemble_select(normalized, y, top_k=top_k, seed=stage_seed(cfg.seed, "select"), workers=cfg.workers)
 
 
-def _clustering_input(
-    cfg: RunConfig, check_tracks: Callable[[int], None]
-) -> tuple[FeatureMatrix, np.ndarray, SelectionReport | None]:
-    """The clustering matrix, each row's genre class index, and the selection report.
+def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
+    """The matrix ``sweep`` and ``plot`` analyse: the embeddings, else the selection ``cluster`` wrote.
 
-    The matrix is the embeddings when supplied (no selection, so no report),
-    else the selected features. ``check_tracks`` and the catalog check run
-    before any work.
+    ``selected.csv`` is read back column-major. ``FeatureMatrix.select``
+    gathers columns, so ``cluster`` computes on an F-ordered array, and
+    k-means and silhouette round differently on a C-ordered copy of the same
+    values.
     """
     if cfg.embeddings:
-        records = load_manifest(cfg.manifest)
-        matrix = import_embeddings(cfg.embeddings, records)
-        check_tracks(matrix.shape[0])
-        logger.info("embeddings supplied: selection stage skipped")
-        return matrix, _class_indices([r.genre for r in records]), None
-    matrix, genres = _load_features(cfg)
-    check_tracks(matrix.shape[0])
-    _check_catalog(genres)
-    y = _class_indices(genres)
-    selected, report = prepare_selected(cfg, matrix, y)
-    return selected, y, report
+        return import_embeddings(cfg.embeddings, load_manifest(cfg.manifest))
+    path = Path(cfg.out) / "selected.csv"
+    if not path.exists():
+        raise ConfigError(f"{path} not found; run the cluster stage first or pass --embeddings")
+    matrix = load_matrix(path)
+    matrix.data = np.asfortranarray(matrix.data)
+    return matrix
 
 
 def _kmeans_labels(x: np.ndarray, seed: int, k: int) -> np.ndarray:
@@ -308,14 +302,24 @@ def _run_method(
 
 
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
-    """Cluster at the fixed k and evaluate against the genre labeling."""
+    """Select features (unless embeddings are supplied) after every track check, cluster at the fixed k, evaluate."""
     cfg.validate()
-
-    def check_tracks(n: int) -> None:
-        if cfg.k >= n:  # the internal indices (Davies-Bouldin, silhouette) need k < n
-            raise ConfigError(f"k={cfg.k} must be below the number of tracks ({n})")
-
-    matrix, truth, selection = _clustering_input(cfg, check_tracks)
+    if cfg.embeddings:
+        records = load_manifest(cfg.manifest)
+        matrix, genres = import_embeddings(cfg.embeddings, records), [r.genre for r in records]
+        logger.info("embeddings supplied: selection stage skipped")
+    else:
+        matrix, genres = _load_features(cfg)
+    n = matrix.shape[0]
+    if cfg.k >= n:  # the internal indices (Davies-Bouldin, silhouette) need k < n
+        raise ConfigError(f"k={cfg.k} must be below the number of tracks ({n})")
+    if n < metrics.MIN_BOOTSTRAP_SAMPLES:
+        raise StageError(f"the cluster bootstrap needs at least {metrics.MIN_BOOTSTRAP_SAMPLES} tracks, got {n}")
+    truth = _class_indices(genres)
+    selection = None
+    if not cfg.embeddings:
+        _check_catalog(genres)
+        matrix, selection = prepare_selected(cfg, matrix, truth)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if selection is not None:
@@ -355,12 +359,9 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
 def cmd_sweep(cfg: RunConfig):
     """Natural-k sweep over [k_min, k_max]; returns the KSweepResult."""
     cfg.validate()
-
-    def check_tracks(n: int) -> None:
-        if cfg.k_max > n:
-            raise ConfigError(f"k-max={cfg.k_max} exceeds {n} tracks")
-
-    matrix, _, _ = _clustering_input(cfg, check_tracks)
+    matrix = _selected_matrix(cfg)
+    if cfg.k_max > matrix.shape[0]:
+        raise ConfigError(f"k-max={cfg.k_max} exceeds {matrix.shape[0]} tracks")
     result = select_natural_k(
         matrix.data,
         (cfg.k_min, cfg.k_max),
@@ -394,33 +395,10 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
     cfg.validate()
     matrix, genres = _load_features(cfg)
     labels = load_labels(_resolve_labels_path(cfg), matrix.row_ids)
-
-    rules = None
-    override = Path(cfg.out) / "dimension_map.json"
-    if override.exists():
-        try:
-            raw = json.loads(override.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{override}: line {exc.lineno} is not valid JSON: {exc.msg}") from None
-        if not isinstance(raw, dict) or not all(
-            isinstance(v, list)
-            and len(v) == 2
-            and all(isinstance(x, list) and all(isinstance(entry, str) for entry in x) for x in v)
-            for v in raw.values()
-        ):
-            raise ConfigError(f"{override}: expected {{dimension: [[name substrings], [column groups]]}}")
-        unknown = sorted(set(raw) - set(metrics.PROFILE_DIMENSIONS))
-        if unknown:
-            # profiles.csv has one column per known dimension; another would be drawn but never written
-            raise ConfigError(
-                f"{override}: unknown dimensions {', '.join(unknown)}; "
-                f"known: {', '.join(metrics.PROFILE_DIMENSIONS)}"
-            )
-        rules = {dim: (tuple(v[0]), tuple(v[1])) for dim, v in raw.items()}
-        logger.info("using dimension mapping override from %s", override)
-
-    profiles = metrics.cluster_profiles(matrix, labels, genres, rules=rules)
     out_dir = Path(cfg.out)
+    override = out_dir / "dimension_map.json"
+    rules = metrics.load_dimension_rules(override) if override.exists() else None
+    profiles = metrics.cluster_profiles(matrix, labels, genres, rules=rules)
     metrics.profiles_to_csv(profiles, out_dir / "profiles.csv")
     for p in profiles:
         axes = [
@@ -436,11 +414,7 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
 def cmd_plot(cfg: RunConfig) -> Path:
     """PCA scatter of the clustering space, colored by cluster labels."""
     cfg.validate()
-    selected_path = Path(cfg.out) / "selected.csv"
-    if selected_path.exists() and not cfg.embeddings:
-        matrix = load_matrix(selected_path)
-    else:
-        matrix, _, _ = _clustering_input(cfg, lambda n: None)
+    matrix = _selected_matrix(cfg)
     labels = load_labels(_resolve_labels_path(cfg), matrix.row_ids)
     points, variances = pca_project(matrix.data)
     svg = scatter_svg(

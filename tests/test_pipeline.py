@@ -408,7 +408,7 @@ class TestCluster:
 
 
 class TestOneSelectionWriter:
-    """Only cluster writes the selection files; sweep and plot's fallback select in memory."""
+    """Only cluster selects and writes the selection files; sweep and plot read selected.csv."""
 
     FILES = ("selected.csv", "selection_report.csv")
 
@@ -432,14 +432,64 @@ class TestOneSelectionWriter:
         assert (out / "sweep.csv").exists()
         assert self.selection_bytes(out) == before
 
-    def test_plot_without_selected_csv_writes_none(self, fixture_run, tmp_path):
+    def test_plot_without_selected_csv_writes_none(self, fixture_run, tmp_path, capsys):
         out = self.clustered(fixture_run, tmp_path)
         (out / "selected.csv").unlink()
         before = self.selection_bytes(out)
         argv = ["plot", "--manifest", fixture_run.manifest, "--out", str(out), "--seed", "7", "--workers", "1"]
-        assert cli_main(argv) == 0
-        assert (out / "scatter.svg").exists()
+        assert cli_main(argv) == 2
+        assert f"{out / 'selected.csv'} not found; run the cluster stage first" in capsys.readouterr().err
+        assert not (out / "scatter.svg").exists()
         assert self.selection_bytes(out) == before  # selected.csv stays absent
+
+    def test_one_selection_per_run(self, fixture_run, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+        calls = count_calls(monkeypatch, pipeline, "prepare_selected")
+        common = ["--manifest", fixture_run.manifest, "--out", str(out), "--workers", "1"]
+        assert cli_main(["cluster", *common, "--k", "4", "--restarts", "2"]) == 0
+        assert cli_main(["sweep", *common, "--k-min", "2", "--k-max", "4", "--restarts", "2"]) == 0
+        assert cli_main(["plot", *common]) == 0
+        assert calls == ["prepare_selected"]
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_sweep_equals_sweep_of_in_memory_selection(self, fixture_run, tmp_path, seed):
+        # selected.csv read back column-major sweeps bit for bit as the selection cluster computed on
+        cfg = replace(fixture_run, out=str(tmp_path / "run"), seed=seed, method="kmeans", restarts=3)
+        Path(cfg.out).mkdir()
+        (Path(cfg.out) / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+        cmd_cluster(cfg)
+        got = cmd_sweep(cfg)
+        matrix, genres = pipeline._load_features(cfg)
+        selected, _ = pipeline.prepare_selected(cfg, matrix, pipeline._class_indices(genres))
+        want = select_natural_k(
+            selected.data, (cfg.k_min, cfg.k_max), seed=stage_seed(seed, "sweep"), restarts=cfg.restarts, workers=1
+        )
+        assert got.chosen_k == want.chosen_k
+        for f in fields(want):
+            if f.name != "chosen_k":
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+
+    def test_sweep_without_selected_csv_exits_two_unless_embeddings(self, fixture_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+        argv = ["sweep", "--manifest", fixture_run.manifest, "--out", str(out), "--workers", "1"]
+        argv += ["--k-min", "2", "--k-max", "4", "--restarts", "2"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'selected.csv'} not found; run the cluster stage first or pass --embeddings" in err
+        assert sorted(p.name for p in out.iterdir()) == ["features.csv"]
+
+        rng = np.random.default_rng(0)
+        ids = load_matrix(out / "features.csv").row_ids
+        emb = write_rows(
+            tmp_path / "emb.csv",
+            [["track_id", "e0", "e1"], *([tid, *rng.normal(j // 5, 0.3, 2)] for j, tid in enumerate(ids))],
+        )
+        assert cli_main([*argv, "--embeddings", str(emb)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["features.csv", "sweep.csv"]
 
 
 class TestSweep:
@@ -626,26 +676,45 @@ class TestCliExitCodes:
         assert not list(out.glob("labels_*")) and not list(out.glob("model_*"))
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, inputs, message",
         [
-            (["cluster", "--k", "20"], "k=20 must be below the number of tracks (20)"),
-            (["sweep", "--k-min", "2", "--k-max", "21"], "k-max=21 exceeds 20 tracks"),
+            (["cluster", "--k", "20"], ["features.csv"], "k=20 must be below the number of tracks (20)"),
+            (
+                ["sweep", "--k-min", "2", "--k-max", "21"],
+                ["features.csv", "selected.csv"],
+                "k-max=21 exceeds 20 tracks",
+            ),
         ],
         ids=["cluster_k", "sweep_k_max"],
     )
     def test_track_count_checked_before_selection(
-        self, fixture_run, tmp_path, monkeypatch, capsys, argv, message
+        self, fixture_run, tmp_path, monkeypatch, capsys, argv, inputs, message
     ):
         out = tmp_path / "run"
         out.mkdir()
-        (out / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+        for name in inputs:
+            (out / name).write_bytes((Path(fixture_run.out) / name).read_bytes())
         engineered = []
         monkeypatch.setattr(pipeline, "engineer_features", engineered.append)
         command, *flags = argv
         assert cli_main([command, "--manifest", fixture_run.manifest, "--out", str(out), *flags]) == 2
         assert message in capsys.readouterr().err
         assert engineered == []
-        assert sorted(p.name for p in out.iterdir()) == ["features.csv"]
+        assert sorted(p.name for p in out.iterdir()) == inputs
+
+    def test_too_few_tracks_for_the_bootstrap(self, tmp_path, capsys):
+        # 8 embedded tracks at k=3: exit 3 before any clustering output is written
+        ids = [f"t{j}" for j in range(8)]
+        manifest = write_rows(
+            tmp_path / "manifest.csv",
+            [MANIFEST_COLUMNS, *([tid, f"{tid}.wav", f"g{j % 2}", "", "", ""] for j, tid in enumerate(ids))],
+        )
+        emb = write_rows(tmp_path / "emb.csv", [["track_id", "e0"], *([tid, j] for j, tid in enumerate(ids))])
+        out = tmp_path / "run"
+        argv = ["cluster", "--manifest", str(manifest), "--out", str(out), "--k", "3", "--embeddings", str(emb)]
+        assert cli_main(argv) == 3
+        assert f"needs at least {metrics.MIN_BOOTSTRAP_SAMPLES} tracks, got 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_labels_is_config_error(self, fixture_run, tmp_path, capsys):
         labels = tmp_path / "missing.csv"
