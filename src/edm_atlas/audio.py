@@ -1,4 +1,4 @@
-"""WAV decoding, resampling, the STFT pass, and synthetic test signals.
+"""WAV decoding and writing, resampling, the STFT pass, and synthetic test signals.
 
 The canonical analysis format is 22050 Hz mono float64 in [-1, 1]; every
 downstream module assumes it. Only uncompressed RIFF/WAVE files (16- or
@@ -6,6 +6,7 @@ downstream module assumes it. Only uncompressed RIFF/WAVE files (16- or
 or stereo) are decoded -- convert lossy formats externally. The decoder
 reads the raw chunk headers, so that decode failures carry a precise
 diagnostic, and then decodes the data chunk DECODE_CHUNK frames at a time.
+``write_wav`` is the one writer: 16-bit mono PCM, appended chunk by chunk.
 
 A signal reaches the STFT as a ``SampleStream``: its length and rate, and
 its samples as consecutive chunks, read once and in order. ``stream_wav``
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,6 +47,9 @@ STFT_HOP = 512
 FRAME_BLOCK = 256
 _FFT_ROWS = FRAME_BLOCK // 4  # frames per FFT call inside a block
 DECODE_CHUNK = 65536  # frames decoded (and resampled) at a time
+
+# the most 16-bit mono frames whose RIFF chunk size (36 + 2n bytes) fits 32 bits
+MAX_WAV_FRAMES = (0xFFFFFFFF - 36) // 2
 
 N_MEL_BANDS = 40
 ROLLOFF_FRACTION = 0.85
@@ -354,27 +358,66 @@ def load_wav(path: str | Path, rate: int | None = None) -> AudioClip:
     return _collect(stream_wav(read_wav_header(path), rate))
 
 
-def save_wav(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as 16-bit mono PCM WAV (deterministic bytes)."""
-    pcm = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype("<i2")
-    body = pcm.tobytes()
+def write_wav(path: str | Path, rate: int, n_frames: int, chunks: Iterable[np.ndarray]) -> None:
+    """Write ``n_frames`` float samples, given as consecutive chunks, as a 16-bit mono PCM WAV file.
+
+    Each chunk is scaled by 32767, rounded and clipped to the int16 range
+    and appended as it arrives, so the samples never exist whole. The
+    bytes depend only on the samples, not on how they are chunked. The
+    file is written under a temporary name in the same directory and
+    renamed into place after the last chunk, so a failure leaves no file
+    at ``path``. Raises ValueError, before the file is opened, when the
+    RIFF sizes of ``n_frames`` frames overflow 32 bits, and while writing
+    for a non-finite sample or chunks that do not add up to ``n_frames``.
+    """
+    path = Path(path)
+    if not 0 <= n_frames <= MAX_WAV_FRAMES:
+        raise ValueError(f"a 16-bit mono WAV file holds 0 to {MAX_WAV_FRAMES} frames, not {n_frames}")
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(body),
+        36 + 2 * n_frames,
         b"WAVE",
         b"fmt ",
         16,
         1,  # PCM
         1,  # mono
-        clip.sample_rate,
-        clip.sample_rate * 2,
+        rate,
+        rate * 2,
         2,
         16,
         b"data",
-        len(body),
+        2 * n_frames,
     )
-    Path(path).write_bytes(header + body)
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("wb") as fh:
+            fh.write(header)
+            written = 0
+            for chunk in chunks:
+                x = np.asarray(chunk, dtype=np.float64)
+                if not np.all(np.isfinite(x)):
+                    raise ValueError(f"{path.name}: non-finite sample in frames {written}:{written + x.size}")
+                written += x.size
+                if written > n_frames:
+                    raise ValueError(f"{path.name}: more than the {n_frames} frames declared")
+                # np.clip(np.round(x * 32767.0), -32768, 32767), in one buffer
+                pcm = np.multiply(x, 32767.0)
+                np.round(pcm, out=pcm)
+                np.clip(pcm, -32768, 32767, out=pcm)
+                fh.write(pcm.astype("<i2"))
+            if written != n_frames:
+                raise ValueError(f"{path.name}: {written} frames written, {n_frames} declared")
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def save_wav(clip: AudioClip, path: str | Path) -> None:
+    """Write a clip as 16-bit mono PCM WAV (deterministic bytes), DECODE_CHUNK samples at a time."""
+    samples = clip.samples
+    chunks = (samples[start : start + DECODE_CHUNK] for start in range(0, samples.size, DECODE_CHUNK))
+    write_wav(path, clip.sample_rate, samples.size, chunks)
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -31,7 +32,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from . import metrics
-from .audio import CANONICAL_RATE, read_wav_header, stream_wav
+from .audio import CANONICAL_RATE, MAX_WAV_FRAMES, read_wav_header, stream_wav
 from .cluster import DEFAULT_K_RANGE, KMEANS_RESTARTS, ClusterModel, divisive_cluster, kmeans, select_natural_k
 from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
@@ -433,11 +434,21 @@ def cmd_fixtures(out_dir: str | Path, per_genre: int, duration: float = 12.0, se
     """Write the default fixture families, per_genre tracks each, and their manifest.
 
     Only catalogs ``extract`` can use: at least 1 track per genre, each at
-    least ``MIN_DURATION_S`` long.
+    least ``MIN_DURATION_S`` long and short enough for a WAV file, from a
+    non-negative seed. Every check runs before any file is written.
     """
     if per_genre < 1:
         raise ConfigError(f"tracks-per-genre must be at least 1, got {per_genre}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if not duration >= MIN_DURATION_S:  # also rejects NaN
         raise ConfigError(f"duration must be at least {MIN_DURATION_S:g} s, got {duration:g}")
+    if not math.isfinite(duration):
+        raise ConfigError(f"duration must be finite, got {duration:g}")
+    if round(duration * CANONICAL_RATE) > MAX_WAV_FRAMES:
+        raise ConfigError(
+            f"duration must be at most {MAX_WAV_FRAMES // CANONICAL_RATE} s, the longest 16-bit mono WAV "
+            f"file at {CANONICAL_RATE} Hz, got {duration:g}"
+        )
     families = tuple(FixtureFamily(f.genre, f.kind, f.bpm, per_genre) for f in DEFAULT_FAMILIES)
     return write_fixture_set(out_dir, families=families, duration=duration, seed=seed)

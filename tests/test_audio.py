@@ -22,6 +22,7 @@ from edm_atlas.audio import (
     save_wav,
     stft,
     synth_click_track,
+    write_wav,
 )
 
 
@@ -213,6 +214,65 @@ class TestLoadWav:
         assert back.sample_rate == clip.sample_rate
         # 16-bit quantization: one write/read step is at most 1.5/32768
         assert np.max(np.abs(back.samples - clip.samples)) <= 1.5 / 32768
+
+
+class _Unread(Exception):
+    """Raised by a chunk iterator that write_wav must not have consumed."""
+
+
+def _never_read():
+    raise _Unread
+    yield
+
+
+class TestWriteWav:
+    def test_save_wav_bytes_match_one_whole_array_conversion(self, tmp_path):
+        # three chunks, the last one sample long; values beyond [-1, 1] saturate
+        rng = np.random.default_rng(5)
+        samples = rng.uniform(-1.2, 1.2, 2 * DECODE_CHUNK + 1)
+        save_wav(AudioClip(samples, 32000), tmp_path / "x.wav")
+        pcm = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2").tobytes()
+        assert (tmp_path / "x.wav").read_bytes() == wav_bytes(pcm, rate=32000)
+
+    def test_chunking_changes_no_byte(self, tmp_path):
+        samples = np.random.default_rng(6).uniform(-1.0, 1.0, 1000)
+        write_wav(tmp_path / "one.wav", 22050, 1000, [samples])
+        write_wav(tmp_path / "many.wav", 22050, 1000, np.split(samples, [1, 2, 500, 999]))
+        assert (tmp_path / "one.wav").read_bytes() == (tmp_path / "many.wav").read_bytes()
+
+    @pytest.mark.parametrize(
+        "chunks, message",
+        [
+            ([np.zeros(DECODE_CHUNK), np.full(DECODE_CHUNK, np.nan)], "non-finite sample in frames 65536:131072"),
+            ([np.zeros(DECODE_CHUNK), np.zeros(DECODE_CHUNK - 1)], "131071 frames written, 131072 declared"),
+            ([np.zeros(DECODE_CHUNK), np.zeros(DECODE_CHUNK + 1)], "more than the 131072 frames declared"),
+        ],
+        ids=["nan_after_first_chunk", "fewer_frames", "more_frames"],
+    )
+    def test_failure_leaves_no_file(self, tmp_path, chunks, message):
+        # neither the file nor a temporary one whose header claims all 131072 frames
+        with pytest.raises(ValueError, match=message):
+            write_wav(tmp_path / "x.wav", 22050, 2 * DECODE_CHUNK, iter(chunks))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_an_older_file(self, tmp_path):
+        path = tmp_path / "x.wav"
+        save_wav(synth_click_track(120, 1), path)
+        before = path.read_bytes()
+        with pytest.raises(_Unread):
+            write_wav(path, 22050, 10, _never_read())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_32_bit_riff_sizes_checked_before_the_file_opens(self, tmp_path):
+        with pytest.raises(ValueError, match=f"holds 0 to {audio.MAX_WAV_FRAMES} frames, not {audio.MAX_WAV_FRAMES + 1}"):
+            write_wav(tmp_path / "x.wav", 22050, audio.MAX_WAV_FRAMES + 1, _never_read())
+        assert list(tmp_path.iterdir()) == []
+        assert 36 + 2 * audio.MAX_WAV_FRAMES <= 0xFFFFFFFF < 36 + 2 * (audio.MAX_WAV_FRAMES + 1)
+        # the longest file passes the check, packs its header and only then reads a chunk
+        with pytest.raises(_Unread):
+            write_wav(tmp_path / "x.wav", 22050, audio.MAX_WAV_FRAMES, _never_read())
+        assert list(tmp_path.iterdir()) == []
 
 
 def pcm24_bytes(pcm16: np.ndarray) -> bytes:

@@ -728,14 +728,25 @@ class TestCliExitCodes:
             (["--tracks-per-genre", "0"], "tracks-per-genre must be at least 1, got 0"),
             (["--duration", "4"], "duration must be at least 10 s, got 4"),
             (["--duration", "0"], "duration must be at least 10 s, got 0"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--duration", "nan"], "duration must be at least 10 s, got nan"),
+            (["--duration", "inf"], "duration must be finite, got inf"),
+            (["--duration", "1e12"], "duration must be at most 97391 s, the longest 16-bit mono WAV file at 22050 Hz"),
         ],
-        ids=["no_tracks", "short", "zero_duration"],
+        ids=["no_tracks", "short", "zero_duration", "negative_seed", "nan_duration", "infinite_duration", "wav_too_long"],
     )
     def test_fixtures_rejects_unusable_catalog(self, tmp_path, capsys, flags, message):
         out = tmp_path / "audio"
         assert cli_main(["fixtures", "--out", str(out), *flags]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fixtures_longest_duration_passes_the_check(self, tmp_path, monkeypatch):
+        # 97391 s at 22050 Hz is 2,147,471,550 frames: RIFF size 36 + 2n still fits 32 bits
+        calls = []
+        monkeypatch.setattr(pipeline, "write_fixture_set", lambda *args, **kwargs: calls.append(kwargs))
+        cmd_fixtures(tmp_path, per_genre=1, duration=97391.0, seed=0)
+        assert [c["duration"] for c in calls] == [97391.0]
 
     def test_partial_extraction_exit_one(self, tmp_path):
         audio = tmp_path / "audio"
