@@ -16,7 +16,6 @@ from .audio import (
     load_wav,
     read_wav_header,
     resample,
-    save_wav,
     stft,
     stream_wav,
     synth_click_track,

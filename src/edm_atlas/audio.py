@@ -6,7 +6,8 @@ downstream module assumes it. Only uncompressed RIFF/WAVE files (16- or
 or stereo) are decoded -- convert lossy formats externally. The decoder
 reads the raw chunk headers, so that decode failures carry a precise
 diagnostic, and then decodes the data chunk DECODE_CHUNK frames at a time.
-``write_wav`` is the one writer: 16-bit mono PCM, appended chunk by chunk.
+``write_wav`` is the one writer: 16-bit mono PCM, appended chunk by chunk to
+``<name>.part`` through ``table.output`` and renamed into place after the last.
 
 A signal reaches the STFT as a ``SampleStream``: its length and rate, and
 its samples as consecutive chunks, read once and in order. ``stream_wav``
@@ -38,6 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .table import output
 from .types import row_blocks
 
 CANONICAL_RATE = 22050
@@ -364,11 +366,11 @@ def write_wav(path: str | Path, rate: int, n_frames: int, chunks: Iterable[np.nd
     Each chunk is scaled by 32767, rounded and clipped to the int16 range
     and appended as it arrives, so the samples never exist whole. The
     bytes depend only on the samples, not on how they are chunked. The
-    file is written under a temporary name in the same directory and
-    renamed into place after the last chunk, so a failure leaves no file
-    at ``path``. Raises ValueError, before the file is opened, when the
-    RIFF sizes of ``n_frames`` frames overflow 32 bits, and while writing
-    for a non-finite sample or chunks that do not add up to ``n_frames``.
+    file is written through ``table.output``, so a failure leaves the older
+    file at ``path``, or none. Raises ValueError, before the file is
+    opened, when the RIFF sizes of ``n_frames`` frames overflow 32 bits,
+    and while writing for a non-finite sample or chunks that do not add up
+    to ``n_frames``.
     """
     path = Path(path)
     if not 0 <= n_frames <= MAX_WAV_FRAMES:
@@ -389,35 +391,23 @@ def write_wav(path: str | Path, rate: int, n_frames: int, chunks: Iterable[np.nd
         b"data",
         2 * n_frames,
     )
-    part = path.with_name(path.name + ".part")
-    try:
-        with part.open("wb") as fh:
-            fh.write(header)
-            written = 0
-            for chunk in chunks:
-                x = np.asarray(chunk, dtype=np.float64)
-                if not np.all(np.isfinite(x)):
-                    raise ValueError(f"{path.name}: non-finite sample in frames {written}:{written + x.size}")
-                written += x.size
-                if written > n_frames:
-                    raise ValueError(f"{path.name}: more than the {n_frames} frames declared")
-                # np.clip(np.round(x * 32767.0), -32768, 32767), in one buffer
-                pcm = np.multiply(x, 32767.0)
-                np.round(pcm, out=pcm)
-                np.clip(pcm, -32768, 32767, out=pcm)
-                fh.write(pcm.astype("<i2"))
-            if written != n_frames:
-                raise ValueError(f"{path.name}: {written} frames written, {n_frames} declared")
-        os.replace(part, path)
-    finally:
-        part.unlink(missing_ok=True)
-
-
-def save_wav(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as 16-bit mono PCM WAV (deterministic bytes), DECODE_CHUNK samples at a time."""
-    samples = clip.samples
-    chunks = (samples[start : start + DECODE_CHUNK] for start in range(0, samples.size, DECODE_CHUNK))
-    write_wav(path, clip.sample_rate, samples.size, chunks)
+    with output(path, "wb") as fh:
+        fh.write(header)
+        written = 0
+        for chunk in chunks:
+            x = np.asarray(chunk, dtype=np.float64)
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{path.name}: non-finite sample in frames {written}:{written + x.size}")
+            written += x.size
+            if written > n_frames:
+                raise ValueError(f"{path.name}: more than the {n_frames} frames declared")
+            # np.clip(np.round(x * 32767.0), -32768, 32767), in one buffer
+            pcm = np.multiply(x, 32767.0)
+            np.round(pcm, out=pcm)
+            np.clip(pcm, -32768, 32767, out=pcm)
+            fh.write(pcm.astype("<i2"))
+        if written != n_frames:
+            raise ValueError(f"{path.name}: {written} frames written, {n_frames} declared")
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

@@ -176,7 +176,6 @@ def write_fixture_set(
     silent one, or one too long for a WAV file) leaves no file behind.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [MANIFEST_COLUMNS]
     ss = np.random.SeedSequence(seed)
     n = int(round(duration * rate))

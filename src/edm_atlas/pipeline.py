@@ -5,7 +5,10 @@ stage-name hash (``stage_seed``), so a partial rerun of any stage with the
 same config reproduces its outputs byte for byte. Stages communicate
 through files in the output directory. ``cluster`` is the one stage that
 selects features: ``sweep`` and ``plot`` analyse the ``selected.csv`` it
-wrote, or the ``--embeddings`` matrix.
+wrote, or the ``--embeddings`` matrix, and refuse a ``selected.csv`` whose
+track ids are not those of ``features.csv``. Every file is written through
+``table.output``, which creates ``--out`` and renames each file into place
+once it is whole.
 
 * ``features.csv``          extracted feature matrix (extract)
 * ``selection_report.csv``  per-feature selection scores (cluster)
@@ -48,8 +51,10 @@ from .table import (
     load_labels,
     load_manifest,
     load_matrix,
+    matrix_row_ids,
     save_labels,
     save_matrix,
+    write_text,
 )
 from .tempogram import MIN_DURATION_S, analyze_track, tempogram_feature_vector
 from .trees import MIN_SAMPLES
@@ -186,7 +191,6 @@ def cmd_extract(cfg: RunConfig) -> tuple[FeatureMatrix, list[str]]:
     """Extract features for every manifest track; returns (matrix, failed_ids)."""
     cfg.validate()
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = load_manifest(cfg.manifest)
     base_dir = Path(cfg.manifest).parent
 
@@ -269,6 +273,11 @@ def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
     gathers columns, so ``cluster`` computes on an F-ordered array, and
     k-means and silhouette round differently on a C-ordered copy of the same
     values.
+
+    A ``selected.csv`` whose track ids are not those of the ``features.csv``
+    beside it, in the same order, was selected from an earlier extraction
+    and is a configuration error. Only the ids are compared: the same ids
+    over changed audio still pass.
     """
     if cfg.embeddings:
         return import_embeddings(cfg.embeddings, load_manifest(cfg.manifest))
@@ -276,6 +285,14 @@ def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
     if not path.exists():
         raise ConfigError(f"{path} not found; run the cluster stage first or pass --embeddings")
     matrix = load_matrix(path)
+    features = Path(cfg.out) / "features.csv"
+    if features.exists():
+        extracted = matrix_row_ids(features)
+        if extracted != matrix.row_ids:
+            raise ConfigError(
+                f"{path} holds {len(matrix.row_ids)} tracks, not the {len(extracted)} tracks of {features} "
+                "in its order; run the cluster stage again"
+            )
     matrix.data = np.asfortranarray(matrix.data)
     return matrix
 
@@ -322,7 +339,6 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
         _check_catalog(genres)
         matrix, selection = prepare_selected(cfg, matrix, truth)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if selection is not None:
         selection.write_csv(out_dir / "selection_report.csv")
         save_matrix(matrix, out_dir / "selected.csv")
@@ -370,9 +386,7 @@ def cmd_sweep(cfg: RunConfig):
         restarts=cfg.restarts,
         workers=cfg.workers,
     )
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result.write_csv(out_dir / "sweep.csv")
+    result.write_csv(Path(cfg.out) / "sweep.csv")
     print(f"chosen_k={result.chosen_k}")
     return result
 
@@ -408,7 +422,7 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
             if value is not None
         ]
         svg = radar_svg(f"Cluster {p.cluster_id} ({p.majority_genre})", axes)
-        (out_dir / f"profile_cluster_{p.cluster_id}.svg").write_text(svg, encoding="utf-8")
+        write_text(out_dir / f"profile_cluster_{p.cluster_id}.svg", svg)
     return profiles
 
 
@@ -423,10 +437,8 @@ def cmd_plot(cfg: RunConfig) -> Path:
         labels,
         title=f"PCA projection (var {variances[0]:.3g} / {variances[1]:.3g})",
     )
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "scatter.svg"
-    out_path.write_text(svg, encoding="utf-8")
+    out_path = Path(cfg.out) / "scatter.svg"
+    write_text(out_path, svg)
     return out_path
 
 

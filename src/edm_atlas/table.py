@@ -12,7 +12,13 @@ line and, for a number, the column.
 
 One writer, ``write_csv``, writes every output CSV: floats with ``repr``, and
 a cell holding ``,``, ``"``, CR or LF quoted so ``csv.reader`` reads it back.
-One writer, ``write_json``, writes every output JSON file.
+One writer, ``write_json``, writes every output JSON file, and
+``write_text`` every SVG.
+
+Every output file, these and ``audio.write_wav``'s, reaches disk through
+``output``: it is written as ``<name>.part`` in its own directory, which is
+created first, and renamed onto its name when the write ends cleanly, so a
+killed or failed write leaves the previous complete file or none.
 """
 
 from __future__ import annotations
@@ -21,10 +27,12 @@ import csv
 import json
 import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -252,9 +260,30 @@ def _cell(value) -> str:
     return text
 
 
+@contextmanager
+def output(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open ``<name>.part`` beside ``path`` for writing; rename it onto ``path`` when the block ends cleanly.
+
+    The directory is created first. ``mode`` is ``"w"`` (UTF-8 text, newlines
+    written as given) or ``"wb"``. On any exception the part file is
+    removed, so ``path`` keeps its older bytes or stays absent. There is no
+    ``fsync``: this guards against a killed process, not against power loss.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open(mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
     """Write rows of cells as CSV lines, each ending in a newline; ``csv.reader`` reads every cell back."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with output(path) as fh:
         for row in rows:
             cells = [_cell(value) for value in row]
             # a lone empty cell is quoted: a blank line reads back as no cells
@@ -263,7 +292,13 @@ def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
 
 def write_json(path: str | Path, payload: Mapping) -> None:
     """Write ``payload`` as JSON with sorted keys and a two-space indent, ending in a newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, newlines as given."""
+    with output(path) as fh:
+        fh.write(text)
 
 
 def save_matrix(m: FeatureMatrix, path: str | Path) -> None:
@@ -272,22 +307,33 @@ def save_matrix(m: FeatureMatrix, path: str | Path) -> None:
     write_csv(path, chain(head, ([rid, *values] for rid, values in zip(m.row_ids, m.data))))
 
 
-def load_matrix(path: str | Path) -> FeatureMatrix:
-    """Read a matrix CSV written by save_matrix, validating every cell."""
-    path = Path(path)
+def _matrix_rows(path: Path) -> tuple[list[str], list[str], Iterator]:
+    """A matrix CSV's column names, group tags and its ``(line, cells)`` data rows, still unread."""
     rows = _csv_rows(path)
     header = next(rows)
     if header[0] != "track_id":
         raise ConfigError(f"{path}: first column must be track_id")
-    names = header[1:]
     _, groups = next(rows, (None, [None]))
     if groups[0] != "#group:":
         raise ConfigError(f"{path}: second line must start with '#group:'")
+    return header[1:], groups[1:], rows
+
+
+def load_matrix(path: str | Path) -> FeatureMatrix:
+    """Read a matrix CSV written by save_matrix, validating every cell."""
+    path = Path(path)
+    names, groups, rows = _matrix_rows(path)
     row_ids, data = [], []
     for line, cells in rows:
         row_ids.append(cells[0])
         data.append(_numbers(path, line, names, cells[1:]))
-    return _matrix(path, row_ids, names, groups[1:], data)
+    return _matrix(path, row_ids, names, groups, data)
+
+
+def matrix_row_ids(path: str | Path) -> list[str]:
+    """The track ids of a matrix CSV in file order; its numbers are not parsed."""
+    _, _, rows = _matrix_rows(Path(path))
+    return [cells[0] for _, cells in rows]
 
 
 def import_embeddings(path: str | Path, records: Sequence[TrackRecord]) -> FeatureMatrix:

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from edm_atlas.audio import synth_click_track, synth_noise
+from edm_atlas.audio import AudioClip, synth_click_track, synth_noise, write_wav
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,11 @@ def click_128_long():
 @pytest.fixture(scope="session")
 def noise_clip():
     return synth_noise(12, seed=11)
+
+
+def write_clip(clip: AudioClip, path) -> None:
+    """Write a whole clip as a 16-bit mono WAV file through ``write_wav``."""
+    write_wav(path, clip.sample_rate, clip.samples.size, [clip.samples])
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

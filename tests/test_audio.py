@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import resample_poly
 
+from conftest import write_clip
 from edm_atlas import audio
 from edm_atlas.audio import (
     CANONICAL_RATE,
@@ -19,11 +20,11 @@ from edm_atlas.audio import (
     load_wav,
     read_wav_header,
     resample,
-    save_wav,
     stft,
     synth_click_track,
     write_wav,
 )
+from edm_atlas.table import write_csv, write_json, write_text
 
 
 def wav_bytes(frames: bytes, channels=1, rate=44100, fmt=1, bits=16) -> bytes:
@@ -88,7 +89,7 @@ class TestLoadWav:
 
     def test_deterministic(self, tmp_path):
         path = tmp_path / "clip.wav"
-        save_wav(synth_click_track(120, 1), path)
+        write_clip(synth_click_track(120, 1), path)
         a = load_wav(path)
         b = load_wav(path)
         assert np.array_equal(a.samples, b.samples)
@@ -209,7 +210,7 @@ class TestLoadWav:
 
     def test_roundtrip(self, tmp_path):
         clip = synth_click_track(97, 2)
-        save_wav(clip, tmp_path / "rt.wav")
+        write_clip(clip, tmp_path / "rt.wav")
         back = load_wav(tmp_path / "rt.wav")
         assert back.sample_rate == clip.sample_rate
         # 16-bit quantization: one write/read step is at most 1.5/32768
@@ -217,20 +218,58 @@ class TestLoadWav:
 
 
 class _Unread(Exception):
-    """Raised by a chunk iterator that write_wav must not have consumed."""
+    """Raised by an iterator when a writer reads past the items it was given."""
 
 
-def _never_read():
+def _then_raise(items):
+    """Yield ``items``, then raise ``_Unread`` where the next one would be read."""
+    yield from items
     raise _Unread
-    yield
+
+
+def _wav(chunks):
+    return lambda path: write_wav(path, 22050, 2 * DECODE_CHUNK, iter(chunks))
+
+
+# every writer, each failing as it writes: (write(path), exception, message)
+FAILED_WRITES = {
+    "nan_after_first_chunk": (
+        _wav([np.zeros(DECODE_CHUNK), np.full(DECODE_CHUNK, np.nan)]),
+        ValueError,
+        "non-finite sample in frames 65536:131072",
+    ),
+    "fewer_frames": (
+        _wav([np.zeros(DECODE_CHUNK), np.zeros(DECODE_CHUNK - 1)]),
+        ValueError,
+        "131071 frames written, 131072 declared",
+    ),
+    "more_frames": (
+        _wav([np.zeros(DECODE_CHUNK), np.zeros(DECODE_CHUNK + 1)]),
+        ValueError,
+        "more than the 131072 frames declared",
+    ),
+    "write_csv": (lambda path: write_csv(path, _then_raise([["track_id", "label"]])), _Unread, None),
+    "write_json": (lambda path: write_json(path, {"k": {1}}), TypeError, "not JSON serializable"),
+    "write_text": (lambda path: write_text(path, "<svg>\ud800</svg>"), UnicodeEncodeError, "surrogates not allowed"),
+}
+
+WRITES = {
+    "write_csv": lambda path: write_csv(path, [["track_id", "label"], ["a", 1]]),
+    "write_json": lambda path: write_json(path, {"k": 1}),
+    "write_text": lambda path: write_text(path, "<svg/>\n"),
+    "write_wav": lambda path: write_wav(path, 22050, 3, [np.zeros(3)]),
+}
 
 
 class TestWriteWav:
-    def test_save_wav_bytes_match_one_whole_array_conversion(self, tmp_path):
+    """``write_wav``, and the ``.part``-then-rename rule that every writer shares with it."""
+
+    def test_write_wav_bytes_match_one_whole_array_conversion(self, tmp_path):
         # three chunks, the last one sample long; values beyond [-1, 1] saturate
         rng = np.random.default_rng(5)
         samples = rng.uniform(-1.2, 1.2, 2 * DECODE_CHUNK + 1)
-        save_wav(AudioClip(samples, 32000), tmp_path / "x.wav")
+        chunks = np.split(samples, [DECODE_CHUNK, 2 * DECODE_CHUNK])
+        write_wav(tmp_path / "x.wav", 32000, samples.size, chunks)
         pcm = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2").tobytes()
         assert (tmp_path / "x.wav").read_bytes() == wav_bytes(pcm, rate=32000)
 
@@ -240,38 +279,39 @@ class TestWriteWav:
         write_wav(tmp_path / "many.wav", 22050, 1000, np.split(samples, [1, 2, 500, 999]))
         assert (tmp_path / "one.wav").read_bytes() == (tmp_path / "many.wav").read_bytes()
 
-    @pytest.mark.parametrize(
-        "chunks, message",
-        [
-            ([np.zeros(DECODE_CHUNK), np.full(DECODE_CHUNK, np.nan)], "non-finite sample in frames 65536:131072"),
-            ([np.zeros(DECODE_CHUNK), np.zeros(DECODE_CHUNK - 1)], "131071 frames written, 131072 declared"),
-            ([np.zeros(DECODE_CHUNK), np.zeros(DECODE_CHUNK + 1)], "more than the 131072 frames declared"),
-        ],
-        ids=["nan_after_first_chunk", "fewer_frames", "more_frames"],
-    )
-    def test_failure_leaves_no_file(self, tmp_path, chunks, message):
-        # neither the file nor a temporary one whose header claims all 131072 frames
-        with pytest.raises(ValueError, match=message):
-            write_wav(tmp_path / "x.wav", 22050, 2 * DECODE_CHUNK, iter(chunks))
+    @pytest.mark.parametrize("name", FAILED_WRITES)
+    def test_failure_leaves_no_file(self, tmp_path, name):
+        # neither the file nor its .part file, e.g. a WAV whose header claims all 131072 frames
+        write, error, message = FAILED_WRITES[name]
+        with pytest.raises(error, match=message):
+            write(tmp_path / "x")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failure_keeps_an_older_file(self, tmp_path):
-        path = tmp_path / "x.wav"
-        save_wav(synth_click_track(120, 1), path)
-        before = path.read_bytes()
-        with pytest.raises(_Unread):
-            write_wav(path, 22050, 10, _never_read())
-        assert path.read_bytes() == before
+    @pytest.mark.parametrize("name", FAILED_WRITES)
+    def test_failure_keeps_an_older_file(self, tmp_path, name):
+        path = tmp_path / "x"
+        path.write_bytes(b"older bytes\n")
+        write, error, message = FAILED_WRITES[name]
+        with pytest.raises(error, match=message):
+            write(path)
+        assert path.read_bytes() == b"older bytes\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("name", WRITES)
+    def test_creates_a_missing_directory(self, tmp_path, name):
+        path = tmp_path / "new" / "run" / "x"
+        WRITES[name](path)
+        assert list(path.parent.iterdir()) == [path]
+        assert path.stat().st_size > 0
 
     def test_32_bit_riff_sizes_checked_before_the_file_opens(self, tmp_path):
         with pytest.raises(ValueError, match=f"holds 0 to {audio.MAX_WAV_FRAMES} frames, not {audio.MAX_WAV_FRAMES + 1}"):
-            write_wav(tmp_path / "x.wav", 22050, audio.MAX_WAV_FRAMES + 1, _never_read())
+            write_wav(tmp_path / "x.wav", 22050, audio.MAX_WAV_FRAMES + 1, _then_raise([]))
         assert list(tmp_path.iterdir()) == []
         assert 36 + 2 * audio.MAX_WAV_FRAMES <= 0xFFFFFFFF < 36 + 2 * (audio.MAX_WAV_FRAMES + 1)
         # the longest file passes the check, packs its header and only then reads a chunk
         with pytest.raises(_Unread):
-            write_wav(tmp_path / "x.wav", 22050, audio.MAX_WAV_FRAMES, _never_read())
+            write_wav(tmp_path / "x.wav", 22050, audio.MAX_WAV_FRAMES, _then_raise([]))
         assert list(tmp_path.iterdir()) == []
 
 

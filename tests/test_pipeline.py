@@ -14,9 +14,9 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_blobs
+from conftest import count_calls, make_blobs, write_clip
 from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram, trees
-from edm_atlas.audio import STFT_HOP, STFT_WINDOW, AudioClip, load_wav, save_wav, synth_click_track
+from edm_atlas.audio import STFT_HOP, STFT_WINDOW, AudioClip, load_wav, synth_click_track
 from edm_atlas.cluster import select_natural_k
 from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
@@ -124,7 +124,7 @@ class TestExtract:
 def write_manifest(base: Path, durations: dict[str, float]) -> Path:
     lines = ["track_id,path,genre,bpm,key,length_s"]
     for track_id, seconds in durations.items():
-        save_wav(synth_click_track(120, seconds), base / f"{track_id}.wav")
+        write_clip(synth_click_track(120, seconds), base / f"{track_id}.wav")
         lines.append(f"{track_id},{track_id}.wav,house,120,,")
     manifest = base / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -181,7 +181,7 @@ class TestShortTracks:
     @pytest.mark.parametrize("rate", [22050, 44100])
     def test_rejected_from_header(self, tmp_path, monkeypatch, rate):
         # the stream's length, known from the header, decides: the STFT never reads a sample
-        save_wav(AudioClip(np.zeros(int(rate * 9.99)), rate), tmp_path / "short.wav")
+        write_clip(AudioClip(np.zeros(int(rate * 9.99)), rate), tmp_path / "short.wav")
         stft_calls = count_calls(monkeypatch, audio, "stft")
         with pytest.raises(ValueError, match=r"^track analysis needs at least 10 s of audio, got 9\.99 s$"):
             extract_track(TrackRecord("short", "short.wav", "house"), tmp_path)
@@ -190,7 +190,7 @@ class TestShortTracks:
     def test_floor_applies_at_the_analysis_rate(self, tmp_path):
         # 479,999 frames at 48 kHz last 9.99998 s but resample to 220,500 samples: 10 s at 22050 Hz
         rng = np.random.default_rng(0)
-        save_wav(AudioClip(0.5 * rng.uniform(-1.0, 1.0, 479_999), 48000), tmp_path / "edge.wav")
+        write_clip(AudioClip(0.5 * rng.uniform(-1.0, 1.0, 479_999), 48000), tmp_path / "edge.wav")
         assert len(extract_track(TrackRecord("edge", "edge.wav", "house"), tmp_path)) == 92 + 64 + 6
 
     def test_batch_continues(self, tmp_path, caplog):
@@ -208,7 +208,7 @@ class TestExtractionMemory:
         # A 60 s 44.1 kHz track. Holding its whole magnitude spectrogram, or
         # its whole 44.1 kHz samples next to the clip, goes over the bound.
         rng = np.random.default_rng(0)
-        save_wav(AudioClip(0.5 * rng.uniform(-1.0, 1.0, 60 * 44100), 44100), tmp_path / "long.wav")
+        write_clip(AudioClip(0.5 * rng.uniform(-1.0, 1.0, 60 * 44100), 44100), tmp_path / "long.wav")
         n = 60 * 22050
         clip_bytes = 8 * n
         spectrogram_bytes = 8 * (1 + (n - STFT_WINDOW) // STFT_HOP) * (STFT_WINDOW // 2 + 1)
@@ -226,7 +226,7 @@ class TestExtractionMemory:
         # grows by 10.6 MB a minute; the traced peak must grow by less than half that.
         rng = np.random.default_rng(1)
         for seconds in (60, 120):
-            save_wav(AudioClip(0.5 * rng.uniform(-1.0, 1.0, seconds * 44100), 44100), tmp_path / f"t{seconds}.wav")
+            write_clip(AudioClip(0.5 * rng.uniform(-1.0, 1.0, seconds * 44100), 44100), tmp_path / f"t{seconds}.wav")
         extract_track(TrackRecord("t60", "t60.wav", "house"), tmp_path)  # scipy.signal is imported untraced
         peaks = []
         for seconds in (60, 120):
@@ -441,6 +441,26 @@ class TestOneSelectionWriter:
         assert f"{out / 'selected.csv'} not found; run the cluster stage first" in capsys.readouterr().err
         assert not (out / "scatter.svg").exists()
         assert self.selection_bytes(out) == before  # selected.csv stays absent
+
+    def test_selection_of_an_earlier_extraction_exits_two(self, fixture_run, tmp_path, capsys):
+        # cluster ran on 20 tracks; extract then rewrites features.csv from a 15-track manifest
+        out = self.clustered(fixture_run, tmp_path)
+        audio_dir = Path(fixture_run.manifest).parent
+        header, *records = csv.reader(Path(fixture_run.manifest).read_text(encoding="utf-8").splitlines())
+        manifest = write_rows(
+            tmp_path / "manifest.csv", [header, *([tid, audio_dir / wav, *rest] for tid, wav, *rest in records[:15])]
+        )
+        common = ["--manifest", str(manifest), "--out", str(out), "--workers", "1"]
+        assert cli_main(["extract", *common]) == 0
+        assert load_matrix(out / "features.csv").shape[0] == 15
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for argv in (["sweep", *common, "--k-min", "2", "--k-max", "4", "--restarts", "2"], ["plot", *common]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{out / 'selected.csv'} holds 20 tracks, not the 15 tracks of {out / 'features.csv'}" in err
+            assert "run the cluster stage again" in err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_one_selection_per_run(self, fixture_run, tmp_path, monkeypatch):
         out = tmp_path / "run"
