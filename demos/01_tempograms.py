@@ -10,16 +10,16 @@ representation puts its energy. Run:
 
 import numpy as np
 
-from edm_atlas import (
+from edm_atlas.audio import stft
+from edm_atlas.fixtures import synth_click_track
+from edm_atlas.tempogram import (
+    REF_TEMPO,
     autocorr_tempogram,
     cyclic_tempogram,
     fourier_tempogram,
     novelty_curve,
-    stft,
-    synth_click_track,
     tempogram_summary,
 )
-from edm_atlas.tempogram import REF_TEMPO
 
 BPM = 128
 

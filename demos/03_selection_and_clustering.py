@@ -10,17 +10,9 @@ Run:
 
 import numpy as np
 
-from edm_atlas import (
-    ari,
-    divisive_cluster,
-    engineer_features,
-    ensemble_normalize,
-    ensemble_select,
-    evaluate_all,
-    kmeans,
-    nmi,
-    select_natural_k,
-)
+from edm_atlas.cluster import divisive_cluster, kmeans, select_natural_k
+from edm_atlas.metrics import ari, evaluate_all, nmi
+from edm_atlas.selection import engineer_features, ensemble_normalize, ensemble_select
 from edm_atlas.table import FeatureMatrix
 
 rng = np.random.default_rng(0)

@@ -1,4 +1,4 @@
-"""WAV decoding and writing, resampling, the STFT pass, and synthetic test signals.
+"""WAV decoding and writing, resampling, and the STFT pass.
 
 The canonical analysis format is 22050 Hz mono float64 in [-1, 1]; every
 downstream module assumes it. Only uncompressed RIFF/WAVE files (16- or
@@ -20,6 +20,7 @@ AudioClip reads a view of its array through the same pass.
 
 The STFT keeps per-frame series (``FrameSeries``), never a whole
 magnitude array; every per-frame feature layer reads those series.
+Synthetic signals (click tracks, sines, noise) are made in ``fixtures``.
 
 Resampling keeps ``scipy.signal.upfirdn``. A numpy polyphase kernel that
 matched it bit for bit (at ratios 1/2, 147/160, 147/80, 3/2 and 2/1) took
@@ -58,10 +59,6 @@ ROLLOFF_FRACTION = 0.85
 CHROMA_MIN_FREQ = 55.0
 BAND_EDGES_HZ = (60.0, 120.0, 240.0, 480.0, 960.0, 1920.0)
 LOG_COMPRESSION = 1000.0
-
-CLICK_LEN_S = 0.005
-BPM_MIN = 30.0
-BPM_MAX = 480.0
 
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs that carry a plain format tag
@@ -670,41 +667,3 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
     for _ in stream.chunks:  # the samples after the last frame
         pass
     return series
-
-
-def synth_click_track(
-    bpm: float, duration: float, rate: int = CANONICAL_RATE, amplitude: float = 1.0
-) -> AudioClip:
-    """Unit-amplitude 5 ms clicks at the exact beat period 60/bpm seconds."""
-    if not (BPM_MIN <= bpm <= BPM_MAX):
-        raise ValueError(f"bpm {bpm} outside [{BPM_MIN}, {BPM_MAX}]")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    n = int(round(duration * rate))
-    click_len = max(1, int(round(CLICK_LEN_S * rate)))
-    samples = np.zeros(n)
-    period = 60.0 / bpm
-    k = 0
-    while k * period < duration:
-        start = int(round(k * period * rate))
-        samples[start : start + click_len] = amplitude
-        k += 1
-    return AudioClip(samples, rate, source_id=f"click_{bpm:g}bpm")
-
-
-def synth_sine(
-    freq: float, duration: float, rate: int = CANONICAL_RATE, amplitude: float = 0.5
-) -> AudioClip:
-    t = np.arange(int(round(duration * rate))) / rate
-    return AudioClip(amplitude * np.sin(2 * np.pi * freq * t), rate, f"sine_{freq:g}hz")
-
-
-def synth_noise(
-    duration: float,
-    rate: int = CANONICAL_RATE,
-    amplitude: float = 0.5,
-    seed: int = 0,
-) -> AudioClip:
-    rng = np.random.default_rng(seed)
-    n = int(round(duration * rate))
-    return AudioClip(amplitude * rng.uniform(-1.0, 1.0, n), rate, f"noise_{seed}")

@@ -85,7 +85,7 @@ class ClusterModel:
     def save(self, sidecar_path: str | Path) -> None:
         """Write the JSON sidecar; ``table.save_labels`` writes the labels."""
         sidecar = {
-            "schema_version": 1,
+            "schema_version": metrics.SCHEMA_VERSION,
             "method": self.method,
             "k": self.k,
             "inertia": self.inertia,

@@ -1,4 +1,9 @@
-"""Synthesized labeled audio fixtures for tests and pipeline dry runs.
+"""Synthesized audio: labeled fixture catalogs and in-memory test signals.
+
+This is the package's one synthesis module. ``write_fixture_set`` writes
+labeled WAV catalogs for tests and pipeline dry runs; ``synth_click_track``,
+``synth_sine`` and ``synth_noise`` return a whole ``AudioClip`` in memory
+for tests and demos.
 
 Four default acoustic families, chosen so that each differs from the
 others in several feature blocks at once (register, timbre, and rhythm):
@@ -32,8 +37,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, DECODE_CHUNK, write_wav
+from .audio import CANONICAL_RATE, DECODE_CHUNK, AudioClip, write_wav
 from .table import MANIFEST_COLUMNS, write_csv
+
+CLICK_LEN_S = 0.005
+BPM_MIN = 30.0
+BPM_MAX = 480.0
 
 FixtureKind = str  # "kick" | "click" | "pad" | "noise_pulse"
 
@@ -190,3 +199,41 @@ def write_fixture_set(
     manifest = out_dir / "manifest.csv"
     write_csv(manifest, rows)
     return manifest
+
+
+def synth_click_track(
+    bpm: float, duration: float, rate: int = CANONICAL_RATE, amplitude: float = 1.0
+) -> AudioClip:
+    """Unit-amplitude 5 ms clicks at the exact beat period 60/bpm seconds."""
+    if not (BPM_MIN <= bpm <= BPM_MAX):
+        raise ValueError(f"bpm {bpm} outside [{BPM_MIN}, {BPM_MAX}]")
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    n = int(round(duration * rate))
+    click_len = max(1, int(round(CLICK_LEN_S * rate)))
+    samples = np.zeros(n)
+    period = 60.0 / bpm
+    k = 0
+    while k * period < duration:
+        start = int(round(k * period * rate))
+        samples[start : start + click_len] = amplitude
+        k += 1
+    return AudioClip(samples, rate, source_id=f"click_{bpm:g}bpm")
+
+
+def synth_sine(
+    freq: float, duration: float, rate: int = CANONICAL_RATE, amplitude: float = 0.5
+) -> AudioClip:
+    t = np.arange(int(round(duration * rate))) / rate
+    return AudioClip(amplitude * np.sin(2 * np.pi * freq * t), rate, f"sine_{freq:g}hz")
+
+
+def synth_noise(
+    duration: float,
+    rate: int = CANONICAL_RATE,
+    amplitude: float = 0.5,
+    seed: int = 0,
+) -> AudioClip:
+    rng = np.random.default_rng(seed)
+    n = int(round(duration * rate))
+    return AudioClip(amplitude * rng.uniform(-1.0, 1.0, n), rate, f"noise_{seed}")

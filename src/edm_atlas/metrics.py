@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .parallel import pool_map
-from .table import ConfigError, FeatureMatrix, write_csv, write_json
+from .table import ConfigError, FeatureMatrix, read_text, write_csv, write_json
 from .types import row_blocks
 
 logger = logging.getLogger(__name__)
@@ -46,9 +46,12 @@ DEFAULT_DIMENSION_RULES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 
 def load_dimension_rules(path: str | Path) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Rules from a ``{dimension: [[name substrings], [column groups]]}`` JSON file; ConfigError if malformed."""
+    """Rules from a ``{dimension: [[name substrings], [column groups]]}`` JSON file.
+
+    ConfigError if the file cannot be read, is not UTF-8, or is malformed.
+    """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} is not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict) or not all(

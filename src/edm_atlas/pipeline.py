@@ -8,7 +8,11 @@ selects features: ``sweep`` and ``plot`` analyse the ``selected.csv`` it
 wrote, or the ``--embeddings`` matrix, and refuse a ``selected.csv`` whose
 track ids are not those of ``features.csv``. Every file is written through
 ``table.output``, which creates ``--out`` and renames each file into place
-once it is whole.
+once it is whole. ``cluster`` and ``profile``, after their last write,
+remove the files of their own output family that the run did not write:
+``cluster`` those of a method it did not run, and under ``--embeddings``
+the selection files; ``profile`` the radars of clusters it did not profile.
+A stage that fails removes nothing.
 
 * ``features.csv``          extracted feature matrix (extract)
 * ``selection_report.csv``  per-feature selection scores (cluster)
@@ -26,11 +30,12 @@ import hashlib
 import logging
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -52,6 +57,7 @@ from .table import (
     load_manifest,
     load_matrix,
     matrix_row_ids,
+    read_text,
     save_labels,
     save_matrix,
     write_text,
@@ -116,9 +122,9 @@ _STR_KEYS = {f.name for f in fields(RunConfig)} - _INT_KEYS
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse a flat key=value config file (# starts a comment line)."""
+    """Parse a flat key=value config file (# starts a comment line); ConfigError names a bad file or line."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -297,6 +303,9 @@ def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
     return matrix
 
 
+_METHODS = ("kmeans", "divisive")
+
+
 def _kmeans_labels(x: np.ndarray, seed: int, k: int) -> np.ndarray:
     """The bootstrap's k-means clusterer: at most k clusters, 10 restarts."""
     return kmeans(x, min(k, x.shape[0]), restarts=10, seed=seed).labels
@@ -319,8 +328,21 @@ def _run_method(
     return model, partial(_divisive_labels, k=cfg.k)
 
 
+def _remove_stale(out_dir: Path, names: Iterable[str]) -> None:
+    """Remove each named output of an earlier run that this stage's run did not write."""
+    for name in names:
+        path = out_dir / name
+        if path.is_file():
+            path.unlink()
+            logger.info("removed %s: this run did not write it", path)
+
+
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
-    """Select features (unless embeddings are supplied) after every track check, cluster at the fixed k, evaluate."""
+    """Select features (unless embeddings are supplied) after every track check, cluster at the fixed k, evaluate.
+
+    After its last write it removes the outputs of a method it did not run
+    and, under ``--embeddings``, the selection files of an earlier run.
+    """
     cfg.validate()
     if cfg.embeddings:
         records = load_manifest(cfg.manifest)
@@ -343,7 +365,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
         selection.write_csv(out_dir / "selection_report.csv")
         save_matrix(matrix, out_dir / "selected.csv")
 
-    methods = ("kmeans", "divisive") if cfg.method == "both" else (cfg.method,)
+    methods = _METHODS if cfg.method == "both" else (cfg.method,)
     reports: dict[str, metrics.EvaluationReport] = {}
     for method in methods:
         model, clusterer = _run_method(matrix, method, cfg)
@@ -370,6 +392,11 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
         report.save(out_dir / f"report_{method}.json")
         reports[method] = report
         logger.info("%s: k=%d ari=%.4f nmi=%.4f", method, model.k, report.external["ari"], report.external["nmi"])
+    stale = ["selected.csv", "selection_report.csv"] if cfg.embeddings else []
+    for other in _METHODS:
+        if other not in methods:
+            stale += [f"labels_{other}.csv", f"model_{other}.json", f"report_{other}.json"]
+    _remove_stale(out_dir, stale)
     return reports
 
 
@@ -395,10 +422,14 @@ def cmd_sweep(cfg: RunConfig):
 # profiling and plotting
 
 
+# exactly the names f"profile_cluster_{cluster_id}.svg" gives an integer cluster id
+_RADAR_NAME = re.compile(r"profile_cluster_(0|-?[1-9][0-9]*)\.svg")
+
+
 def _resolve_labels_path(cfg: RunConfig) -> Path:
     if cfg.labels:
         return Path(cfg.labels)
-    for method in ("kmeans", "divisive"):
+    for method in _METHODS:
         candidate = Path(cfg.out) / f"labels_{method}.csv"
         if candidate.exists():
             return candidate
@@ -406,7 +437,11 @@ def _resolve_labels_path(cfg: RunConfig) -> Path:
 
 
 def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
-    """Six-dimension percentile profiles plus one radar SVG per cluster."""
+    """Six-dimension percentile profiles plus one radar SVG per cluster.
+
+    After its last write it removes every ``profile_cluster_<i>.svg`` this
+    run did not write.
+    """
     cfg.validate()
     matrix, genres = _load_features(cfg)
     labels = load_labels(_resolve_labels_path(cfg), matrix.row_ids)
@@ -423,6 +458,9 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
         ]
         svg = radar_svg(f"Cluster {p.cluster_id} ({p.majority_genre})", axes)
         write_text(out_dir / f"profile_cluster_{p.cluster_id}.svg", svg)
+    written = {f"profile_cluster_{p.cluster_id}.svg" for p in profiles}
+    radars = (path.name for path in out_dir.iterdir() if _RADAR_NAME.fullmatch(path.name))
+    _remove_stale(out_dir, sorted(set(radars) - written))
     return profiles
 
 

@@ -8,7 +8,10 @@ dimension; labels are ``track_id,label``.
 One streaming reader takes every input CSV. An empty file, a ragged row, a
 repeated track id, and a non-numeric or non-finite number (NaN is the
 missing-value sentinel) raise ``ConfigError`` naming the file as given, the
-line and, for a number, the column.
+line and, for a number, the column. ``read_text`` reads a whole config or
+dimension-map file: one that is missing, a directory or not UTF-8 raises
+``ConfigError`` naming it, and for bytes that are not UTF-8 the line and
+byte, as the CSV reader does.
 
 One writer, ``write_csv``, writes every output CSV: floats with ``repr``, and
 a cell holding ``,``, ``"``, CR or LF quoted so ``csv.reader`` reads it back.
@@ -155,6 +158,17 @@ def _not_utf8(path: Path) -> ConfigError:
         line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         return ConfigError(f"{path}: line {line} is not UTF-8 text (byte 0x{raw[exc.start]:02x})")
     return ConfigError(f"{path}: not UTF-8 text")
+
+
+def read_text(path: str | Path) -> str:
+    """A whole user file as UTF-8 text; ConfigError naming the file if it cannot be read or is not UTF-8."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from None
 
 
 def _number(path: Path, line: int, column: str, cell: str) -> float:

@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from edm_atlas.audio import AudioClip, synth_click_track, synth_noise, write_wav
+from edm_atlas.audio import AudioClip, write_wav
+from edm_atlas.fixtures import synth_click_track, synth_noise
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,10 @@ import pytest
 
 from conftest import make_blobs
 from edm_atlas import metrics
-from edm_atlas.audio import stft, synth_click_track
+from edm_atlas.audio import stft
 from edm_atlas.cluster import divisive_cluster, heterogeneity, kmeans, select_natural_k
 from edm_atlas.features import fundamental_feature_vector
+from edm_atlas.fixtures import synth_click_track
 from edm_atlas.pipeline import RunConfig, cmd_cluster, cmd_extract, cmd_fixtures, cmd_profile, cmd_sweep
 from edm_atlas.selection import (
     METHOD_WEIGHTS,

@@ -21,9 +21,9 @@ from edm_atlas.audio import (
     read_wav_header,
     resample,
     stft,
-    synth_click_track,
     write_wav,
 )
+from edm_atlas.fixtures import synth_click_track
 from edm_atlas.table import write_csv, write_json, write_text
 
 

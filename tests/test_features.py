@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import butter, sosfilt
 
-from edm_atlas.audio import AudioClip, frame_series, stft, synth_click_track, synth_noise, synth_sine
+from edm_atlas.audio import AudioClip, frame_series, stft
 from edm_atlas.features import (
     band_beat_emphasis,
     chroma_features,
@@ -13,6 +13,7 @@ from edm_atlas.features import (
     spectral_stats,
     tempo_estimates,
 )
+from edm_atlas.fixtures import synth_click_track, synth_noise, synth_sine
 from edm_atlas.tempogram import MIN_DURATION_S, analyze_track
 
 

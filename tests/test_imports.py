@@ -2,8 +2,12 @@
 
 Every name a package module imports is used in that module: a refactor
 that moves a check or a constant out of a module can leave its import
-behind. The modules are parsed with ``ast``, not imported; ``__init__.py``
-is skipped because its imports are the package's exports.
+behind. The modules are parsed with ``ast``, not imported.
+
+The package root imports nothing, so ``import edm_atlas`` loads no module
+of the package and no scipy. Each module imports alone in a fresh
+interpreter: with no root that imports every module first, this is what
+shows an import cycle.
 
 The CLI stages load neither ``scipy.signal`` nor ``scipy.stats`` unless a
 track needs resampling: together they are about half of an analysis
@@ -41,6 +45,34 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The edm_atlas and scipy modules a fresh interpreter holds after running ``statement``."""
+    script = f"""{statement}
+import sys
+print(*sorted(m for m in sys.modules if m.partition(".")[0] in ("edm_atlas", "scipy")))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_package_root_loads_no_module():
+    assert loaded_after("import edm_atlas") == ["edm_atlas"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_each_module_imports_alone(path):
+    assert f"edm_atlas.{path.stem}" in loaded_after(f"import edm_atlas.{path.stem}")
 
 
 # Run in a fresh interpreter, so that what the test process has imported
@@ -103,11 +135,9 @@ def test_stages_skip_signal_and_stats(tmp_path):
         tmp_path / "resampled", families=families[:1], duration=10.0, seed=0, rate=44100
     )
     matrix = generated_matrix(tmp_path / "matrix")
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     args = [str(catalog), str(matrix), str(resampled), str(tmp_path / "work")]
     done = subprocess.run(
-        [sys.executable, "-c", STAGES_SCRIPT, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
+        [sys.executable, "-c", STAGES_SCRIPT, *args], capture_output=True, text=True, env=fresh_env(), timeout=600
     )
     assert done.returncode == 0, done.stderr
     loaded = {}

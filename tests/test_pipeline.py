@@ -16,12 +16,12 @@ import pytest
 
 from conftest import count_calls, make_blobs, write_clip
 from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram, trees
-from edm_atlas.audio import STFT_HOP, STFT_WINDOW, AudioClip, load_wav, synth_click_track
+from edm_atlas.audio import STFT_HOP, STFT_WINDOW, AudioClip, load_wav
 from edm_atlas.cluster import select_natural_k
 from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
 from edm_atlas.features import band_beat_emphasis, fundamental_feature_vector
-from edm_atlas.fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
+from edm_atlas.fixtures import DEFAULT_FAMILIES, FixtureFamily, synth_click_track, write_fixture_set
 from edm_atlas.pipeline import (
     ConfigError,
     RunConfig,
@@ -374,8 +374,11 @@ class TestCluster:
         moved = tmp_path / "moved_manifest.csv"
         records = Path(fixture_run.manifest).read_text()
         moved.write_text(records)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
         cfg = RunConfig(
-            manifest=str(moved), out=fixture_run.out, seed=7, k=4, method="kmeans"
+            manifest=str(moved), out=str(out), seed=7, k=4, method="kmeans"
         )
         reports = cmd_cluster(cfg)
         assert reports["kmeans"].external["ari"] == 1.0
@@ -510,6 +513,72 @@ class TestOneSelectionWriter:
         )
         assert cli_main([*argv, "--embeddings", str(emb)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["features.csv", "sweep.csv"]
+
+
+class TestStaleOutputs:
+    """cluster and profile remove the files of their own output family that the run did not write."""
+
+    CLUSTERED = (
+        "features.csv", "selected.csv", "selection_report.csv",
+        "labels_kmeans.csv", "model_kmeans.json", "report_kmeans.json",
+        "labels_divisive.csv", "model_divisive.json", "report_divisive.json",
+    )
+
+    def clustered(self, fixture_run, tmp_path) -> Path:
+        """A run directory as ``cluster --k 4 --method both`` (seed 7) left it."""
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in self.CLUSTERED:
+            (out / name).write_bytes((Path(fixture_run.out) / name).read_bytes())
+        return out
+
+    @staticmethod
+    def radars(out: Path) -> list[str]:
+        return sorted(p.name for p in out.glob("profile_cluster_*.svg"))
+
+    def test_recluster_then_profile(self, fixture_run, tmp_path):
+        # cluster --k 4 --method both and profile, then cluster --k 3 --method divisive and profile
+        out = self.clustered(fixture_run, tmp_path)
+        # files of other stages, and names profile never gives a radar, stay as they are
+        kept = {
+            "dimension_map.json": b"{}\n", "sweep.csv": b"k\n", "profile_cluster_01.svg": b"", "profile_cluster_x.svg": b"",
+        }
+        for name, data in kept.items():
+            (out / name).write_bytes(data)
+        common = ["--manifest", fixture_run.manifest, "--out", str(out), "--seed", "7", "--workers", "1"]
+        assert cli_main(["profile", *common]) == 0
+        others = ["profile_cluster_01.svg", "profile_cluster_x.svg"]
+        assert self.radars(out) == sorted([f"profile_cluster_{i}.svg" for i in range(4)] + others)
+
+        # a cluster run that fails removes nothing
+        before = sorted(p.name for p in out.iterdir())
+        assert cli_main(["cluster", *common, "--k", "20", "--method", "divisive"]) == 2
+        assert sorted(p.name for p in out.iterdir()) == before
+
+        assert cli_main(["cluster", *common, "--k", "3", "--method", "divisive", "--restarts", "3"]) == 0
+        assert not [p.name for p in out.glob("*_kmeans.*")]
+        assert cli_main(["profile", *common]) == 0
+        assert self.radars(out) == sorted([f"profile_cluster_{i}.svg" for i in range(3)] + others)
+        with (out / "profiles.csv").open(newline="", encoding="utf-8") as fh:
+            assert [row["cluster"] for row in csv.DictReader(fh)] == ["#schema_version:1", "0", "1", "2"]
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+
+    def test_embeddings_remove_the_selection(self, fixture_run, tmp_path, capsys):
+        out = self.clustered(fixture_run, tmp_path)
+        rng = np.random.default_rng(0)
+        ids = load_matrix(out / "features.csv").row_ids
+        emb = write_rows(
+            tmp_path / "emb.csv",
+            [["track_id", "e0", "e1"], *([tid, *rng.normal(j // 5, 0.3, 2)] for j, tid in enumerate(ids))],
+        )
+        common = ["--manifest", fixture_run.manifest, "--out", str(out), "--workers", "1"]
+        assert cli_main(["cluster", *common, "--k", "4", "--restarts", "3", "--embeddings", str(emb)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["features.csv", "labels_kmeans.csv", "model_kmeans.json", "report_kmeans.json"]
+        capsys.readouterr()
+        assert cli_main(["plot", *common]) == 2
+        assert f"{out / 'selected.csv'} not found; run the cluster stage first" in capsys.readouterr().err
+        assert not (out / "scatter.svg").exists()
 
 
 class TestSweep:
@@ -736,6 +805,26 @@ class TestCliExitCodes:
         assert f"needs at least {metrics.MIN_BOOTSTRAP_SAMPLES} tracks, got 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("missing", "cannot be read (No such file or directory)"),
+            ("directory", "cannot be read (Is a directory)"),
+            ("not_utf8", "line 2 is not UTF-8 text (byte 0xff)"),
+        ],
+    )
+    def test_unreadable_config_file(self, tmp_path, capsys, kind, message):
+        path = tmp_path / "run.conf"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"k=4\n# caf\xff\n")
+        out = tmp_path / "run"
+        argv = ["sweep", "--config", str(path), "--manifest", str(tmp_path / "manifest.csv"), "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert f"configuration error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_labels_is_config_error(self, fixture_run, tmp_path, capsys):
         labels = tmp_path / "missing.csv"
         argv = ["profile", "--manifest", fixture_run.manifest, "--out", fixture_run.out, "--labels", str(labels)]
@@ -824,12 +913,16 @@ class TestBadUserFiles:
                 '{"energy": [["rms"], []], "bass": [["bass"], []]}',
                 "unknown dimensions bass; known: energy, danceability, tempo, harmonic, rhythmic, electronic",
             ),
+            (b'{\n  "energy": [["caf\xff"], []]\n}\n', "line 2 is not UTF-8 text (byte 0xff)"),
         ],
-        ids=["unparsable", "not_an_object", "one_list", "number_substring", "null_group", "unknown_dimension"],
+        ids=[
+            "unparsable", "not_an_object", "one_list", "number_substring", "null_group", "unknown_dimension",
+            "not_utf8",
+        ],
     )
     def test_bad_dimension_map(self, fixture_run, capsys, text, message):
         path = Path(fixture_run.out) / "dimension_map.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         try:
             assert self.run_profile(fixture_run) == 2
         finally:

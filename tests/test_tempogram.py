@@ -3,7 +3,8 @@ import pytest
 
 from conftest import count_calls
 from edm_atlas import audio
-from edm_atlas.audio import AudioClip, SampleStream, frame_series, stft, synth_click_track
+from edm_atlas.audio import AudioClip, SampleStream, frame_series, stft
+from edm_atlas.fixtures import synth_click_track
 from edm_atlas.tempogram import (
     SCALE_AXIS,
     TEMPO_AXIS,
