@@ -14,9 +14,9 @@ import logging
 import numpy as np
 from scipy.fft import dct
 
-from .audio import BAND_EDGES_HZ, LOG_COMPRESSION, FrameSeries
+from .audio import BAND_EDGES_HZ, FRAME_BLOCK, LOG_COMPRESSION, FrameSeries
 from .tempogram import TrackAnalysis, novelty_curve
-from .types import FeatureVector, stats_pair
+from .types import FeatureVector, row_blocks, stats_pair
 
 logger = logging.getLogger(__name__)
 
@@ -60,12 +60,18 @@ def mfcc_features(series: FrameSeries) -> FeatureVector:
     """Mean/std of 13 MFCCs and their centered-difference deltas (52 dims).
 
     The MFCCs are the orthonormal DCT-II of the log mel band energies that
-    the STFT pass keeps.
+    the STFT pass keeps. The floor, log and DCT run on one block of
+    ``row_blocks(n, FRAME_BLOCK)`` frames at a time; each is per row, so a
+    block gives the rows the whole array gave. Only the 13 kept
+    coefficients exist for the whole track, as one C-ordered array, and
+    their means, stds and deltas are taken over it.
     """
     if series.n_frames < 3:
         raise ValueError("MFCC deltas need at least 3 frames")
-    log_energy = np.log(np.maximum(series.mel_energy, LOG_FLOOR))
-    coeffs = dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
+    coeffs = np.empty((series.n_frames, N_MFCC))
+    for start, stop in row_blocks(series.n_frames, FRAME_BLOCK):
+        log_energy = np.log(np.maximum(series.mel_energy[start:stop], LOG_FLOOR))
+        coeffs[start:stop] = dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
     deltas = (coeffs[2:] - coeffs[:-2]) / 2.0  # interior frames only
 
     values, names = [], []
@@ -87,18 +93,25 @@ def chroma_features(series: FrameSeries) -> FeatureVector:
     Bin energy folds into pitch classes against A440; bins below 55 Hz are
     ignored. Frames are L1-normalized; silent frames fall back to the
     uniform 1/12 profile. Deviations: mean per-frame chroma entropy and the
-    std of the per-frame dominant-class index.
+    std of the per-frame dominant-class index. Each block of
+    ``row_blocks(n, FRAME_BLOCK)`` frames is normalized and reduced to its
+    entropies and dominant classes on its own; only the normalized chroma
+    and those two per-frame series exist for the whole track.
     """
     if series.n_frames < 1:
         raise ValueError("chroma needs at least 1 frame")
-    chroma = series.chroma_energy
-    totals = chroma.sum(axis=1, keepdims=True)
-    chroma = np.where(totals > 0, chroma / np.where(totals > 0, totals, 1.0), 1.0 / 12.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(chroma > 0, chroma * np.log(chroma), 0.0)
-    frame_entropy = -plogp.sum(axis=1)
-    dominant = np.argmax(chroma, axis=1)
+    chroma = np.empty((series.n_frames, 12))
+    frame_entropy = np.empty(series.n_frames)
+    dominant = np.empty(series.n_frames)
+    for start, stop in row_blocks(series.n_frames, FRAME_BLOCK):
+        block = series.chroma_energy[start:stop]
+        totals = block.sum(axis=1, keepdims=True)
+        block = np.where(totals > 0, block / np.where(totals > 0, totals, 1.0), 1.0 / 12.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(block > 0, block * np.log(block), 0.0)
+        frame_entropy[start:stop] = -plogp.sum(axis=1)
+        dominant[start:stop] = np.argmax(block, axis=1)
+        chroma[start:stop] = block
 
     values, names = [], []
     means = chroma.mean(axis=0)
@@ -109,7 +122,7 @@ def chroma_features(series: FrameSeries) -> FeatureVector:
     for i, note in enumerate(PITCH_CLASSES):
         values.append(stds[i])
         names.append(f"chroma_{note}_std")
-    values.extend([frame_entropy.mean(), float(np.std(dominant.astype(np.float64)))])
+    values.extend([frame_entropy.mean(), float(np.std(dominant))])
     names.extend(["chroma_entropy_mean", "chroma_dominant_std"])
     return FeatureVector(np.array(values), names, ["harmonic"] * 26)
 

@@ -328,6 +328,10 @@ def _run_method(
     return model, partial(_divisive_labels, k=cfg.k)
 
 
+# exactly the names f"profile_cluster_{cluster_id}.svg" gives an integer cluster id
+_RADAR_NAME = re.compile(r"profile_cluster_(0|-?[1-9][0-9]*)\.svg")
+
+
 def _remove_stale(out_dir: Path, names: Iterable[str]) -> None:
     """Remove each named output of an earlier run that this stage's run did not write."""
     for name in names:
@@ -340,8 +344,10 @@ def _remove_stale(out_dir: Path, names: Iterable[str]) -> None:
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     """Select features (unless embeddings are supplied) after every track check, cluster at the fixed k, evaluate.
 
-    After its last write it removes the outputs of a method it did not run
-    and, under ``--embeddings``, the selection files of an earlier run.
+    After its last write it removes the outputs of a method it did not run,
+    under ``--embeddings`` the selection files of an earlier run, and the
+    outputs of ``sweep``, ``profile`` and ``plot``, which read the matrix
+    and labels this run has rewritten.
     """
     cfg.validate()
     if cfg.embeddings:
@@ -396,6 +402,8 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     for other in _METHODS:
         if other not in methods:
             stale += [f"labels_{other}.csv", f"model_{other}.json", f"report_{other}.json"]
+    stale += ["sweep.csv", "profiles.csv", "scatter.svg"]
+    stale += sorted(path.name for path in out_dir.iterdir() if _RADAR_NAME.fullmatch(path.name))
     _remove_stale(out_dir, stale)
     return reports
 
@@ -420,10 +428,6 @@ def cmd_sweep(cfg: RunConfig):
 
 # ---------------------------------------------------------------------------
 # profiling and plotting
-
-
-# exactly the names f"profile_cluster_{cluster_id}.svg" gives an integer cluster id
-_RADAR_NAME = re.compile(r"profile_cluster_(0|-?[1-9][0-9]*)\.svg")
 
 
 def _resolve_labels_path(cfg: RunConfig) -> Path:

@@ -5,10 +5,11 @@ matrices have a ``track_id`` + feature-name header, a ``#group:`` tag line,
 then one row per track. Embeddings are ``track_id`` plus one column per
 dimension; labels are ``track_id,label``.
 
-One streaming reader takes every input CSV. An empty file, a ragged row, a
-repeated track id, and a non-numeric or non-finite number (NaN is the
-missing-value sentinel) raise ``ConfigError`` naming the file as given, the
-line and, for a number, the column. ``read_text`` reads a whole config or
+One streaming reader takes every input CSV. A file that cannot be opened
+(a directory, say), an empty file, a ragged row, a repeated track id, and
+a non-numeric or non-finite number (NaN is the missing-value sentinel)
+raise ``ConfigError`` naming the file as given, the line and, for a
+number, the column. ``read_text`` reads a whole config or
 dimension-map file: one that is missing, a directory or not UTF-8 raises
 ``ConfigError`` naming it, and for bytes that are not UTF-8 the line and
 byte, as the CSV reader does.
@@ -121,7 +122,8 @@ def _csv_rows(path: Path) -> Iterator:
 
     The caller checks the header (it has a ``track_id`` column) before it
     asks for rows. A file that is not UTF-8 is rejected with the line of
-    its first bad byte.
+    its first bad byte, and one that cannot be opened (missing, a
+    directory) as ``read_text`` rejects it.
     """
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -145,6 +147,8 @@ def _csv_rows(path: Path) -> Iterator:
                 yield line, cells
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
 
 
 def _not_utf8(path: Path) -> ConfigError:
@@ -160,6 +164,10 @@ def _not_utf8(path: Path) -> ConfigError:
     return ConfigError(f"{path}: not UTF-8 text")
 
 
+def _unreadable(path: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"{path}: cannot be read ({exc.strerror})")
+
+
 def read_text(path: str | Path) -> str:
     """A whole user file as UTF-8 text; ConfigError naming the file if it cannot be read or is not UTF-8."""
     path = Path(path)
@@ -168,7 +176,7 @@ def read_text(path: str | Path) -> str:
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from None
+        raise _unreadable(path, exc) from None
 
 
 def _number(path: Path, line: int, column: str, cell: str) -> float:

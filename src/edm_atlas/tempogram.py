@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import CANONICAL_RATE, LOG_COMPRESSION, AudioClip, FrameSeries, SampleStream, stft
-from .types import FeatureVector
+from .types import FeatureVector, row_blocks
 
 TEMPO_MIN = 30
 TEMPO_MAX = 480
@@ -28,6 +28,7 @@ TEMPO_AXIS.flags.writeable = False
 ANALYSIS_WINDOW_S = 8.0
 MIN_DURATION_S = 10.0  # shortest clip analyze_track accepts: its ~9.9 s novelty curve fills the window
 ANALYSIS_HOP_S = 1.0
+WINDOW_BLOCK = 32  # analysis windows per block of the autocorrelation tempogram
 REF_TEMPO = 60.0
 N_SCALE_BINS = 15
 SCALE_AXIS = 2.0 ** (np.arange(N_SCALE_BINS) / N_SCALE_BINS)  # s in [1, 2): tempo s * REF_TEMPO * 2^k
@@ -155,26 +156,28 @@ def autocorr_tempogram(nov: NoveltyCurve) -> Tempogram:
     Each Hann-tapered window is autocorrelated (biased estimate, normalized
     by the zero-lag value); lag ell maps to 60*frame_rate/ell BPM and the
     lag-domain curve is linearly interpolated onto the shared 1-BPM grid.
-    An all-zero window yields an all-zero row.
+    An all-zero window yields an all-zero row. The windows are taken
+    ``row_blocks(n, WINDOW_BLOCK)`` at a time; every step is per window, so
+    only the output grows with the track.
     """
     win, hop = _frame_params(nov)
-    segs = _segments(nov.values, win, hop) * np.hanning(win)
-
+    segs = _segments(nov.values, win, hop)
+    taper = np.hanning(win)
     nfft = int(2 ** np.ceil(np.log2(2 * win)))
-    spec_pow = np.abs(np.fft.rfft(segs, n=nfft, axis=1)) ** 2
-    acf = np.fft.irfft(spec_pow, n=nfft, axis=1)[:, :win] / win
-
-    zero_lag = acf[:, :1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        acf_norm = np.where(zero_lag > 0, acf / np.where(zero_lag > 0, zero_lag, 1.0), 0.0)
-    acf_norm = np.clip(acf_norm, 0.0, None)
-
     # Resample lag axis onto the BPM grid (ascending lags for np.interp).
     lags_for_bpm = 60.0 * nov.frame_rate / TEMPO_AXIS  # descending in BPM
     lag_axis = np.arange(win, dtype=np.float64)
-    mags = np.empty((acf_norm.shape[0], TEMPO_AXIS.size))
-    for i, row in enumerate(acf_norm):
-        mags[i] = np.interp(lags_for_bpm, lag_axis, row)
+    mags = np.empty((segs.shape[0], TEMPO_AXIS.size))
+    for start, stop in row_blocks(segs.shape[0], WINDOW_BLOCK):
+        spec_pow = np.abs(np.fft.rfft(segs[start:stop] * taper, n=nfft, axis=1)) ** 2
+        acf = np.fft.irfft(spec_pow, n=nfft, axis=1)[:, :win] / win
+
+        zero_lag = acf[:, :1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            acf_norm = np.where(zero_lag > 0, acf / np.where(zero_lag > 0, zero_lag, 1.0), 0.0)
+        acf_norm = np.clip(acf_norm, 0.0, None)
+        for i, row in enumerate(acf_norm, start):
+            mags[i] = np.interp(lags_for_bpm, lag_axis, row)
     return Tempogram(mags, "autocorr")
 
 

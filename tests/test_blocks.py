@@ -1,10 +1,12 @@
-"""The one-pass STFT series against the whole-array layers, bit for bit.
+"""The one-pass STFT series and the blocked layers after it, against whole-array code, bit for bit.
 
-The reference functions below are the whole-spectrogram implementations
+The ``ref_*`` functions below are the whole-spectrogram implementations
 that the STFT pass replaced: each read a whole magnitude array (the
 ``Spectrogram`` below). Every feature layer that now reads the per-frame
 series must reproduce them exactly at frame counts on both sides of each
-block edge.
+block edge. The ``*_reference`` functions are the whole-track MFCC, chroma
+and autocorrelation tempogram that read the series and the novelty curve
+before those layers took them one block of rows at a time.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,10 @@ from edm_atlas.audio import (
     CHROMA_MIN_FREQ,
     FRAME_BLOCK,
     LOG_COMPRESSION,
+    N_MEL_BANDS,
     ROLLOFF_FRACTION,
     AudioClip,
+    FrameSeries,
     frame_series,
     mel_filterbank,
     stft,
@@ -38,10 +42,18 @@ from edm_atlas.features import (
     mfcc_features,
     spectral_stats,
 )
+from edm_atlas.fixtures import synth_click_track, synth_noise
 from edm_atlas.tempogram import (
+    MIN_DURATION_S,
     TEMPO_AXIS,
+    WINDOW_BLOCK,
     NoveltyCurve,
+    Tempogram,
     _fourier_kernel,
+    _frame_params,
+    _segments,
+    analyze_track,
+    autocorr_tempogram,
     fourier_tempogram,
     novelty_curve,
 )
@@ -163,6 +175,43 @@ def ref_band_emphasis(spec):
                 best = max(best, float((scaled[:-lag] * scaled[lag:]).mean()))
         values.append(best)
     return np.array(values)
+
+
+def mfcc_reference(series):
+    log_energy = np.log(np.maximum(series.mel_energy, LOG_FLOOR))
+    coeffs = dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
+    deltas = (coeffs[2:] - coeffs[:-2]) / 2.0
+    return np.concatenate([stat for block in (coeffs, deltas) for stat in (block.mean(axis=0), block.std(axis=0))])
+
+
+def chroma_reference(series):
+    chroma = series.chroma_energy
+    totals = chroma.sum(axis=1, keepdims=True)
+    chroma = np.where(totals > 0, chroma / np.where(totals > 0, totals, 1.0), 1.0 / 12.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(chroma > 0, chroma * np.log(chroma), 0.0)
+    frame_entropy = -plogp.sum(axis=1)
+    dominant = np.argmax(chroma, axis=1)
+    tail = [frame_entropy.mean(), float(np.std(dominant.astype(np.float64)))]
+    return np.concatenate([chroma.mean(axis=0), chroma.std(axis=0), tail])
+
+
+def autocorr_reference(nov):
+    win, hop = _frame_params(nov)
+    segs = _segments(nov.values, win, hop) * np.hanning(win)
+    nfft = int(2 ** np.ceil(np.log2(2 * win)))
+    spec_pow = np.abs(np.fft.rfft(segs, n=nfft, axis=1)) ** 2
+    acf = np.fft.irfft(spec_pow, n=nfft, axis=1)[:, :win] / win
+    zero_lag = acf[:, :1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        acf_norm = np.where(zero_lag > 0, acf / np.where(zero_lag > 0, zero_lag, 1.0), 0.0)
+    acf_norm = np.clip(acf_norm, 0.0, None)
+    lags_for_bpm = 60.0 * nov.frame_rate / TEMPO_AXIS
+    lag_axis = np.arange(win, dtype=np.float64)
+    mags = np.empty((acf_norm.shape[0], TEMPO_AXIS.size))
+    for i, row in enumerate(acf_norm):
+        mags[i] = np.interp(lags_for_bpm, lag_axis, row)
+    return Tempogram(mags, "autocorr")
 
 
 @st.composite
@@ -287,6 +336,76 @@ class TestBlockedLayersMatchWholeArray:
     @given(spec=spectrograms())
     def test_band_emphasis(self, spec):
         assert same_bytes(band_beat_emphasis(series_of(spec)).values, ref_band_emphasis(spec))
+
+
+# around the first two FRAME_BLOCK edges of row_blocks: 1 -> 2 blocks at 384 frames, 2 -> 3 at 640
+LAYER_FRAME_COUNTS = [3, 4, 256, 383, 384, 385, 639, 640, 641]
+# the same around WINDOW_BLOCK: 1 -> 2 blocks at 48 windows, 2 -> 3 at 80
+WINDOW_COUNTS = [1, 2, 3, WINDOW_BLOCK - 1, WINDOW_BLOCK, WINDOW_BLOCK + 1]
+WINDOW_COUNTS += [k * WINDOW_BLOCK // 2 + d for k in (3, 5) for d in (-1, 0, 1)]
+
+
+@st.composite
+def frame_energies(draw):
+    """A FrameSeries whose mel and chroma energies are random, with silent frames and bands."""
+    n = draw(st.sampled_from(LAYER_FRAME_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-12, 1.0, 1e4]))
+    mel, chroma = (rng.exponential(scale, (n, width)) for width in (N_MEL_BANDS, 12))
+    for energy in (mel, chroma):
+        energy[rng.random(energy.shape) < 0.2] = 0.0
+        energy[rng.random(n) < 0.1] = 0.0
+    per_frame = np.zeros(n)
+    return FrameSeries(RATE / HOP, *(per_frame,) * 5, mel, chroma, np.zeros((n, 6)), *(np.zeros(n - 1),) * 2)
+
+
+@st.composite
+def novelty_windows(draw):
+    """A novelty curve of a drawn number of analysis windows, with a silent stretch."""
+    count = draw(st.sampled_from(WINDOW_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame_rate = RATE / HOP
+    win, hop = int(round(8.0 * frame_rate)), int(round(frame_rate))
+    values = rng.exponential(1.0, win + (count - 1) * hop + draw(st.integers(0, hop - 1)))
+    values[rng.random(values.size) < 0.3] = 0.0
+    silent = rng.integers(0, values.size)
+    values[silent : silent + draw(st.sampled_from([0, win, 3 * win]))] = 0.0
+    return NoveltyCurve(values, frame_rate)
+
+
+class TestBlockedLayersMatchWholeTrack:
+    """MFCC, chroma and the autocorrelation tempogram in row blocks equal their whole-track code."""
+
+    def test_counts_cross_block_edges(self):
+        assert {len(row_blocks(n, FRAME_BLOCK)) for n in LAYER_FRAME_COUNTS} == {1, 2, 3}
+        assert {len(row_blocks(n, WINDOW_BLOCK)) for n in WINDOW_COUNTS} == {1, 2, 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=frame_energies())
+    def test_mfcc(self, series):
+        assert same_bytes(mfcc_features(series).values, mfcc_reference(series))
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=frame_energies())
+    def test_chroma(self, series):
+        assert same_bytes(chroma_features(series).values, chroma_reference(series))
+
+    @settings(max_examples=60, deadline=None)
+    @given(nov=novelty_windows())
+    def test_autocorr_tempogram(self, nov):
+        got, want = autocorr_tempogram(nov), autocorr_reference(nov)
+        assert got.magnitudes.shape[0] in WINDOW_COUNTS
+        assert same_bytes(got.magnitudes, want.magnitudes)
+
+    @pytest.mark.parametrize(
+        "clip", [synth_click_track(128.0, MIN_DURATION_S), synth_noise(MIN_DURATION_S, seed=3)], ids=["click", "noise"]
+    )
+    def test_shortest_track(self, clip):
+        analysis = analyze_track(clip)
+        assert analysis.autocorr.magnitudes.shape[0] == 2
+        assert same_bytes(mfcc_features(analysis.series).values, mfcc_reference(analysis.series))
+        assert same_bytes(chroma_features(analysis.series).values, chroma_reference(analysis.series))
+        assert same_bytes(analysis.autocorr.magnitudes, autocorr_reference(analysis.novelty).magnitudes)
 
 
 class TestNoveltyMinimumLength:

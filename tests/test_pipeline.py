@@ -16,7 +16,7 @@ import pytest
 
 from conftest import count_calls, make_blobs, write_clip
 from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram, trees
-from edm_atlas.audio import STFT_HOP, STFT_WINDOW, AudioClip, load_wav
+from edm_atlas.audio import CANONICAL_RATE, STFT_HOP, STFT_WINDOW, AudioClip, load_wav, read_wav_header, stream_wav
 from edm_atlas.cluster import select_natural_k
 from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
@@ -237,6 +237,33 @@ class TestExtractionMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 0.5 * 8 * 60 * 22050
+
+    def test_traced_excess_does_not_grow_with_duration(self, tmp_path):
+        # Beyond what the analysis returns (the per-frame series, the novelty
+        # curve and both tempograms), extraction holds only block-sized
+        # temporaries: the traced peak above those outputs is the same at 60 s
+        # as at 600 s. Whole-track MFCC, chroma and autocorrelation temporaries
+        # put it 13 MB higher at 600 s.
+        families = (FixtureFamily("kick_house", "kick", 128.0, 1),)
+        record = TrackRecord("kick_house_00", "kick_house_00.wav", "kick_house")
+        for seconds in (60, 600):
+            write_fixture_set(tmp_path / f"s{seconds}", families=families, duration=float(seconds), seed=0)
+        extract_track(record, tmp_path / "s60")  # warm-up: imports and the cached Fourier kernel
+        excess = {}
+        for seconds in (60, 600):
+            base = tmp_path / f"s{seconds}"
+            analysis = analyze_track(stream_wav(read_wav_header(base / record.path), CANONICAL_RATE))
+            outputs = [a for a in vars(analysis.series).values() if isinstance(a, np.ndarray)]
+            outputs += [analysis.novelty.values, analysis.fourier.magnitudes, analysis.autocorr.magnitudes]
+            held = sum(a.nbytes for a in outputs)
+            del analysis, outputs
+            tracemalloc.start()
+            try:
+                extract_track(record, base)
+                excess[seconds] = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        assert abs(excess[600] - excess[60]) <= 1_000_000, excess
 
 
 class _RecordingPool:
@@ -539,10 +566,9 @@ class TestStaleOutputs:
     def test_recluster_then_profile(self, fixture_run, tmp_path):
         # cluster --k 4 --method both and profile, then cluster --k 3 --method divisive and profile
         out = self.clustered(fixture_run, tmp_path)
-        # files of other stages, and names profile never gives a radar, stay as they are
-        kept = {
-            "dimension_map.json": b"{}\n", "sweep.csv": b"k\n", "profile_cluster_01.svg": b"", "profile_cluster_x.svg": b"",
-        }
+        # the profile's own input, and names profile never gives a radar, stay as they are
+        kept = {"dimension_map.json": b"{}\n", "profile_cluster_01.svg": b"", "profile_cluster_x.svg": b""}
+        (out / "sweep.csv").write_bytes(b"k\n")
         for name, data in kept.items():
             (out / name).write_bytes(data)
         common = ["--manifest", fixture_run.manifest, "--out", str(out), "--seed", "7", "--workers", "1"]
@@ -557,6 +583,9 @@ class TestStaleOutputs:
 
         assert cli_main(["cluster", *common, "--k", "3", "--method", "divisive", "--restarts", "3"]) == 0
         assert not [p.name for p in out.glob("*_kmeans.*")]
+        # the sweep, profiles and radars of the old labels go with them
+        assert not (out / "sweep.csv").exists() and not (out / "profiles.csv").exists()
+        assert self.radars(out) == others
         assert cli_main(["profile", *common]) == 0
         assert self.radars(out) == sorted([f"profile_cluster_{i}.svg" for i in range(3)] + others)
         with (out / "profiles.csv").open(newline="", encoding="utf-8") as fh:
@@ -572,6 +601,12 @@ class TestStaleOutputs:
             [["track_id", "e0", "e1"], *([tid, *rng.normal(j // 5, 0.3, 2)] for j, tid in enumerate(ids))],
         )
         common = ["--manifest", fixture_run.manifest, "--out", str(out), "--workers", "1"]
+        # every later stage's output reads the matrix and labels the next cluster rewrites
+        assert cli_main(["sweep", *common, "--k-min", "2", "--k-max", "4", "--restarts", "2"]) == 0
+        assert cli_main(["profile", *common]) == 0
+        assert cli_main(["plot", *common]) == 0
+        later = {"sweep.csv", "profiles.csv", "scatter.svg", *(f"profile_cluster_{i}.svg" for i in range(4))}
+        assert later <= {p.name for p in out.iterdir()}
         assert cli_main(["cluster", *common, "--k", "4", "--restarts", "3", "--embeddings", str(emb)]) == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["features.csv", "labels_kmeans.csv", "model_kmeans.json", "report_kmeans.json"]
@@ -824,6 +859,21 @@ class TestCliExitCodes:
         assert cli_main(argv) == 2
         assert f"configuration error: {path}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--embeddings", "--labels"])
+    def test_directory_as_input_csv(self, fixture_run, tmp_path, capsys, flag):
+        directory = tmp_path / "inputs"
+        directory.mkdir()
+        argv = {
+            "--manifest": ["extract", "--manifest", str(directory), "--out", str(tmp_path / "run")],
+            "--embeddings": ["cluster", "--manifest", fixture_run.manifest, "--out", str(tmp_path / "run"), "--k", "4"],
+            "--labels": ["profile", "--manifest", fixture_run.manifest, "--out", fixture_run.out],
+        }[flag]
+        if flag != "--manifest":
+            argv += [flag, str(directory)]
+        assert cli_main(argv) == 2
+        assert f"configuration error: {directory}: cannot be read (Is a directory)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_labels_is_config_error(self, fixture_run, tmp_path, capsys):
         labels = tmp_path / "missing.csv"
