@@ -6,6 +6,11 @@ sil(C) is the mean silhouette of a tentative 2-means split of C. Natural-k
 discovery sweeps k-means over a k range and picks the argmax of a weighted
 consensus of silhouette, Calinski-Harabasz, and an elbow score on the
 inertia curve.
+
+Each of ``divisive_cluster`` and ``select_natural_k`` computes its input's
+Euclidean distances once (``metrics.Distances``): every heterogeneity
+silhouette gathers its cluster's block from them, and every k of the sweep
+reads them, in each process of its pool.
 """
 
 from __future__ import annotations
@@ -256,12 +261,13 @@ def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> Clus
     return ClusterModel(labels, k, inertia, method="kmeans", seed=seed, warning=warning)
 
 
-def heterogeneity(points, seed: int = 0) -> float:
+def heterogeneity(points, seed: int = 0, distances: metrics.Distances | None = None) -> float:
     """H(C) = var(C) * (1 + sil(C)) * log(|C| + 1).
 
     var(C) is the mean squared distance to the centroid and sil(C) the mean
-    silhouette of a tentative 2-means split. Clusters smaller than 4 points
-    or with zero variance score 0 (nothing to split).
+    silhouette of a tentative 2-means split, which reads ``distances`` (those
+    of ``points``; computed when needed if None). Clusters smaller than 4
+    points or with zero variance score 0 (nothing to split).
     """
     x = _as_array(points)
     n = x.shape[0]
@@ -271,16 +277,17 @@ def heterogeneity(points, seed: int = 0) -> float:
     if var == 0.0:
         return 0.0
     split = kmeans(x, 2, restarts=H_SPLIT_RESTARTS, seed=seed)
-    sil = metrics.silhouette(x, split.labels)
+    sil = metrics.silhouette(x, split.labels, distances)
     return var * (1.0 + sil) * float(np.log(n + 1))
 
 
-def divisive_cluster(data, k_target: int, seed: int = 0) -> ClusterModel:
+def divisive_cluster(data, k_target: int, seed: int = 0, distances: metrics.Distances | None = None) -> ClusterModel:
     """Top-down bisection: always split the cluster with the largest H.
 
     Ties prefer the larger cluster, then the lower node id. Splitting stops
     at k_target clusters, or earlier when every H is 0; the model then
-    carries a warning, which the caller logs.
+    carries a warning, which the caller logs. Every H reads one
+    ``metrics.Distances`` of ``data``: ``distances``, or computed here.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -292,8 +299,10 @@ def divisive_cluster(data, k_target: int, seed: int = 0) -> ClusterModel:
     def next_seed() -> int:
         return int(ss.spawn(1)[0].generate_state(1)[0])
 
+    if distances is None:
+        distances = metrics.Distances.of(x)
     root = SplitNode(0, np.arange(n))
-    h_scores = {0: heterogeneity(x, seed=next_seed())}
+    h_scores = {0: heterogeneity(x, seed=next_seed(), distances=distances)}
     leaves = {0: root}
     next_id = 1
     warning = None
@@ -316,7 +325,9 @@ def divisive_cluster(data, k_target: int, seed: int = 0) -> ClusterModel:
             leaves[child.node_id] = child
         if len(leaves) < k_target:  # the last split's children are never chosen from
             for child in (left, right):
-                h_scores[child.node_id] = heterogeneity(x[child.indices], seed=next_seed())
+                h_scores[child.node_id] = heterogeneity(
+                    x[child.indices], seed=next_seed(), distances=distances.subset(child.indices)
+                )
 
     labels = np.empty(n, dtype=np.int64)
     ordered = [leaves[nid] for nid in sorted(leaves)]
@@ -364,12 +375,12 @@ def _chord_distance(ks: np.ndarray, inertia: np.ndarray) -> np.ndarray:
 
 def _sweep_point(shared, k: int) -> tuple[float, float, float, bool]:
     """One sweep task: (inertia, silhouette, Calinski-Harabasz, warned) of k-means at k."""
-    x, restarts, seed = shared
+    x, restarts, seed, distances = shared
     model = kmeans(x, k, restarts=restarts, seed=seed)
     if k == x.shape[0]:
         sil = ch = 0.0  # singleton clusters
     else:
-        sil, ch = metrics.silhouette(x, model.labels), metrics.calinski_harabasz(x, model.labels)
+        sil, ch = metrics.silhouette(x, model.labels, distances), metrics.calinski_harabasz(x, model.labels)
     return model.inertia, sil, ch, model.warning is not None
 
 
@@ -388,8 +399,10 @@ def select_natural_k(
     The ks run over ``min(workers, len(ks))`` processes
     (``parallel.pool_map``), each k-means with all its restarts inside one
     task and seeded with ``seed`` alone; the curves are filled in k order,
-    so the result does not depend on ``workers``. One warning names the ks
-    whose k-means refilled an empty cluster.
+    so the result does not depend on ``workers``. Every k's silhouette reads
+    one ``metrics.Distances`` of the data, which reaches each worker with
+    the matrix. One warning names the ks whose k-means refilled an empty
+    cluster.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -398,7 +411,8 @@ def select_natural_k(
         raise ValueError(f"k_range {k_range} must satisfy 2 <= k_min <= k_max <= {n}")
 
     ks = np.arange(k_min, k_max + 1)
-    points = pool_map(_sweep_point, (x, restarts, seed), [int(k) for k in ks], workers)
+    shared = (x, restarts, seed, metrics.Distances.of(x))
+    points = pool_map(_sweep_point, shared, [int(k) for k in ks], workers)
     *curves, warned = zip(*points)
     inertia, sil, ch = (np.array(curve, dtype=np.float64) for curve in curves)
     refilled = ", ".join(str(k) for k, w in zip(ks, warned) if w)

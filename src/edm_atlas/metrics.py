@@ -6,19 +6,26 @@ ARI, purity, raw mutual information). Internal metrics need only the data
 (silhouette, Davies-Bouldin, and a bootstrap co-assignment stability
 coefficient). Distribution metrics are the entropy of cluster sizes and
 its normalized form. All logarithms are natural.
+
+Euclidean distances come from one exact numpy kernel (``euclidean``,
+``condensed_euclidean``), equal to ``scipy.spatial.distance.cdist`` and
+``pdist`` bit for bit, so no analysis stage imports scipy. ``Distances``
+computes a clustering input's distances once; ``silhouette``,
+``cophenetic_dendrogram`` and ``cluster.heterogeneity`` read blocks of
+them, and a caller that scores the same points more than once passes one
+``Distances`` to each call.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .parallel import pool_map
 from .table import ConfigError, FeatureMatrix, read_text, write_csv, write_json
@@ -31,6 +38,7 @@ BOOTSTRAP_RESAMPLES = 50
 MIN_BOOTSTRAP_SAMPLES = 10  # fewest rows cophenetic_bootstrap re-clusters
 PAIR_MIN_OBSERVATIONS = 5
 SILHOUETTE_BLOCK = 1024  # about this many rows of distances silhouette holds at once
+DISTANCE_TILE = 1 << 15  # about this many pairs per kernel call or gather (at least one row)
 
 PROFILE_DIMENSIONS = ("energy", "danceability", "tempo", "harmonic", "rhythmic", "electronic")
 
@@ -150,12 +158,128 @@ def purity(pred, true) -> float:
     return float(table.max(axis=1).sum() / table.sum())
 
 
-def silhouette(data, labels) -> float:
+def _columns(data) -> np.ndarray:
+    """A 2-D matrix transposed to C order, so that each of its columns is one contiguous row."""
+    x = _as_array(data)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-D data matrix")
+    return np.ascontiguousarray(x.T)
+
+
+def _squared_sums(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """The (m, k) sums over columns c of ``(at[c, i] - bt[c, j]) ** 2``, for ``at`` (d, m) and ``bt`` (d, k).
+
+    Each sum starts from 0.0 and adds one column's square at a time, in
+    column order: the sequence scipy's C loop runs for one pair, so the
+    bits match.
+    """
+    m, k = at.shape[1], bt.shape[1]
+    sums = np.zeros((m, k))
+    square = np.empty((m, k))
+    for a, b in zip(at, bt):
+        np.subtract(a[:, None], b, out=square)
+        np.multiply(square, square, out=square)
+        sums += square
+    return sums
+
+
+def euclidean(a, b) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and of ``b``: ``scipy.spatial.distance.cdist(a, b)`` bit for bit.
+
+    Rows of ``a`` go through the kernel about ``DISTANCE_TILE`` pairs at a time.
+    """
+    at, bt = _columns(a), _columns(b)
+    if at.shape[0] != bt.shape[0]:
+        raise ValueError(f"a has {at.shape[0]} columns, b has {bt.shape[0]}")
+    m, k = at.shape[1], bt.shape[1]
+    out = np.empty((m, k))
+    step = max(1, DISTANCE_TILE // max(1, k))
+    for start in range(0, m, step):
+        out[start : start + step] = _squared_sums(at[:, start : start + step], bt)
+    return np.sqrt(out, out=out)
+
+
+def condensed_euclidean(data) -> np.ndarray:
+    """Distances of the row pairs i < j in ``triu_indices`` order: ``scipy.spatial.distance.pdist(data)`` bit for bit.
+
+    Consecutive rows go through the kernel about ``DISTANCE_TILE`` pairs at
+    a time, each against the rows after the first of them.
+    """
+    xt = _columns(data)
+    n = xt.shape[1]
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    while start < n - 1:
+        width = n - 1 - start
+        stop = min(n - 1, start + max(1, DISTANCE_TILE // width))
+        # rows start..stop against rows start+1..n; row i keeps its pairs with rows after i
+        sums = _squared_sums(xt[:, start:stop], xt[:, start + 1 :])
+        kept = sums[np.arange(width) >= np.arange(stop - start)[:, None]]
+        first = _pair_index(start, start + 1, n)
+        out[first : first + kept.size] = kept
+        start = stop
+    return np.sqrt(out, out=out)
+
+
+@dataclass(frozen=True)
+class Distances:
+    """The Euclidean distances among a set of points, each pair computed once.
+
+    Build with ``Distances.of(data)``: one condensed array in ``pdist``
+    order, n(n-1)/2 float64 values for n rows, from which every block is
+    gathered. ``subset(rows)`` is the same for the points ``rows`` selects
+    (``rows`` None: every row; a point may repeat), sharing the array.
+    Every block equals ``cdist`` of the points it covers, bit for bit.
+    """
+
+    condensed: np.ndarray
+    offsets: np.ndarray  # the pair i < j sits at condensed[offsets[i] + j]
+    rows: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, data) -> "Distances":
+        condensed = condensed_euclidean(data)
+        n = _as_array(data).shape[0]
+        return cls(condensed, _pair_index(np.arange(n), 0, n))
+
+    def _points(self) -> np.ndarray:
+        return np.arange(self.offsets.size) if self.rows is None else self.rows
+
+    def subset(self, rows) -> "Distances":
+        """The distances among this view's points ``rows`` (an index array into them)."""
+        return replace(self, rows=self._points()[rows])
+
+    def __call__(self, start: int, stop: int) -> np.ndarray:
+        """The C-ordered (stop - start, m) distances from this view's points start..stop to all m of them."""
+        cols = self._points()
+        block = np.empty((stop - start, cols.size))
+        # about DISTANCE_TILE entries at a time, so the index arrays stay small beside the block
+        step = max(1, DISTANCE_TILE // max(1, cols.size))
+        for first in range(start, stop, step):
+            rows = cols[first : min(stop, first + step), None]
+            index = np.maximum(rows, cols)
+            index += self.offsets[np.minimum(rows, cols)]
+            piece = block[first - start : first - start + rows.shape[0]]
+            np.take(self.condensed, index, out=piece)
+            piece[rows == cols] = 0.0  # a point to itself, which has no slot in the array
+        return block
+
+    def pairs(self) -> np.ndarray:
+        """The condensed distances among this view's points, in ``pdist`` order."""
+        if self.rows is None:
+            return self.condensed
+        m = self.rows.size
+        return np.concatenate([np.empty(0), *(self(i, i + 1)[0, i + 1 :] for i in range(m - 1))])
+
+
+def silhouette(data, labels, distances: Distances | None = None) -> float:
     """Mean silhouette coefficient; singleton clusters contribute 0.
 
-    Distances are computed in blocks of about ``SILHOUETTE_BLOCK`` rows
-    (fewer than 1.5 times as many; ``types.row_blocks``), so the call holds
-    one (rows, n) float64 block rather than an n x n matrix.
+    ``distances`` are those of ``data`` (``Distances.of(data)``, computed
+    here when None). They are read in blocks of about ``SILHOUETTE_BLOCK``
+    rows (fewer than 1.5 times as many; ``types.row_blocks``), so the call
+    holds one (rows, n) float64 block beside them rather than an n x n
+    matrix.
     """
     x = _as_array(data)
     y = _labels(labels)
@@ -164,13 +288,15 @@ def silhouette(data, labels) -> float:
     if k < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     n = x.shape[0]
+    if distances is None:
+        distances = Distances.of(x)
     counts = np.bincount(y_idx)
     # per-sample summed distance to each cluster. A gather of two or more
     # rows is Fortran-ordered and sums column by column at any row count;
     # one row would sum pairwise, and no block has one row
     sums = np.zeros((n, k))
     for start, end in row_blocks(n, SILHOUETTE_BLOCK):
-        dist = cdist(x[start:end], x)
+        dist = distances(start, end)
         for c in range(k):
             sums[start:end, c] = dist[:, y_idx == c].sum(axis=1)
     rows = np.arange(n)
@@ -205,8 +331,8 @@ def davies_bouldin(data, labels) -> float:
     scatter = np.array(
         [np.linalg.norm(x[y_idx == c] - centroids[c], axis=1).mean() for c in range(k)]
     )
-    sep = cdist(centroids, centroids)
-    valid = sep != 0.0  # cdist's diagonal is exactly 0, so i == j is skipped too
+    sep = euclidean(centroids, centroids)
+    valid = sep != 0.0  # the diagonal is exactly 0, so i == j is skipped too
     if not valid.any():
         raise ValueError("all cluster centroids coincide; Davies-Bouldin undefined")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,13 +381,21 @@ def _add_votes(votes: np.ndarray, seen: np.ndarray, idx: np.ndarray, labels: np.
         votes[pair] += labels[a] == labels[a + 1 :]
 
 
+def _cluster(clusterer, x: np.ndarray, seed: int, distances: Distances | None, rows=None) -> np.ndarray:
+    """``clusterer``'s labels for the points ``rows`` of ``x`` (all if None), with their distances when given."""
+    points = x if rows is None else x[rows]
+    if distances is None:
+        return np.asarray(clusterer(points, seed), dtype=np.int64)
+    return np.asarray(clusterer(points, seed, distances if rows is None else distances.subset(rows)), dtype=np.int64)
+
+
 def _resample(shared, task) -> tuple[np.ndarray, np.ndarray]:
     """One bootstrap task: the sorted distinct rows drawn and their labels."""
-    x, clusterer = shared
+    x, clusterer, distances = shared
     child, seed = task
     n = x.shape[0]
     idx = np.unique(np.random.default_rng(child).integers(0, n, n))
-    return idx, np.asarray(clusterer(x[idx], seed), dtype=np.int64)
+    return idx, _cluster(clusterer, x, seed, distances, idx)
 
 
 def cophenetic_bootstrap(
@@ -270,6 +404,7 @@ def cophenetic_bootstrap(
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
     workers: int = 1,
+    distances: Distances | None = None,
 ) -> float:
     """Stability of co-assignment under bootstrap re-clustering.
 
@@ -278,6 +413,10 @@ def cophenetic_bootstrap(
     contains. The result is the Pearson correlation between A and the mean
     bootstrap co-assignment over pairs observed at least min(5, B) times.
     ``clusterer(matrix, seed) -> labels`` must be deterministic in its seed.
+    Given ``distances`` (those of ``data``), it is called as
+    ``clusterer(matrix, seed, distances)`` with the distances of its
+    matrix: each resample's are the subset its rows select, so no resample
+    computes them again.
 
     The B resamples run over ``min(workers, B)`` processes
     (``parallel.pool_map``); then ``clusterer`` must pickle. Resample b
@@ -291,13 +430,13 @@ def cophenetic_bootstrap(
         raise ValueError(f"bootstrap stability needs at least {MIN_BOOTSTRAP_SAMPLES} samples")
     if B > np.iinfo(np.uint16).max:
         raise ValueError(f"B={B} resamples overflow the uint16 vote counts")
-    base = np.asarray(clusterer(x, seed), dtype=np.int64)
+    base = _cluster(clusterer, x, seed, distances)
 
     tasks = [(child, seed + b + 1) for b, child in enumerate(np.random.SeedSequence(seed).spawn(B))]
     # votes and sightings per pair i < j, condensed in triu_indices(n, 1) order
     votes = np.zeros(n * (n - 1) // 2, dtype=np.uint16)
     seen = np.zeros_like(votes)
-    for idx, labels in pool_map(_resample, (x, clusterer), tasks, workers):
+    for idx, labels in pool_map(_resample, (x, clusterer, distances), tasks, workers):
         _add_votes(votes, seen, idx, labels, n)
 
     # the full-data co-assignment, condensed row by row
@@ -318,12 +457,13 @@ def cophenetic_bootstrap(
     return float(np.corrcoef(a_vals, ahat)[0, 1])
 
 
-def cophenetic_dendrogram(data, split_tree) -> float:
+def cophenetic_dendrogram(data, split_tree, distances: Distances | None = None) -> float:
     """Classical cophenetic correlation for a divisive split tree.
 
     The cophenetic distance of a pair is the heterogeneity score of the
     node whose split separated it (0 for pairs sharing a final cluster);
-    the result is its Pearson correlation with Euclidean distance.
+    the result is its Pearson correlation with Euclidean distance, read
+    from ``distances`` (those of ``data``) or computed here when None.
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -341,7 +481,7 @@ def cophenetic_dendrogram(data, split_tree) -> float:
         fill(right)
 
     fill(split_tree)
-    euclid = pdist(x)
+    euclid = condensed_euclidean(x) if distances is None else distances.pairs()
     if heights.std() == 0.0 or euclid.std() == 0.0:
         raise ValueError("degenerate distances; cophenetic correlation undefined")
     return float(np.corrcoef(euclid, heights)[0, 1])
@@ -387,26 +527,34 @@ def evaluate_all(
     split_tree=None,
     context: dict | None = None,
     workers: int = 1,
+    distances: Distances | None = None,
 ) -> EvaluationReport:
     """Populate every external, internal, and distribution metric.
 
     A single-cluster labeling has no internal geometry to score; by
     convention it reports silhouette 0, Davies-Bouldin 0, and cophenetic 1
     (a constant partition is trivially stable). ``workers`` sizes the
-    bootstrap's process pool.
+    bootstrap's process pool. ``silhouette`` and ``cophenetic_dendrogram``
+    read one ``Distances`` of ``data``: ``distances``, or computed here.
+    Given ``distances``, the bootstrap also passes them to ``clusterer``
+    (see ``cophenetic_bootstrap``).
     """
     x = _as_array(data)
     balance, norm_balance = balance_metrics(labels)
-    if np.unique(_labels(labels)).size < 2:
+    single = np.unique(_labels(labels)).size < 2
+    shared = distances
+    if shared is None and (split_tree is not None or not single):
+        shared = Distances.of(x)
+    if single:
         internal = {"silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0}
     else:
         internal = {
-            "silhouette": silhouette(x, labels),
+            "silhouette": silhouette(x, labels, shared),
             "davies_bouldin": davies_bouldin(x, labels),
-            "cophenetic": cophenetic_bootstrap(x, clusterer, B=B, seed=seed, workers=workers),
+            "cophenetic": cophenetic_bootstrap(x, clusterer, B=B, seed=seed, workers=workers, distances=distances),
         }
     if split_tree is not None:
-        internal["cophenetic_dendrogram"] = cophenetic_dendrogram(x, split_tree)
+        internal["cophenetic_dendrogram"] = cophenetic_dendrogram(x, split_tree, shared)
     return EvaluationReport(
         external={
             "nmi": nmi(labels, true_labels),

@@ -42,7 +42,6 @@ import numpy as np
 from . import metrics
 from .audio import CANONICAL_RATE, MAX_WAV_FRAMES, read_wav_header, stream_wav
 from .cluster import DEFAULT_K_RANGE, KMEANS_RESTARTS, ClusterModel, divisive_cluster, kmeans, select_natural_k
-from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
 from .parallel import pool_map
 from .plots import pca_project, radar_svg, scatter_svg
@@ -173,6 +172,9 @@ def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     whole-track sample array exists. The track is analysed once (per-frame
     STFT series, novelty curve, both tempograms) and every block reads it.
     """
+    # features loads scipy.fft, which only extraction needs
+    from .features import band_beat_emphasis, fundamental_feature_vector
+
     wav_path = Path(record.path)
     if not wav_path.is_absolute():
         wav_path = base_dir / wav_path
@@ -200,6 +202,8 @@ def cmd_extract(cfg: RunConfig) -> tuple[FeatureMatrix, list[str]]:
     records = load_manifest(cfg.manifest)
     base_dir = Path(cfg.manifest).parent
 
+    # extract_track's import, done before the pool starts so that forked workers inherit it
+    from . import features  # noqa: F401
     results = pool_map(_extract_worker, base_dir, records, cfg.workers)
 
     vectors: dict[str, FeatureVector] = {}
@@ -306,25 +310,28 @@ def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
 _METHODS = ("kmeans", "divisive")
 
 
-def _kmeans_labels(x: np.ndarray, seed: int, k: int) -> np.ndarray:
-    """The bootstrap's k-means clusterer: at most k clusters, 10 restarts."""
+def _kmeans_labels(x: np.ndarray, seed: int, distances: metrics.Distances | None = None, *, k: int) -> np.ndarray:
+    """The bootstrap's k-means clusterer: at most k clusters, 10 restarts; it reads no distances."""
     return kmeans(x, min(k, x.shape[0]), restarts=10, seed=seed).labels
 
 
-def _divisive_labels(x: np.ndarray, seed: int, k: int) -> np.ndarray:
-    """The bootstrap's divisive clusterer: at most k clusters."""
-    return divisive_cluster(x, min(k, x.shape[0]), seed=seed).labels
+def _divisive_labels(x: np.ndarray, seed: int, distances: metrics.Distances | None = None, *, k: int) -> np.ndarray:
+    """The bootstrap's divisive clusterer: at most k clusters, over ``distances`` of ``x`` when given."""
+    return divisive_cluster(x, min(k, x.shape[0]), seed=seed, distances=distances).labels
 
 
 def _run_method(
-    matrix: FeatureMatrix, method: str, cfg: RunConfig
+    matrix: FeatureMatrix, method: str, cfg: RunConfig, distances: metrics.Distances
 ) -> tuple[ClusterModel, Callable[[np.ndarray, int], np.ndarray]]:
-    """The model at ``cfg.k`` and its bootstrap clusterer, which pickles for the pool."""
+    """The model at ``cfg.k`` and its bootstrap clusterer, which pickles for the pool.
+
+    ``distances`` are those of ``matrix.data``.
+    """
     seed = stage_seed(cfg.seed, f"cluster:{method}")
     if method == "kmeans":
         model = kmeans(matrix.data, cfg.k, restarts=cfg.restarts, seed=seed)
         return model, partial(_kmeans_labels, k=cfg.k)
-    model = divisive_cluster(matrix.data, cfg.k, seed=seed)
+    model = divisive_cluster(matrix.data, cfg.k, seed=seed, distances=distances)
     return model, partial(_divisive_labels, k=cfg.k)
 
 
@@ -343,6 +350,10 @@ def _remove_stale(out_dir: Path, names: Iterable[str]) -> None:
 
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     """Select features (unless embeddings are supplied) after every track check, cluster at the fixed k, evaluate.
+
+    The clustering input's distances are computed once
+    (``metrics.Distances``) and read by the divisive clustering, every
+    evaluation and each bootstrap resample of the divisive clusterer.
 
     After its last write it removes the outputs of a method it did not run,
     under ``--embeddings`` the selection files of an earlier run, and the
@@ -372,9 +383,10 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
         save_matrix(matrix, out_dir / "selected.csv")
 
     methods = _METHODS if cfg.method == "both" else (cfg.method,)
+    distances = metrics.Distances.of(matrix.data)
     reports: dict[str, metrics.EvaluationReport] = {}
     for method in methods:
-        model, clusterer = _run_method(matrix, method, cfg)
+        model, clusterer = _run_method(matrix, method, cfg, distances)
         if model.warning:
             logger.warning("%s: %s", method, model.warning)
         save_labels(out_dir / f"labels_{method}.csv", matrix.row_ids, model.labels)
@@ -394,6 +406,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
             split_tree=model.split_tree,
             context=context,
             workers=cfg.workers,
+            distances=distances,
         )
         report.save(out_dir / f"report_{method}.json")
         reports[method] = report

@@ -388,7 +388,13 @@ def save_labels(path: str | Path, row_ids: Sequence[str], labels: np.ndarray) ->
 
 
 def load_labels(path: str | Path, row_ids: Sequence[str]) -> np.ndarray:
-    """Integer cluster labels from a ``track_id,label`` CSV, in ``row_ids`` order."""
+    """Integer cluster labels from a ``track_id,label`` CSV, in ``row_ids`` order.
+
+    The file must label exactly the tracks of ``row_ids``, each once: a
+    missing, an extra or a repeated track is a ConfigError naming the file
+    and the first offending ids. Labels for other tracks came from a
+    clustering of another matrix.
+    """
     path = Path(path)
     rows = _csv_rows(path)
     if next(rows) != ["track_id", "label"]:
@@ -402,4 +408,8 @@ def load_labels(path: str | Path, row_ids: Sequence[str]) -> np.ndarray:
     missing = [rid for rid in row_ids if rid not in mapping]
     if missing:
         raise ConfigError(f"{path}: labels missing for tracks {missing[:5]}")
+    wanted = set(row_ids)
+    extra = [tid for tid in mapping if tid not in wanted]
+    if extra:
+        raise ConfigError(f"{path}: labels for tracks {extra[:5]} not among the {len(wanted)} analysed")
     return np.array([mapping[rid] for rid in row_ids], dtype=np.int64)

@@ -2,9 +2,12 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from edm_atlas.audio import AudioClip, write_wav
 from edm_atlas.fixtures import synth_click_track, synth_noise
+from edm_atlas.metrics import SILHOUETTE_BLOCK
+from edm_atlas.types import row_blocks
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +69,35 @@ def make_blobs(n_blobs, per_blob, dim=8, sigma=1.0, seed=0, spread=100.0):
     data = np.vstack([c + sigma * rng.normal(0, 1, (per_blob, dim)) for c in centers])
     labels = np.repeat(np.arange(n_blobs), per_blob)
     return data, labels
+
+
+def silhouette_reference(data, labels, distances=None):
+    """``metrics.silhouette`` as it was before the shared distances: scipy ``cdist`` row blocks.
+
+    ``distances`` is accepted and ignored, so that the reference can stand in
+    for ``metrics.silhouette`` wherever the package calls it.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    classes, y_idx = np.unique(np.asarray(labels).ravel(), return_inverse=True)
+    k = classes.size
+    if k < 2:
+        raise ValueError("silhouette needs at least 2 clusters")
+    n = x.shape[0]
+    counts = np.bincount(y_idx)
+    sums = np.zeros((n, k))
+    for start, end in row_blocks(n, SILHOUETTE_BLOCK):
+        dist = cdist(x[start:end], x)
+        for c in range(k):
+            sums[start:end, c] = dist[:, y_idx == c].sum(axis=1)
+    rows = np.arange(n)
+    own = counts[y_idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, y_idx] / (own - 1)
+    means = sums / counts
+    means[rows, y_idx] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    scored = (own > 1) & (top > 0)
+    scores = np.zeros(n)
+    scores[scored] = (b[scored] - a[scored]) / top[scored]
+    return float(scores.mean())

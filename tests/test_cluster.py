@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_blobs
+from conftest import make_blobs, silhouette_reference
 from edm_atlas import cluster, metrics
 from edm_atlas.cluster import (
     KMEANS_MAX_ITER,
@@ -547,3 +547,47 @@ class TestDivisiveMatchesReference:
         want = divisive_reference(data, k, seed=seed)
         assert same_model(got, want)
         assert got.split_tree.to_dict() == want.split_tree.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# divisive_cluster and select_natural_k compute their input's distances once
+# and every silhouette reads them; each silhouette computed its own with
+# scipy's cdist. silhouette_reference is that silhouette, and every result
+# must match it bit for bit.
+
+CASES = [
+    (make_blobs(4, 15, dim=5, seed=7)[0], 7),
+    (np.random.default_rng(2).normal(0, 1, (40, 3)), 10),
+    (np.repeat(np.random.default_rng(3).normal(0, 1, (6, 2)), 4, axis=0), 9),
+    (np.asfortranarray(np.random.default_rng(4).normal(0, 1e3, (30, 12))), 5),
+]
+CASE_IDS = ["blobs", "noise", "duplicates", "fortran"]
+
+
+class TestSharedDistancesMatchReference:
+    @pytest.mark.parametrize("data, k", CASES, ids=CASE_IDS)
+    def test_divisive_cluster(self, monkeypatch, data, k):
+        got = [divisive_cluster(data, k, seed=seed) for seed in range(3)]
+        given = divisive_cluster(data, k, seed=0, distances=metrics.Distances.of(data))
+        monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
+        want = [divisive_cluster(data, k, seed=seed) for seed in range(3)]
+        for g, w in zip([*got, given], [*want, want[0]]):
+            assert same_model(g, w)
+            assert g.split_tree.to_dict() == w.split_tree.to_dict()
+
+    @pytest.mark.parametrize("data, k", CASES, ids=CASE_IDS)
+    def test_heterogeneity_of_a_subset(self, monkeypatch, data, k):
+        rows = np.random.default_rng(k).permutation(data.shape[0])[: data.shape[0] // 2 + 3]
+        distances = metrics.Distances.of(data).subset(rows)
+        got = [heterogeneity(data[rows], seed=seed, distances=distances) for seed in range(4)]
+        monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
+        want = [heterogeneity(data[rows], seed=seed) for seed in range(4)]
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("data, k", CASES, ids=CASE_IDS)
+    def test_select_natural_k(self, monkeypatch, data, k):
+        got = select_natural_k(data, (2, k), seed=1, restarts=4)
+        monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
+        want = select_natural_k(data, (2, k), seed=1, restarts=4)
+        for f in fields(got):
+            assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name

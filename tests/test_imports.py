@@ -9,9 +9,11 @@ of the package and no scipy. Each module imports alone in a fresh
 interpreter: with no root that imports every module first, this is what
 shows an import cycle.
 
-The CLI stages load neither ``scipy.signal`` nor ``scipy.stats`` unless a
-track needs resampling: together they are about half of an analysis
-process's peak memory and start-up time.
+The analysis stages (``cluster``, ``sweep``, ``profile``, ``plot``) and
+``import edm_atlas.cli`` load no scipy module at all: its imports were
+about half of an analysis process's peak memory and start-up time.
+``extract`` loads ``scipy.fft`` for the MFCC's DCT, and ``scipy.signal``
+(with ``scipy.stats``) only when a track needs resampling.
 """
 
 import ast
@@ -76,18 +78,18 @@ def test_each_module_imports_alone(path):
 
 
 # Run in a fresh interpreter, so that what the test process has imported
-# does not count. argv: the 22050 Hz catalog's manifest, the generated
-# matrix's manifest, the 44.1 kHz track's manifest, and a work directory.
+# does not count; the analysis stages run before any extraction. argv: the
+# 22050 Hz catalog's manifest, the generated matrix's manifest, the 44.1 kHz
+# track's manifest, and a work directory.
 STAGES_SCRIPT = """
 import sys
 from pathlib import Path
 
-HEAVY = ("scipy.signal", "scipy.stats")
 catalog, matrix, resampled, work = sys.argv[1:]
 
 
 def loaded(step):
-    print("loaded", step, *(name for name in HEAVY if name in sys.modules), sep="|")
+    print("loaded", step, *sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"), sep="|")
 
 
 import edm_atlas
@@ -96,8 +98,6 @@ loaded("import edm_atlas")
 from edm_atlas.cli import main
 
 loaded("import edm_atlas.cli")
-assert main(["extract", "--manifest", catalog, "--out", work + "/catalog", "--workers", "1"]) == 0
-loaded("extract")
 for stage, extra in [
     ("cluster", ["--k", "3", "--method", "both", "--restarts", "3"]),
     ("sweep", ["--k-min", "2", "--k-max", "4", "--restarts", "3"]),
@@ -107,6 +107,8 @@ for stage, extra in [
     argv = [stage, "--manifest", matrix, "--out", str(Path(matrix).parent), "--workers", "1", *extra]
     assert main(argv) == 0, stage
     loaded(stage)
+assert main(["extract", "--manifest", catalog, "--out", work + "/catalog", "--workers", "1"]) == 0
+loaded("extract")
 assert main(["extract", "--manifest", resampled, "--out", work + "/resampled", "--workers", "1"]) == 0
 loaded("extract 44100 Hz")
 """
@@ -145,7 +147,9 @@ def test_stages_skip_signal_and_stats(tmp_path):
         if line.startswith("loaded|"):
             step, *names = line.split("|")[1:]
             loaded[step] = names
-    resampling = loaded.pop("extract 44100 Hz")
-    steps = ["import edm_atlas", "import edm_atlas.cli", "extract", "cluster", "sweep", "profile", "plot"]
+    extract, resampling = loaded.pop("extract"), loaded.pop("extract 44100 Hz")
+    steps = ["import edm_atlas", "import edm_atlas.cli", "cluster", "sweep", "profile", "plot"]
     assert loaded == {step: [] for step in steps}
+    assert "scipy.fft" in extract  # the MFCC's DCT
+    assert not [name for name in extract if name.startswith(("scipy.spatial", "scipy.signal", "scipy.stats"))]
     assert "scipy.signal" in resampling  # the deferred import runs once a track needs it

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.stats import rankdata
 
-from conftest import make_blobs
+from conftest import make_blobs, silhouette_reference
 from edm_atlas import metrics
 from edm_atlas.cluster import SplitNode, divisive_cluster, kmeans
 from edm_atlas.table import FeatureMatrix
@@ -858,4 +858,139 @@ class TestDendrogramMatchesDense:
         tree = divisive_cluster(data, k, seed=1).split_tree
         assert outcome(metrics.cophenetic_dendrogram, data, tree) == outcome(
             cophenetic_dendrogram_dense, data, tree
+        )
+
+
+# ---------------------------------------------------------------------------
+# Every distance came from scipy's cdist and pdist, computed again at each
+# call; they now come from one numpy kernel, computed once per clustering
+# input and gathered by index. scipy, and silhouette as it was, stay the
+# reference, bit for bit.
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@st.composite
+def distance_inputs(draw):
+    """Two matrices over the same columns: down to 1 row and 1 column, duplicate rows, C or F order, scales 1e-2 to 1e2."""
+    m, k, d = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-2, 2))
+    a, b = rng.normal(0, scale, (m, d)), rng.normal(0, scale, (k, d))
+    if draw(st.booleans()):  # duplicate rows, within a and shared with b
+        a = a[rng.integers(0, max(1, m // 2), m)]
+        b[: min(m, k)] = a[: min(m, k)]
+    if draw(st.booleans()):
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    return a, b
+
+
+class TestKernelMatchesScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(distance_inputs(), st.integers(1, 64))
+    def test_cdist_and_pdist(self, case, tile):
+        a, b = case
+        want = bits(cdist(a, b)), bits(pdist(a))
+        assert (bits(metrics.euclidean(a, b)), bits(metrics.condensed_euclidean(a))) == want
+        # tiles of any row count
+        with mock.patch.object(metrics, "DISTANCE_TILE", tile):
+            assert (bits(metrics.euclidean(a, b)), bits(metrics.condensed_euclidean(a))) == want
+
+    @pytest.mark.parametrize("d", [1, 9, 300])
+    def test_single_pair(self, d):
+        # the squares of a lone pair form one contiguous column, which numpy's sum would add pairwise
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(0, 1e3, (1, d)), rng.normal(0, 1e-3, (1, d))
+        assert bits(metrics.euclidean(a, b)) == bits(cdist(a, b))
+        assert bits(metrics.condensed_euclidean(np.vstack([a, b]))) == bits(pdist(np.vstack([a, b])))
+
+    def test_columns_must_agree(self):
+        with pytest.raises(ValueError, match="a has 2 columns, b has 3"):
+            metrics.euclidean(np.ones((2, 2)), np.ones((2, 3)))
+
+
+class TestGatheredBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 60), st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 64))
+    def test_block_equals_kernel_on_gathered_rows(self, n, d, seed, repeat, tile):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, 1, (n, d))[rng.integers(0, n, n)]  # duplicate rows
+        # any order; with ``repeat``, a view may hold one point twice, and the two are at distance 0
+        outer = rng.choice(n, rng.integers(1, 2 * n if repeat else n + 1), replace=repeat)
+        inner = rng.choice(outer.size, rng.integers(1, outer.size + 1), replace=repeat)
+        distances = metrics.Distances.of(x)
+        for view, points in [
+            (distances, x),
+            (distances.subset(outer), x[outer]),
+            (distances.subset(outer).subset(inner), x[outer][inner]),
+        ]:
+            m = points.shape[0]
+            start = int(rng.integers(0, m))
+            stop = int(rng.integers(start + 1, m + 1))
+            with mock.patch.object(metrics, "DISTANCE_TILE", tile):  # gathers of any row count
+                block = view(start, stop)
+            assert block.flags.c_contiguous
+            assert bits(block) == bits(metrics.euclidean(points[start:stop], points))
+            assert bits(block) == bits(cdist(points[start:stop], points))
+            assert bits(view.pairs()) == bits(pdist(points))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_labeled_points(), st.integers(0, 2**32 - 1))
+    def test_silhouette_of_own_and_gathered_distances(self, case, seed):
+        x, labels, block = case
+        want = outcome(silhouette_reference, x, labels)
+        with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
+            assert outcome(metrics.silhouette, x, labels) == want
+            # the same points as a subset of a larger matrix's distances
+            rng = np.random.default_rng(seed)
+            larger = np.vstack([x, rng.normal(0, 1, (int(rng.integers(1, 20)), x.shape[1]))])
+            order = rng.permutation(larger.shape[0])
+            rows = np.argsort(order)[: x.shape[0]]  # where x's rows went
+            view = metrics.Distances.of(larger[order]).subset(rows)
+            assert outcome(metrics.silhouette, x, labels, view) == want
+
+
+class TestSharedDistancesMatchReference:
+    """evaluate_all and cophenetic_dendrogram against silhouette_reference and the pdist dendrogram."""
+
+    @staticmethod
+    def report(data, labels, truth, clusterer, split_tree, distances=None):
+        report = metrics.evaluate_all(
+            data, labels, truth, clusterer, B=6, seed=3, split_tree=split_tree, distances=distances
+        )
+        return report.external, report.internal, report.distribution
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evaluate_all(self, monkeypatch, seed):
+        data, truth = make_blobs(4, 12, dim=5, seed=seed)
+        data = data[np.random.default_rng(seed).integers(0, 48, 48)]  # duplicate rows
+        model = divisive_cluster(data, 5, seed=seed)
+
+        def clusterer(x, s, distances=None):
+            return divisive_cluster(x, min(4, x.shape[0]), seed=s, distances=distances).labels
+
+        shared = metrics.Distances.of(data)
+        got = [
+            self.report(data, model.labels, truth, clusterer, model.split_tree),
+            self.report(data, model.labels, truth, clusterer, model.split_tree, shared),  # reaches the resamples
+        ]
+        monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
+        monkeypatch.setattr(
+            metrics, "cophenetic_dendrogram", lambda x, tree, distances=None: cophenetic_dendrogram_dense(x, tree)
+        )
+        want = self.report(data, model.labels, truth, clusterer, model.split_tree)
+        assert got == [want, want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32))
+    def test_dendrogram_with_shared_distances(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, (n, d)).astype(np.float64)
+        heights = np.r_[0.0, rng.normal(0, 1, 3), rng.uniform(0, 1e3, 3)]
+        tree = random_split_tree(np.arange(n), heights, rng)
+        distances = metrics.Distances.of(x)
+        assert outcome(metrics.cophenetic_dendrogram, x, tree, distances) == outcome(
+            cophenetic_dendrogram_dense, x, tree
         )

@@ -371,10 +371,11 @@ class TestAnalysisWorkers:
             assert pickle.loads(pickle.dumps(task)) is task  # sent by import path
         child = np.random.SeedSequence(3).spawn(1)[0]
         for clusterer in (partial(pipeline._kmeans_labels, k=4), partial(pipeline._divisive_labels, k=4)):
-            shared, item = pickle.loads(pickle.dumps(((data, clusterer), (child, 4))))
-            idx, labels = metrics._resample(shared, item)
-            want_idx, want_labels = metrics._resample((data, clusterer), (child, 4))
-            assert np.array_equal(idx, want_idx) and np.array_equal(labels, want_labels)
+            for distances in (None, metrics.Distances.of(data)):
+                shared, item = pickle.loads(pickle.dumps(((data, clusterer, distances), (child, 4))))
+                idx, labels = metrics._resample(shared, item)
+                want_idx, want_labels = metrics._resample((data, clusterer, distances), (child, 4))
+                assert np.array_equal(idx, want_idx) and np.array_equal(labels, want_labels)
 
 
 class TestCluster:
@@ -540,6 +541,27 @@ class TestOneSelectionWriter:
         )
         assert cli_main([*argv, "--embeddings", str(emb)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["features.csv", "sweep.csv"]
+
+
+class TestLabelsOfAnotherClustering:
+    """profile and plot refuse labels that hold tracks the matrix they analyse does not."""
+
+    @pytest.mark.parametrize("stage", ["profile", "plot"])
+    def test_fewer_tracks_extracted(self, fixture_run, tmp_path, capsys, stage):
+        # a 15-track extraction into a directory whose labels came from the 20-track cluster
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("labels_kmeans.csv", "labels_divisive.csv"):
+            (out / name).write_bytes((Path(fixture_run.out) / name).read_bytes())
+        for name in ("features.csv", "selected.csv"):
+            m = load_matrix(Path(fixture_run.out) / name)
+            save_matrix(FeatureMatrix(m.row_ids[:15], m.col_names, m.col_groups, m.data[:15]), out / name)
+        argv = [stage, "--manifest", fixture_run.manifest, "--out", str(out), "--workers", "1"]
+        assert cli_main(argv) == 2
+        extra = load_matrix(Path(fixture_run.out) / "features.csv").row_ids[15:]
+        err = capsys.readouterr().err
+        assert f"{out / 'labels_kmeans.csv'}: labels for tracks {extra} not among the 15 analysed" in err
+        assert not list(out.glob("*.svg")) and not (out / "profiles.csv").exists()
 
 
 class TestStaleOutputs:
@@ -1199,7 +1221,8 @@ class TestNamesNeedingQuotes:
 
         assert_outputs_read_back(out)
         assert load_matrix(out / "features.csv").row_ids[0] == self.ODD_ID
-        assert load_labels(out / "labels_divisive.csv", [self.ODD_ID]).shape == (1,)
+        ids = load_matrix(out / "features.csv").row_ids
+        assert load_labels(out / "labels_divisive.csv", ids).shape == (len(ids),)
         with (out / "profiles.csv").open(newline="", encoding="utf-8") as fh:
             assert self.ODD_GENRE in [row["majority_genre"] for row in csv.DictReader(fh)]
         titles = [ET.parse(svg).getroot().find("{*}text").text for svg in out.glob("profile_cluster_*.svg")]

@@ -235,13 +235,23 @@ class TestLabels:
         assert (tmp_path / "labels.csv").read_text() == "track_id,label\na,2\nb,0\nc,1\nd,0\n"
         back = load_labels(tmp_path / "labels.csv", ids)
         assert back.dtype == np.int64 and np.array_equal(back, labels)
-        assert np.array_equal(load_labels(tmp_path / "labels.csv", ["d", "a"]), [0, 2])
+        assert np.array_equal(load_labels(tmp_path / "labels.csv", ["d", "c", "b", "a"]), [0, 1, 0, 2])
 
     def test_missing_track_named(self, tmp_path):
         save_labels(tmp_path / "labels.csv", ["a", "b"], np.array([0, 1]))
         with pytest.raises(ConfigError) as info:
             load_labels(tmp_path / "labels.csv", ["a", "b", "c"])
         assert str(info.value) == f"{tmp_path / 'labels.csv'}: labels missing for tracks ['c']"
+
+    def test_extra_tracks_named(self, tmp_path):
+        # labels of another clustering: every analysed track is labelled, and more
+        ids = [f"t{i}" for i in range(8)]
+        save_labels(tmp_path / "labels.csv", ids, np.arange(8) % 2)
+        with pytest.raises(ConfigError) as info:
+            load_labels(tmp_path / "labels.csv", ids[:2])
+        assert str(info.value) == (
+            f"{tmp_path / 'labels.csv'}: labels for tracks ['t2', 't3', 't4', 't5', 't6'] not among the 2 analysed"
+        )
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
