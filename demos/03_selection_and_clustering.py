@@ -53,7 +53,7 @@ full = evaluate_all(
     x,
     km.labels,
     y,
-    clusterer=lambda x, s: kmeans(x, n_classes, restarts=10, seed=s).labels,
+    clusterer=lambda x, s, distances: kmeans(x, n_classes, restarts=10, seed=s).labels,
     B=25,
     seed=0,
     context={"method": "kmeans", "k": n_classes, "seed": 0},

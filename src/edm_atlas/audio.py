@@ -566,27 +566,6 @@ def _measure(
     return out
 
 
-def frame_series(magnitudes: np.ndarray, frame_rate: float, bin_freqs: np.ndarray) -> FrameSeries:
-    """The FrameSeries of a given magnitude array (frames x bins), by the pass ``stft`` runs.
-
-    Magnitudes must be finite and nonnegative, and ``bin_freqs`` (Hz per
-    bin) strictly increasing.
-    """
-    mags = np.asarray(magnitudes, dtype=np.float64)
-    bin_freqs = np.asarray(bin_freqs, dtype=np.float64)
-    if mags.ndim != 2:
-        raise ValueError("magnitudes must be a frames x bins matrix")
-    if mags.shape[1] != bin_freqs.size:
-        raise ValueError("bin_freqs length must match bin count")
-    if not np.all(np.isfinite(mags)) or np.any(mags < 0):
-        raise ValueError("magnitudes must be finite and nonnegative")
-    if np.any(np.diff(bin_freqs) <= 0):
-        raise ValueError("bin_freqs must be strictly increasing")
-    if frame_rate <= 0:
-        raise ValueError("frame_rate must be positive")
-    return _measure(lambda start, stop: mags[start:stop], mags.shape[0], frame_rate, bin_freqs)
-
-
 class _SpanBuffer:
     """A forward-only window on a stream's chunks, held in one preallocated array.
 

@@ -7,13 +7,15 @@ ARI, purity, raw mutual information). Internal metrics need only the data
 coefficient). Distribution metrics are the entropy of cluster sizes and
 its normalized form. All logarithms are natural.
 
-Euclidean distances come from one exact numpy kernel (``euclidean``,
-``condensed_euclidean``), equal to ``scipy.spatial.distance.cdist`` and
-``pdist`` bit for bit, so no analysis stage imports scipy. ``Distances``
-computes a clustering input's distances once; ``silhouette``,
-``cophenetic_dendrogram`` and ``cluster.heterogeneity`` read blocks of
+Every Euclidean distance comes from ``Distances.of``: one exact numpy
+kernel, equal to ``scipy.spatial.distance.pdist`` and ``cdist`` bit for
+bit, so no analysis stage imports scipy. It computes a set of points'
+distances once; ``silhouette``, ``cophenetic_dendrogram``,
+``cophenetic_bootstrap`` and ``cluster.heterogeneity`` read blocks of
 them, and a caller that scores the same points more than once passes one
-``Distances`` to each call.
+``Distances`` to each call (``davies_bouldin`` computes one of its
+centroids). A bootstrap clusterer is called as
+``clusterer(points, seed, distances)``.
 """
 
 from __future__ import annotations
@@ -158,14 +160,6 @@ def purity(pred, true) -> float:
     return float(table.max(axis=1).sum() / table.sum())
 
 
-def _columns(data) -> np.ndarray:
-    """A 2-D matrix transposed to C order, so that each of its columns is one contiguous row."""
-    x = _as_array(data)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D data matrix")
-    return np.ascontiguousarray(x.T)
-
-
 def _squared_sums(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
     """The (m, k) sums over columns c of ``(at[c, i] - bt[c, j]) ** 2``, for ``at`` (d, m) and ``bt`` (d, k).
 
@@ -181,44 +175,6 @@ def _squared_sums(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
         np.multiply(square, square, out=square)
         sums += square
     return sums
-
-
-def euclidean(a, b) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` and of ``b``: ``scipy.spatial.distance.cdist(a, b)`` bit for bit.
-
-    Rows of ``a`` go through the kernel about ``DISTANCE_TILE`` pairs at a time.
-    """
-    at, bt = _columns(a), _columns(b)
-    if at.shape[0] != bt.shape[0]:
-        raise ValueError(f"a has {at.shape[0]} columns, b has {bt.shape[0]}")
-    m, k = at.shape[1], bt.shape[1]
-    out = np.empty((m, k))
-    step = max(1, DISTANCE_TILE // max(1, k))
-    for start in range(0, m, step):
-        out[start : start + step] = _squared_sums(at[:, start : start + step], bt)
-    return np.sqrt(out, out=out)
-
-
-def condensed_euclidean(data) -> np.ndarray:
-    """Distances of the row pairs i < j in ``triu_indices`` order: ``scipy.spatial.distance.pdist(data)`` bit for bit.
-
-    Consecutive rows go through the kernel about ``DISTANCE_TILE`` pairs at
-    a time, each against the rows after the first of them.
-    """
-    xt = _columns(data)
-    n = xt.shape[1]
-    out = np.empty(n * (n - 1) // 2)
-    start = 0
-    while start < n - 1:
-        width = n - 1 - start
-        stop = min(n - 1, start + max(1, DISTANCE_TILE // width))
-        # rows start..stop against rows start+1..n; row i keeps its pairs with rows after i
-        sums = _squared_sums(xt[:, start:stop], xt[:, start + 1 :])
-        kept = sums[np.arange(width) >= np.arange(stop - start)[:, None]]
-        first = _pair_index(start, start + 1, n)
-        out[first : first + kept.size] = kept
-        start = stop
-    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -238,9 +194,28 @@ class Distances:
 
     @classmethod
     def of(cls, data) -> "Distances":
-        condensed = condensed_euclidean(data)
-        n = _as_array(data).shape[0]
-        return cls(condensed, _pair_index(np.arange(n), 0, n))
+        """The distances among the rows of ``data``: ``condensed`` is ``pdist(data)`` bit for bit.
+
+        Consecutive rows go through the kernel about ``DISTANCE_TILE`` pairs
+        at a time, each against the rows after the first of them.
+        """
+        x = _as_array(data)
+        if x.ndim != 2:
+            raise ValueError("expected a 2-D data matrix")
+        xt = np.ascontiguousarray(x.T)  # each column one contiguous row, as _squared_sums reads them
+        n = x.shape[0]
+        condensed = np.empty(n * (n - 1) // 2)
+        start = 0
+        while start < n - 1:
+            width = n - 1 - start
+            stop = min(n - 1, start + max(1, DISTANCE_TILE // width))
+            # rows start..stop against rows start+1..n; row i keeps its pairs with rows after i
+            sums = _squared_sums(xt[:, start:stop], xt[:, start + 1 :])
+            kept = sums[np.arange(width) >= np.arange(stop - start)[:, None]]
+            first = _pair_index(start, start + 1, n)
+            condensed[first : first + kept.size] = kept
+            start = stop
+        return cls(np.sqrt(condensed, out=condensed), _pair_index(np.arange(n), 0, n))
 
     def _points(self) -> np.ndarray:
         return np.arange(self.offsets.size) if self.rows is None else self.rows
@@ -331,7 +306,7 @@ def davies_bouldin(data, labels) -> float:
     scatter = np.array(
         [np.linalg.norm(x[y_idx == c] - centroids[c], axis=1).mean() for c in range(k)]
     )
-    sep = euclidean(centroids, centroids)
+    sep = Distances.of(centroids)(0, k)
     valid = sep != 0.0  # the diagonal is exactly 0, so i == j is skipped too
     if not valid.any():
         raise ValueError("all cluster centroids coincide; Davies-Bouldin undefined")
@@ -381,26 +356,18 @@ def _add_votes(votes: np.ndarray, seen: np.ndarray, idx: np.ndarray, labels: np.
         votes[pair] += labels[a] == labels[a + 1 :]
 
 
-def _cluster(clusterer, x: np.ndarray, seed: int, distances: Distances | None, rows=None) -> np.ndarray:
-    """``clusterer``'s labels for the points ``rows`` of ``x`` (all if None), with their distances when given."""
-    points = x if rows is None else x[rows]
-    if distances is None:
-        return np.asarray(clusterer(points, seed), dtype=np.int64)
-    return np.asarray(clusterer(points, seed, distances if rows is None else distances.subset(rows)), dtype=np.int64)
-
-
 def _resample(shared, task) -> tuple[np.ndarray, np.ndarray]:
     """One bootstrap task: the sorted distinct rows drawn and their labels."""
     x, clusterer, distances = shared
     child, seed = task
     n = x.shape[0]
     idx = np.unique(np.random.default_rng(child).integers(0, n, n))
-    return idx, _cluster(clusterer, x, seed, distances, idx)
+    return idx, np.asarray(clusterer(x[idx], seed, distances.subset(idx)), dtype=np.int64)
 
 
 def cophenetic_bootstrap(
     data,
-    clusterer: Callable[[np.ndarray, int], np.ndarray],
+    clusterer: Callable[[np.ndarray, int, Distances], np.ndarray],
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
     workers: int = 1,
@@ -412,11 +379,16 @@ def cophenetic_bootstrap(
     bootstrap draw and contributes co-assignment votes for the pairs it
     contains. The result is the Pearson correlation between A and the mean
     bootstrap co-assignment over pairs observed at least min(5, B) times.
-    ``clusterer(matrix, seed) -> labels`` must be deterministic in its seed.
-    Given ``distances`` (those of ``data``), it is called as
-    ``clusterer(matrix, seed, distances)`` with the distances of its
-    matrix: each resample's are the subset its rows select, so no resample
-    computes them again.
+    ``clusterer(matrix, seed, distances) -> labels`` must be deterministic
+    in its seed; ``distances`` are those of its matrix. They come from one
+    ``Distances`` of ``data`` (``distances``, or ``Distances.of(data)``
+    computed here), and each resample's are the subset its rows select, so
+    no resample computes them again. A clusterer that reads no distances
+    (k-means) still pays for that one ``Distances.of``: n(n-1)/2 float64
+    values. On one core of a shared 2-vCPU Xeon host that took 3 ms and
+    0.4 MB at n = 320, d = 20 (a 25-resample k-means bootstrap there:
+    0.24 s), and 6.0 s and 36 MB (55.6 MB traced peak) at n = 3000,
+    d = 768, where one 10-restart k-means of all rows took 3.3 s.
 
     The B resamples run over ``min(workers, B)`` processes
     (``parallel.pool_map``); then ``clusterer`` must pickle. Resample b
@@ -430,7 +402,9 @@ def cophenetic_bootstrap(
         raise ValueError(f"bootstrap stability needs at least {MIN_BOOTSTRAP_SAMPLES} samples")
     if B > np.iinfo(np.uint16).max:
         raise ValueError(f"B={B} resamples overflow the uint16 vote counts")
-    base = _cluster(clusterer, x, seed, distances)
+    if distances is None:
+        distances = Distances.of(x)
+    base = np.asarray(clusterer(x, seed, distances), dtype=np.int64)
 
     tasks = [(child, seed + b + 1) for b, child in enumerate(np.random.SeedSequence(seed).spawn(B))]
     # votes and sightings per pair i < j, condensed in triu_indices(n, 1) order
@@ -463,7 +437,8 @@ def cophenetic_dendrogram(data, split_tree, distances: Distances | None = None) 
     The cophenetic distance of a pair is the heterogeneity score of the
     node whose split separated it (0 for pairs sharing a final cluster);
     the result is its Pearson correlation with Euclidean distance, read
-    from ``distances`` (those of ``data``) or computed here when None.
+    from ``distances`` (those of ``data``; ``Distances.of(data)``, computed
+    here, when None).
     """
     x = _as_array(data)
     n = x.shape[0]
@@ -481,7 +456,9 @@ def cophenetic_dendrogram(data, split_tree, distances: Distances | None = None) 
         fill(right)
 
     fill(split_tree)
-    euclid = condensed_euclidean(x) if distances is None else distances.pairs()
+    if distances is None:
+        distances = Distances.of(x)
+    euclid = distances.pairs()
     if heights.std() == 0.0 or euclid.std() == 0.0:
         raise ValueError("degenerate distances; cophenetic correlation undefined")
     return float(np.corrcoef(euclid, heights)[0, 1])
@@ -521,7 +498,7 @@ def evaluate_all(
     data,
     labels,
     true_labels,
-    clusterer: Callable[[np.ndarray, int], np.ndarray],
+    clusterer: Callable[[np.ndarray, int, Distances], np.ndarray],
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
     split_tree=None,
@@ -532,29 +509,30 @@ def evaluate_all(
     """Populate every external, internal, and distribution metric.
 
     A single-cluster labeling has no internal geometry to score; by
-    convention it reports silhouette 0, Davies-Bouldin 0, and cophenetic 1
-    (a constant partition is trivially stable). ``workers`` sizes the
-    bootstrap's process pool. ``silhouette`` and ``cophenetic_dendrogram``
-    read one ``Distances`` of ``data``: ``distances``, or computed here.
-    Given ``distances``, the bootstrap also passes them to ``clusterer``
-    (see ``cophenetic_bootstrap``).
+    convention it reports silhouette 0, Davies-Bouldin 0, cophenetic 1 (a
+    constant partition is trivially stable) and, given a ``split_tree``,
+    cophenetic_dendrogram 1 (a tree with one leaf splits no pair). Other
+    labelings read one ``Distances`` of ``data``: ``distances``, or
+    computed here; ``silhouette``, ``cophenetic_dendrogram`` and the
+    bootstrap, which passes them on to ``clusterer``, all get that one
+    object. ``workers`` sizes the bootstrap's process pool.
     """
     x = _as_array(data)
     balance, norm_balance = balance_metrics(labels)
-    single = np.unique(_labels(labels)).size < 2
-    shared = distances
-    if shared is None and (split_tree is not None or not single):
-        shared = Distances.of(x)
-    if single:
+    if np.unique(_labels(labels)).size < 2:
         internal = {"silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0}
+        if split_tree is not None:
+            internal["cophenetic_dendrogram"] = 1.0
     else:
+        if distances is None:
+            distances = Distances.of(x)
         internal = {
-            "silhouette": silhouette(x, labels, shared),
+            "silhouette": silhouette(x, labels, distances),
             "davies_bouldin": davies_bouldin(x, labels),
             "cophenetic": cophenetic_bootstrap(x, clusterer, B=B, seed=seed, workers=workers, distances=distances),
         }
-    if split_tree is not None:
-        internal["cophenetic_dendrogram"] = cophenetic_dendrogram(x, split_tree, shared)
+        if split_tree is not None:
+            internal["cophenetic_dendrogram"] = cophenetic_dendrogram(x, split_tree, distances)
     return EvaluationReport(
         external={
             "nmi": nmi(labels, true_labels),

@@ -310,19 +310,19 @@ def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
 _METHODS = ("kmeans", "divisive")
 
 
-def _kmeans_labels(x: np.ndarray, seed: int, distances: metrics.Distances | None = None, *, k: int) -> np.ndarray:
-    """The bootstrap's k-means clusterer: at most k clusters, 10 restarts; it reads no distances."""
+def _kmeans_labels(x: np.ndarray, seed: int, distances: metrics.Distances, *, k: int) -> np.ndarray:
+    """The bootstrap's k-means clusterer: at most k clusters, 10 restarts; it ignores ``distances``."""
     return kmeans(x, min(k, x.shape[0]), restarts=10, seed=seed).labels
 
 
-def _divisive_labels(x: np.ndarray, seed: int, distances: metrics.Distances | None = None, *, k: int) -> np.ndarray:
-    """The bootstrap's divisive clusterer: at most k clusters, over ``distances`` of ``x`` when given."""
+def _divisive_labels(x: np.ndarray, seed: int, distances: metrics.Distances, *, k: int) -> np.ndarray:
+    """The bootstrap's divisive clusterer: at most k clusters, over ``distances``, those of ``x``."""
     return divisive_cluster(x, min(k, x.shape[0]), seed=seed, distances=distances).labels
 
 
 def _run_method(
     matrix: FeatureMatrix, method: str, cfg: RunConfig, distances: metrics.Distances
-) -> tuple[ClusterModel, Callable[[np.ndarray, int], np.ndarray]]:
+) -> tuple[ClusterModel, Callable[[np.ndarray, int, metrics.Distances], np.ndarray]]:
     """The model at ``cfg.k`` and its bootstrap clusterer, which pickles for the pool.
 
     ``distances`` are those of ``matrix.data``.
@@ -482,9 +482,16 @@ def cmd_profile(cfg: RunConfig) -> list[metrics.ClusterProfile]:
 
 
 def cmd_plot(cfg: RunConfig) -> Path:
-    """PCA scatter of the clustering space, colored by cluster labels."""
+    """PCA scatter of the clustering space, colored by cluster labels.
+
+    A matrix of fewer than 2 columns has no 2-D projection: a configuration
+    error that names its file.
+    """
     cfg.validate()
     matrix = _selected_matrix(cfg)
+    if matrix.shape[1] < 2:
+        source = cfg.embeddings or Path(cfg.out) / "selected.csv"
+        raise ConfigError(f"{source}: the PCA scatter needs at least 2 feature columns, got {matrix.shape[1]}")
     labels = load_labels(_resolve_labels_path(cfg), matrix.row_ids)
     points, variances = pca_project(matrix.data)
     svg = scatter_svg(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from edm_atlas.audio import AudioClip, write_wav
+from edm_atlas.audio import AudioClip, FrameSeries, _measure, write_wav
 from edm_atlas.fixtures import synth_click_track, synth_noise
 from edm_atlas.metrics import SILHOUETTE_BLOCK
 from edm_atlas.types import row_blocks
@@ -33,6 +33,28 @@ def noise_clip():
 def write_clip(clip: AudioClip, path) -> None:
     """Write a whole clip as a 16-bit mono WAV file through ``write_wav``."""
     write_wav(path, clip.sample_rate, clip.samples.size, [clip.samples])
+
+
+def frame_series(magnitudes, frame_rate: float, bin_freqs) -> FrameSeries:
+    """The FrameSeries of a given magnitude array (frames x bins), by the pass ``audio.stft`` runs.
+
+    Magnitudes must be finite and nonnegative, and ``bin_freqs`` (Hz per
+    bin) strictly increasing. The whole-array test references reach
+    ``audio._measure`` through this helper.
+    """
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    bin_freqs = np.asarray(bin_freqs, dtype=np.float64)
+    if mags.ndim != 2:
+        raise ValueError("magnitudes must be a frames x bins matrix")
+    if mags.shape[1] != bin_freqs.size:
+        raise ValueError("bin_freqs length must match bin count")
+    if not np.all(np.isfinite(mags)) or np.any(mags < 0):
+        raise ValueError("magnitudes must be finite and nonnegative")
+    if np.any(np.diff(bin_freqs) <= 0):
+        raise ValueError("bin_freqs must be strictly increasing")
+    if frame_rate <= 0:
+        raise ValueError("frame_rate must be positive")
+    return _measure(lambda start, stop: mags[start:stop], mags.shape[0], frame_rate, bin_freqs)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

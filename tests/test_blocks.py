@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
+from conftest import frame_series
 from edm_atlas.audio import (
     BAND_EDGES_HZ,
     CHROMA_MIN_FREQ,
@@ -26,7 +27,6 @@ from edm_atlas.audio import (
     ROLLOFF_FRACTION,
     AudioClip,
     FrameSeries,
-    frame_series,
     mel_filterbank,
     stft,
 )

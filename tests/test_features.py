@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.signal import butter, sosfilt
 
-from edm_atlas.audio import AudioClip, frame_series, stft
+from conftest import frame_series
+from edm_atlas.audio import AudioClip, stft
 from edm_atlas.features import (
     band_beat_emphasis,
     chroma_features,

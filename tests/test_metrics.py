@@ -212,8 +212,15 @@ class TestCalinskiHarabasz:
 
 
 def kmeans_clusterer(k):
-    def clusterer(x, seed):
+    def clusterer(x, seed, distances):
         return kmeans(x, min(k, x.shape[0]), restarts=5, seed=seed).labels
+
+    return clusterer
+
+
+def divisive_clusterer(k):
+    def clusterer(x, seed, distances):
+        return divisive_cluster(x, min(k, x.shape[0]), seed=seed, distances=distances).labels
 
     return clusterer
 
@@ -237,7 +244,7 @@ class TestCopheneticBootstrap:
         data, _ = make_blobs(3, 20, dim=3, seed=14)
         cut = np.median(data[:, 0])
         value = metrics.cophenetic_bootstrap(
-            data, lambda x, seed: (x[:, 0] > cut).astype(int), B=1, seed=0
+            data, lambda x, seed, distances: (x[:, 0] > cut).astype(int), B=1, seed=0
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -314,14 +321,22 @@ class TestEvaluateAll:
     def test_divisive_adds_dendrogram_key(self):
         data, truth = make_blobs(3, 25, dim=3, seed=19)
         model = divisive_cluster(data, 3, seed=0)
-
-        def clusterer(x, s):
-            return divisive_cluster(x, min(3, x.shape[0]), seed=s).labels
-
         report = metrics.evaluate_all(
-            data, model.labels, truth, clusterer, B=5, seed=0, split_tree=model.split_tree
+            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree
         )
         assert "cophenetic_dendrogram" in report.internal
+
+    def test_single_leaf_tree_conventions(self):
+        # identical rows: the divisive model stops at one cluster, whose tree splits no pair
+        data, truth = np.ones((24, 2)), np.repeat([0, 1], 12)
+        model = divisive_cluster(data, 3, seed=0)
+        assert model.split_tree.children is None
+        report = metrics.evaluate_all(
+            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree
+        )
+        assert report.internal == {
+            "silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0, "cophenetic_dendrogram": 1.0
+        }
 
 
 class TestClusterProfiles:
@@ -617,6 +632,8 @@ class TestArrayPassesMatchLoops:
 # The bootstrap votes were two n x n float64 matrices filled with an np.ix_
 # scatter per resample; they are now condensed integer counts. The old loop
 # is kept here as the reference, and the result must match it bit for bit.
+# It hands each clustering the distances of its own points, computed afresh,
+# where the package hands it a subset of one Distances.
 
 
 def cophenetic_bootstrap_loop(data, clusterer, B, seed):
@@ -624,13 +641,13 @@ def cophenetic_bootstrap_loop(data, clusterer, B, seed):
     n = x.shape[0]
     if n < 10:
         raise ValueError("bootstrap stability needs at least 10 samples")
-    base = np.asarray(clusterer(x, seed), dtype=np.int64)
+    base = np.asarray(clusterer(x, seed, metrics.Distances.of(x)), dtype=np.int64)
     votes = np.zeros((n, n))
     seen = np.zeros((n, n))
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(B)):
         rng = np.random.default_rng(child)
         idx = np.unique(rng.integers(0, n, n))
-        labels = np.asarray(clusterer(x[idx], seed + b + 1), dtype=np.int64)
+        labels = np.asarray(clusterer(x[idx], seed + b + 1, metrics.Distances.of(x[idx])), dtype=np.int64)
         same = (labels[:, None] == labels[None, :]).astype(np.float64)
         votes[np.ix_(idx, idx)] += same
         seen[np.ix_(idx, idx)] += 1.0
@@ -647,12 +664,12 @@ def cophenetic_bootstrap_loop(data, clusterer, B, seed):
     return float(np.corrcoef(a_vals, ahat)[0, 1])
 
 
-def seeded_labels(x, seed):
+def seeded_labels(x, seed, distances):
     """Labels that depend on the seed only: votes vary from resample to resample."""
     return np.random.default_rng(seed).integers(0, 3, x.shape[0])
 
 
-def median_split(x, seed):
+def median_split(x, seed, distances):
     """Labels that depend on the rows only: duplicate rows always share a cluster."""
     return (x[:, 0] > np.median(x[:, 0])).astype(int)
 
@@ -666,7 +683,7 @@ def bootstrap_cases(draw):
         draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=n_distinct, max_size=n_distinct))
     )
     x = base[draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))]
-    clusterer = draw(st.sampled_from([seeded_labels, median_split, kmeans_clusterer(3)]))
+    clusterer = draw(st.sampled_from([seeded_labels, median_split, kmeans_clusterer(3), divisive_clusterer(3)]))
     B = draw(st.one_of(st.integers(1, 4), st.integers(5, 12)))  # below and above the 5-sighting floor
     return x, clusterer, B, draw(st.integers(0, 2**32))
 
@@ -683,7 +700,7 @@ class TestBootstrapVotesMatchLoop:
     @pytest.mark.parametrize("B", [1, 3, 30])
     def test_duplicate_rows(self, B):
         x = np.repeat(make_blobs(3, 5, dim=2, seed=21)[0], 3, axis=0)
-        for clusterer in (median_split, kmeans_clusterer(3)):
+        for clusterer in (median_split, kmeans_clusterer(3), divisive_clusterer(3)):
             assert outcome(metrics.cophenetic_bootstrap, x, clusterer, B, 4) == outcome(
                 cophenetic_bootstrap_loop, x, clusterer, B, 4
             )
@@ -887,28 +904,67 @@ def distance_inputs(draw):
     return a, b
 
 
+def kernel_outputs(a, b) -> tuple[bytes, bytes]:
+    """``Distances.of(a).condensed`` and the block of ``Distances.of(vstack(a, b))`` from a's rows to b's, as bytes."""
+    stacked = np.vstack([a, b])
+    if not a.flags.c_contiguous:
+        stacked = np.asfortranarray(stacked)
+    m = a.shape[0]
+    return bits(metrics.Distances.of(a).condensed), bits(metrics.Distances.of(stacked)(0, m)[:, m:])
+
+
 class TestKernelMatchesScipy:
     @settings(max_examples=200, deadline=None)
     @given(distance_inputs(), st.integers(1, 64))
     def test_cdist_and_pdist(self, case, tile):
         a, b = case
-        want = bits(cdist(a, b)), bits(pdist(a))
-        assert (bits(metrics.euclidean(a, b)), bits(metrics.condensed_euclidean(a))) == want
+        want = bits(pdist(a)), bits(cdist(a, b))
+        assert kernel_outputs(a, b) == want
         # tiles of any row count
         with mock.patch.object(metrics, "DISTANCE_TILE", tile):
-            assert (bits(metrics.euclidean(a, b)), bits(metrics.condensed_euclidean(a))) == want
+            assert kernel_outputs(a, b) == want
 
     @pytest.mark.parametrize("d", [1, 9, 300])
     def test_single_pair(self, d):
         # the squares of a lone pair form one contiguous column, which numpy's sum would add pairwise
         rng = np.random.default_rng(d)
         a, b = rng.normal(0, 1e3, (1, d)), rng.normal(0, 1e-3, (1, d))
-        assert bits(metrics.euclidean(a, b)) == bits(cdist(a, b))
-        assert bits(metrics.condensed_euclidean(np.vstack([a, b]))) == bits(pdist(np.vstack([a, b])))
+        assert kernel_outputs(a, b)[1] == bits(cdist(a, b))
+        assert bits(metrics.Distances.of(np.vstack([a, b])).condensed) == bits(pdist(np.vstack([a, b])))
 
-    def test_columns_must_agree(self):
-        with pytest.raises(ValueError, match="a has 2 columns, b has 3"):
-            metrics.euclidean(np.ones((2, 2)), np.ones((2, 3)))
+    def test_needs_a_matrix(self):
+        with pytest.raises(ValueError, match="expected a 2-D data matrix"):
+            metrics.Distances.of(np.ones(3))
+
+
+@st.composite
+def davies_bouldin_cases(draw):
+    """Points in C or F order with k = 2..n-1 labels; the clusters moved onto one integer point share a centroid."""
+    n = draw(st.integers(3, 40))
+    k = draw(st.integers(2, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0, 10.0 ** draw(st.integers(-2, 2)), (n, draw(st.integers(1, 60))))
+    labels = rng.permutation(np.r_[np.arange(k), rng.integers(0, k, n - k)])
+    # integer rows sum exactly, so each such cluster's centroid is the point itself; all k moved coincide
+    point = rng.integers(-3, 4, x.shape[1]).astype(np.float64)
+    for c in range(draw(st.integers(0, k))):
+        x[labels == c] = point
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    return x, labels
+
+
+class TestDaviesBouldinMatchesCdist:
+    """davies_bouldin reads its centroid separations from Distances.of; the cdist loop stays the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(davies_bouldin_cases(), st.integers(1, 64))
+    def test_bitwise(self, case, tile):
+        x, labels = case
+        want = outcome(davies_bouldin_loop, x, labels)
+        assert outcome(metrics.davies_bouldin, x, labels) == want
+        with mock.patch.object(metrics, "DISTANCE_TILE", tile):
+            assert outcome(metrics.davies_bouldin, x, labels) == want
 
 
 class TestGatheredBlocks:
@@ -932,7 +988,6 @@ class TestGatheredBlocks:
             with mock.patch.object(metrics, "DISTANCE_TILE", tile):  # gathers of any row count
                 block = view(start, stop)
             assert block.flags.c_contiguous
-            assert bits(block) == bits(metrics.euclidean(points[start:stop], points))
             assert bits(block) == bits(cdist(points[start:stop], points))
             assert bits(view.pairs()) == bits(pdist(points))
 
@@ -956,10 +1011,8 @@ class TestSharedDistancesMatchReference:
     """evaluate_all and cophenetic_dendrogram against silhouette_reference and the pdist dendrogram."""
 
     @staticmethod
-    def report(data, labels, truth, clusterer, split_tree, distances=None):
-        report = metrics.evaluate_all(
-            data, labels, truth, clusterer, B=6, seed=3, split_tree=split_tree, distances=distances
-        )
+    def report(data, labels, truth, clusterer, split_tree):
+        report = metrics.evaluate_all(data, labels, truth, clusterer, B=6, seed=3, split_tree=split_tree)
         return report.external, report.internal, report.distribution
 
     @pytest.mark.parametrize("seed", range(3))
@@ -967,21 +1020,12 @@ class TestSharedDistancesMatchReference:
         data, truth = make_blobs(4, 12, dim=5, seed=seed)
         data = data[np.random.default_rng(seed).integers(0, 48, 48)]  # duplicate rows
         model = divisive_cluster(data, 5, seed=seed)
-
-        def clusterer(x, s, distances=None):
-            return divisive_cluster(x, min(4, x.shape[0]), seed=s, distances=distances).labels
-
-        shared = metrics.Distances.of(data)
-        got = [
-            self.report(data, model.labels, truth, clusterer, model.split_tree),
-            self.report(data, model.labels, truth, clusterer, model.split_tree, shared),  # reaches the resamples
-        ]
+        got = self.report(data, model.labels, truth, divisive_clusterer(4), model.split_tree)
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
         monkeypatch.setattr(
             metrics, "cophenetic_dendrogram", lambda x, tree, distances=None: cophenetic_dendrogram_dense(x, tree)
         )
-        want = self.report(data, model.labels, truth, clusterer, model.split_tree)
-        assert got == [want, want]
+        assert got == self.report(data, model.labels, truth, divisive_clusterer(4), model.split_tree)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32))
@@ -994,3 +1038,53 @@ class TestSharedDistancesMatchReference:
         assert outcome(metrics.cophenetic_dendrogram, x, tree, distances) == outcome(
             cophenetic_dendrogram_dense, x, tree
         )
+
+
+# ---------------------------------------------------------------------------
+# The bootstrap always passes its clusterer the distances of the points it
+# clusters, from one Distances of the data. Given or computed, and given as a
+# subset of a larger matrix's, they must change no bit.
+
+
+@st.composite
+def clustered_points(draw):
+    """Points with duplicate rows in C or F order, a clusterer's name, its k, and a seed."""
+    n, d = draw(st.integers(10, 30)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0, 1, (n, d))[rng.integers(0, n, n)]
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    return x, draw(st.sampled_from(["kmeans", "divisive"])), draw(st.integers(2, 4)), draw(st.integers(0, 2**32))
+
+
+class TestGivenDistancesChangeNoBit:
+    @staticmethod
+    def views(x, seed):
+        """No distances, those of ``x``, and those of ``x`` as a subset of a larger matrix's."""
+        rng = np.random.default_rng(seed)
+        larger = np.vstack([x, rng.normal(0, 1, (int(rng.integers(1, 10)), x.shape[1]))])
+        order = rng.permutation(larger.shape[0])
+        rows = np.argsort(order)[: x.shape[0]]  # where x's rows went
+        return [None, metrics.Distances.of(x), metrics.Distances.of(larger[order]).subset(rows)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(clustered_points())
+    def test_bootstrap_and_evaluate_all(self, case):
+        x, method, k, seed = case
+        truth = np.arange(x.shape[0]) % 2
+        if method == "kmeans":
+            model, clusterer = kmeans(x, k, restarts=3, seed=seed), kmeans_clusterer(k)
+        else:
+            model, clusterer = divisive_cluster(x, k, seed=seed), divisive_clusterer(k)
+        got = []
+        for distances in self.views(x, seed):
+            coefficient = outcome(metrics.cophenetic_bootstrap, x, clusterer, 4, seed, 1, distances)
+            try:
+                report = metrics.evaluate_all(
+                    x, model.labels, truth, clusterer, B=4, seed=seed, split_tree=model.split_tree, distances=distances
+                )
+                internal = json.dumps(report.internal)
+            except ValueError as exc:  # a degenerate bootstrap, as the coefficient's outcome records
+                internal = str(exc)
+            got.append((coefficient, internal))
+        assert got[1:] == got[:1] * 2

@@ -44,6 +44,7 @@ from edm_atlas.table import (
     load_labels,
     load_manifest,
     load_matrix,
+    save_labels,
     save_matrix,
 )
 from edm_atlas.tempogram import analyze_track, tempogram_feature_vector
@@ -370,12 +371,12 @@ class TestAnalysisWorkers:
         for task in (metrics._resample, cluster._sweep_point, pipeline._extract_worker, trees._grow_tree):
             assert pickle.loads(pickle.dumps(task)) is task  # sent by import path
         child = np.random.SeedSequence(3).spawn(1)[0]
+        distances = metrics.Distances.of(data)
         for clusterer in (partial(pipeline._kmeans_labels, k=4), partial(pipeline._divisive_labels, k=4)):
-            for distances in (None, metrics.Distances.of(data)):
-                shared, item = pickle.loads(pickle.dumps(((data, clusterer, distances), (child, 4))))
-                idx, labels = metrics._resample(shared, item)
-                want_idx, want_labels = metrics._resample((data, clusterer, distances), (child, 4))
-                assert np.array_equal(idx, want_idx) and np.array_equal(labels, want_labels)
+            shared, item = pickle.loads(pickle.dumps(((data, clusterer, distances), (child, 4))))
+            idx, labels = metrics._resample(shared, item)
+            want_idx, want_labels = metrics._resample((data, clusterer, distances), (child, 4))
+            assert np.array_equal(idx, want_idx) and np.array_equal(labels, want_labels)
 
 
 class TestCluster:
@@ -861,6 +862,47 @@ class TestCliExitCodes:
         assert cli_main(argv) == 3
         assert f"needs at least {metrics.MIN_BOOTSTRAP_SAMPLES} tracks, got 8" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_single_leaf_divisive_model(self, tmp_path):
+        # 24 identical embedded tracks: the divisive model stops at one leaf, reported by the single-cluster convention
+        ids = [f"t{j:02d}" for j in range(24)]
+        manifest = write_rows(
+            tmp_path / "manifest.csv",
+            [MANIFEST_COLUMNS, *([tid, f"{tid}.wav", f"g{j % 2}", "", "", ""] for j, tid in enumerate(ids))],
+        )
+        emb = write_rows(tmp_path / "emb.csv", [["track_id", "e0", "e1"], *([tid, 1, 2] for tid in ids)])
+        out = tmp_path / "run"
+        argv = ["cluster", "--manifest", str(manifest), "--out", str(out), "--k", "3", "--method", "divisive"]
+        assert cli_main([*argv, "--embeddings", str(emb), "--workers", "1"]) == 0
+        report = json.loads((out / "report_divisive.json").read_text())
+        assert report["internal"] == {
+            "silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0, "cophenetic_dendrogram": 1.0
+        }
+        assert sorted(path.name for path in out.iterdir()) == [
+            "labels_divisive.csv", "model_divisive.json", "report_divisive.json"
+        ]
+
+    @pytest.mark.parametrize("source", ["embeddings", "selected"])
+    def test_plot_of_one_column_exits_two(self, tmp_path, capsys, source):
+        ids = [f"t{j:02d}" for j in range(12)]
+        manifest = write_rows(
+            tmp_path / "manifest.csv",
+            [MANIFEST_COLUMNS, *([tid, f"{tid}.wav", f"g{j % 2}", "", "", ""] for j, tid in enumerate(ids))],
+        )
+        labels = tmp_path / "labels.csv"
+        save_labels(labels, ids, np.arange(12) % 2)
+        out = tmp_path / "run"
+        argv = ["plot", "--manifest", str(manifest), "--out", str(out), "--labels", str(labels)]
+        if source == "embeddings":  # a 1-column embeddings file
+            matrix = write_rows(tmp_path / "emb.csv", [["track_id", "e0"], *([tid, j] for j, tid in enumerate(ids))])
+            argv += ["--embeddings", str(matrix)]
+        else:  # the selected.csv of cluster --top-k 1
+            out.mkdir()
+            matrix = out / "selected.csv"
+            save_matrix(FeatureMatrix(ids, ["e0"], ["embedding"], np.arange(12.0)[:, None]), matrix)
+        assert cli_main(argv) == 2
+        assert f"{matrix}: the PCA scatter needs at least 2 feature columns, got 1" in capsys.readouterr().err
+        assert not (out / "scatter.svg").exists()
 
     @pytest.mark.parametrize(
         "kind, message",

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, frame_series
 from edm_atlas import audio
-from edm_atlas.audio import AudioClip, SampleStream, frame_series, stft
+from edm_atlas.audio import AudioClip, SampleStream, stft
 from edm_atlas.fixtures import synth_click_track
 from edm_atlas.tempogram import (
     SCALE_AXIS,
