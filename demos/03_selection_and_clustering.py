@@ -3,7 +3,8 @@
 Plants four class-dependent features among noise, walks through the
 engineering -> normalization -> ensemble-selection pipeline, then clusters
 with both k-means++ and divisive bisection and evaluates against truth.
-Run:
+The points' distances are computed once, and every function that reads
+them gets that one ``Distances``. Run:
 
     python3 demos/03_selection_and_clustering.py
 """
@@ -11,7 +12,7 @@ Run:
 import numpy as np
 
 from edm_atlas.cluster import divisive_cluster, kmeans, select_natural_k
-from edm_atlas.metrics import ari, evaluate_all, nmi
+from edm_atlas.metrics import Distances, ari, evaluate_all, nmi
 from edm_atlas.selection import engineer_features, ensemble_normalize, ensemble_select
 from edm_atlas.table import FeatureMatrix
 
@@ -41,12 +42,13 @@ for i in order[:8]:
     print(f"  {report.feature_names[i]:24s} {report.ensemble[i]:.4f}")
 
 x = selected.data  # the clustering functions take the plain array
+distances = Distances.of(x)
 km = kmeans(x, n_classes, seed=0)
-dv = divisive_cluster(x, n_classes, seed=0)
+dv = divisive_cluster(x, n_classes, seed=0, distances=distances)
 print(f"\nkmeans   ARI {ari(km.labels, y):.3f}  NMI {nmi(km.labels, y):.3f}")
 print(f"divisive ARI {ari(dv.labels, y):.3f}  NMI {nmi(dv.labels, y):.3f}")
 
-sweep = select_natural_k(x, (2, 12), seed=0, restarts=20)
+sweep = select_natural_k(x, (2, 12), seed=0, restarts=20, distances=distances)
 print(f"\nnatural cluster count over [2, 12]: {sweep.chosen_k} (truth: {n_classes})")
 
 full = evaluate_all(
@@ -57,6 +59,7 @@ full = evaluate_all(
     B=25,
     seed=0,
     context={"method": "kmeans", "k": n_classes, "seed": 0},
+    distances=distances,
 )
 print("\nfull evaluation report:")
 for section in ("external", "internal", "distribution"):

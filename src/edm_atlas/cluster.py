@@ -7,10 +7,11 @@ discovery sweeps k-means over a k range and picks the argmax of a weighted
 consensus of silhouette, Calinski-Harabasz, and an elbow score on the
 inertia curve.
 
-Each of ``divisive_cluster`` and ``select_natural_k`` computes its input's
-Euclidean distances once (``metrics.Distances``): every heterogeneity
-silhouette gathers its cluster's block from them, and every k of the sweep
-reads them, in each process of its pool.
+``heterogeneity``, ``divisive_cluster`` and ``select_natural_k`` take the
+``metrics.Distances`` of their input, which the stage computes once, and
+compute none: every heterogeneity silhouette gathers its cluster's block
+from them, and every k of the sweep reads them, in each process of its
+pool.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import metrics
 from .parallel import pool_map
 from .table import write_csv, write_json
-from .types import min_max
+from .types import as_matrix, min_max
 
 logger = logging.getLogger(__name__)
 
@@ -38,13 +39,6 @@ H_MIN_SIZE = 4
 
 CONSENSUS_WEIGHTS = (0.5, 0.3, 0.2)  # silhouette, calinski-harabasz, elbow
 DEFAULT_K_RANGE = (15, 40)
-
-
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D data matrix")
-    return arr
 
 
 @dataclass
@@ -68,7 +62,11 @@ class SplitNode:
 
 @dataclass
 class ClusterModel:
-    """Labels and bookkeeping for one clustering run."""
+    """Labels and bookkeeping for one clustering run.
+
+    ``np.asarray(model)`` reads its labels, so a function that returns a
+    model serves as a ``metrics.cophenetic_bootstrap`` clusterer.
+    """
 
     labels: np.ndarray
     k: int
@@ -86,6 +84,11 @@ class ClusterModel:
             raise ValueError("every cluster must be nonempty")
         if not 0.0 <= self.inertia < np.inf:
             raise ValueError("inertia must be finite and >= 0")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # numpy 1.x calls this without ``copy``, and its np.array rejects copy=None
+        labels = np.asarray(self.labels, dtype=dtype)
+        return labels.copy() if copy else labels
 
     def save(self, sidecar_path: str | Path) -> None:
         """Write the JSON sidecar; ``table.save_labels`` writes the labels."""
@@ -128,10 +131,10 @@ def _plus_plus_seeds(x: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     """k-means++ seeds of every restart in ``rngs``: a (restarts, k, d) stack."""
     n = x.shape[0]
     centroids = np.empty((len(rngs), k, x.shape[1]))
-    centroids[:, 0] = x[[rng.integers(n) for rng in rngs]]
-    d2 = np.stack([((x - c) ** 2).sum(axis=1) for c in centroids[:, 0]])
-    for i in range(1, k):
-        centroids[:, i] = x[_d2_draws(d2, rngs)]
+    d2 = np.full((len(rngs), n), np.inf)  # np.minimum(inf, v) is v, bit for bit
+    for i in range(k):
+        picks = [rng.integers(n) for rng in rngs] if i == 0 else _d2_draws(d2, rngs)
+        centroids[:, i] = x[picks]
         if i < k - 1:  # the last seed's distances are never drawn from
             for r, c in enumerate(centroids[:, i]):
                 np.minimum(d2[r], ((x - c) ** 2).sum(axis=1), out=d2[r])
@@ -236,7 +239,7 @@ def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> Clus
     float64 distance array of at most ``KMEANS_BLOCK`` entries (or n * k).
     Every restart computes the same floats as it would alone.
     """
-    x = _as_array(data)
+    x = as_matrix(data)
     n = x.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"k must lie in [2, {n}], got {k}")
@@ -261,15 +264,15 @@ def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> Clus
     return ClusterModel(labels, k, inertia, method="kmeans", seed=seed, warning=warning)
 
 
-def heterogeneity(points, seed: int = 0, distances: metrics.Distances | None = None) -> float:
+def heterogeneity(points, seed: int = 0, *, distances: metrics.Distances) -> float:
     """H(C) = var(C) * (1 + sil(C)) * log(|C| + 1).
 
     var(C) is the mean squared distance to the centroid and sil(C) the mean
-    silhouette of a tentative 2-means split, which reads ``distances`` (those
-    of ``points``; computed when needed if None). Clusters smaller than 4
-    points or with zero variance score 0 (nothing to split).
+    silhouette of a tentative 2-means split, which reads ``distances``
+    (those of ``points``). Clusters smaller than 4 points or with zero
+    variance score 0 (nothing to split).
     """
-    x = _as_array(points)
+    x = as_matrix(points)
     n = x.shape[0]
     if n < H_MIN_SIZE:
         return 0.0
@@ -281,15 +284,15 @@ def heterogeneity(points, seed: int = 0, distances: metrics.Distances | None = N
     return var * (1.0 + sil) * float(np.log(n + 1))
 
 
-def divisive_cluster(data, k_target: int, seed: int = 0, distances: metrics.Distances | None = None) -> ClusterModel:
+def divisive_cluster(data, k_target: int, seed: int = 0, *, distances: metrics.Distances) -> ClusterModel:
     """Top-down bisection: always split the cluster with the largest H.
 
     Ties prefer the larger cluster, then the lower node id. Splitting stops
     at k_target clusters, or earlier when every H is 0; the model then
-    carries a warning, which the caller logs. Every H reads one
-    ``metrics.Distances`` of ``data``: ``distances``, or computed here.
+    carries a warning, which the caller logs. Every H reads ``distances``,
+    those of ``data``.
     """
-    x = _as_array(data)
+    x = as_matrix(data)
     n = x.shape[0]
     if not 2 <= k_target <= n:
         raise ValueError(f"k_target must lie in [2, {n}], got {k_target}")
@@ -299,8 +302,6 @@ def divisive_cluster(data, k_target: int, seed: int = 0, distances: metrics.Dist
     def next_seed() -> int:
         return int(ss.spawn(1)[0].generate_state(1)[0])
 
-    if distances is None:
-        distances = metrics.Distances.of(x)
     root = SplitNode(0, np.arange(n))
     h_scores = {0: heterogeneity(x, seed=next_seed(), distances=distances)}
     leaves = {0: root}
@@ -390,6 +391,8 @@ def select_natural_k(
     seed: int = 0,
     restarts: int = KMEANS_RESTARTS,
     workers: int = 1,
+    *,
+    distances: metrics.Distances,
 ) -> KSweepResult:
     """Sweep k-means over [k_min, k_max] and pick k by index consensus.
 
@@ -400,18 +403,18 @@ def select_natural_k(
     (``parallel.pool_map``), each k-means with all its restarts inside one
     task and seeded with ``seed`` alone; the curves are filled in k order,
     so the result does not depend on ``workers``. Every k's silhouette reads
-    one ``metrics.Distances`` of the data, which reaches each worker with
-    the matrix. One warning names the ks whose k-means refilled an empty
+    ``distances``, those of ``data``, which reach each worker with the
+    matrix. One warning names the ks whose k-means refilled an empty
     cluster.
     """
-    x = _as_array(data)
+    x = as_matrix(data)
     n = x.shape[0]
     k_min, k_max = int(k_range[0]), int(k_range[1])
     if not (2 <= k_min <= k_max <= n):
         raise ValueError(f"k_range {k_range} must satisfy 2 <= k_min <= k_max <= {n}")
 
     ks = np.arange(k_min, k_max + 1)
-    shared = (x, restarts, seed, metrics.Distances.of(x))
+    shared = (x, restarts, seed, distances)
     points = pool_map(_sweep_point, shared, [int(k) for k in ks], workers)
     *curves, warned = zip(*points)
     inertia, sil, ch = (np.array(curve, dtype=np.float64) for curve in curves)

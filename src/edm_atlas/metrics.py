@@ -9,11 +9,11 @@ its normalized form. All logarithms are natural.
 
 Every Euclidean distance comes from ``Distances.of``: one exact numpy
 kernel, equal to ``scipy.spatial.distance.pdist`` and ``cdist`` bit for
-bit, so no analysis stage imports scipy. It computes a set of points'
-distances once; ``silhouette``, ``cophenetic_dendrogram``,
-``cophenetic_bootstrap`` and ``cluster.heterogeneity`` read blocks of
-them, and a caller that scores the same points more than once passes one
-``Distances`` to each call (``davies_bouldin`` computes one of its
+bit, so no analysis stage imports scipy. The stage computes one
+``Distances`` of its clustering input and passes it to every reader:
+``silhouette``, ``cophenetic_dendrogram``, ``cophenetic_bootstrap``,
+``evaluate_all`` and the ``cluster`` functions take it as a required
+argument and never compute one (``davies_bouldin`` computes one of its
 centroids). A bootstrap clusterer is called as
 ``clusterer(points, seed, distances)``.
 """
@@ -31,7 +31,7 @@ import numpy as np
 
 from .parallel import pool_map
 from .table import ConfigError, FeatureMatrix, read_text, write_csv, write_json
-from .types import row_blocks
+from .types import as_matrix, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -79,24 +79,24 @@ def load_dimension_rules(path: str | Path) -> dict[str, tuple[tuple[str, ...], t
     return {dim: (tuple(v[0]), tuple(v[1])) for dim, v in raw.items()}
 
 
-def _as_array(data) -> np.ndarray:
-    return np.asarray(data, dtype=np.float64)
-
-
 def _labels(a) -> np.ndarray:
     return np.asarray(a).ravel()
 
 
+def _label_index(labels) -> tuple[np.ndarray, int]:
+    """Each label's index among the sorted distinct labels, and how many there are."""
+    classes, index = np.unique(_labels(labels), return_inverse=True)
+    return index, classes.size
+
+
 def _contingency(pred, true) -> np.ndarray:
     """Cluster x class count table of two equal-length labelings."""
-    pred, true = _labels(pred), _labels(true)
-    if pred.size != true.size:
+    (pi, k_pred), (ti, k_true) = _label_index(pred), _label_index(true)
+    if pi.size != ti.size:
         raise ValueError("label vectors must have equal length")
-    if pred.size == 0:
+    if pi.size == 0:
         raise ValueError("label vectors must be nonempty")
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(true, return_inverse=True)
-    table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
+    table = np.zeros((k_pred, k_true), dtype=np.int64)
     np.add.at(table, (pi, ti), 1)
     return table
 
@@ -199,9 +199,7 @@ class Distances:
         Consecutive rows go through the kernel about ``DISTANCE_TILE`` pairs
         at a time, each against the rows after the first of them.
         """
-        x = _as_array(data)
-        if x.ndim != 2:
-            raise ValueError("expected a 2-D data matrix")
+        x = as_matrix(data)
         xt = np.ascontiguousarray(x.T)  # each column one contiguous row, as _squared_sums reads them
         n = x.shape[0]
         condensed = np.empty(n * (n - 1) // 2)
@@ -247,24 +245,18 @@ class Distances:
         return np.concatenate([np.empty(0), *(self(i, i + 1)[0, i + 1 :] for i in range(m - 1))])
 
 
-def silhouette(data, labels, distances: Distances | None = None) -> float:
+def silhouette(data, labels, distances: Distances) -> float:
     """Mean silhouette coefficient; singleton clusters contribute 0.
 
-    ``distances`` are those of ``data`` (``Distances.of(data)``, computed
-    here when None). They are read in blocks of about ``SILHOUETTE_BLOCK``
-    rows (fewer than 1.5 times as many; ``types.row_blocks``), so the call
-    holds one (rows, n) float64 block beside them rather than an n x n
-    matrix.
+    ``distances`` are those of ``data`` (``Distances.of(data)``). They are
+    read in blocks of about ``SILHOUETTE_BLOCK`` rows (fewer than 1.5 times
+    as many; ``types.row_blocks``), so the call holds one (rows, n) float64
+    block beside them rather than an n x n matrix.
     """
-    x = _as_array(data)
-    y = _labels(labels)
-    classes, y_idx = np.unique(y, return_inverse=True)
-    k = classes.size
+    n = as_matrix(data).shape[0]
+    y_idx, k = _label_index(labels)
     if k < 2:
         raise ValueError("silhouette needs at least 2 clusters")
-    n = x.shape[0]
-    if distances is None:
-        distances = Distances.of(x)
     counts = np.bincount(y_idx)
     # per-sample summed distance to each cluster. A gather of two or more
     # rows is Fortran-ordered and sums column by column at any row count;
@@ -296,10 +288,8 @@ def davies_bouldin(data, labels) -> float:
     Pairs with coincident centroids are skipped; if every centroid
     coincides the index is undefined and an error is raised.
     """
-    x = _as_array(data)
-    y = _labels(labels)
-    classes, y_idx = np.unique(y, return_inverse=True)
-    k = classes.size
+    x = as_matrix(data)
+    y_idx, k = _label_index(labels)
     if not 2 <= k < x.shape[0]:
         raise ValueError("davies_bouldin needs 2 <= k < n")
     centroids = np.vstack([x[y_idx == c].mean(axis=0) for c in range(k)])
@@ -318,10 +308,8 @@ def davies_bouldin(data, labels) -> float:
 
 def calinski_harabasz(data, labels) -> float:
     """Between/within variance ratio scaled by (n - k) / (k - 1)."""
-    x = _as_array(data)
-    y = _labels(labels)
-    classes, y_idx = np.unique(y, return_inverse=True)
-    k = classes.size
+    x = as_matrix(data)
+    y_idx, k = _label_index(labels)
     n = x.shape[0]
     if not 2 <= k < n:
         raise ValueError("calinski_harabasz needs 2 <= k < n")
@@ -371,7 +359,8 @@ def cophenetic_bootstrap(
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
     workers: int = 1,
-    distances: Distances | None = None,
+    *,
+    distances: Distances,
 ) -> float:
     """Stability of co-assignment under bootstrap re-clustering.
 
@@ -379,16 +368,11 @@ def cophenetic_bootstrap(
     bootstrap draw and contributes co-assignment votes for the pairs it
     contains. The result is the Pearson correlation between A and the mean
     bootstrap co-assignment over pairs observed at least min(5, B) times.
-    ``clusterer(matrix, seed, distances) -> labels`` must be deterministic
-    in its seed; ``distances`` are those of its matrix. They come from one
-    ``Distances`` of ``data`` (``distances``, or ``Distances.of(data)``
-    computed here), and each resample's are the subset its rows select, so
-    no resample computes them again. A clusterer that reads no distances
-    (k-means) still pays for that one ``Distances.of``: n(n-1)/2 float64
-    values. On one core of a shared 2-vCPU Xeon host that took 3 ms and
-    0.4 MB at n = 320, d = 20 (a 25-resample k-means bootstrap there:
-    0.24 s), and 6.0 s and 36 MB (55.6 MB traced peak) at n = 3000,
-    d = 768, where one 10-restart k-means of all rows took 3.3 s.
+    ``clusterer(matrix, seed, distances) -> labels`` (or a
+    ``cluster.ClusterModel``, which ``np.asarray`` reads as its labels) must
+    be deterministic in its seed; ``distances`` are those of its matrix.
+    The full-data call gets ``distances``, those of ``data``, and each
+    resample the subset its rows select, so no resample computes them again.
 
     The B resamples run over ``min(workers, B)`` processes
     (``parallel.pool_map``); then ``clusterer`` must pickle. Resample b
@@ -396,14 +380,12 @@ def cophenetic_bootstrap(
     ``seed + b + 1`` for the clusterer), and its votes are integer counts
     added in resample order, so the result does not depend on ``workers``.
     """
-    x = _as_array(data)
+    x = as_matrix(data)
     n = x.shape[0]
     if n < MIN_BOOTSTRAP_SAMPLES:
         raise ValueError(f"bootstrap stability needs at least {MIN_BOOTSTRAP_SAMPLES} samples")
     if B > np.iinfo(np.uint16).max:
         raise ValueError(f"B={B} resamples overflow the uint16 vote counts")
-    if distances is None:
-        distances = Distances.of(x)
     base = np.asarray(clusterer(x, seed, distances), dtype=np.int64)
 
     tasks = [(child, seed + b + 1) for b, child in enumerate(np.random.SeedSequence(seed).spawn(B))]
@@ -431,17 +413,15 @@ def cophenetic_bootstrap(
     return float(np.corrcoef(a_vals, ahat)[0, 1])
 
 
-def cophenetic_dendrogram(data, split_tree, distances: Distances | None = None) -> float:
+def cophenetic_dendrogram(data, split_tree, distances: Distances) -> float:
     """Classical cophenetic correlation for a divisive split tree.
 
     The cophenetic distance of a pair is the heterogeneity score of the
     node whose split separated it (0 for pairs sharing a final cluster);
     the result is its Pearson correlation with Euclidean distance, read
-    from ``distances`` (those of ``data``; ``Distances.of(data)``, computed
-    here, when None).
+    from ``distances`` (those of ``data``).
     """
-    x = _as_array(data)
-    n = x.shape[0]
+    n = as_matrix(data).shape[0]
     heights = np.zeros(n * (n - 1) // 2)  # condensed, as pdist
 
     def fill(node):
@@ -456,8 +436,6 @@ def cophenetic_dendrogram(data, split_tree, distances: Distances | None = None) 
         fill(right)
 
     fill(split_tree)
-    if distances is None:
-        distances = Distances.of(x)
     euclid = distances.pairs()
     if heights.std() == 0.0 or euclid.std() == 0.0:
         raise ValueError("degenerate distances; cophenetic correlation undefined")
@@ -466,9 +444,8 @@ def cophenetic_dendrogram(data, split_tree, distances: Distances | None = None) 
 
 def balance_metrics(labels) -> tuple[float, float]:
     """(entropy of cluster sizes in nats, entropy / ln k); k = 1 maps to 1."""
-    y = _labels(labels)
-    counts = np.bincount(np.unique(y, return_inverse=True)[1]).astype(np.float64)
-    k = counts.size
+    index, k = _label_index(labels)
+    counts = np.bincount(index).astype(np.float64)
     balance = _entropy(counts)
     normalized = 1.0 if k == 1 else balance / float(np.log(k))
     return balance, normalized
@@ -504,7 +481,8 @@ def evaluate_all(
     split_tree=None,
     context: dict | None = None,
     workers: int = 1,
-    distances: Distances | None = None,
+    *,
+    distances: Distances,
 ) -> EvaluationReport:
     """Populate every external, internal, and distribution metric.
 
@@ -512,20 +490,18 @@ def evaluate_all(
     convention it reports silhouette 0, Davies-Bouldin 0, cophenetic 1 (a
     constant partition is trivially stable) and, given a ``split_tree``,
     cophenetic_dendrogram 1 (a tree with one leaf splits no pair). Other
-    labelings read one ``Distances`` of ``data``: ``distances``, or
-    computed here; ``silhouette``, ``cophenetic_dendrogram`` and the
-    bootstrap, which passes them on to ``clusterer``, all get that one
-    object. ``workers`` sizes the bootstrap's process pool.
+    labelings read ``distances``, those of ``data``: ``silhouette``,
+    ``cophenetic_dendrogram`` and the bootstrap, which passes them on to
+    ``clusterer``, all get that one object. ``workers`` sizes the
+    bootstrap's process pool.
     """
-    x = _as_array(data)
+    x = as_matrix(data)
     balance, norm_balance = balance_metrics(labels)
-    if np.unique(_labels(labels)).size < 2:
+    if _label_index(labels)[1] < 2:
         internal = {"silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0}
         if split_tree is not None:
             internal["cophenetic_dendrogram"] = 1.0
     else:
-        if distances is None:
-            distances = Distances.of(x)
         internal = {
             "silhouette": silhouette(x, labels, distances),
             "davies_bouldin": davies_bouldin(x, labels),

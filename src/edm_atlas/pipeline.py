@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, get_type_hints
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -281,8 +281,9 @@ def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
 
     ``selected.csv`` is read back column-major. ``FeatureMatrix.select``
     gathers columns, so ``cluster`` computes on an F-ordered array, and
-    k-means and silhouette round differently on a C-ordered copy of the same
-    values.
+    k-means and Calinski-Harabasz round differently on a C-ordered copy of
+    the same values (silhouette reads ``metrics.Distances``, which do not
+    depend on the layout).
 
     A ``selected.csv`` whose track ids are not those of the ``features.csv``
     beside it, in the same order, was selected from an earlier extraction
@@ -308,31 +309,22 @@ def _selected_matrix(cfg: RunConfig) -> FeatureMatrix:
 
 
 _METHODS = ("kmeans", "divisive")
+BOOTSTRAP_RESTARTS = 10  # k-means restarts of each bootstrap clustering
 
 
-def _kmeans_labels(x: np.ndarray, seed: int, distances: metrics.Distances, *, k: int) -> np.ndarray:
-    """The bootstrap's k-means clusterer: at most k clusters, 10 restarts; it ignores ``distances``."""
-    return kmeans(x, min(k, x.shape[0]), restarts=10, seed=seed).labels
+def _fit(x: np.ndarray, seed: int, distances: metrics.Distances, *, method: str, k: int, restarts: int) -> ClusterModel:
+    """``method``'s model of ``x`` with at most ``k`` clusters; ``distances`` are those of ``x``.
 
-
-def _divisive_labels(x: np.ndarray, seed: int, distances: metrics.Distances, *, k: int) -> np.ndarray:
-    """The bootstrap's divisive clusterer: at most k clusters, over ``distances``, those of ``x``."""
-    return divisive_cluster(x, min(k, x.shape[0]), seed=seed, distances=distances).labels
-
-
-def _run_method(
-    matrix: FeatureMatrix, method: str, cfg: RunConfig, distances: metrics.Distances
-) -> tuple[ClusterModel, Callable[[np.ndarray, int, metrics.Distances], np.ndarray]]:
-    """The model at ``cfg.k`` and its bootstrap clusterer, which pickles for the pool.
-
-    ``distances`` are those of ``matrix.data``.
+    Only k-means runs ``restarts`` restarts, and only divisive clustering
+    reads ``distances``. ``cluster`` fits its model at ``cfg.restarts``;
+    its bootstrap clusterer is this function at ``BOOTSTRAP_RESTARTS``
+    (a ``partial``, which pickles for the pool), whose model reads as its
+    labels.
     """
-    seed = stage_seed(cfg.seed, f"cluster:{method}")
+    k = min(k, x.shape[0])
     if method == "kmeans":
-        model = kmeans(matrix.data, cfg.k, restarts=cfg.restarts, seed=seed)
-        return model, partial(_kmeans_labels, k=cfg.k)
-    model = divisive_cluster(matrix.data, cfg.k, seed=seed, distances=distances)
-    return model, partial(_divisive_labels, k=cfg.k)
+        return kmeans(x, k, restarts=restarts, seed=seed)
+    return divisive_cluster(x, k, seed=seed, distances=distances)
 
 
 # exactly the names f"profile_cluster_{cluster_id}.svg" gives an integer cluster id
@@ -351,8 +343,8 @@ def _remove_stale(out_dir: Path, names: Iterable[str]) -> None:
 def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     """Select features (unless embeddings are supplied) after every track check, cluster at the fixed k, evaluate.
 
-    The clustering input's distances are computed once
-    (``metrics.Distances``) and read by the divisive clustering, every
+    The clustering input's distances are computed once, here
+    (``metrics.Distances``), and read by the divisive clustering, every
     evaluation and each bootstrap resample of the divisive clusterer.
 
     After its last write it removes the outputs of a method it did not run,
@@ -386,7 +378,8 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     distances = metrics.Distances.of(matrix.data)
     reports: dict[str, metrics.EvaluationReport] = {}
     for method in methods:
-        model, clusterer = _run_method(matrix, method, cfg, distances)
+        seed = stage_seed(cfg.seed, f"cluster:{method}")
+        model = _fit(matrix.data, seed, distances, method=method, k=cfg.k, restarts=cfg.restarts)
         if model.warning:
             logger.warning("%s: %s", method, model.warning)
         save_labels(out_dir / f"labels_{method}.csv", matrix.row_ids, model.labels)
@@ -401,7 +394,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
             matrix.data,
             model.labels,
             truth,
-            clusterer,
+            partial(_fit, method=method, k=cfg.k, restarts=BOOTSTRAP_RESTARTS),
             seed=stage_seed(cfg.seed, f"bootstrap:{method}"),
             split_tree=model.split_tree,
             context=context,
@@ -422,7 +415,10 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
 
 
 def cmd_sweep(cfg: RunConfig):
-    """Natural-k sweep over [k_min, k_max]; returns the KSweepResult."""
+    """Natural-k sweep over [k_min, k_max]; returns the KSweepResult.
+
+    The matrix's distances are computed once, here, and every k reads them.
+    """
     cfg.validate()
     matrix = _selected_matrix(cfg)
     if cfg.k_max > matrix.shape[0]:
@@ -433,6 +429,7 @@ def cmd_sweep(cfg: RunConfig):
         seed=stage_seed(cfg.seed, "sweep"),
         restarts=cfg.restarts,
         workers=cfg.workers,
+        distances=metrics.Distances.of(matrix.data),
     )
     result.write_csv(Path(cfg.out) / "sweep.csv")
     print(f"chosen_k={result.chosen_k}")

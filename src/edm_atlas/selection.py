@@ -62,10 +62,6 @@ class SelectionReport:
         write_csv(path, [header, *rows])
 
 
-def _column_variance(data: np.ndarray) -> np.ndarray:
-    return data.var(axis=0)
-
-
 def _column_skewness(data: np.ndarray) -> np.ndarray:
     centered = data - data.mean(axis=0)
     m2 = (centered**2).mean(axis=0)
@@ -91,7 +87,7 @@ def engineer_features(m: FeatureMatrix) -> FeatureMatrix:
     (c) products of the highest-variance column from each pair of audio
     groups. Names: ``sq_<f>``, ``log_<f>``, ``x_<f>_<g>``.
     """
-    var = _column_variance(m.data)
+    var = m.data.var(axis=0)
     new_cols, new_names = [], []
 
     for i in _rank_columns(var, m.col_names, ENGINEER_TOP_VARIANCE, "square expansion"):
@@ -225,8 +221,13 @@ def _check_labels(y: np.ndarray, n_rows: int, min_per_class: int = 1) -> None:
         raise ValueError(f"every class needs at least {min_per_class} samples")
 
 
-def _f_ratio(data: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column (SSB/(K-1)) / (SSW/(n-K)); returns (F, zero_within_mask)."""
+def _f_ratio(data: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-column (SSB/(K-1)) / (SSW/(n-K)).
+
+    A column with no within-class variance scores 0 if its classes share
+    one mean; if it separates them perfectly it scores 10x the largest
+    other score (10 when there is none above 0).
+    """
     n, _ = data.shape
     classes, y_idx = np.unique(y, return_inverse=True)
     k = classes.size
@@ -245,23 +246,17 @@ def _f_ratio(data: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero_within = ssw <= 1e-10 * np.maximum(sst, 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(zero_within, 0.0, msb / np.where(zero_within, 1.0, msw))
-    return f, zero_within & (msb > 0)
-
-
-def _with_sentinel(f: np.ndarray, infinite: np.ndarray) -> np.ndarray:
-    """Replace perfectly-separating columns with 10x the largest finite score."""
-    out = f.copy()
+    infinite = zero_within & (msb > 0)
     if np.any(infinite):
-        finite_max = out[~infinite].max() if np.any(~infinite) else 0.0
-        out[infinite] = finite_max * 10.0 if finite_max > 0 else 10.0
-    return out
+        finite_max = f[~infinite].max() if np.any(~infinite) else 0.0
+        f[infinite] = finite_max * 10.0 if finite_max > 0 else 10.0
+    return f
 
 
 def anova_f(data: np.ndarray, y: np.ndarray) -> np.ndarray:
     """One-way ANOVA F statistic per column of ``data``; ``y`` holds each row's class index."""
     _check_labels(y, data.shape[0], min_per_class=2)
-    f, infinite = _f_ratio(data, y)
-    return _with_sentinel(f, infinite)
+    return _f_ratio(data, y)
 
 
 def mutual_info(data: np.ndarray, y: np.ndarray, bins: int = MI_BINS) -> np.ndarray:
@@ -287,8 +282,7 @@ def variance_score(data: np.ndarray) -> np.ndarray:
 def cluster_separation_score(data: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-column 1-D Calinski-Harabasz index of the class labeling ``y``."""
     _check_labels(y, data.shape[0])
-    f, infinite = _f_ratio(data, y)
-    return _with_sentinel(f, infinite)
+    return _f_ratio(data, y)
 
 
 def ensemble_select(

@@ -1,4 +1,4 @@
-"""Shared lightweight containers for extracted features, and the one row partition."""
+"""Shared lightweight containers for extracted features, the one 2-D data check, and the one row partition."""
 
 from __future__ import annotations
 
@@ -57,6 +57,14 @@ class FeatureVector:
 
     def same_schema(self, other: "FeatureVector") -> bool:
         return self.names == other.names and self.groups == other.groups
+
+
+def as_matrix(data) -> np.ndarray:
+    """``data`` as a float64 array; ValueError unless it is 2-D (rows are points)."""
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-D data matrix")
+    return arr
 
 
 def stats_pair(values: Sequence[float] | np.ndarray) -> tuple[float, float]:

@@ -100,59 +100,89 @@ class TestKmeans:
         data, _ = make_blobs(3, 30, seed=4)
         model = kmeans(data, 3, seed=0)
         permuted = (model.labels + 1) % 3
-        assert metrics.silhouette(data, model.labels) == pytest.approx(
-            metrics.silhouette(data, permuted)
+        distances = metrics.Distances.of(data)
+        assert metrics.silhouette(data, model.labels, distances) == pytest.approx(
+            metrics.silhouette(data, permuted, distances)
         )
+
+
+class TestModelReadsAsLabels:
+    def test_array_protocol(self, monkeypatch):
+        """``np.asarray(model)`` is its labels, also as numpy 1.x calls ``__array__``.
+
+        numpy 1.x passes no ``copy`` argument, and its ``np.array`` rejects
+        ``copy=None``; the stand-in below behaves so.
+        """
+        model = kmeans(make_blobs(3, 10, seed=2)[0], 3, seed=0)
+        real_array = np.array
+
+        def numpy1_array(obj, *args, copy=True, **kwargs):
+            if copy is None:
+                raise ValueError("NoneType copy mode not allowed")
+            return real_array(obj, *args, copy=copy, **kwargs)
+
+        monkeypatch.setattr(np, "array", numpy1_array)
+        for labels in (model.__array__(), model.__array__(np.int64), np.asarray(model, dtype=np.int64)):
+            assert labels.dtype == np.int64 and np.array_equal(labels, model.labels)
+        assert np.array_equal(model.__array__(np.float64), model.labels.astype(np.float64))
+        copied = model.__array__(copy=True)
+        copied += 1
+        assert np.array_equal(copied - 1, model.labels)
 
 
 class TestHeterogeneity:
     def test_identical_points_zero(self):
-        assert heterogeneity(np.ones((10, 3))) == 0.0
+        points = np.ones((10, 3))
+        assert heterogeneity(points, distances=metrics.Distances.of(points)) == 0.0
 
     def test_small_cluster_zero(self):
         rng = np.random.default_rng(5)
         for n in (1, 2, 3):
-            assert heterogeneity(rng.normal(0, 1, (n, 3))) == 0.0
+            points = rng.normal(0, 1, (n, 3))
+            assert heterogeneity(points, distances=metrics.Distances.of(points)) == 0.0
 
     def test_factor_product_oracle(self):
         rng = np.random.default_rng(6)
         points = np.vstack([rng.normal(0, 1, (50, 3)), rng.normal(10, 1, (50, 3))])
-        h = heterogeneity(points, seed=11)
+        distances = metrics.Distances.of(points)
+        h = heterogeneity(points, seed=11, distances=distances)
         variance = float(((points - points.mean(axis=0)) ** 2).sum(axis=1).mean())
         split = kmeans(points, 2, restarts=5, seed=11)
-        sil = metrics.silhouette(points, split.labels)
+        sil = metrics.silhouette(points, split.labels, distances)
         expected = variance * (1.0 + sil) * np.log(101)
         assert abs(h - expected) < 1e-9
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
-            assert heterogeneity(rng.normal(0, 1, (20, 4)), seed=0) >= 0.0
+            points = rng.normal(0, 1, (20, 4))
+            assert heterogeneity(points, seed=0, distances=metrics.Distances.of(points)) >= 0.0
 
 
 class TestDivisive:
     def test_four_blob_recovery(self):
         data, truth = make_blobs(4, 40, dim=4, seed=8)
-        model = divisive_cluster(data, 4, seed=0)
+        model = divisive_cluster(data, 4, seed=0, distances=metrics.Distances.of(data))
         assert metrics.ari(model.labels, truth) == 1.0
         assert model.method == "divisive"
 
     def test_k2_single_root_split(self):
         data, _ = make_blobs(2, 30, dim=3, seed=9)
-        model = divisive_cluster(data, 2, seed=0)
+        model = divisive_cluster(data, 2, seed=0, distances=metrics.Distances.of(data))
         tree = model.split_tree
         assert tree.children is not None
         assert tree.h > 0
         assert all(child.children is None for child in tree.children)
 
     def test_identical_rows_stop_with_warning(self):
-        model = divisive_cluster(np.ones((20, 3)), 3, seed=0)
+        data = np.ones((20, 3))
+        model = divisive_cluster(data, 3, seed=0, distances=metrics.Distances.of(data))
         assert model.k == 1
         assert model.warning is not None
 
     def test_split_tree_records_h(self):
         data, _ = make_blobs(3, 30, seed=10)
-        model = divisive_cluster(data, 3, seed=0)
+        model = divisive_cluster(data, 3, seed=0, distances=metrics.Distances.of(data))
         payload = model.split_tree.to_dict()
         text = json.dumps(payload)
         assert json.loads(text)["h"] > 0
@@ -161,7 +191,7 @@ class TestDivisive:
     def test_exact_k_on_distinct_data(self):
         rng = np.random.default_rng(12)
         data = rng.normal(0, 1, (40, 3))
-        model = divisive_cluster(data, 7, seed=0)
+        model = divisive_cluster(data, 7, seed=0, distances=metrics.Distances.of(data))
         assert model.k == 7
         assert np.bincount(model.labels).min() >= 1
 
@@ -169,19 +199,19 @@ class TestDivisive:
 class TestSelectNaturalK:
     def test_twenty_blobs(self):
         data, _ = make_blobs(20, 30, dim=8, seed=1)
-        result = select_natural_k(data, (15, 40), seed=0)
+        result = select_natural_k(data, (15, 40), seed=0, distances=metrics.Distances.of(data))
         assert result.chosen_k in (19, 20, 21)
 
     def test_single_blob_prefers_two(self):
         rng = np.random.default_rng(0)
         data = rng.normal(0, 1, (300, 32))
-        result = select_natural_k(data, (2, 10), seed=0, restarts=10)
+        result = select_natural_k(data, (2, 10), seed=0, restarts=10, distances=metrics.Distances.of(data))
         assert result.chosen_k == 2
         assert int(result.ks[np.argmax(result.silhouette)]) in (2, 3)
 
     def test_normalized_curves_span_unit_interval(self):
         data, _ = make_blobs(20, 30, dim=8, seed=1)
-        result = select_natural_k(data, (15, 40), seed=0, restarts=10)
+        result = select_natural_k(data, (15, 40), seed=0, restarts=10, distances=metrics.Distances.of(data))
         for curve in (result.sil_norm, result.ch_norm, result.elbow_norm):
             assert curve.min() == 0.0
             assert curve.max() == 1.0
@@ -189,14 +219,15 @@ class TestSelectNaturalK:
 
     def test_degenerate_range(self):
         data = np.random.default_rng(0).normal(0, 1, (30, 3))
+        distances = metrics.Distances.of(data)
         with pytest.raises(ValueError):
-            select_natural_k(data, (10, 5))
+            select_natural_k(data, (10, 5), distances=distances)
         with pytest.raises(ValueError):
-            select_natural_k(data, (2, 50))
+            select_natural_k(data, (2, 50), distances=distances)
 
     def test_csv_row_count(self, tmp_path):
         data, _ = make_blobs(5, 20, dim=4, seed=14)
-        result = select_natural_k(data, (2, 10), seed=0, restarts=5)
+        result = select_natural_k(data, (2, 10), seed=0, restarts=5, distances=metrics.Distances.of(data))
         result.write_csv(tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 9  # header + one row per k in [2, 10]
@@ -462,17 +493,19 @@ class TestKmeansMatchesReference:
 
     def test_divisive_cluster(self, monkeypatch):
         data = make_blobs(4, 15, dim=6, seed=5)[0]
-        got = divisive_cluster(data, 6, seed=3)
+        distances = metrics.Distances.of(data)
+        got = divisive_cluster(data, 6, seed=3, distances=distances)
         monkeypatch.setattr(cluster, "kmeans", kmeans_reference)
-        want = divisive_cluster(data, 6, seed=3)
+        want = divisive_cluster(data, 6, seed=3, distances=distances)
         assert same_model(got, want)
         assert got.split_tree.to_dict() == want.split_tree.to_dict()
 
     def test_select_natural_k(self, monkeypatch):
         data = make_blobs(5, 12, dim=4, seed=6)[0]
-        got = select_natural_k(data, (2, 8), seed=1, restarts=6)
+        distances = metrics.Distances.of(data)
+        got = select_natural_k(data, (2, 8), seed=1, restarts=6, distances=distances)
         monkeypatch.setattr(cluster, "kmeans", kmeans_reference)
-        want = select_natural_k(data, (2, 8), seed=1, restarts=6)
+        want = select_natural_k(data, (2, 8), seed=1, restarts=6, distances=distances)
         for f in fields(got):
             assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
 
@@ -492,7 +525,7 @@ def divisive_reference(data, k_target, seed=0):
         return int(ss.spawn(1)[0].generate_state(1)[0])
 
     root = cluster.SplitNode(0, np.arange(n))
-    h_scores = {0: heterogeneity(x, seed=next_seed())}
+    h_scores = {0: heterogeneity(x, seed=next_seed(), distances=metrics.Distances.of(x))}
     leaves = {0: root}
     next_id = 1
     warning = None
@@ -511,7 +544,8 @@ def divisive_reference(data, k_target, seed=0):
         node.children = (left, right)
         for child in (left, right):
             leaves[child.node_id] = child
-            h_scores[child.node_id] = heterogeneity(x[child.indices], seed=next_seed())
+            members = x[child.indices]  # scored over its own distances, not a subset view
+            h_scores[child.node_id] = heterogeneity(members, seed=next_seed(), distances=metrics.Distances.of(members))
     labels = np.empty(n, dtype=np.int64)
     ordered = [leaves[nid] for nid in sorted(leaves)]
     inertia = 0.0
@@ -527,7 +561,7 @@ class TestDivisiveMatchesReference:
     def test_heterogeneity_calls(self, k):
         data = np.random.default_rng(k).normal(0, 1, (60, 4))
         with mock.patch.object(cluster, "heterogeneity", wraps=heterogeneity) as spy:
-            model = divisive_cluster(data, k, seed=0)
+            model = divisive_cluster(data, k, seed=0, distances=metrics.Distances.of(data))
         assert model.k == k and model.warning is None
         assert spy.call_count == 2 * k - 3
 
@@ -543,15 +577,15 @@ class TestDivisiveMatchesReference:
         ids=["blobs", "noise", "duplicates", "constant"],
     )
     def test_same_model_and_tree(self, data, k, seed):
-        got = divisive_cluster(data, k, seed=seed)
+        got = divisive_cluster(data, k, seed=seed, distances=metrics.Distances.of(data))
         want = divisive_reference(data, k, seed=seed)
         assert same_model(got, want)
         assert got.split_tree.to_dict() == want.split_tree.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# divisive_cluster and select_natural_k compute their input's distances once
-# and every silhouette reads them; each silhouette computed its own with
+# divisive_cluster and select_natural_k read the one Distances of their input
+# they are given, and every silhouette reads them; each silhouette computed its own with
 # scipy's cdist. silhouette_reference is that silhouette, and every result
 # must match it bit for bit.
 
@@ -567,11 +601,11 @@ CASE_IDS = ["blobs", "noise", "duplicates", "fortran"]
 class TestSharedDistancesMatchReference:
     @pytest.mark.parametrize("data, k", CASES, ids=CASE_IDS)
     def test_divisive_cluster(self, monkeypatch, data, k):
-        got = [divisive_cluster(data, k, seed=seed) for seed in range(3)]
-        given = divisive_cluster(data, k, seed=0, distances=metrics.Distances.of(data))
+        distances = metrics.Distances.of(data)
+        got = [divisive_cluster(data, k, seed=seed, distances=distances) for seed in range(3)]
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
-        want = [divisive_cluster(data, k, seed=seed) for seed in range(3)]
-        for g, w in zip([*got, given], [*want, want[0]]):
+        want = [divisive_cluster(data, k, seed=seed, distances=distances) for seed in range(3)]
+        for g, w in zip(got, want):
             assert same_model(g, w)
             assert g.split_tree.to_dict() == w.split_tree.to_dict()
 
@@ -581,13 +615,14 @@ class TestSharedDistancesMatchReference:
         distances = metrics.Distances.of(data).subset(rows)
         got = [heterogeneity(data[rows], seed=seed, distances=distances) for seed in range(4)]
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
-        want = [heterogeneity(data[rows], seed=seed) for seed in range(4)]
+        want = [heterogeneity(data[rows], seed=seed, distances=distances) for seed in range(4)]
         assert same_bits(got, want)
 
     @pytest.mark.parametrize("data, k", CASES, ids=CASE_IDS)
     def test_select_natural_k(self, monkeypatch, data, k):
-        got = select_natural_k(data, (2, k), seed=1, restarts=4)
+        distances = metrics.Distances.of(data)
+        got = select_natural_k(data, (2, k), seed=1, restarts=4, distances=distances)
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
-        want = select_natural_k(data, (2, k), seed=1, restarts=4)
+        want = select_natural_k(data, (2, k), seed=1, restarts=4, distances=distances)
         for f in fields(got):
             assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name

@@ -10,7 +10,7 @@ from scipy.stats import rankdata
 
 from conftest import make_blobs, silhouette_reference
 from edm_atlas import metrics
-from edm_atlas.cluster import SplitNode, divisive_cluster, kmeans
+from edm_atlas.cluster import SplitNode, divisive_cluster, kmeans, select_natural_k
 from edm_atlas.table import FeatureMatrix
 
 
@@ -148,23 +148,23 @@ class TestMiScore:
 class TestSilhouette:
     def test_two_far_blobs(self):
         data, truth = make_blobs(2, 40, dim=3, sigma=0.5, seed=5)
-        assert metrics.silhouette(data, truth) > 0.9
+        assert metrics.silhouette(data, truth, metrics.Distances.of(data)) > 0.9
 
     def test_random_labels_near_zero(self):
         rng = np.random.default_rng(6)
         data = rng.normal(0, 1, (200, 4))
         labels = rng.integers(0, 3, 200)
-        assert abs(metrics.silhouette(data, labels)) < 0.1
+        assert abs(metrics.silhouette(data, labels, metrics.Distances.of(data))) < 0.1
 
     def test_duplicate_pairs_score_one(self):
         base = np.random.default_rng(7).normal(0, 1, (10, 3))
         data = np.repeat(base, 2, axis=0)
         labels = np.repeat(np.arange(10), 2)
-        assert metrics.silhouette(data, labels) == 1.0
+        assert metrics.silhouette(data, labels, metrics.Distances.of(data)) == 1.0
 
     def test_needs_two_clusters(self):
         with pytest.raises(ValueError):
-            metrics.silhouette(np.ones((5, 2)), np.zeros(5, dtype=int))
+            metrics.silhouette(np.ones((5, 2)), np.zeros(5, dtype=int), metrics.Distances.of(np.ones((5, 2))))
 
 
 class TestDaviesBouldin:
@@ -194,7 +194,9 @@ class TestDaviesBouldin:
         rng = np.random.default_rng(10)
         bad_data = rng.normal(0, 1, (80, 3))
         bad_labels = rng.integers(0, 2, 80)
-        assert metrics.silhouette(good_data, good_labels) > metrics.silhouette(bad_data, bad_labels)
+        assert metrics.silhouette(good_data, good_labels, metrics.Distances.of(good_data)) > metrics.silhouette(
+            bad_data, bad_labels, metrics.Distances.of(bad_data)
+        )
         assert metrics.davies_bouldin(good_data, good_labels) < metrics.davies_bouldin(
             bad_data, bad_labels
         )
@@ -228,15 +230,21 @@ def divisive_clusterer(k):
 class TestCopheneticBootstrap:
     def test_separated_blobs_stable(self):
         data, _ = make_blobs(3, 30, dim=4, seed=12)
-        value = metrics.cophenetic_bootstrap(data, kmeans_clusterer(3), B=30, seed=0)
+        value = metrics.cophenetic_bootstrap(
+            data, kmeans_clusterer(3), B=30, seed=0, distances=metrics.Distances.of(data)
+        )
         assert value > 0.95
 
     def test_random_data_less_stable(self):
         data, _ = make_blobs(3, 30, dim=4, seed=12)
-        stable = metrics.cophenetic_bootstrap(data, kmeans_clusterer(3), B=30, seed=0)
+        stable = metrics.cophenetic_bootstrap(
+            data, kmeans_clusterer(3), B=30, seed=0, distances=metrics.Distances.of(data)
+        )
         rng = np.random.default_rng(13)
         noise = rng.uniform(0, 1, (90, 4))
-        unstable = metrics.cophenetic_bootstrap(noise, kmeans_clusterer(5), B=30, seed=0)
+        unstable = metrics.cophenetic_bootstrap(
+            noise, kmeans_clusterer(5), B=30, seed=0, distances=metrics.Distances.of(noise)
+        )
         assert stable - unstable > 0.3
 
     def test_identity_resample_perfect(self):
@@ -244,20 +252,23 @@ class TestCopheneticBootstrap:
         data, _ = make_blobs(3, 20, dim=3, seed=14)
         cut = np.median(data[:, 0])
         value = metrics.cophenetic_bootstrap(
-            data, lambda x, seed, distances: (x[:, 0] > cut).astype(int), B=1, seed=0
+            data, lambda x, seed, distances: (x[:, 0] > cut).astype(int), B=1, seed=0,
+            distances=metrics.Distances.of(data),
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_needs_ten_samples(self):
+        data = np.ones((5, 2))
         with pytest.raises(ValueError):
-            metrics.cophenetic_bootstrap(np.ones((5, 2)), kmeans_clusterer(2))
+            metrics.cophenetic_bootstrap(data, kmeans_clusterer(2), distances=metrics.Distances.of(data))
 
 
 class TestCopheneticDendrogram:
     def test_blob_tree_correlates(self):
         data, _ = make_blobs(3, 30, dim=4, seed=15)
-        model = divisive_cluster(data, 3, seed=0)
-        value = metrics.cophenetic_dendrogram(data, model.split_tree)
+        distances = metrics.Distances.of(data)
+        model = divisive_cluster(data, 3, seed=0, distances=distances)
+        value = metrics.cophenetic_dendrogram(data, model.split_tree, distances)
         assert 0.5 < value <= 1.0
 
 
@@ -287,7 +298,7 @@ class TestEvaluateAll:
         model = kmeans(data, 3, seed=0)
         report = metrics.evaluate_all(
             data, model.labels, truth, kmeans_clusterer(3), B=10, seed=0,
-            context={"method": "kmeans", "k": 3, "seed": 0},
+            context={"method": "kmeans", "k": 3, "seed": 0}, distances=metrics.Distances.of(data),
         )
         assert report.external["nmi"] == 1.0
         assert report.external["ari"] == 1.0
@@ -297,7 +308,9 @@ class TestEvaluateAll:
     def test_constant_pred_conventions(self):
         data, truth = make_blobs(2, 20, dim=3, seed=17)
         labels = np.zeros(40, dtype=int)
-        report = metrics.evaluate_all(data, labels, truth, kmeans_clusterer(2), B=5, seed=0)
+        report = metrics.evaluate_all(
+            data, labels, truth, kmeans_clusterer(2), B=5, seed=0, distances=metrics.Distances.of(data)
+        )
         assert report.external["purity"] == 0.5
         assert abs(report.external["ari"]) < 1e-9
         assert report.internal["silhouette"] == 0.0
@@ -307,7 +320,7 @@ class TestEvaluateAll:
         model = kmeans(data, 2, seed=0)
         report = metrics.evaluate_all(
             data, model.labels, truth, kmeans_clusterer(2), B=5, seed=0,
-            context={"method": "kmeans", "k": 2, "seed": 0},
+            context={"method": "kmeans", "k": 2, "seed": 0}, distances=metrics.Distances.of(data),
         )
         report.save(tmp_path / "report.json")
         back = json.loads((tmp_path / "report.json").read_text())
@@ -320,19 +333,23 @@ class TestEvaluateAll:
 
     def test_divisive_adds_dendrogram_key(self):
         data, truth = make_blobs(3, 25, dim=3, seed=19)
-        model = divisive_cluster(data, 3, seed=0)
+        distances = metrics.Distances.of(data)
+        model = divisive_cluster(data, 3, seed=0, distances=distances)
         report = metrics.evaluate_all(
-            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree
+            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree,
+            distances=distances,
         )
         assert "cophenetic_dendrogram" in report.internal
 
     def test_single_leaf_tree_conventions(self):
         # identical rows: the divisive model stops at one cluster, whose tree splits no pair
         data, truth = np.ones((24, 2)), np.repeat([0, 1], 12)
-        model = divisive_cluster(data, 3, seed=0)
+        distances = metrics.Distances.of(data)
+        model = divisive_cluster(data, 3, seed=0, distances=distances)
         assert model.split_tree.children is None
         report = metrics.evaluate_all(
-            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree
+            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree,
+            distances=distances,
         )
         assert report.internal == {
             "silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0, "cophenetic_dendrogram": 1.0
@@ -554,7 +571,7 @@ class TestArrayPassesMatchLoops:
     @pytest.mark.parametrize("case", sorted(EXPLICIT_CASES))
     def test_explicit_cases(self, case):
         x, labels = EXPLICIT_CASES[case]
-        assert outcome(metrics.silhouette, x, labels) == outcome(silhouette_loop, x, labels)
+        assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == outcome(silhouette_loop, x, labels)
         if np.unique(labels).size < x.shape[0]:
             assert outcome(metrics.davies_bouldin, x, labels) == outcome(
                 davies_bouldin_loop, x, labels
@@ -569,7 +586,7 @@ class TestArrayPassesMatchLoops:
     @given(labeled_points())
     def test_silhouette_bitwise(self, case):
         x, labels = case
-        assert outcome(metrics.silhouette, x, labels) == outcome(silhouette_loop, x, labels)
+        assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == outcome(silhouette_loop, x, labels)
 
     @settings(max_examples=200, deadline=None)
     @given(labeled_points())
@@ -669,6 +686,11 @@ def seeded_labels(x, seed, distances):
     return np.random.default_rng(seed).integers(0, 3, x.shape[0])
 
 
+def bootstrap(x, clusterer, B, seed, workers=1):
+    """``metrics.cophenetic_bootstrap`` over the distances of ``x``."""
+    return metrics.cophenetic_bootstrap(x, clusterer, B, seed, workers, distances=metrics.Distances.of(x))
+
+
 def median_split(x, seed, distances):
     """Labels that depend on the rows only: duplicate rows always share a cluster."""
     return (x[:, 0] > np.median(x[:, 0])).astype(int)
@@ -693,7 +715,7 @@ class TestBootstrapVotesMatchLoop:
     @given(bootstrap_cases())
     def test_bitwise(self, case):
         x, clusterer, B, seed = case
-        assert outcome(metrics.cophenetic_bootstrap, x, clusterer, B, seed) == outcome(
+        assert outcome(bootstrap, x, clusterer, B, seed) == outcome(
             cophenetic_bootstrap_loop, x, clusterer, B, seed
         )
 
@@ -701,13 +723,13 @@ class TestBootstrapVotesMatchLoop:
     def test_duplicate_rows(self, B):
         x = np.repeat(make_blobs(3, 5, dim=2, seed=21)[0], 3, axis=0)
         for clusterer in (median_split, kmeans_clusterer(3), divisive_clusterer(3)):
-            assert outcome(metrics.cophenetic_bootstrap, x, clusterer, B, 4) == outcome(
+            assert outcome(bootstrap, x, clusterer, B, 4) == outcome(
                 cophenetic_bootstrap_loop, x, clusterer, B, 4
             )
 
     def test_vote_count_limit(self):
         with pytest.raises(ValueError, match="uint16"):
-            metrics.cophenetic_bootstrap(np.arange(20.0)[:, None], median_split, B=70000)
+            bootstrap(np.arange(20.0)[:, None], median_split, B=70000, seed=0)
 
 
 # Each resample's votes were filled from triu_indices over all the pairs it
@@ -805,16 +827,18 @@ class TestSilhouetteBlocksMatchDense:
     def test_bitwise_at_any_block(self, case):
         x, labels, block = case
         want = outcome(silhouette_dense, x, labels)
-        assert outcome(metrics.silhouette, x, labels) == want
+        assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == want
         with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
-            assert outcome(metrics.silhouette, x, labels) == want
+            assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == want
 
     @settings(max_examples=100, deadline=None)
     @given(labeled_points(), st.integers(2, 5))
     def test_small_blocks_with_ties(self, case, block):
         x, labels = case
         with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
-            assert outcome(metrics.silhouette, x, labels) == outcome(silhouette_dense, x, labels)
+            assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == outcome(
+                silhouette_dense, x, labels
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +891,16 @@ class TestDendrogramMatchesDense:
         x = rng.integers(-2, 3, (n, d)).astype(np.float64)  # ties and duplicate rows
         heights = np.r_[0.0, rng.normal(0, 1, 3), rng.uniform(0, 1e3, 3)]
         tree = random_split_tree(np.arange(n), heights, rng)
-        assert outcome(metrics.cophenetic_dendrogram, x, tree) == outcome(cophenetic_dendrogram_dense, x, tree)
+        assert outcome(metrics.cophenetic_dendrogram, x, tree, metrics.Distances.of(x)) == outcome(
+            cophenetic_dendrogram_dense, x, tree
+        )
 
     @pytest.mark.parametrize("k", [2, 5, 12])
     def test_divisive_trees_bitwise(self, k):
         data, _ = make_blobs(4, 25, dim=6, seed=k)
-        tree = divisive_cluster(data, k, seed=1).split_tree
-        assert outcome(metrics.cophenetic_dendrogram, data, tree) == outcome(
+        distances = metrics.Distances.of(data)
+        tree = divisive_cluster(data, k, seed=1, distances=distances).split_tree
+        assert outcome(metrics.cophenetic_dendrogram, data, tree, distances) == outcome(
             cophenetic_dendrogram_dense, data, tree
         )
 
@@ -997,7 +1024,7 @@ class TestGatheredBlocks:
         x, labels, block = case
         want = outcome(silhouette_reference, x, labels)
         with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
-            assert outcome(metrics.silhouette, x, labels) == want
+            assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == want
             # the same points as a subset of a larger matrix's distances
             rng = np.random.default_rng(seed)
             larger = np.vstack([x, rng.normal(0, 1, (int(rng.integers(1, 20)), x.shape[1]))])
@@ -1012,14 +1039,16 @@ class TestSharedDistancesMatchReference:
 
     @staticmethod
     def report(data, labels, truth, clusterer, split_tree):
-        report = metrics.evaluate_all(data, labels, truth, clusterer, B=6, seed=3, split_tree=split_tree)
+        report = metrics.evaluate_all(
+            data, labels, truth, clusterer, B=6, seed=3, split_tree=split_tree, distances=metrics.Distances.of(data)
+        )
         return report.external, report.internal, report.distribution
 
     @pytest.mark.parametrize("seed", range(3))
     def test_evaluate_all(self, monkeypatch, seed):
         data, truth = make_blobs(4, 12, dim=5, seed=seed)
         data = data[np.random.default_rng(seed).integers(0, 48, 48)]  # duplicate rows
-        model = divisive_cluster(data, 5, seed=seed)
+        model = divisive_cluster(data, 5, seed=seed, distances=metrics.Distances.of(data))
         got = self.report(data, model.labels, truth, divisive_clusterer(4), model.split_tree)
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
         monkeypatch.setattr(
@@ -1042,8 +1071,8 @@ class TestSharedDistancesMatchReference:
 
 # ---------------------------------------------------------------------------
 # The bootstrap always passes its clusterer the distances of the points it
-# clusters, from one Distances of the data. Given or computed, and given as a
-# subset of a larger matrix's, they must change no bit.
+# clusters, from the one Distances of the data it is given. Given as the
+# points' own or as a subset of a larger matrix's, they must change no bit.
 
 
 @st.composite
@@ -1060,12 +1089,12 @@ def clustered_points(draw):
 class TestGivenDistancesChangeNoBit:
     @staticmethod
     def views(x, seed):
-        """No distances, those of ``x``, and those of ``x`` as a subset of a larger matrix's."""
+        """The distances of ``x``, and those of ``x`` as a subset of a larger matrix's."""
         rng = np.random.default_rng(seed)
         larger = np.vstack([x, rng.normal(0, 1, (int(rng.integers(1, 10)), x.shape[1]))])
         order = rng.permutation(larger.shape[0])
         rows = np.argsort(order)[: x.shape[0]]  # where x's rows went
-        return [None, metrics.Distances.of(x), metrics.Distances.of(larger[order]).subset(rows)]
+        return [metrics.Distances.of(x), metrics.Distances.of(larger[order]).subset(rows)]
 
     @settings(max_examples=40, deadline=None)
     @given(clustered_points())
@@ -1075,10 +1104,13 @@ class TestGivenDistancesChangeNoBit:
         if method == "kmeans":
             model, clusterer = kmeans(x, k, restarts=3, seed=seed), kmeans_clusterer(k)
         else:
-            model, clusterer = divisive_cluster(x, k, seed=seed), divisive_clusterer(k)
+            model = divisive_cluster(x, k, seed=seed, distances=metrics.Distances.of(x))
+            clusterer = divisive_clusterer(k)
         got = []
         for distances in self.views(x, seed):
-            coefficient = outcome(metrics.cophenetic_bootstrap, x, clusterer, 4, seed, 1, distances)
+            coefficient = outcome(
+                lambda *args: metrics.cophenetic_bootstrap(*args, distances=distances), x, clusterer, 4, seed, 1
+            )
             try:
                 report = metrics.evaluate_all(
                     x, model.labels, truth, clusterer, B=4, seed=seed, split_tree=model.split_tree, distances=distances
@@ -1087,4 +1119,41 @@ class TestGivenDistancesChangeNoBit:
             except ValueError as exc:  # a degenerate bootstrap, as the coefficient's outcome records
                 internal = str(exc)
             got.append((coefficient, internal))
-        assert got[1:] == got[:1] * 2
+        assert got[1:] == got[:1]
+
+
+# ---------------------------------------------------------------------------
+# Every function that reads a data matrix checks it with types.as_matrix, so
+# a 1-D array fails the same way wherever it is passed.
+
+ONE_D_READERS = [
+    "silhouette",
+    "davies_bouldin",
+    "calinski_harabasz",
+    "cophenetic_dendrogram",
+    "cophenetic_bootstrap",
+    "evaluate_all",
+    "kmeans",
+    "divisive_cluster",
+    "select_natural_k",
+]
+
+
+@pytest.mark.parametrize("name", ONE_D_READERS)
+def test_one_dimensional_data_is_rejected(name):
+    x, labels = np.arange(12.0), np.arange(12) % 2
+    distances = metrics.Distances.of(x[:, None])  # those of the same points as a matrix
+    tree = divisive_cluster(x[:, None], 2, seed=0, distances=distances).split_tree
+    calls = {
+        "silhouette": lambda: metrics.silhouette(x, labels, distances),
+        "davies_bouldin": lambda: metrics.davies_bouldin(x, labels),
+        "calinski_harabasz": lambda: metrics.calinski_harabasz(x, labels),
+        "cophenetic_dendrogram": lambda: metrics.cophenetic_dendrogram(x, tree, distances),
+        "cophenetic_bootstrap": lambda: metrics.cophenetic_bootstrap(x, kmeans_clusterer(2), B=2, distances=distances),
+        "evaluate_all": lambda: metrics.evaluate_all(x, labels, labels, kmeans_clusterer(2), B=2, distances=distances),
+        "kmeans": lambda: kmeans(x, 2),
+        "divisive_cluster": lambda: divisive_cluster(x, 2, distances=distances),
+        "select_natural_k": lambda: select_natural_k(x, (2, 3), distances=distances),
+    }
+    with pytest.raises(ValueError, match="^expected a 2-D data matrix$"):
+        calls[name]()

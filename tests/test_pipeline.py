@@ -336,8 +336,8 @@ class TestAnalysisWorkers:
     )
     def test_bootstrap_pool_size(self, recording_pool, workers, B, expected):
         data = np.repeat(np.arange(4.0), 5)[:, None]
-        clusterer = partial(pipeline._kmeans_labels, k=4)
-        metrics.cophenetic_bootstrap(data, clusterer, B=B, seed=0, workers=workers)
+        clusterer = partial(pipeline._fit, method="kmeans", k=4, restarts=pipeline.BOOTSTRAP_RESTARTS)
+        metrics.cophenetic_bootstrap(data, clusterer, B=B, seed=0, workers=workers, distances=metrics.Distances.of(data))
         assert recording_pool == expected
 
     @pytest.mark.parametrize(
@@ -345,7 +345,7 @@ class TestAnalysisWorkers:
     )
     def test_sweep_pool_size(self, recording_pool, workers, k_range, expected):
         data = np.repeat(np.arange(4.0), 5)[:, None]
-        select_natural_k(data, k_range, seed=0, restarts=2, workers=workers)
+        select_natural_k(data, k_range, seed=0, restarts=2, workers=workers, distances=metrics.Distances.of(data))
         assert recording_pool == expected
 
     @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
@@ -354,11 +354,12 @@ class TestAnalysisWorkers:
         context = multiprocessing.get_context(method)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
         data = make_blobs(3, 8, dim=2, seed=5)[0]
-        clusterer = partial(pipeline._divisive_labels, k=3)
-        pooled = metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=2)
-        assert pooled == metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=1)
-        pooled = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=2)
-        single = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=1)
+        clusterer = partial(pipeline._fit, method="divisive", k=3, restarts=pipeline.BOOTSTRAP_RESTARTS)
+        distances = metrics.Distances.of(data)
+        pooled = metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=2, distances=distances)
+        assert pooled == metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=1, distances=distances)
+        pooled = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=2, distances=distances)
+        single = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=1, distances=distances)
         assert pooled.consensus.tobytes() == single.consensus.tobytes()
         data, truth = forest_case()
         for mode in ("random_forest", "extra_trees"):
@@ -372,7 +373,8 @@ class TestAnalysisWorkers:
             assert pickle.loads(pickle.dumps(task)) is task  # sent by import path
         child = np.random.SeedSequence(3).spawn(1)[0]
         distances = metrics.Distances.of(data)
-        for clusterer in (partial(pipeline._kmeans_labels, k=4), partial(pipeline._divisive_labels, k=4)):
+        for method in pipeline._METHODS:
+            clusterer = partial(pipeline._fit, method=method, k=4, restarts=pipeline.BOOTSTRAP_RESTARTS)
             shared, item = pickle.loads(pickle.dumps(((data, clusterer, distances), (child, 4))))
             idx, labels = metrics._resample(shared, item)
             want_idx, want_labels = metrics._resample((data, clusterer, distances), (child, 4))
@@ -380,6 +382,26 @@ class TestAnalysisWorkers:
 
 
 class TestCluster:
+    def test_distances_computed_once_per_stage(self, fixture_run, tmp_path, monkeypatch):
+        # at one worker every bootstrap resample runs here, so a recomputation anywhere would count
+        cfg = replace(fixture_run, out=str(tmp_path / "run"), method="both", restarts=3, workers=1)
+        Path(cfg.out).mkdir()
+        (Path(cfg.out) / "features.csv").write_bytes((Path(fixture_run.out) / "features.csv").read_bytes())
+        n = len(load_matrix(Path(cfg.out) / "features.csv").row_ids)
+        original = metrics.Distances.of
+        rows = []
+
+        def of(data):
+            rows.append(np.shape(data)[0])
+            return original(data)
+
+        monkeypatch.setattr(metrics.Distances, "of", staticmethod(of))
+        cmd_cluster(cfg)
+        assert rows.count(n) == 1  # the others are davies_bouldin's centroids
+        rows.clear()
+        cmd_sweep(cfg)
+        assert rows == [n]
+
     def test_four_families_perfect_recovery(self, fixture_run):
         report = json.loads((Path(fixture_run.out) / "report_kmeans.json").read_text())
         assert report["external"]["ari"] == 1.0
@@ -516,7 +538,12 @@ class TestOneSelectionWriter:
         matrix, genres = pipeline._load_features(cfg)
         selected, _ = pipeline.prepare_selected(cfg, matrix, pipeline._class_indices(genres))
         want = select_natural_k(
-            selected.data, (cfg.k_min, cfg.k_max), seed=stage_seed(seed, "sweep"), restarts=cfg.restarts, workers=1
+            selected.data,
+            (cfg.k_min, cfg.k_max),
+            seed=stage_seed(seed, "sweep"),
+            restarts=cfg.restarts,
+            workers=1,
+            distances=metrics.Distances.of(selected.data),
         )
         assert got.chosen_k == want.chosen_k
         for f in fields(want):
