@@ -3,8 +3,9 @@
 Plants four class-dependent features among noise, walks through the
 engineering -> normalization -> ensemble-selection pipeline, then clusters
 with both k-means++ and divisive bisection and evaluates against truth.
-The points' distances are computed once, and every function that reads
-them gets that one ``Distances``. Run:
+The points' distances are computed once, as one ``Distances`` that carries
+the points too, and every function that reads them gets that one object.
+Run:
 
     python3 demos/03_selection_and_clustering.py
 """
@@ -41,25 +42,24 @@ print("\ntop 8 features by ensemble score:")
 for i in order[:8]:
     print(f"  {report.feature_names[i]:24s} {report.ensemble[i]:.4f}")
 
-x = selected.data  # the clustering functions take the plain array
-distances = Distances.of(x)
+x = selected.data  # k-means takes the plain array
+distances = Distances.of(x)  # the rest take the points with their distances
 km = kmeans(x, n_classes, seed=0)
-dv = divisive_cluster(x, n_classes, seed=0, distances=distances)
+dv = divisive_cluster(distances, n_classes, seed=0)
 print(f"\nkmeans   ARI {ari(km.labels, y):.3f}  NMI {nmi(km.labels, y):.3f}")
 print(f"divisive ARI {ari(dv.labels, y):.3f}  NMI {nmi(dv.labels, y):.3f}")
 
-sweep = select_natural_k(x, (2, 12), seed=0, restarts=20, distances=distances)
+sweep = select_natural_k(distances, (2, 12), seed=0, restarts=20)
 print(f"\nnatural cluster count over [2, 12]: {sweep.chosen_k} (truth: {n_classes})")
 
 full = evaluate_all(
-    x,
+    distances,
     km.labels,
     y,
-    clusterer=lambda x, s, distances: kmeans(x, n_classes, restarts=10, seed=s).labels,
+    clusterer=lambda d, s: kmeans(d.points, n_classes, restarts=10, seed=s).labels,
     B=25,
     seed=0,
     context={"method": "kmeans", "k": n_classes, "seed": 0},
-    distances=distances,
 )
 print("\nfull evaluation report:")
 for section in ("external", "internal", "distribution"):

@@ -7,11 +7,10 @@ discovery sweeps k-means over a k range and picks the argmax of a weighted
 consensus of silhouette, Calinski-Harabasz, and an elbow score on the
 inertia curve.
 
-``heterogeneity``, ``divisive_cluster`` and ``select_natural_k`` take the
-``metrics.Distances`` of their input, which the stage computes once, and
-compute none: every heterogeneity silhouette gathers its cluster's block
-from them, and every k of the sweep reads them, in each process of its
-pool.
+``heterogeneity``, ``divisive_cluster`` and ``select_natural_k`` take
+their input as the one ``metrics.Distances`` the stage computes, points
+and all, and compute none: every heterogeneity reads a ``subset`` view of
+it, and every k of the sweep reads it, in each process of its pool.
 """
 
 from __future__ import annotations
@@ -264,15 +263,15 @@ def kmeans(data, k: int, restarts: int = KMEANS_RESTARTS, seed: int = 0) -> Clus
     return ClusterModel(labels, k, inertia, method="kmeans", seed=seed, warning=warning)
 
 
-def heterogeneity(points, seed: int = 0, *, distances: metrics.Distances) -> float:
-    """H(C) = var(C) * (1 + sil(C)) * log(|C| + 1).
+def heterogeneity(distances: metrics.Distances, seed: int = 0) -> float:
+    """H(C) = var(C) * (1 + sil(C)) * log(|C| + 1) of the cluster ``distances.points``.
 
     var(C) is the mean squared distance to the centroid and sil(C) the mean
-    silhouette of a tentative 2-means split, which reads ``distances``
-    (those of ``points``). Clusters smaller than 4 points or with zero
-    variance score 0 (nothing to split).
+    silhouette of a tentative 2-means split, which reads ``distances``.
+    Clusters smaller than 4 points or with zero variance score 0 (nothing
+    to split).
     """
-    x = as_matrix(points)
+    x = distances.points
     n = x.shape[0]
     if n < H_MIN_SIZE:
         return 0.0
@@ -280,20 +279,19 @@ def heterogeneity(points, seed: int = 0, *, distances: metrics.Distances) -> flo
     if var == 0.0:
         return 0.0
     split = kmeans(x, 2, restarts=H_SPLIT_RESTARTS, seed=seed)
-    sil = metrics.silhouette(x, split.labels, distances)
+    sil = metrics.silhouette(distances, split.labels)
     return var * (1.0 + sil) * float(np.log(n + 1))
 
 
-def divisive_cluster(data, k_target: int, seed: int = 0, *, distances: metrics.Distances) -> ClusterModel:
-    """Top-down bisection: always split the cluster with the largest H.
+def divisive_cluster(distances: metrics.Distances, k_target: int, seed: int = 0) -> ClusterModel:
+    """Top-down bisection of ``distances.points``: always split the cluster with the largest H.
 
     Ties prefer the larger cluster, then the lower node id. Splitting stops
     at k_target clusters, or earlier when every H is 0; the model then
-    carries a warning, which the caller logs. Every H reads ``distances``,
-    those of ``data``.
+    carries a warning, which the caller logs. Each cluster's points and
+    distances are one ``distances.subset`` view.
     """
-    x = as_matrix(data)
-    n = x.shape[0]
+    n = distances.points.shape[0]
     if not 2 <= k_target <= n:
         raise ValueError(f"k_target must lie in [2, {n}], got {k_target}")
 
@@ -303,7 +301,7 @@ def divisive_cluster(data, k_target: int, seed: int = 0, *, distances: metrics.D
         return int(ss.spawn(1)[0].generate_state(1)[0])
 
     root = SplitNode(0, np.arange(n))
-    h_scores = {0: heterogeneity(x, seed=next_seed(), distances=distances)}
+    h_scores = {0: heterogeneity(distances, seed=next_seed())}
     leaves = {0: root}
     next_id = 1
     warning = None
@@ -315,8 +313,7 @@ def divisive_cluster(data, k_target: int, seed: int = 0, *, distances: metrics.D
             warning = f"all heterogeneity scores 0 at k={len(leaves)}; cannot reach k_target={k_target}"
             break
         node = leaves.pop(best_id)
-        sub = x[node.indices]
-        split = kmeans(sub, 2, restarts=SPLIT_RESTARTS, seed=next_seed())
+        split = kmeans(distances.subset(node.indices).points, 2, restarts=SPLIT_RESTARTS, seed=next_seed())
         left = SplitNode(next_id, node.indices[split.labels == 0])
         right = SplitNode(next_id + 1, node.indices[split.labels == 1])
         next_id += 2
@@ -326,16 +323,14 @@ def divisive_cluster(data, k_target: int, seed: int = 0, *, distances: metrics.D
             leaves[child.node_id] = child
         if len(leaves) < k_target:  # the last split's children are never chosen from
             for child in (left, right):
-                h_scores[child.node_id] = heterogeneity(
-                    x[child.indices], seed=next_seed(), distances=distances.subset(child.indices)
-                )
+                h_scores[child.node_id] = heterogeneity(distances.subset(child.indices), seed=next_seed())
 
     labels = np.empty(n, dtype=np.int64)
     ordered = [leaves[nid] for nid in sorted(leaves)]
     inertia = 0.0
     for c, leaf in enumerate(ordered):
         labels[leaf.indices] = c
-        members = x[leaf.indices]
+        members = distances.subset(leaf.indices).points
         inertia += float(((members - members.mean(axis=0)) ** 2).sum())
     return ClusterModel(
         labels, len(ordered), inertia, method="divisive", seed=seed, split_tree=root, warning=warning
@@ -376,25 +371,24 @@ def _chord_distance(ks: np.ndarray, inertia: np.ndarray) -> np.ndarray:
 
 def _sweep_point(shared, k: int) -> tuple[float, float, float, bool]:
     """One sweep task: (inertia, silhouette, Calinski-Harabasz, warned) of k-means at k."""
-    x, restarts, seed, distances = shared
+    restarts, seed, distances = shared
+    x = distances.points
     model = kmeans(x, k, restarts=restarts, seed=seed)
     if k == x.shape[0]:
         sil = ch = 0.0  # singleton clusters
     else:
-        sil, ch = metrics.silhouette(x, model.labels, distances), metrics.calinski_harabasz(x, model.labels)
+        sil, ch = metrics.silhouette(distances, model.labels), metrics.calinski_harabasz(x, model.labels)
     return model.inertia, sil, ch, model.warning is not None
 
 
 def select_natural_k(
-    data,
+    distances: metrics.Distances,
     k_range: tuple[int, int] = DEFAULT_K_RANGE,
     seed: int = 0,
     restarts: int = KMEANS_RESTARTS,
     workers: int = 1,
-    *,
-    distances: metrics.Distances,
 ) -> KSweepResult:
-    """Sweep k-means over [k_min, k_max] and pick k by index consensus.
+    """Sweep k-means of ``distances.points`` over [k_min, k_max] and pick k by index consensus.
 
     consensus = 0.5 * silhouette + 0.3 * Calinski-Harabasz + 0.2 * elbow,
     each curve min-max normalized over the range; ties pick the smaller k.
@@ -403,18 +397,16 @@ def select_natural_k(
     (``parallel.pool_map``), each k-means with all its restarts inside one
     task and seeded with ``seed`` alone; the curves are filled in k order,
     so the result does not depend on ``workers``. Every k's silhouette reads
-    ``distances``, those of ``data``, which reach each worker with the
-    matrix. One warning names the ks whose k-means refilled an empty
-    cluster.
+    ``distances``, which reach each worker with their points. One warning
+    names the ks whose k-means refilled an empty cluster.
     """
-    x = as_matrix(data)
-    n = x.shape[0]
+    n = distances.points.shape[0]
     k_min, k_max = int(k_range[0]), int(k_range[1])
     if not (2 <= k_min <= k_max <= n):
         raise ValueError(f"k_range {k_range} must satisfy 2 <= k_min <= k_max <= {n}")
 
     ks = np.arange(k_min, k_max + 1)
-    shared = (x, restarts, seed, distances)
+    shared = (restarts, seed, distances)
     points = pool_map(_sweep_point, shared, [int(k) for k in ks], workers)
     *curves, warned = zip(*points)
     inertia, sil, ch = (np.array(curve, dtype=np.float64) for curve in curves)

@@ -10,12 +10,12 @@ its normalized form. All logarithms are natural.
 Every Euclidean distance comes from ``Distances.of``: one exact numpy
 kernel, equal to ``scipy.spatial.distance.pdist`` and ``cdist`` bit for
 bit, so no analysis stage imports scipy. The stage computes one
-``Distances`` of its clustering input and passes it to every reader:
-``silhouette``, ``cophenetic_dendrogram``, ``cophenetic_bootstrap``,
-``evaluate_all`` and the ``cluster`` functions take it as a required
-argument and never compute one (``davies_bouldin`` computes one of its
-centroids). A bootstrap clusterer is called as
-``clusterer(points, seed, distances)``.
+``Distances`` of its clustering input, which carries those points, and
+passes it to every reader: ``silhouette``, ``cophenetic_dendrogram``,
+``cophenetic_bootstrap``, ``evaluate_all`` and the ``cluster`` functions
+take it in place of the data and never compute one (``davies_bouldin``
+computes one of its centroids). A bootstrap clusterer is called as
+``clusterer(distances, seed)``.
 """
 
 from __future__ import annotations
@@ -83,9 +83,11 @@ def _labels(a) -> np.ndarray:
     return np.asarray(a).ravel()
 
 
-def _label_index(labels) -> tuple[np.ndarray, int]:
-    """Each label's index among the sorted distinct labels, and how many there are."""
+def _label_index(labels, n: int | None = None) -> tuple[np.ndarray, int]:
+    """Each label's index among the sorted distinct labels, and how many there are; given ``n`` points, one each."""
     classes, index = np.unique(_labels(labels), return_inverse=True)
+    if n is not None and index.size != n:
+        raise ValueError(f"{index.size} labels for {n} points; expected one label per point")
     return index, classes.size
 
 
@@ -179,7 +181,7 @@ def _squared_sums(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Distances:
-    """The Euclidean distances among a set of points, each pair computed once.
+    """A set of points and their Euclidean distances, each pair computed once.
 
     Build with ``Distances.of(data)``: one condensed array in ``pdist``
     order, n(n-1)/2 float64 values for n rows, from which every block is
@@ -190,6 +192,7 @@ class Distances:
 
     condensed: np.ndarray
     offsets: np.ndarray  # the pair i < j sits at condensed[offsets[i] + j]
+    points: np.ndarray  # this view's points, one row each; of() keeps data's memory order
     rows: np.ndarray | None = None
 
     @classmethod
@@ -213,18 +216,18 @@ class Distances:
             first = _pair_index(start, start + 1, n)
             condensed[first : first + kept.size] = kept
             start = stop
-        return cls(np.sqrt(condensed, out=condensed), _pair_index(np.arange(n), 0, n))
+        return cls(np.sqrt(condensed, out=condensed), _pair_index(np.arange(n), 0, n), x)
 
-    def _points(self) -> np.ndarray:
+    def _rows(self) -> np.ndarray:
         return np.arange(self.offsets.size) if self.rows is None else self.rows
 
     def subset(self, rows) -> "Distances":
-        """The distances among this view's points ``rows`` (an index array into them)."""
-        return replace(self, rows=self._points()[rows])
+        """This view's points ``rows`` (an index array into them), gathered C-ordered, and their distances."""
+        return replace(self, points=self.points[rows], rows=self._rows()[rows])
 
     def __call__(self, start: int, stop: int) -> np.ndarray:
         """The C-ordered (stop - start, m) distances from this view's points start..stop to all m of them."""
-        cols = self._points()
+        cols = self._rows()
         block = np.empty((stop - start, cols.size))
         # about DISTANCE_TILE entries at a time, so the index arrays stay small beside the block
         step = max(1, DISTANCE_TILE // max(1, cols.size))
@@ -245,16 +248,15 @@ class Distances:
         return np.concatenate([np.empty(0), *(self(i, i + 1)[0, i + 1 :] for i in range(m - 1))])
 
 
-def silhouette(data, labels, distances: Distances) -> float:
-    """Mean silhouette coefficient; singleton clusters contribute 0.
+def silhouette(distances: Distances, labels) -> float:
+    """Mean silhouette coefficient of ``distances.points``; singleton clusters contribute 0.
 
-    ``distances`` are those of ``data`` (``Distances.of(data)``). They are
-    read in blocks of about ``SILHOUETTE_BLOCK`` rows (fewer than 1.5 times
-    as many; ``types.row_blocks``), so the call holds one (rows, n) float64
-    block beside them rather than an n x n matrix.
+    The distances are read in blocks of about ``SILHOUETTE_BLOCK`` rows
+    (fewer than 1.5 times as many; ``types.row_blocks``), so the call holds
+    one (rows, n) float64 block beside them rather than an n x n matrix.
     """
-    n = as_matrix(data).shape[0]
-    y_idx, k = _label_index(labels)
+    n = distances.points.shape[0]
+    y_idx, k = _label_index(labels, n)
     if k < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     counts = np.bincount(y_idx)
@@ -289,7 +291,7 @@ def davies_bouldin(data, labels) -> float:
     coincides the index is undefined and an error is raised.
     """
     x = as_matrix(data)
-    y_idx, k = _label_index(labels)
+    y_idx, k = _label_index(labels, x.shape[0])
     if not 2 <= k < x.shape[0]:
         raise ValueError("davies_bouldin needs 2 <= k < n")
     centroids = np.vstack([x[y_idx == c].mean(axis=0) for c in range(k)])
@@ -309,8 +311,8 @@ def davies_bouldin(data, labels) -> float:
 def calinski_harabasz(data, labels) -> float:
     """Between/within variance ratio scaled by (n - k) / (k - 1)."""
     x = as_matrix(data)
-    y_idx, k = _label_index(labels)
     n = x.shape[0]
+    y_idx, k = _label_index(labels, n)
     if not 2 <= k < n:
         raise ValueError("calinski_harabasz needs 2 <= k < n")
     grand = x.mean(axis=0)
@@ -346,21 +348,19 @@ def _add_votes(votes: np.ndarray, seen: np.ndarray, idx: np.ndarray, labels: np.
 
 def _resample(shared, task) -> tuple[np.ndarray, np.ndarray]:
     """One bootstrap task: the sorted distinct rows drawn and their labels."""
-    x, clusterer, distances = shared
+    clusterer, distances = shared
     child, seed = task
-    n = x.shape[0]
+    n = distances.points.shape[0]
     idx = np.unique(np.random.default_rng(child).integers(0, n, n))
-    return idx, np.asarray(clusterer(x[idx], seed, distances.subset(idx)), dtype=np.int64)
+    return idx, np.asarray(clusterer(distances.subset(idx), seed), dtype=np.int64)
 
 
 def cophenetic_bootstrap(
-    data,
-    clusterer: Callable[[np.ndarray, int, Distances], np.ndarray],
+    distances: Distances,
+    clusterer: Callable[[Distances, int], np.ndarray],
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
     workers: int = 1,
-    *,
-    distances: Distances,
 ) -> float:
     """Stability of co-assignment under bootstrap re-clustering.
 
@@ -368,11 +368,10 @@ def cophenetic_bootstrap(
     bootstrap draw and contributes co-assignment votes for the pairs it
     contains. The result is the Pearson correlation between A and the mean
     bootstrap co-assignment over pairs observed at least min(5, B) times.
-    ``clusterer(matrix, seed, distances) -> labels`` (or a
-    ``cluster.ClusterModel``, which ``np.asarray`` reads as its labels) must
-    be deterministic in its seed; ``distances`` are those of its matrix.
-    The full-data call gets ``distances``, those of ``data``, and each
-    resample the subset its rows select, so no resample computes them again.
+    ``clusterer(distances, seed) -> labels`` (or a ``cluster.ClusterModel``,
+    which ``np.asarray`` reads as its labels) must be deterministic in its
+    seed. The full-data call gets ``distances`` and each resample the subset
+    its rows select, so no resample computes them again.
 
     The B resamples run over ``min(workers, B)`` processes
     (``parallel.pool_map``); then ``clusterer`` must pickle. Resample b
@@ -380,19 +379,20 @@ def cophenetic_bootstrap(
     ``seed + b + 1`` for the clusterer), and its votes are integer counts
     added in resample order, so the result does not depend on ``workers``.
     """
-    x = as_matrix(data)
-    n = x.shape[0]
+    n = distances.points.shape[0]
     if n < MIN_BOOTSTRAP_SAMPLES:
         raise ValueError(f"bootstrap stability needs at least {MIN_BOOTSTRAP_SAMPLES} samples")
+    if B < 1:
+        raise ValueError(f"B={B} resamples: the bootstrap needs at least 1")
     if B > np.iinfo(np.uint16).max:
         raise ValueError(f"B={B} resamples overflow the uint16 vote counts")
-    base = np.asarray(clusterer(x, seed, distances), dtype=np.int64)
+    base = np.asarray(clusterer(distances, seed), dtype=np.int64)
 
     tasks = [(child, seed + b + 1) for b, child in enumerate(np.random.SeedSequence(seed).spawn(B))]
     # votes and sightings per pair i < j, condensed in triu_indices(n, 1) order
     votes = np.zeros(n * (n - 1) // 2, dtype=np.uint16)
     seen = np.zeros_like(votes)
-    for idx, labels in pool_map(_resample, (x, clusterer, distances), tasks, workers):
+    for idx, labels in pool_map(_resample, (clusterer, distances), tasks, workers):
         _add_votes(votes, seen, idx, labels, n)
 
     # the full-data co-assignment, condensed row by row
@@ -413,15 +413,15 @@ def cophenetic_bootstrap(
     return float(np.corrcoef(a_vals, ahat)[0, 1])
 
 
-def cophenetic_dendrogram(data, split_tree, distances: Distances) -> float:
-    """Classical cophenetic correlation for a divisive split tree.
+def cophenetic_dendrogram(distances: Distances, split_tree) -> float:
+    """Classical cophenetic correlation for a divisive split tree of ``distances.points``.
 
     The cophenetic distance of a pair is the heterogeneity score of the
     node whose split separated it (0 for pairs sharing a final cluster);
     the result is its Pearson correlation with Euclidean distance, read
-    from ``distances`` (those of ``data``).
+    from ``distances``.
     """
-    n = as_matrix(data).shape[0]
+    n = distances.points.shape[0]
     heights = np.zeros(n * (n - 1) // 2)  # condensed, as pdist
 
     def fill(node):
@@ -472,17 +472,15 @@ class EvaluationReport:
 
 
 def evaluate_all(
-    data,
+    distances: Distances,
     labels,
     true_labels,
-    clusterer: Callable[[np.ndarray, int, Distances], np.ndarray],
+    clusterer: Callable[[Distances, int], np.ndarray],
     B: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
     split_tree=None,
     context: dict | None = None,
     workers: int = 1,
-    *,
-    distances: Distances,
 ) -> EvaluationReport:
     """Populate every external, internal, and distribution metric.
 
@@ -490,25 +488,24 @@ def evaluate_all(
     convention it reports silhouette 0, Davies-Bouldin 0, cophenetic 1 (a
     constant partition is trivially stable) and, given a ``split_tree``,
     cophenetic_dendrogram 1 (a tree with one leaf splits no pair). Other
-    labelings read ``distances``, those of ``data``: ``silhouette``,
-    ``cophenetic_dendrogram`` and the bootstrap, which passes them on to
-    ``clusterer``, all get that one object. ``workers`` sizes the
+    labelings read ``distances``: ``silhouette``, ``cophenetic_dendrogram``
+    and the bootstrap, which passes them on to ``clusterer``, all get that
+    one object, and ``davies_bouldin`` its points. ``workers`` sizes the
     bootstrap's process pool.
     """
-    x = as_matrix(data)
     balance, norm_balance = balance_metrics(labels)
-    if _label_index(labels)[1] < 2:
+    if _label_index(labels, distances.points.shape[0])[1] < 2:
         internal = {"silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0}
         if split_tree is not None:
             internal["cophenetic_dendrogram"] = 1.0
     else:
         internal = {
-            "silhouette": silhouette(x, labels, distances),
-            "davies_bouldin": davies_bouldin(x, labels),
-            "cophenetic": cophenetic_bootstrap(x, clusterer, B=B, seed=seed, workers=workers, distances=distances),
+            "silhouette": silhouette(distances, labels),
+            "davies_bouldin": davies_bouldin(distances.points, labels),
+            "cophenetic": cophenetic_bootstrap(distances, clusterer, B=B, seed=seed, workers=workers),
         }
         if split_tree is not None:
-            internal["cophenetic_dendrogram"] = cophenetic_dendrogram(x, split_tree, distances)
+            internal["cophenetic_dendrogram"] = cophenetic_dendrogram(distances, split_tree)
     return EvaluationReport(
         external={
             "nmi": nmi(labels, true_labels),

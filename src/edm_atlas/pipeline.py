@@ -312,19 +312,19 @@ _METHODS = ("kmeans", "divisive")
 BOOTSTRAP_RESTARTS = 10  # k-means restarts of each bootstrap clustering
 
 
-def _fit(x: np.ndarray, seed: int, distances: metrics.Distances, *, method: str, k: int, restarts: int) -> ClusterModel:
-    """``method``'s model of ``x`` with at most ``k`` clusters; ``distances`` are those of ``x``.
+def _fit(distances: metrics.Distances, seed: int, *, method: str, k: int, restarts: int) -> ClusterModel:
+    """``method``'s model of ``distances.points`` with at most ``k`` clusters.
 
-    Only k-means runs ``restarts`` restarts, and only divisive clustering
-    reads ``distances``. ``cluster`` fits its model at ``cfg.restarts``;
-    its bootstrap clusterer is this function at ``BOOTSTRAP_RESTARTS``
-    (a ``partial``, which pickles for the pool), whose model reads as its
-    labels.
+    Only k-means runs ``restarts`` restarts, and it reads only the points;
+    divisive clustering reads the distances too. ``cluster`` fits its model
+    at ``cfg.restarts``; its bootstrap clusterer is this function at
+    ``BOOTSTRAP_RESTARTS`` (a ``partial``, which pickles for the pool),
+    whose model reads as its labels.
     """
-    k = min(k, x.shape[0])
+    k = min(k, distances.points.shape[0])
     if method == "kmeans":
-        return kmeans(x, k, restarts=restarts, seed=seed)
-    return divisive_cluster(x, k, seed=seed, distances=distances)
+        return kmeans(distances.points, k, restarts=restarts, seed=seed)
+    return divisive_cluster(distances, k, seed=seed)
 
 
 # exactly the names f"profile_cluster_{cluster_id}.svg" gives an integer cluster id
@@ -379,7 +379,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
     reports: dict[str, metrics.EvaluationReport] = {}
     for method in methods:
         seed = stage_seed(cfg.seed, f"cluster:{method}")
-        model = _fit(matrix.data, seed, distances, method=method, k=cfg.k, restarts=cfg.restarts)
+        model = _fit(distances, seed, method=method, k=cfg.k, restarts=cfg.restarts)
         if model.warning:
             logger.warning("%s: %s", method, model.warning)
         save_labels(out_dir / f"labels_{method}.csv", matrix.row_ids, model.labels)
@@ -391,7 +391,7 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
             "selection": "skipped" if cfg.embeddings else "applied",
         }
         report = metrics.evaluate_all(
-            matrix.data,
+            distances,
             model.labels,
             truth,
             partial(_fit, method=method, k=cfg.k, restarts=BOOTSTRAP_RESTARTS),
@@ -399,7 +399,6 @@ def cmd_cluster(cfg: RunConfig) -> dict[str, metrics.EvaluationReport]:
             split_tree=model.split_tree,
             context=context,
             workers=cfg.workers,
-            distances=distances,
         )
         report.save(out_dir / f"report_{method}.json")
         reports[method] = report
@@ -424,12 +423,11 @@ def cmd_sweep(cfg: RunConfig):
     if cfg.k_max > matrix.shape[0]:
         raise ConfigError(f"k-max={cfg.k_max} exceeds {matrix.shape[0]} tracks")
     result = select_natural_k(
-        matrix.data,
+        metrics.Distances.of(matrix.data),
         (cfg.k_min, cfg.k_max),
         seed=stage_seed(cfg.seed, "sweep"),
         restarts=cfg.restarts,
         workers=cfg.workers,
-        distances=metrics.Distances.of(matrix.data),
     )
     result.write_csv(Path(cfg.out) / "sweep.csv")
     print(f"chosen_k={result.chosen_k}")

@@ -93,13 +93,13 @@ def make_blobs(n_blobs, per_blob, dim=8, sigma=1.0, seed=0, spread=100.0):
     return data, labels
 
 
-def silhouette_reference(data, labels, distances=None):
+def silhouette_reference(distances, labels):
     """``metrics.silhouette`` as it was before the shared distances: scipy ``cdist`` row blocks.
 
-    ``distances`` is accepted and ignored, so that the reference can stand in
-    for ``metrics.silhouette`` wherever the package calls it.
+    It reads only ``distances.points``, and takes ``metrics.silhouette``'s
+    arguments, so that it can stand in for it wherever the package calls it.
     """
-    x = np.asarray(data, dtype=np.float64)
+    x = np.asarray(distances.points, dtype=np.float64)
     classes, y_idx = np.unique(np.asarray(labels).ravel(), return_inverse=True)
     k = classes.size
     if k < 2:

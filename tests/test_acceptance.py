@@ -133,11 +133,11 @@ class TestCriterion5ClusteringRecovery:
         distances3, distances20 = metrics.Distances.of(data3), metrics.Distances.of(data20)
         ari_values = {
             "kmeans3": metrics.ari(kmeans(data3, 3, seed=0).labels, truth3),
-            "divisive3": metrics.ari(divisive_cluster(data3, 3, seed=0, distances=distances3).labels, truth3),
+            "divisive3": metrics.ari(divisive_cluster(distances3, 3, seed=0).labels, truth3),
             "kmeans20": metrics.ari(kmeans(data20, 20, seed=0).labels, truth20),
-            "divisive20": metrics.ari(divisive_cluster(data20, 20, seed=0, distances=distances20).labels, truth20),
+            "divisive20": metrics.ari(divisive_cluster(distances20, 20, seed=0).labels, truth20),
         }
-        sweep = select_natural_k(data20, (15, 40), seed=0, distances=distances20)
+        sweep = select_natural_k(distances20, (15, 40), seed=0)
         elapsed = time.monotonic() - start
         report(
             "criterion 5: clustering recovery + natural k",
@@ -151,16 +151,16 @@ class TestCriterion5ClusteringRecovery:
 class TestCriterion6HeterogeneityScore:
     def test_guards_and_factor_product(self):
         constant, singleton = np.ones((50, 3)), np.zeros((1, 3))
-        constant_zero = heterogeneity(constant, distances=metrics.Distances.of(constant)) == 0.0
-        singleton_zero = heterogeneity(singleton, distances=metrics.Distances.of(singleton)) == 0.0
+        constant_zero = heterogeneity(metrics.Distances.of(constant)) == 0.0
+        singleton_zero = heterogeneity(metrics.Distances.of(singleton)) == 0.0
 
         rng = np.random.default_rng(42)
         cluster = np.vstack([rng.normal(0, 1, (60, 4)), rng.normal(12, 1, (40, 4))])
         distances = metrics.Distances.of(cluster)
-        h = heterogeneity(cluster, seed=3, distances=distances)
+        h = heterogeneity(distances, seed=3)
         variance = float(((cluster - cluster.mean(axis=0)) ** 2).sum(axis=1).mean())
         split = kmeans(cluster, 2, restarts=5, seed=3)
-        sil = metrics.silhouette(cluster, split.labels, distances)
+        sil = metrics.silhouette(distances, split.labels)
         expected = variance * (1.0 + sil) * np.log(cluster.shape[0] + 1)
         report(
             "criterion 6: heterogeneity H = var * (1+sil) * log(n+1)",

@@ -101,8 +101,8 @@ class TestKmeans:
         model = kmeans(data, 3, seed=0)
         permuted = (model.labels + 1) % 3
         distances = metrics.Distances.of(data)
-        assert metrics.silhouette(data, model.labels, distances) == pytest.approx(
-            metrics.silhouette(data, permuted, distances)
+        assert metrics.silhouette(distances, model.labels) == pytest.approx(
+            metrics.silhouette(distances, permuted)
         )
 
 
@@ -133,22 +133,22 @@ class TestModelReadsAsLabels:
 class TestHeterogeneity:
     def test_identical_points_zero(self):
         points = np.ones((10, 3))
-        assert heterogeneity(points, distances=metrics.Distances.of(points)) == 0.0
+        assert heterogeneity(metrics.Distances.of(points)) == 0.0
 
     def test_small_cluster_zero(self):
         rng = np.random.default_rng(5)
         for n in (1, 2, 3):
             points = rng.normal(0, 1, (n, 3))
-            assert heterogeneity(points, distances=metrics.Distances.of(points)) == 0.0
+            assert heterogeneity(metrics.Distances.of(points)) == 0.0
 
     def test_factor_product_oracle(self):
         rng = np.random.default_rng(6)
         points = np.vstack([rng.normal(0, 1, (50, 3)), rng.normal(10, 1, (50, 3))])
         distances = metrics.Distances.of(points)
-        h = heterogeneity(points, seed=11, distances=distances)
+        h = heterogeneity(distances, seed=11)
         variance = float(((points - points.mean(axis=0)) ** 2).sum(axis=1).mean())
         split = kmeans(points, 2, restarts=5, seed=11)
-        sil = metrics.silhouette(points, split.labels, distances)
+        sil = metrics.silhouette(distances, split.labels)
         expected = variance * (1.0 + sil) * np.log(101)
         assert abs(h - expected) < 1e-9
 
@@ -156,19 +156,19 @@ class TestHeterogeneity:
         rng = np.random.default_rng(7)
         for _ in range(5):
             points = rng.normal(0, 1, (20, 4))
-            assert heterogeneity(points, seed=0, distances=metrics.Distances.of(points)) >= 0.0
+            assert heterogeneity(metrics.Distances.of(points), seed=0) >= 0.0
 
 
 class TestDivisive:
     def test_four_blob_recovery(self):
         data, truth = make_blobs(4, 40, dim=4, seed=8)
-        model = divisive_cluster(data, 4, seed=0, distances=metrics.Distances.of(data))
+        model = divisive_cluster(metrics.Distances.of(data), 4, seed=0)
         assert metrics.ari(model.labels, truth) == 1.0
         assert model.method == "divisive"
 
     def test_k2_single_root_split(self):
         data, _ = make_blobs(2, 30, dim=3, seed=9)
-        model = divisive_cluster(data, 2, seed=0, distances=metrics.Distances.of(data))
+        model = divisive_cluster(metrics.Distances.of(data), 2, seed=0)
         tree = model.split_tree
         assert tree.children is not None
         assert tree.h > 0
@@ -176,13 +176,13 @@ class TestDivisive:
 
     def test_identical_rows_stop_with_warning(self):
         data = np.ones((20, 3))
-        model = divisive_cluster(data, 3, seed=0, distances=metrics.Distances.of(data))
+        model = divisive_cluster(metrics.Distances.of(data), 3, seed=0)
         assert model.k == 1
         assert model.warning is not None
 
     def test_split_tree_records_h(self):
         data, _ = make_blobs(3, 30, seed=10)
-        model = divisive_cluster(data, 3, seed=0, distances=metrics.Distances.of(data))
+        model = divisive_cluster(metrics.Distances.of(data), 3, seed=0)
         payload = model.split_tree.to_dict()
         text = json.dumps(payload)
         assert json.loads(text)["h"] > 0
@@ -191,7 +191,7 @@ class TestDivisive:
     def test_exact_k_on_distinct_data(self):
         rng = np.random.default_rng(12)
         data = rng.normal(0, 1, (40, 3))
-        model = divisive_cluster(data, 7, seed=0, distances=metrics.Distances.of(data))
+        model = divisive_cluster(metrics.Distances.of(data), 7, seed=0)
         assert model.k == 7
         assert np.bincount(model.labels).min() >= 1
 
@@ -199,19 +199,19 @@ class TestDivisive:
 class TestSelectNaturalK:
     def test_twenty_blobs(self):
         data, _ = make_blobs(20, 30, dim=8, seed=1)
-        result = select_natural_k(data, (15, 40), seed=0, distances=metrics.Distances.of(data))
+        result = select_natural_k(metrics.Distances.of(data), (15, 40), seed=0)
         assert result.chosen_k in (19, 20, 21)
 
     def test_single_blob_prefers_two(self):
         rng = np.random.default_rng(0)
         data = rng.normal(0, 1, (300, 32))
-        result = select_natural_k(data, (2, 10), seed=0, restarts=10, distances=metrics.Distances.of(data))
+        result = select_natural_k(metrics.Distances.of(data), (2, 10), seed=0, restarts=10)
         assert result.chosen_k == 2
         assert int(result.ks[np.argmax(result.silhouette)]) in (2, 3)
 
     def test_normalized_curves_span_unit_interval(self):
         data, _ = make_blobs(20, 30, dim=8, seed=1)
-        result = select_natural_k(data, (15, 40), seed=0, restarts=10, distances=metrics.Distances.of(data))
+        result = select_natural_k(metrics.Distances.of(data), (15, 40), seed=0, restarts=10)
         for curve in (result.sil_norm, result.ch_norm, result.elbow_norm):
             assert curve.min() == 0.0
             assert curve.max() == 1.0
@@ -221,13 +221,13 @@ class TestSelectNaturalK:
         data = np.random.default_rng(0).normal(0, 1, (30, 3))
         distances = metrics.Distances.of(data)
         with pytest.raises(ValueError):
-            select_natural_k(data, (10, 5), distances=distances)
+            select_natural_k(distances, (10, 5))
         with pytest.raises(ValueError):
-            select_natural_k(data, (2, 50), distances=distances)
+            select_natural_k(distances, (2, 50))
 
     def test_csv_row_count(self, tmp_path):
         data, _ = make_blobs(5, 20, dim=4, seed=14)
-        result = select_natural_k(data, (2, 10), seed=0, restarts=5, distances=metrics.Distances.of(data))
+        result = select_natural_k(metrics.Distances.of(data), (2, 10), seed=0, restarts=5)
         result.write_csv(tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 9  # header + one row per k in [2, 10]
@@ -494,18 +494,18 @@ class TestKmeansMatchesReference:
     def test_divisive_cluster(self, monkeypatch):
         data = make_blobs(4, 15, dim=6, seed=5)[0]
         distances = metrics.Distances.of(data)
-        got = divisive_cluster(data, 6, seed=3, distances=distances)
+        got = divisive_cluster(distances, 6, seed=3)
         monkeypatch.setattr(cluster, "kmeans", kmeans_reference)
-        want = divisive_cluster(data, 6, seed=3, distances=distances)
+        want = divisive_cluster(distances, 6, seed=3)
         assert same_model(got, want)
         assert got.split_tree.to_dict() == want.split_tree.to_dict()
 
     def test_select_natural_k(self, monkeypatch):
         data = make_blobs(5, 12, dim=4, seed=6)[0]
         distances = metrics.Distances.of(data)
-        got = select_natural_k(data, (2, 8), seed=1, restarts=6, distances=distances)
+        got = select_natural_k(distances, (2, 8), seed=1, restarts=6)
         monkeypatch.setattr(cluster, "kmeans", kmeans_reference)
-        want = select_natural_k(data, (2, 8), seed=1, restarts=6, distances=distances)
+        want = select_natural_k(distances, (2, 8), seed=1, restarts=6)
         for f in fields(got):
             assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
 
@@ -525,7 +525,7 @@ def divisive_reference(data, k_target, seed=0):
         return int(ss.spawn(1)[0].generate_state(1)[0])
 
     root = cluster.SplitNode(0, np.arange(n))
-    h_scores = {0: heterogeneity(x, seed=next_seed(), distances=metrics.Distances.of(x))}
+    h_scores = {0: heterogeneity(metrics.Distances.of(x), seed=next_seed())}
     leaves = {0: root}
     next_id = 1
     warning = None
@@ -545,7 +545,7 @@ def divisive_reference(data, k_target, seed=0):
         for child in (left, right):
             leaves[child.node_id] = child
             members = x[child.indices]  # scored over its own distances, not a subset view
-            h_scores[child.node_id] = heterogeneity(members, seed=next_seed(), distances=metrics.Distances.of(members))
+            h_scores[child.node_id] = heterogeneity(metrics.Distances.of(members), seed=next_seed())
     labels = np.empty(n, dtype=np.int64)
     ordered = [leaves[nid] for nid in sorted(leaves)]
     inertia = 0.0
@@ -561,7 +561,7 @@ class TestDivisiveMatchesReference:
     def test_heterogeneity_calls(self, k):
         data = np.random.default_rng(k).normal(0, 1, (60, 4))
         with mock.patch.object(cluster, "heterogeneity", wraps=heterogeneity) as spy:
-            model = divisive_cluster(data, k, seed=0, distances=metrics.Distances.of(data))
+            model = divisive_cluster(metrics.Distances.of(data), k, seed=0)
         assert model.k == k and model.warning is None
         assert spy.call_count == 2 * k - 3
 
@@ -577,7 +577,7 @@ class TestDivisiveMatchesReference:
         ids=["blobs", "noise", "duplicates", "constant"],
     )
     def test_same_model_and_tree(self, data, k, seed):
-        got = divisive_cluster(data, k, seed=seed, distances=metrics.Distances.of(data))
+        got = divisive_cluster(metrics.Distances.of(data), k, seed=seed)
         want = divisive_reference(data, k, seed=seed)
         assert same_model(got, want)
         assert got.split_tree.to_dict() == want.split_tree.to_dict()
@@ -602,9 +602,9 @@ class TestSharedDistancesMatchReference:
     @pytest.mark.parametrize("data, k", CASES, ids=CASE_IDS)
     def test_divisive_cluster(self, monkeypatch, data, k):
         distances = metrics.Distances.of(data)
-        got = [divisive_cluster(data, k, seed=seed, distances=distances) for seed in range(3)]
+        got = [divisive_cluster(distances, k, seed=seed) for seed in range(3)]
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
-        want = [divisive_cluster(data, k, seed=seed, distances=distances) for seed in range(3)]
+        want = [divisive_cluster(distances, k, seed=seed) for seed in range(3)]
         for g, w in zip(got, want):
             assert same_model(g, w)
             assert g.split_tree.to_dict() == w.split_tree.to_dict()
@@ -613,16 +613,16 @@ class TestSharedDistancesMatchReference:
     def test_heterogeneity_of_a_subset(self, monkeypatch, data, k):
         rows = np.random.default_rng(k).permutation(data.shape[0])[: data.shape[0] // 2 + 3]
         distances = metrics.Distances.of(data).subset(rows)
-        got = [heterogeneity(data[rows], seed=seed, distances=distances) for seed in range(4)]
+        got = [heterogeneity(distances, seed=seed) for seed in range(4)]
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
-        want = [heterogeneity(data[rows], seed=seed, distances=distances) for seed in range(4)]
+        want = [heterogeneity(distances, seed=seed) for seed in range(4)]
         assert same_bits(got, want)
 
     @pytest.mark.parametrize("data, k", CASES, ids=CASE_IDS)
     def test_select_natural_k(self, monkeypatch, data, k):
         distances = metrics.Distances.of(data)
-        got = select_natural_k(data, (2, k), seed=1, restarts=4, distances=distances)
+        got = select_natural_k(distances, (2, k), seed=1, restarts=4)
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
-        want = select_natural_k(data, (2, k), seed=1, restarts=4, distances=distances)
+        want = select_natural_k(distances, (2, k), seed=1, restarts=4)
         for f in fields(got):
             assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name

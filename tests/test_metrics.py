@@ -1,4 +1,6 @@
 import json
+import pickle
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,8 +11,8 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.stats import rankdata
 
 from conftest import make_blobs, silhouette_reference
-from edm_atlas import metrics
-from edm_atlas.cluster import SplitNode, divisive_cluster, kmeans, select_natural_k
+from edm_atlas import metrics, pipeline
+from edm_atlas.cluster import SplitNode, divisive_cluster, kmeans
 from edm_atlas.table import FeatureMatrix
 
 
@@ -148,23 +150,23 @@ class TestMiScore:
 class TestSilhouette:
     def test_two_far_blobs(self):
         data, truth = make_blobs(2, 40, dim=3, sigma=0.5, seed=5)
-        assert metrics.silhouette(data, truth, metrics.Distances.of(data)) > 0.9
+        assert metrics.silhouette(metrics.Distances.of(data), truth) > 0.9
 
     def test_random_labels_near_zero(self):
         rng = np.random.default_rng(6)
         data = rng.normal(0, 1, (200, 4))
         labels = rng.integers(0, 3, 200)
-        assert abs(metrics.silhouette(data, labels, metrics.Distances.of(data))) < 0.1
+        assert abs(metrics.silhouette(metrics.Distances.of(data), labels)) < 0.1
 
     def test_duplicate_pairs_score_one(self):
         base = np.random.default_rng(7).normal(0, 1, (10, 3))
         data = np.repeat(base, 2, axis=0)
         labels = np.repeat(np.arange(10), 2)
-        assert metrics.silhouette(data, labels, metrics.Distances.of(data)) == 1.0
+        assert metrics.silhouette(metrics.Distances.of(data), labels) == 1.0
 
     def test_needs_two_clusters(self):
         with pytest.raises(ValueError):
-            metrics.silhouette(np.ones((5, 2)), np.zeros(5, dtype=int), metrics.Distances.of(np.ones((5, 2))))
+            metrics.silhouette(metrics.Distances.of(np.ones((5, 2))), np.zeros(5, dtype=int))
 
 
 class TestDaviesBouldin:
@@ -194,8 +196,8 @@ class TestDaviesBouldin:
         rng = np.random.default_rng(10)
         bad_data = rng.normal(0, 1, (80, 3))
         bad_labels = rng.integers(0, 2, 80)
-        assert metrics.silhouette(good_data, good_labels, metrics.Distances.of(good_data)) > metrics.silhouette(
-            bad_data, bad_labels, metrics.Distances.of(bad_data)
+        assert metrics.silhouette(metrics.Distances.of(good_data), good_labels) > metrics.silhouette(
+            metrics.Distances.of(bad_data), bad_labels
         )
         assert metrics.davies_bouldin(good_data, good_labels) < metrics.davies_bouldin(
             bad_data, bad_labels
@@ -214,15 +216,16 @@ class TestCalinskiHarabasz:
 
 
 def kmeans_clusterer(k):
-    def clusterer(x, seed, distances):
+    def clusterer(distances, seed):
+        x = distances.points
         return kmeans(x, min(k, x.shape[0]), restarts=5, seed=seed).labels
 
     return clusterer
 
 
 def divisive_clusterer(k):
-    def clusterer(x, seed, distances):
-        return divisive_cluster(x, min(k, x.shape[0]), seed=seed, distances=distances).labels
+    def clusterer(distances, seed):
+        return divisive_cluster(distances, min(k, distances.points.shape[0]), seed=seed).labels
 
     return clusterer
 
@@ -230,21 +233,15 @@ def divisive_clusterer(k):
 class TestCopheneticBootstrap:
     def test_separated_blobs_stable(self):
         data, _ = make_blobs(3, 30, dim=4, seed=12)
-        value = metrics.cophenetic_bootstrap(
-            data, kmeans_clusterer(3), B=30, seed=0, distances=metrics.Distances.of(data)
-        )
+        value = metrics.cophenetic_bootstrap(metrics.Distances.of(data), kmeans_clusterer(3), B=30, seed=0)
         assert value > 0.95
 
     def test_random_data_less_stable(self):
         data, _ = make_blobs(3, 30, dim=4, seed=12)
-        stable = metrics.cophenetic_bootstrap(
-            data, kmeans_clusterer(3), B=30, seed=0, distances=metrics.Distances.of(data)
-        )
+        stable = metrics.cophenetic_bootstrap(metrics.Distances.of(data), kmeans_clusterer(3), B=30, seed=0)
         rng = np.random.default_rng(13)
         noise = rng.uniform(0, 1, (90, 4))
-        unstable = metrics.cophenetic_bootstrap(
-            noise, kmeans_clusterer(5), B=30, seed=0, distances=metrics.Distances.of(noise)
-        )
+        unstable = metrics.cophenetic_bootstrap(metrics.Distances.of(noise), kmeans_clusterer(5), B=30, seed=0)
         assert stable - unstable > 0.3
 
     def test_identity_resample_perfect(self):
@@ -252,23 +249,22 @@ class TestCopheneticBootstrap:
         data, _ = make_blobs(3, 20, dim=3, seed=14)
         cut = np.median(data[:, 0])
         value = metrics.cophenetic_bootstrap(
-            data, lambda x, seed, distances: (x[:, 0] > cut).astype(int), B=1, seed=0,
-            distances=metrics.Distances.of(data),
+            metrics.Distances.of(data), lambda d, seed: (d.points[:, 0] > cut).astype(int), B=1, seed=0
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_needs_ten_samples(self):
         data = np.ones((5, 2))
         with pytest.raises(ValueError):
-            metrics.cophenetic_bootstrap(data, kmeans_clusterer(2), distances=metrics.Distances.of(data))
+            metrics.cophenetic_bootstrap(metrics.Distances.of(data), kmeans_clusterer(2))
 
 
 class TestCopheneticDendrogram:
     def test_blob_tree_correlates(self):
         data, _ = make_blobs(3, 30, dim=4, seed=15)
         distances = metrics.Distances.of(data)
-        model = divisive_cluster(data, 3, seed=0, distances=distances)
-        value = metrics.cophenetic_dendrogram(data, model.split_tree, distances)
+        model = divisive_cluster(distances, 3, seed=0)
+        value = metrics.cophenetic_dendrogram(distances, model.split_tree)
         assert 0.5 < value <= 1.0
 
 
@@ -297,8 +293,8 @@ class TestEvaluateAll:
         data, truth = make_blobs(3, 30, dim=4, seed=16)
         model = kmeans(data, 3, seed=0)
         report = metrics.evaluate_all(
-            data, model.labels, truth, kmeans_clusterer(3), B=10, seed=0,
-            context={"method": "kmeans", "k": 3, "seed": 0}, distances=metrics.Distances.of(data),
+            metrics.Distances.of(data), model.labels, truth, kmeans_clusterer(3), B=10, seed=0,
+            context={"method": "kmeans", "k": 3, "seed": 0},
         )
         assert report.external["nmi"] == 1.0
         assert report.external["ari"] == 1.0
@@ -308,9 +304,7 @@ class TestEvaluateAll:
     def test_constant_pred_conventions(self):
         data, truth = make_blobs(2, 20, dim=3, seed=17)
         labels = np.zeros(40, dtype=int)
-        report = metrics.evaluate_all(
-            data, labels, truth, kmeans_clusterer(2), B=5, seed=0, distances=metrics.Distances.of(data)
-        )
+        report = metrics.evaluate_all(metrics.Distances.of(data), labels, truth, kmeans_clusterer(2), B=5, seed=0)
         assert report.external["purity"] == 0.5
         assert abs(report.external["ari"]) < 1e-9
         assert report.internal["silhouette"] == 0.0
@@ -319,8 +313,8 @@ class TestEvaluateAll:
         data, truth = make_blobs(2, 20, dim=3, seed=18)
         model = kmeans(data, 2, seed=0)
         report = metrics.evaluate_all(
-            data, model.labels, truth, kmeans_clusterer(2), B=5, seed=0,
-            context={"method": "kmeans", "k": 2, "seed": 0}, distances=metrics.Distances.of(data),
+            metrics.Distances.of(data), model.labels, truth, kmeans_clusterer(2), B=5, seed=0,
+            context={"method": "kmeans", "k": 2, "seed": 0},
         )
         report.save(tmp_path / "report.json")
         back = json.loads((tmp_path / "report.json").read_text())
@@ -334,10 +328,9 @@ class TestEvaluateAll:
     def test_divisive_adds_dendrogram_key(self):
         data, truth = make_blobs(3, 25, dim=3, seed=19)
         distances = metrics.Distances.of(data)
-        model = divisive_cluster(data, 3, seed=0, distances=distances)
+        model = divisive_cluster(distances, 3, seed=0)
         report = metrics.evaluate_all(
-            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree,
-            distances=distances,
+            distances, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree
         )
         assert "cophenetic_dendrogram" in report.internal
 
@@ -345,11 +338,10 @@ class TestEvaluateAll:
         # identical rows: the divisive model stops at one cluster, whose tree splits no pair
         data, truth = np.ones((24, 2)), np.repeat([0, 1], 12)
         distances = metrics.Distances.of(data)
-        model = divisive_cluster(data, 3, seed=0, distances=distances)
+        model = divisive_cluster(distances, 3, seed=0)
         assert model.split_tree.children is None
         report = metrics.evaluate_all(
-            data, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree,
-            distances=distances,
+            distances, model.labels, truth, divisive_clusterer(3), B=5, seed=0, split_tree=model.split_tree
         )
         assert report.internal == {
             "silhouette": 0.0, "davies_bouldin": 0.0, "cophenetic": 1.0, "cophenetic_dendrogram": 1.0
@@ -571,7 +563,7 @@ class TestArrayPassesMatchLoops:
     @pytest.mark.parametrize("case", sorted(EXPLICIT_CASES))
     def test_explicit_cases(self, case):
         x, labels = EXPLICIT_CASES[case]
-        assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == outcome(silhouette_loop, x, labels)
+        assert outcome(metrics.silhouette, metrics.Distances.of(x), labels) == outcome(silhouette_loop, x, labels)
         if np.unique(labels).size < x.shape[0]:
             assert outcome(metrics.davies_bouldin, x, labels) == outcome(
                 davies_bouldin_loop, x, labels
@@ -586,7 +578,7 @@ class TestArrayPassesMatchLoops:
     @given(labeled_points())
     def test_silhouette_bitwise(self, case):
         x, labels = case
-        assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == outcome(silhouette_loop, x, labels)
+        assert outcome(metrics.silhouette, metrics.Distances.of(x), labels) == outcome(silhouette_loop, x, labels)
 
     @settings(max_examples=200, deadline=None)
     @given(labeled_points())
@@ -658,13 +650,13 @@ def cophenetic_bootstrap_loop(data, clusterer, B, seed):
     n = x.shape[0]
     if n < 10:
         raise ValueError("bootstrap stability needs at least 10 samples")
-    base = np.asarray(clusterer(x, seed, metrics.Distances.of(x)), dtype=np.int64)
+    base = np.asarray(clusterer(metrics.Distances.of(x), seed), dtype=np.int64)
     votes = np.zeros((n, n))
     seen = np.zeros((n, n))
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(B)):
         rng = np.random.default_rng(child)
         idx = np.unique(rng.integers(0, n, n))
-        labels = np.asarray(clusterer(x[idx], seed + b + 1, metrics.Distances.of(x[idx])), dtype=np.int64)
+        labels = np.asarray(clusterer(metrics.Distances.of(x[idx]), seed + b + 1), dtype=np.int64)
         same = (labels[:, None] == labels[None, :]).astype(np.float64)
         votes[np.ix_(idx, idx)] += same
         seen[np.ix_(idx, idx)] += 1.0
@@ -681,18 +673,19 @@ def cophenetic_bootstrap_loop(data, clusterer, B, seed):
     return float(np.corrcoef(a_vals, ahat)[0, 1])
 
 
-def seeded_labels(x, seed, distances):
+def seeded_labels(distances, seed):
     """Labels that depend on the seed only: votes vary from resample to resample."""
-    return np.random.default_rng(seed).integers(0, 3, x.shape[0])
+    return np.random.default_rng(seed).integers(0, 3, distances.points.shape[0])
 
 
 def bootstrap(x, clusterer, B, seed, workers=1):
     """``metrics.cophenetic_bootstrap`` over the distances of ``x``."""
-    return metrics.cophenetic_bootstrap(x, clusterer, B, seed, workers, distances=metrics.Distances.of(x))
+    return metrics.cophenetic_bootstrap(metrics.Distances.of(x), clusterer, B, seed, workers)
 
 
-def median_split(x, seed, distances):
+def median_split(distances, seed):
     """Labels that depend on the rows only: duplicate rows always share a cluster."""
+    x = distances.points
     return (x[:, 0] > np.median(x[:, 0])).astype(int)
 
 
@@ -730,6 +723,11 @@ class TestBootstrapVotesMatchLoop:
     def test_vote_count_limit(self):
         with pytest.raises(ValueError, match="uint16"):
             bootstrap(np.arange(20.0)[:, None], median_split, B=70000, seed=0)
+
+    @pytest.mark.parametrize("B", [0, -1])
+    def test_needs_one_resample(self, B):
+        with pytest.raises(ValueError, match=f"^B={B} resamples: the bootstrap needs at least 1$"):
+            bootstrap(np.arange(20.0)[:, None], median_split, B=B, seed=0)
 
 
 # Each resample's votes were filled from triu_indices over all the pairs it
@@ -827,16 +825,16 @@ class TestSilhouetteBlocksMatchDense:
     def test_bitwise_at_any_block(self, case):
         x, labels, block = case
         want = outcome(silhouette_dense, x, labels)
-        assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == want
+        assert outcome(metrics.silhouette, metrics.Distances.of(x), labels) == want
         with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
-            assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == want
+            assert outcome(metrics.silhouette, metrics.Distances.of(x), labels) == want
 
     @settings(max_examples=100, deadline=None)
     @given(labeled_points(), st.integers(2, 5))
     def test_small_blocks_with_ties(self, case, block):
         x, labels = case
         with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
-            assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == outcome(
+            assert outcome(metrics.silhouette, metrics.Distances.of(x), labels) == outcome(
                 silhouette_dense, x, labels
             )
 
@@ -891,7 +889,7 @@ class TestDendrogramMatchesDense:
         x = rng.integers(-2, 3, (n, d)).astype(np.float64)  # ties and duplicate rows
         heights = np.r_[0.0, rng.normal(0, 1, 3), rng.uniform(0, 1e3, 3)]
         tree = random_split_tree(np.arange(n), heights, rng)
-        assert outcome(metrics.cophenetic_dendrogram, x, tree, metrics.Distances.of(x)) == outcome(
+        assert outcome(metrics.cophenetic_dendrogram, metrics.Distances.of(x), tree) == outcome(
             cophenetic_dendrogram_dense, x, tree
         )
 
@@ -899,8 +897,8 @@ class TestDendrogramMatchesDense:
     def test_divisive_trees_bitwise(self, k):
         data, _ = make_blobs(4, 25, dim=6, seed=k)
         distances = metrics.Distances.of(data)
-        tree = divisive_cluster(data, k, seed=1, distances=distances).split_tree
-        assert outcome(metrics.cophenetic_dendrogram, data, tree, distances) == outcome(
+        tree = divisive_cluster(distances, k, seed=1).split_tree
+        assert outcome(metrics.cophenetic_dendrogram, distances, tree) == outcome(
             cophenetic_dendrogram_dense, data, tree
         )
 
@@ -1022,16 +1020,16 @@ class TestGatheredBlocks:
     @given(wide_labeled_points(), st.integers(0, 2**32 - 1))
     def test_silhouette_of_own_and_gathered_distances(self, case, seed):
         x, labels, block = case
-        want = outcome(silhouette_reference, x, labels)
+        want = outcome(silhouette_reference, metrics.Distances.of(x), labels)
         with mock.patch.object(metrics, "SILHOUETTE_BLOCK", block):
-            assert outcome(metrics.silhouette, x, labels, metrics.Distances.of(x)) == want
+            assert outcome(metrics.silhouette, metrics.Distances.of(x), labels) == want
             # the same points as a subset of a larger matrix's distances
             rng = np.random.default_rng(seed)
             larger = np.vstack([x, rng.normal(0, 1, (int(rng.integers(1, 20)), x.shape[1]))])
             order = rng.permutation(larger.shape[0])
             rows = np.argsort(order)[: x.shape[0]]  # where x's rows went
             view = metrics.Distances.of(larger[order]).subset(rows)
-            assert outcome(metrics.silhouette, x, labels, view) == want
+            assert outcome(metrics.silhouette, view, labels) == want
 
 
 class TestSharedDistancesMatchReference:
@@ -1040,7 +1038,7 @@ class TestSharedDistancesMatchReference:
     @staticmethod
     def report(data, labels, truth, clusterer, split_tree):
         report = metrics.evaluate_all(
-            data, labels, truth, clusterer, B=6, seed=3, split_tree=split_tree, distances=metrics.Distances.of(data)
+            metrics.Distances.of(data), labels, truth, clusterer, B=6, seed=3, split_tree=split_tree
         )
         return report.external, report.internal, report.distribution
 
@@ -1048,11 +1046,11 @@ class TestSharedDistancesMatchReference:
     def test_evaluate_all(self, monkeypatch, seed):
         data, truth = make_blobs(4, 12, dim=5, seed=seed)
         data = data[np.random.default_rng(seed).integers(0, 48, 48)]  # duplicate rows
-        model = divisive_cluster(data, 5, seed=seed, distances=metrics.Distances.of(data))
+        model = divisive_cluster(metrics.Distances.of(data), 5, seed=seed)
         got = self.report(data, model.labels, truth, divisive_clusterer(4), model.split_tree)
         monkeypatch.setattr(metrics, "silhouette", silhouette_reference)
         monkeypatch.setattr(
-            metrics, "cophenetic_dendrogram", lambda x, tree, distances=None: cophenetic_dendrogram_dense(x, tree)
+            metrics, "cophenetic_dendrogram", lambda d, tree: cophenetic_dendrogram_dense(d.points, tree)
         )
         assert got == self.report(data, model.labels, truth, divisive_clusterer(4), model.split_tree)
 
@@ -1064,7 +1062,7 @@ class TestSharedDistancesMatchReference:
         heights = np.r_[0.0, rng.normal(0, 1, 3), rng.uniform(0, 1e3, 3)]
         tree = random_split_tree(np.arange(n), heights, rng)
         distances = metrics.Distances.of(x)
-        assert outcome(metrics.cophenetic_dendrogram, x, tree, distances) == outcome(
+        assert outcome(metrics.cophenetic_dendrogram, distances, tree) == outcome(
             cophenetic_dendrogram_dense, x, tree
         )
 
@@ -1104,16 +1102,14 @@ class TestGivenDistancesChangeNoBit:
         if method == "kmeans":
             model, clusterer = kmeans(x, k, restarts=3, seed=seed), kmeans_clusterer(k)
         else:
-            model = divisive_cluster(x, k, seed=seed, distances=metrics.Distances.of(x))
+            model = divisive_cluster(metrics.Distances.of(x), k, seed=seed)
             clusterer = divisive_clusterer(k)
         got = []
         for distances in self.views(x, seed):
-            coefficient = outcome(
-                lambda *args: metrics.cophenetic_bootstrap(*args, distances=distances), x, clusterer, 4, seed, 1
-            )
+            coefficient = outcome(metrics.cophenetic_bootstrap, distances, clusterer, 4, seed, 1)
             try:
                 report = metrics.evaluate_all(
-                    x, model.labels, truth, clusterer, B=4, seed=seed, split_tree=model.split_tree, distances=distances
+                    distances, model.labels, truth, clusterer, B=4, seed=seed, split_tree=model.split_tree
                 )
                 internal = json.dumps(report.internal)
             except ValueError as exc:  # a degenerate bootstrap, as the coefficient's outcome records
@@ -1124,36 +1120,69 @@ class TestGivenDistancesChangeNoBit:
 
 # ---------------------------------------------------------------------------
 # Every function that reads a data matrix checks it with types.as_matrix, so
-# a 1-D array fails the same way wherever it is passed.
+# a 1-D array fails the same way wherever it is passed. The readers of
+# distances take their points from Distances.of, which checks them there.
 
-ONE_D_READERS = [
-    "silhouette",
-    "davies_bouldin",
-    "calinski_harabasz",
-    "cophenetic_dendrogram",
-    "cophenetic_bootstrap",
-    "evaluate_all",
-    "kmeans",
-    "divisive_cluster",
-    "select_natural_k",
-]
+ONE_D_READERS = ["davies_bouldin", "calinski_harabasz", "kmeans", "Distances.of"]
 
 
 @pytest.mark.parametrize("name", ONE_D_READERS)
 def test_one_dimensional_data_is_rejected(name):
     x, labels = np.arange(12.0), np.arange(12) % 2
-    distances = metrics.Distances.of(x[:, None])  # those of the same points as a matrix
-    tree = divisive_cluster(x[:, None], 2, seed=0, distances=distances).split_tree
     calls = {
-        "silhouette": lambda: metrics.silhouette(x, labels, distances),
         "davies_bouldin": lambda: metrics.davies_bouldin(x, labels),
         "calinski_harabasz": lambda: metrics.calinski_harabasz(x, labels),
-        "cophenetic_dendrogram": lambda: metrics.cophenetic_dendrogram(x, tree, distances),
-        "cophenetic_bootstrap": lambda: metrics.cophenetic_bootstrap(x, kmeans_clusterer(2), B=2, distances=distances),
-        "evaluate_all": lambda: metrics.evaluate_all(x, labels, labels, kmeans_clusterer(2), B=2, distances=distances),
         "kmeans": lambda: kmeans(x, 2),
-        "divisive_cluster": lambda: divisive_cluster(x, 2, distances=distances),
-        "select_natural_k": lambda: select_natural_k(x, (2, 3), distances=distances),
+        "Distances.of": lambda: metrics.Distances.of(x),
     }
     with pytest.raises(ValueError, match="^expected a 2-D data matrix$"):
         calls[name]()
+
+
+@pytest.mark.parametrize("name", ["silhouette", "davies_bouldin", "calinski_harabasz", "evaluate_all"])
+def test_labels_must_match_points(name):
+    x = make_blobs(2, 15, dim=3, seed=22)[0]
+    labels = np.arange(29) % 2  # one short of the 30 points
+    distances = metrics.Distances.of(x)
+    calls = {
+        "silhouette": lambda: metrics.silhouette(distances, labels),
+        "davies_bouldin": lambda: metrics.davies_bouldin(x, labels),
+        "calinski_harabasz": lambda: metrics.calinski_harabasz(x, labels),
+        "evaluate_all": lambda: metrics.evaluate_all(distances, labels, labels, kmeans_clusterer(2), B=2),
+    }
+    with pytest.raises(ValueError, match="^29 labels for 30 points; expected one label per point$"):
+        calls[name]()
+
+
+# ---------------------------------------------------------------------------
+# A Distances carries its points: a subset view holds the same rows, in the
+# same layout, as the gather x[rows].
+
+
+class TestSubsetPoints:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_points_equal_the_gather(self, order):
+        rng = np.random.default_rng(23)
+        x = np.asarray(rng.normal(0, 1, (30, 5)), order=order)
+        outer = rng.integers(0, 30, 25)  # with repeats
+        inner = rng.integers(0, 25, 12)
+        distances = metrics.Distances.of(x)
+        assert distances.points.flags["F_CONTIGUOUS"] == (order == "F")
+        for got, want in [
+            (distances.points, x),
+            (distances.subset(outer).points, x[outer]),
+            (distances.subset(outer).subset(inner).points, x[outer][inner]),
+        ]:
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    @pytest.mark.parametrize("method", ["kmeans", "divisive"])
+    def test_pickled_view_resamples_the_same(self, method):
+        x = np.asfortranarray(make_blobs(3, 10, dim=4, seed=24)[0])
+        view = metrics.Distances.of(x).subset(np.arange(1, 30))
+        shared = (partial(pipeline._fit, method=method, k=3, restarts=2), view)
+        task = (np.random.SeedSequence(5).spawn(1)[0], 6)
+        want = metrics._resample(shared, task)
+        got = metrics._resample(pickle.loads(pickle.dumps(shared)), task)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

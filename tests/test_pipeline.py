@@ -337,7 +337,7 @@ class TestAnalysisWorkers:
     def test_bootstrap_pool_size(self, recording_pool, workers, B, expected):
         data = np.repeat(np.arange(4.0), 5)[:, None]
         clusterer = partial(pipeline._fit, method="kmeans", k=4, restarts=pipeline.BOOTSTRAP_RESTARTS)
-        metrics.cophenetic_bootstrap(data, clusterer, B=B, seed=0, workers=workers, distances=metrics.Distances.of(data))
+        metrics.cophenetic_bootstrap(metrics.Distances.of(data), clusterer, B=B, seed=0, workers=workers)
         assert recording_pool == expected
 
     @pytest.mark.parametrize(
@@ -345,7 +345,7 @@ class TestAnalysisWorkers:
     )
     def test_sweep_pool_size(self, recording_pool, workers, k_range, expected):
         data = np.repeat(np.arange(4.0), 5)[:, None]
-        select_natural_k(data, k_range, seed=0, restarts=2, workers=workers, distances=metrics.Distances.of(data))
+        select_natural_k(metrics.Distances.of(data), k_range, seed=0, restarts=2, workers=workers)
         assert recording_pool == expected
 
     @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
@@ -356,10 +356,10 @@ class TestAnalysisWorkers:
         data = make_blobs(3, 8, dim=2, seed=5)[0]
         clusterer = partial(pipeline._fit, method="divisive", k=3, restarts=pipeline.BOOTSTRAP_RESTARTS)
         distances = metrics.Distances.of(data)
-        pooled = metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=2, distances=distances)
-        assert pooled == metrics.cophenetic_bootstrap(data, clusterer, B=4, seed=2, workers=1, distances=distances)
-        pooled = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=2, distances=distances)
-        single = select_natural_k(data, (2, 4), seed=2, restarts=2, workers=1, distances=distances)
+        pooled = metrics.cophenetic_bootstrap(distances, clusterer, B=4, seed=2, workers=2)
+        assert pooled == metrics.cophenetic_bootstrap(distances, clusterer, B=4, seed=2, workers=1)
+        pooled = select_natural_k(distances, (2, 4), seed=2, restarts=2, workers=2)
+        single = select_natural_k(distances, (2, 4), seed=2, restarts=2, workers=1)
         assert pooled.consensus.tobytes() == single.consensus.tobytes()
         data, truth = forest_case()
         for mode in ("random_forest", "extra_trees"):
@@ -375,9 +375,9 @@ class TestAnalysisWorkers:
         distances = metrics.Distances.of(data)
         for method in pipeline._METHODS:
             clusterer = partial(pipeline._fit, method=method, k=4, restarts=pipeline.BOOTSTRAP_RESTARTS)
-            shared, item = pickle.loads(pickle.dumps(((data, clusterer, distances), (child, 4))))
+            shared, item = pickle.loads(pickle.dumps(((clusterer, distances), (child, 4))))
             idx, labels = metrics._resample(shared, item)
-            want_idx, want_labels = metrics._resample((data, clusterer, distances), (child, 4))
+            want_idx, want_labels = metrics._resample((clusterer, distances), (child, 4))
             assert np.array_equal(idx, want_idx) and np.array_equal(labels, want_labels)
 
 
@@ -538,12 +538,11 @@ class TestOneSelectionWriter:
         matrix, genres = pipeline._load_features(cfg)
         selected, _ = pipeline.prepare_selected(cfg, matrix, pipeline._class_indices(genres))
         want = select_natural_k(
-            selected.data,
+            metrics.Distances.of(selected.data),
             (cfg.k_min, cfg.k_max),
             seed=stage_seed(seed, "sweep"),
             restarts=cfg.restarts,
             workers=1,
-            distances=metrics.Distances.of(selected.data),
         )
         assert got.chosen_k == want.chosen_k
         for f in fields(want):
