@@ -25,13 +25,17 @@ Synthetic signals (click tracks, sines, noise) are made in ``fixtures``.
 Resampling keeps ``scipy.signal.upfirdn``. A numpy polyphase kernel that
 matched it bit for bit (at ratios 1/2, 147/160, 147/80, 3/2 and 2/1) took
 0.41 s per 6-minute 44.1 kHz track where ``upfirdn`` took 0.21 s (one
-x86-64 core).
+x86-64 core). That time is now spent off the calling thread: the STFT's
+helper thread decodes and resamples while the calling thread reduces the
+block before, so on two CPUs it overlaps the reduction (see ``stft``).
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +51,7 @@ CANONICAL_RATE = 22050
 STFT_WINDOW = 2048
 STFT_HOP = 512
 
-FRAME_BLOCK = 256
+FRAME_BLOCK = 96
 _FFT_ROWS = FRAME_BLOCK // 4  # frames per FFT call inside a block
 DECODE_CHUNK = 65536  # frames decoded (and resampled) at a time
 
@@ -600,14 +604,75 @@ class _SpanBuffer:
         return self._buf[: hi - lo]
 
 
+class _BlockFiller:
+    """One helper thread that fills frame blocks ahead of their reader, in two buffers by turns.
+
+    ``fill(out, start, stop)`` writes the rows of block ``start:stop`` into
+    ``out``; the thread calls it for each of ``blocks`` in order.
+    ``take(start, stop)`` waits for the next block and returns it as a view
+    of its buffer, valid until the following call: that call hands the
+    buffer back to the thread. So while the reader works on one block the
+    thread fills the other, and at most two blocks exist.
+
+    Used as a context manager: ``with`` starts the thread and returns
+    ``take``, and leaving the ``with`` block joins the thread. A failure
+    of the thread is raised again, the same exception object, by the
+    ``take`` that waits for the block it failed on. Leaving on the reader's
+    own exception stops the thread after at most the block it is filling.
+    """
+
+    def __init__(
+        self,
+        blocks: list[tuple[int, int]],
+        shape: tuple[int, int],
+        fill: Callable[[np.ndarray, int, int], None],
+    ):
+        self._buffers = (np.empty(shape), np.empty(shape))
+        self._free: queue.SimpleQueue[int | None] = queue.SimpleQueue()
+        self._ready: queue.SimpleQueue[int | None] = queue.SimpleQueue()
+        self._free.put(0)
+        self._free.put(1)
+        self._held: int | None = None
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._run, args=(blocks, fill), name="edm-atlas-stft")
+
+    def _run(self, blocks, fill) -> None:
+        try:
+            for start, stop in blocks:
+                i = self._free.get()
+                if i is None:  # the reader has stopped
+                    return
+                fill(self._buffers[i][: stop - start], start, stop)
+                self._ready.put(i)
+        except BaseException as exc:  # handed to the reader, whose take raises it
+            self._error = exc
+            self._ready.put(None)
+
+    def take(self, start: int, stop: int) -> np.ndarray:
+        if self._held is not None:
+            self._free.put(self._held)
+        self._held = self._ready.get()
+        if self._held is None:
+            raise self._error
+        return self._buffers[self._held][: stop - start]
+
+    def __enter__(self) -> Callable[[int, int], np.ndarray]:
+        self._thread.start()
+        return self.take
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._free.put(None)  # wakes a thread that waits for a buffer
+        self._thread.join()
+
+
 def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> FrameSeries:
     """Hann-windowed magnitude STFT, reduced to its FrameSeries in one pass.
 
     There are 1 + (n - window) // hop frames of window_len // 2 + 1 bins.
     The samples are read once, in order. The samples of one frame block,
     ``start * hop`` to ``(stop - 1) * hop + window_len``, are copied into
-    a preallocated buffer as long as the longest block's (about 200,000
-    samples, 1.6 MB), so a stream from ``stream_wav`` is decoded and
+    a preallocated buffer as long as the longest block's (at most 74,752
+    samples, 0.6 MB), so a stream from ``stream_wav`` is decoded and
     resampled only as far as the pass has reached, and the track's samples
     never exist whole. The magnitudes of one frame block at a time are
     computed and reduced to the per-frame series, so the whole spectrogram
@@ -617,6 +682,16 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
     quarter block; a row's FFT does not depend on how many rows are taken
     together. A stream is read to its end, so that every sample of it
     passes its finiteness check.
+
+    Reading and reducing overlap: one helper thread (``_BlockFiller``)
+    reads the stream and computes each block's magnitudes into one of two
+    preallocated block buffers while this thread reduces the other block
+    with ``_measure``. Both stages spend their time in numpy, scipy and
+    pocketfft calls that release the GIL. Each block's magnitudes come
+    from the same calls on the same samples as in one thread, so the
+    series are the same bit for bit. The thread is joined before ``stft``
+    returns or raises, and a failure on either side stops the other and is
+    raised as it was.
     """
     if isinstance(clip, AudioClip):  # one chunk: a view of its array
         stream = SampleStream(iter((clip.samples,)), clip.samples.size, clip.sample_rate, clip.source_id)
@@ -628,21 +703,23 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
             f"need 0 < hop ({hop}) <= window_len ({window_len}) <= n_samples ({n})"
         )
     n_frames = 1 + (n - window_len) // hop
-    longest = max(stop - start for start, stop in row_blocks(n_frames, FRAME_BLOCK))
+    blocks = row_blocks(n_frames, FRAME_BLOCK)
+    longest = max(stop - start for start, stop in blocks)
     samples = _SpanBuffer(stream.chunks, (longest - 1) * hop + window_len)
     window = np.hanning(window_len)
+    windowed = np.empty((_FFT_ROWS, window_len))
 
-    def magnitudes(start: int, stop: int) -> np.ndarray:
+    def fill(mags: np.ndarray, start: int, stop: int) -> None:
         span = samples.take(start * hop, (stop - 1) * hop + window_len)
         frames = np.lib.stride_tricks.sliding_window_view(span, window_len)[::hop]
-        mags = np.empty((stop - start, window_len // 2 + 1))
         for row in range(0, stop - start, _FFT_ROWS):
             end = min(row + _FFT_ROWS, stop - start)
-            np.abs(np.fft.rfft(frames[row:end] * window, axis=1), out=mags[row:end])
-        return mags
+            np.multiply(frames[row:end], window, out=windowed[: end - row])
+            np.abs(np.fft.rfft(windowed[: end - row], axis=1), out=mags[row:end])
 
     freqs = np.fft.rfftfreq(window_len, 1.0 / stream.sample_rate)
-    series = _measure(magnitudes, n_frames, stream.sample_rate / hop, freqs)
-    for _ in stream.chunks:  # the samples after the last frame
+    with _BlockFiller(blocks, (longest, window_len // 2 + 1), fill) as magnitudes:
+        series = _measure(magnitudes, n_frames, stream.sample_rate / hop, freqs)
+    for _ in stream.chunks:  # the samples after the last frame, fewer than hop
         pass
     return series

@@ -3,7 +3,8 @@
 Subcommands: fixtures, extract, cluster, sweep, profile, plot. Flags
 override values from an optional flat key=value ``--config`` file. The
 log level comes from the ``EDM_ATLAS_LOG`` environment variable
-(error|warn|info|debug, default warn).
+(error|warn|info|debug, default warn); at info, each run logs its stage
+and wall time to stderr when the stage ends.
 
 Exit codes: 0 success, 1 partial success (some tracks failed), 2
 configuration error, 3 fatal stage error.
@@ -15,6 +16,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from dataclasses import fields
 
 from .pipeline import (
@@ -28,6 +30,8 @@ from .pipeline import (
     cmd_profile,
     cmd_sweep,
 )
+
+logger = logging.getLogger(__name__)
 
 LOG_LEVELS = {
     "error": logging.ERROR,
@@ -60,7 +64,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         type=int,
         help=(
             "worker processes for extract's tracks, the selection forests' trees, the cluster "
-            "bootstrap's resamples and the sweep's ks (default: the CPUs this process may use)"
+            "bootstrap's resamples and the sweep's ks (default: the CPUs this process may use); "
+            "each extraction process also runs one helper thread during its STFT"
         ),
     )
     sub.add_argument("--labels", help="labels CSV for profile/plot stages")
@@ -93,7 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    code = _run(args)
+    logger.info("stage %s: %.3f s, exit %d", args.command, time.perf_counter() - started, code)
+    return code
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the stage ``args`` names; its exit code."""
     try:
         if args.command == "fixtures":
             manifest = cmd_fixtures(
@@ -117,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # fatal stage failure
-        logging.getLogger(__name__).error("stage failed: %s", exc)
+        logger.error("stage failed: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -64,7 +64,9 @@ def mfcc_features(series: FrameSeries) -> FeatureVector:
     ``row_blocks(n, FRAME_BLOCK)`` frames at a time; each is per row, so a
     block gives the rows the whole array gave. Only the 13 kept
     coefficients exist for the whole track, as one C-ordered array, and
-    their means, stds and deltas are taken over it.
+    their means, stds and deltas are taken over it; the coefficients are
+    let go before the deltas' statistics, so at most two whole-track arrays
+    of 13 columns exist at once.
     """
     if series.n_frames < 3:
         raise ValueError("MFCC deltas need at least 3 frames")
@@ -72,12 +74,15 @@ def mfcc_features(series: FrameSeries) -> FeatureVector:
     for start, stop in row_blocks(series.n_frames, FRAME_BLOCK):
         log_energy = np.log(np.maximum(series.mel_energy[start:stop], LOG_FLOOR))
         coeffs[start:stop] = dct(log_energy, type=2, norm="ortho", axis=1)[:, :N_MFCC]
-    deltas = (coeffs[2:] - coeffs[:-2]) / 2.0  # interior frames only
+    stats = [("mfcc", coeffs.mean(axis=0), coeffs.std(axis=0))]
+    deltas = np.subtract(coeffs[2:], coeffs[:-2])  # interior frames only
+    deltas /= 2.0
+    del coeffs
+    stats.append(("mfcc_delta", deltas.mean(axis=0), deltas.std(axis=0)))
+    del deltas
 
     values, names = [], []
-    for label, block in (("mfcc", coeffs), ("mfcc_delta", deltas)):
-        means = block.mean(axis=0)
-        stds = block.std(axis=0)
+    for label, means, stds in stats:
         for i in range(N_MFCC):
             values.append(means[i])
             names.append(f"{label}_{i:02d}_mean")

@@ -179,7 +179,7 @@ def _squared_sums(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
     return sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distances:
     """A set of points and their Euclidean distances, each pair computed once.
 
@@ -188,6 +188,8 @@ class Distances:
     gathered. ``subset(rows)`` is the same for the points ``rows`` selects
     (``rows`` None: every row; a point may repeat), sharing the array.
     Every block equals ``cdist`` of the points it covers, bit for bit.
+    Two of them are equal only when they are the same object, and each
+    hashes by identity, since its arrays compare element by element.
     """
 
     condensed: np.ndarray

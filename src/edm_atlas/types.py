@@ -103,9 +103,10 @@ def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
     * a matrix product depends on the row count through the BLAS kernel:
       OpenBLAS takes a separate small-matrix kernel, with its own rounding,
       for small products (with the MFCC filter bank, blocks of 24 rows or
-      fewer on scipy-openblas 0.3.31). At ``size`` 256, when ``n`` needs
-      more than one block, every block has 192 to 320 rows, far above
-      that; the tests check every height from 128 to 383.
+      fewer on scipy-openblas 0.3.31). At ``size`` 96 (the STFT's
+      ``FRAME_BLOCK``), when ``n`` needs more than one block, every block
+      has 72 to 120 rows, far above that; the tests check every height
+      from 48 to 143.
     """
     if n <= 0:
         return []

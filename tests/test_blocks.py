@@ -64,8 +64,10 @@ WINDOW = 2048
 HOP = 512
 
 # at most one block, one block + 1, 2 x block -/+ 1, and counts that fixed
-# 256-row blocks would end with a 1-row tail (513, 769)
-FRAME_COUNTS = [45, 200, 256, 257, 258, 383, 384, 511, 512, 513, 514, 769, 770]
+# FRAME_BLOCK-row blocks would end with a 1-row tail (2 and 3 x block + 1)
+FRAME_COUNTS = [45, FRAME_BLOCK * 3 // 4, *(FRAME_BLOCK + d for d in (0, 1, 2))]
+FRAME_COUNTS += [FRAME_BLOCK * 3 // 2 - 1, FRAME_BLOCK * 3 // 2, *(2 * FRAME_BLOCK + d for d in (-1, 0, 1, 2))]
+FRAME_COUNTS += [3 * FRAME_BLOCK + 1, 3 * FRAME_BLOCK + 2]
 
 
 @dataclass
@@ -231,7 +233,7 @@ def same_bytes(a, b):
 
 
 def frame_blocks(n):
-    """The STFT's own partition before ``types.row_blocks`` took its place: the reference at 256 rows."""
+    """The STFT's own partition before ``types.row_blocks`` took its place: the reference at FRAME_BLOCK rows."""
     if n <= 0:
         return []
     n_blocks = max(1, (n + FRAME_BLOCK // 2) // FRAME_BLOCK)
@@ -250,7 +252,7 @@ class TestFrameBlocks:
                 assert max(sizes) < FRAME_BLOCK * 3 // 2
 
     def test_no_one_row_tail(self):
-        assert [b - a for a, b in row_blocks(2 * FRAME_BLOCK + 1, FRAME_BLOCK)] == [256, 257]
+        assert [b - a for a, b in row_blocks(2 * FRAME_BLOCK + 1, FRAME_BLOCK)] == [FRAME_BLOCK, FRAME_BLOCK + 1]
 
 
 class TestRowBlocks:
@@ -338,8 +340,9 @@ class TestBlockedLayersMatchWholeArray:
         assert same_bytes(band_beat_emphasis(series_of(spec)).values, ref_band_emphasis(spec))
 
 
-# around the first two FRAME_BLOCK edges of row_blocks: 1 -> 2 blocks at 384 frames, 2 -> 3 at 640
-LAYER_FRAME_COUNTS = [3, 4, 256, 383, 384, 385, 639, 640, 641]
+# around the first two FRAME_BLOCK edges of row_blocks: 1 -> 2 blocks at 1.5 x FRAME_BLOCK frames, 2 -> 3 at 2.5 x
+LAYER_FRAME_COUNTS = [3, 4, FRAME_BLOCK]
+LAYER_FRAME_COUNTS += [k * FRAME_BLOCK // 2 + d for k in (3, 5) for d in (-1, 0, 1)]
 # the same around WINDOW_BLOCK: 1 -> 2 blocks at 48 windows, 2 -> 3 at 80
 WINDOW_COUNTS = [1, 2, 3, WINDOW_BLOCK - 1, WINDOW_BLOCK, WINDOW_BLOCK + 1]
 WINDOW_COUNTS += [k * WINDOW_BLOCK // 2 + d for k in (3, 5) for d in (-1, 0, 1)]

@@ -1186,3 +1186,13 @@ class TestSubsetPoints:
         want = metrics._resample(shared, task)
         got = metrics._resample(pickle.loads(pickle.dumps(shared)), task)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestDistancesIdentity:
+    def test_equal_only_to_itself_and_hashable(self):
+        x = np.arange(12.0).reshape(6, 2)
+        a, b = metrics.Distances.of(x), metrics.Distances.of(x)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+        assert a.subset(None) != a

@@ -1,8 +1,14 @@
 import csv
 import hashlib
 import json
+import logging
 import multiprocessing
+import os
 import pickle
+import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
@@ -304,6 +310,14 @@ class TestExtractWorkers:
         matrix, failed = cmd_extract(cfg)
         assert _RecordingPool.sizes == expected
         assert matrix.shape[0] == tracks and failed == []
+
+    def test_one_process_leaves_only_the_main_thread(self, tmp_path):
+        # the later stages fork pools from this process, and forking a
+        # multi-threaded process warns on Python 3.12
+        manifest = write_manifest(tmp_path, {"t0": 10.0, "t1": 10.0})
+        matrix, failed = cmd_extract(RunConfig(manifest=str(manifest), out=str(tmp_path / "out"), workers=1))
+        assert matrix.shape[0] == 2 and failed == []
+        assert threading.enumerate() == [threading.main_thread()]
 
 
 def forest_case(seed=5):
@@ -831,6 +845,41 @@ class TestCliExitCodes:
         assert cli_main(["sweep", "--manifest", manifest, "--out", str(out), "--k-min", "2", "--k-max", "6"]) == 0
         assert cli_main(["profile", "--manifest", manifest, "--out", str(out)]) == 0
         assert cli_main(["plot", "--manifest", manifest, "--out", str(out)]) == 0
+
+    def test_info_logs_each_stage_with_its_time(self, tmp_path, caplog):
+        audio = tmp_path / "audio"
+        caplog.set_level(logging.INFO, logger="edm_atlas.cli")
+        assert cli_main(["fixtures", "--out", str(audio), "--tracks-per-genre", "1", "--duration", "10"]) == 0
+        argv = ["extract", "--manifest", str(audio / "manifest.csv"), "--out", str(tmp_path / "run"), "--workers", "1"]
+        assert cli_main(argv) == 0
+        assert cli_main(["cluster", "--manifest", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 2
+        lines = [r.getMessage() for r in caplog.records if r.name == "edm_atlas.cli"]
+        assert [line.split(":")[0] for line in lines] == ["stage fixtures", "stage extract", "stage cluster"]
+        for line, code in zip(lines, (0, 0, 2)):
+            assert re.fullmatch(rf"stage \w+: \d+\.\d{{3}} s, exit {code}", line), line
+
+    def test_stage_log_goes_to_stderr_and_changes_no_output(self, tmp_path):
+        audio = tmp_path / "audio"
+        assert cli_main(["fixtures", "--out", str(audio), "--tracks-per-genre", "5", "--duration", "10"]) == 0
+        path = os.pathsep.join(filter(None, [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+        runs = {}
+        for level in ("info", "warn"):
+            out = tmp_path / level
+            stderr = []
+            for stage in (["extract"], ["cluster", "--k", "2", "--restarts", "2"]):
+                argv = [stage[0], "--manifest", str(audio / "manifest.csv"), "--out", str(out), "--workers", "1"]
+                done = subprocess.run(
+                    [sys.executable, "-c", "import sys; from edm_atlas.cli import main; sys.exit(main())", *argv, *stage[1:]],
+                    capture_output=True, text=True, timeout=600,
+                    env=dict(os.environ, PYTHONPATH=path, EDM_ATLAS_LOG=level),
+                )
+                assert done.returncode == 0, done.stderr
+                assert "stage" not in done.stdout
+                stderr.append(done.stderr)
+            runs[level] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            timed = [line for line in "".join(stderr).splitlines() if line.startswith("INFO edm_atlas.cli: stage ")]
+            assert len(timed) == (2 if level == "info" else 0)
+        assert runs["info"] == runs["warn"]
 
     def test_missing_manifest_is_config_error(self, tmp_path):
         code = cli_main(["cluster", "--manifest", str(tmp_path / "none.csv"), "--out", str(tmp_path)])

@@ -8,6 +8,10 @@ series and feature must be the same bit for bit.
 """
 
 import struct
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,9 +29,12 @@ from edm_atlas.audio import (
     STFT_WINDOW,
     AudioClip,
     FrameSeries,
+    MalformedWavError,
     SampleStream,
     load_wav,
+    read_wav_header,
     stft,
+    stream_wav,
 )
 from edm_atlas.features import band_beat_emphasis, fundamental_feature_vector
 from edm_atlas.pipeline import extract_track
@@ -39,7 +46,7 @@ from edm_atlas.tempogram import (
     novelty_curve,
     tempogram_feature_vector,
 )
-from edm_atlas.types import FeatureVector
+from edm_atlas.types import FeatureVector, row_blocks
 
 SERIES_FIELDS = [f.name for f in fields(FrameSeries) if f.name != "frame_rate"]
 
@@ -112,10 +119,15 @@ def chunked(samples: np.ndarray, sizes: list[int]):
         i += 1
 
 
+# a block's row count; either side of the first two points where row_blocks(n, FRAME_BLOCK) adds a block
+STFT_FRAME_COUNTS = [1, 2, FRAME_BLOCK // 2 - 1, FRAME_BLOCK // 2]
+STFT_FRAME_COUNTS += [k * FRAME_BLOCK // 2 + d for k in (3, 5) for d in (-1, 0, 1)]
+
+
 class TestStreamedStft:
     @settings(max_examples=40, deadline=None)
     @given(
-        frames=st.sampled_from([1, 2, 127, 128, 383, 384, 385, 639, 640, 641]),
+        frames=st.sampled_from(STFT_FRAME_COUNTS),
         tail=st.integers(0, STFT_HOP - 1),
         sizes=st.lists(st.integers(1, 70_000), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
@@ -129,6 +141,24 @@ class TestStreamedStft:
         assert_same_series(stft(clip), want)
         stream = SampleStream(chunked(clip.samples, sizes), n, CANONICAL_RATE)
         assert_same_series(stft(stream), want)
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # four callers, each with its own helper, on two or more cores; a block
+        # handed over before it was filled, or refilled while read, changes bytes
+        clips = [
+            AudioClip(np.random.default_rng(seed).uniform(-1.0, 1.0, STFT_WINDOW + 40 * FRAME_BLOCK * STFT_HOP), 22050)
+            for seed in range(4)
+        ]
+        wants = [reference_stft(clip) for clip in clips]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                gots = list(pool.map(lambda clip: stft(SampleStream(chunked(clip.samples, [3000]), clip.samples.size, 22050)), clips))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(gots, wants):
+            assert_same_series(got, want)
 
     def test_stream_read_to_its_end(self):
         # the samples after the last frame are read too
@@ -152,7 +182,10 @@ def edge_frames(kind: str, rate: int, step: int, edge: int) -> int:
     """
     if kind == "decode":
         return (-(-10 * rate // DECODE_CHUNK) + step) * DECODE_CHUNK + edge
-    frames = FRAME_BLOCK * (2 + step) + FRAME_BLOCK // 2 + edge
+    # the fewest whole blocks whose next edge, one frame short, still lasts 10 s
+    shortest = -(-(10 * CANONICAL_RATE - STFT_WINDOW - STFT_HOP // 2) // STFT_HOP) + 1
+    first = -(-(shortest + 1 - FRAME_BLOCK // 2) // FRAME_BLOCK)
+    frames = FRAME_BLOCK * (first + step) + FRAME_BLOCK // 2 + edge
     n_out = STFT_WINDOW + (frames - 1) * STFT_HOP + STFT_HOP // 2
     return -(-n_out * rate // CANONICAL_RATE)
 
@@ -192,3 +225,103 @@ class TestStreamedExtraction:
             extract_track(TrackRecord("nan", "nan.wav", "house"), tmp_path)
         with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
             load_wav(tmp_path / "nan.wav", CANONICAL_RATE)
+
+
+def span_end(n_samples: int, have: int) -> int:
+    """The end of the first frame block's samples past sample ``have``, for a stream of ``n_samples``."""
+    n_frames = 1 + (n_samples - STFT_WINDOW) // STFT_HOP
+    ends = ((stop - 1) * STFT_HOP + STFT_WINDOW for _, stop in row_blocks(n_frames, FRAME_BLOCK))
+    return next(end for end in ends if end > have)
+
+
+class TestReadAheadFailures:
+    """A failure on either side of the STFT's helper thread reaches the caller as it was raised.
+
+    The thread reads the stream ahead of ``_measure``; whichever side fails,
+    the caller sees the same exception type and message as a one-thread pass
+    gives, and no thread is left when ``stft`` returns.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rate", [22050, 44100])
+    def test_nan_in_third_chunk(self, tmp_path, rate):
+        data = track_samples(11 * rate, 1, "float32", seed=rate)
+        data[2 * DECODE_CHUNK + 100] = np.nan
+        write_wav(tmp_path / "nan.wav", data, 1, rate)
+        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+            stft(stream_wav(read_wav_header(tmp_path / "nan.wav"), CANONICAL_RATE))
+        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+            extract_track(TrackRecord("nan", "nan.wav", "house"), tmp_path)
+
+    def test_nan_after_the_last_frame(self, tmp_path):
+        # the last frame ends on a decode chunk edge: only the drain after the
+        # last block reads the chunk that holds the NaN
+        n = 5 * DECODE_CHUNK + 100
+        assert (1 + (n - STFT_WINDOW) // STFT_HOP - 1) * STFT_HOP + STFT_WINDOW == 5 * DECODE_CHUNK
+        data = track_samples(n, 1, "float32", seed=4)
+        data[-1] = np.nan
+        write_wav(tmp_path / "nan.wav", data, 1, CANONICAL_RATE)
+        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+            stft(stream_wav(read_wav_header(tmp_path / "nan.wav")))
+        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+            extract_track(TrackRecord("nan", "nan.wav", "house"), tmp_path)
+
+    @pytest.mark.parametrize("have", [10_000, 150_000])
+    def test_stream_ends_before_its_length(self, have):
+        samples = np.random.default_rng(1).uniform(-1.0, 1.0, 300_000)
+        stream = SampleStream(chunked(samples[:have], [10_000]), samples.size, CANONICAL_RATE)
+        end = span_end(samples.size, have)
+        with pytest.raises(ValueError, match=f"^sample stream ended at sample {have}, before sample {end}$"):
+            stft(stream)
+
+    @pytest.mark.parametrize("odd", [0, 1])
+    def test_wav_truncated_mid_data(self, tmp_path, odd):
+        rate = CANONICAL_RATE
+        write_wav(tmp_path / "t.wav", track_samples(12 * rate, 1, "pcm16", seed=2), 1, rate)
+        whole = (tmp_path / "t.wav").read_bytes()
+        cut = whole[: 44 + 2 * 7 * rate + odd]  # 7 s of samples, and one byte more with odd
+        (tmp_path / "cut.wav").write_bytes(cut)
+        declared = f"declares {len(whole) - 44} bytes but only {len(cut) - 44} remain"
+        with pytest.raises(MalformedWavError, match=f"^cut.wav: chunk b'data' {declared}$"):
+            extract_track(TrackRecord("cut", "cut.wav", "house"), tmp_path)
+        # cut after its header was read: the helper thread's reads come up short
+        header = read_wav_header(tmp_path / "t.wav")
+        (tmp_path / "t.wav").write_bytes(cut)
+        if odd:
+            message = "^buffer size must be a multiple of element size$"
+        else:
+            message = f"^sample stream ended at sample {7 * rate}, before sample {span_end(12 * rate, 7 * rate)}$"
+        with pytest.raises(ValueError, match=message):
+            stft(stream_wav(header))
+
+    def test_measure_failure_stops_the_helper(self, monkeypatch):
+        samples = np.random.default_rng(3).uniform(-1.0, 1.0, STFT_WINDOW + (10 * FRAME_BLOCK - 1) * STFT_HOP)
+        n_frames = 1 + (samples.size - STFT_WINDOW) // STFT_HOP
+        blocks = row_blocks(n_frames, FRAME_BLOCK)
+        pulled, failed = [], threading.Event()
+        before = threading.active_count()
+
+        def chunks():
+            for start in range(0, samples.size, 4096):
+                if failed.is_set() and len(pulled) % 8 == 0:
+                    time.sleep(0.05)  # a helper still at work when stft raises would be seen
+                pulled.append(start)
+                yield samples[start : start + 4096]
+
+        def failing(magnitudes, n, frame_rate, bin_freqs):
+            magnitudes(*blocks[0])
+            magnitudes(*blocks[1])
+            failed.set()
+            raise RuntimeError("reduction failed")
+
+        monkeypatch.setattr(audio, "_measure", failing)
+        with pytest.raises(RuntimeError, match="^reduction failed$"):
+            stft(SampleStream(chunks(), samples.size, CANONICAL_RATE))
+        assert threading.active_count() == before
+        # the helper filled at most the buffer the second block freed, then stopped
+        assert pulled[-1] < (blocks[2][1] - 1) * STFT_HOP + STFT_WINDOW
