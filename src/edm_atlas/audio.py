@@ -26,16 +26,15 @@ Resampling keeps ``scipy.signal.upfirdn``. A numpy polyphase kernel that
 matched it bit for bit (at ratios 1/2, 147/160, 147/80, 3/2 and 2/1) took
 0.41 s per 6-minute 44.1 kHz track where ``upfirdn`` took 0.21 s (one
 x86-64 core). That time is now spent off the calling thread: the STFT's
-helper thread decodes and resamples while the calling thread reduces the
-block before, so on two CPUs it overlaps the reduction (see ``stft``).
+read-ahead worker decodes and resamples while the calling thread reduces
+the block before, so on two CPUs it overlaps the reduction (see ``stft``).
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import struct
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -604,67 +603,6 @@ class _SpanBuffer:
         return self._buf[: hi - lo]
 
 
-class _BlockFiller:
-    """One helper thread that fills frame blocks ahead of their reader, in two buffers by turns.
-
-    ``fill(out, start, stop)`` writes the rows of block ``start:stop`` into
-    ``out``; the thread calls it for each of ``blocks`` in order.
-    ``take(start, stop)`` waits for the next block and returns it as a view
-    of its buffer, valid until the following call: that call hands the
-    buffer back to the thread. So while the reader works on one block the
-    thread fills the other, and at most two blocks exist.
-
-    Used as a context manager: ``with`` starts the thread and returns
-    ``take``, and leaving the ``with`` block joins the thread. A failure
-    of the thread is raised again, the same exception object, by the
-    ``take`` that waits for the block it failed on. Leaving on the reader's
-    own exception stops the thread after at most the block it is filling.
-    """
-
-    def __init__(
-        self,
-        blocks: list[tuple[int, int]],
-        shape: tuple[int, int],
-        fill: Callable[[np.ndarray, int, int], None],
-    ):
-        self._buffers = (np.empty(shape), np.empty(shape))
-        self._free: queue.SimpleQueue[int | None] = queue.SimpleQueue()
-        self._ready: queue.SimpleQueue[int | None] = queue.SimpleQueue()
-        self._free.put(0)
-        self._free.put(1)
-        self._held: int | None = None
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run, args=(blocks, fill), name="edm-atlas-stft")
-
-    def _run(self, blocks, fill) -> None:
-        try:
-            for start, stop in blocks:
-                i = self._free.get()
-                if i is None:  # the reader has stopped
-                    return
-                fill(self._buffers[i][: stop - start], start, stop)
-                self._ready.put(i)
-        except BaseException as exc:  # handed to the reader, whose take raises it
-            self._error = exc
-            self._ready.put(None)
-
-    def take(self, start: int, stop: int) -> np.ndarray:
-        if self._held is not None:
-            self._free.put(self._held)
-        self._held = self._ready.get()
-        if self._held is None:
-            raise self._error
-        return self._buffers[self._held][: stop - start]
-
-    def __enter__(self) -> Callable[[int, int], np.ndarray]:
-        self._thread.start()
-        return self.take
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._free.put(None)  # wakes a thread that waits for a buffer
-        self._thread.join()
-
-
 def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> FrameSeries:
     """Hann-windowed magnitude STFT, reduced to its FrameSeries in one pass.
 
@@ -683,15 +621,15 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
     together. A stream is read to its end, so that every sample of it
     passes its finiteness check.
 
-    Reading and reducing overlap: one helper thread (``_BlockFiller``)
-    reads the stream and computes each block's magnitudes into one of two
-    preallocated block buffers while this thread reduces the other block
-    with ``_measure``. Both stages spend their time in numpy, scipy and
-    pocketfft calls that release the GIL. Each block's magnitudes come
-    from the same calls on the same samples as in one thread, so the
-    series are the same bit for bit. The thread is joined before ``stft``
-    returns or raises, and a failure on either side stops the other and is
-    raised as it was.
+    Reading and reducing overlap: a one-worker ThreadPoolExecutor fills
+    each block's magnitudes into one of two preallocated buffers, by block
+    parity, while this thread reduces the block before with ``_measure``;
+    each call waits on its block's future and then submits the next fill
+    into the buffer just finished with. The work is numpy, scipy and
+    pocketfft calls that release the GIL, on the same samples as in one
+    thread, so the series are the same bit for bit. ``result()`` raises a
+    failed fill's own exception, and leaving the executor joins its thread,
+    which after a failure of ``_measure`` finishes at most one block.
     """
     if isinstance(clip, AudioClip):  # one chunk: a view of its array
         stream = SampleStream(iter((clip.samples,)), clip.samples.size, clip.sample_rate, clip.source_id)
@@ -718,7 +656,24 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
             np.abs(np.fft.rfft(windowed[: end - row], axis=1), out=mags[row:end])
 
     freqs = np.fft.rfftfreq(window_len, 1.0 / stream.sample_rate)
-    with _BlockFiller(blocks, (longest, window_len // 2 + 1), fill) as magnitudes:
+    shape = (longest, window_len // 2 + 1)
+    buffers = (np.empty(shape), np.empty(shape))  # block k is filled into buffers[k % 2]
+    taken = iter(range(len(blocks)))  # the index of the block each magnitudes call asks for
+
+    def read_ahead(k: int) -> Future:
+        start, stop = blocks[k]
+        return helper.submit(fill, buffers[k % 2][: stop - start], start, stop)
+
+    def magnitudes(start: int, stop: int) -> np.ndarray:
+        nonlocal pending
+        k = next(taken)
+        pending.result()  # raises the helper's exception, if its fill failed
+        if k + 1 < len(blocks):  # into the buffer of block k - 1, which _measure has finished
+            pending = read_ahead(k + 1)
+        return buffers[k % 2][: stop - start]
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="edm-atlas-stft") as helper:
+        pending = read_ahead(0)
         series = _measure(magnitudes, n_frames, stream.sample_rate / hop, freqs)
     for _ in stream.chunks:  # the samples after the last frame, fewer than hop
         pass

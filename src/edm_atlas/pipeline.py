@@ -236,7 +236,10 @@ def _load_features(cfg: RunConfig) -> tuple[FeatureMatrix, list[str]]:
     records = {r.track_id: r for r in load_manifest(cfg.manifest)}
     missing = [rid for rid in matrix.row_ids if rid not in records]
     if missing:
-        raise StageError(f"matrix rows missing from manifest: {missing[:5]}")
+        raise ConfigError(
+            f"{path} holds {len(missing)} tracks not in the manifest {cfg.manifest} "
+            f"(first: {', '.join(missing[:5])}); run the extract stage again"
+        )
     genres = [records[rid].genre for rid in matrix.row_ids]
     return matrix, genres
 

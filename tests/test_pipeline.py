@@ -21,8 +21,18 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, make_blobs, write_clip
-from edm_atlas import audio, cluster, metrics, parallel, pipeline, tempogram, trees
-from edm_atlas.audio import CANONICAL_RATE, STFT_HOP, STFT_WINDOW, AudioClip, load_wav, read_wav_header, stream_wav
+from edm_atlas import audio, cluster, features, metrics, parallel, pipeline, tempogram, trees
+from edm_atlas.audio import (
+    CANONICAL_RATE,
+    FRAME_BLOCK,
+    N_MEL_BANDS,
+    STFT_HOP,
+    STFT_WINDOW,
+    AudioClip,
+    load_wav,
+    read_wav_header,
+    stream_wav,
+)
 from edm_atlas.cluster import select_natural_k
 from edm_atlas.cli import build_parser
 from edm_atlas.cli import main as cli_main
@@ -54,6 +64,7 @@ from edm_atlas.table import (
     save_matrix,
 )
 from edm_atlas.tempogram import analyze_track, tempogram_feature_vector
+from edm_atlas.types import row_blocks
 
 
 @pytest.fixture(scope="module")
@@ -245,32 +256,60 @@ class TestExtractionMemory:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 0.5 * 8 * 60 * 22050
 
-    def test_traced_excess_does_not_grow_with_duration(self, tmp_path):
-        # Beyond what the analysis returns (the per-frame series, the novelty
-        # curve and both tempograms), extraction holds only block-sized
-        # temporaries: the traced peak above those outputs is the same at 60 s
-        # as at 600 s. Whole-track MFCC, chroma and autocorrelation temporaries
-        # put it 13 MB higher at 600 s.
+    def test_layer_peaks_at_60_and_600_s(self, tmp_path, monkeypatch):
+        # tracemalloc.reset_peak around each layer of one extraction gives the
+        # layer's own traced peak, here taken above what was held when it began
+        # and what it returns. The STFT pass and the autocorrelation tempogram
+        # hold only block-sized temporaries beyond that, so theirs is the same
+        # at 60 s as at 600 s. MFCC and chroma keep whole-track arrays of 13
+        # and 12 columns, and only those may grow with the frame count.
+        layers = [(tempogram, "stft"), (tempogram, "autocorr_tempogram")]
+        layers += [(features, "mfcc_features"), (features, "chroma_features")]
+        excess = {name: [] for _, name in layers}
+        for module, name in layers:
+
+            def traced(arg, _layer=getattr(module, name), _excess=excess[name]):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = _layer(arg)
+                returned = sum(a.nbytes for a in vars(result).values() if isinstance(a, np.ndarray))
+                _excess.append(tracemalloc.get_traced_memory()[1] - held - returned)
+                return result
+
+            monkeypatch.setattr(module, name, traced)
         families = (FixtureFamily("kick_house", "kick", 128.0, 1),)
         record = TrackRecord("kick_house_00", "kick_house_00.wav", "kick_house")
         for seconds in (60, 600):
             write_fixture_set(tmp_path / f"s{seconds}", families=families, duration=float(seconds), seed=0)
         extract_track(record, tmp_path / "s60")  # warm-up: imports and the cached Fourier kernel
-        excess = {}
-        for seconds in (60, 600):
-            base = tmp_path / f"s{seconds}"
-            analysis = analyze_track(stream_wav(read_wav_header(base / record.path), CANONICAL_RATE))
-            outputs = [a for a in vars(analysis.series).values() if isinstance(a, np.ndarray)]
-            outputs += [analysis.novelty.values, analysis.fourier.magnitudes, analysis.autocorr.magnitudes]
-            held = sum(a.nbytes for a in outputs)
-            del analysis, outputs
-            tracemalloc.start()
-            try:
-                extract_track(record, base)
-                excess[seconds] = tracemalloc.get_traced_memory()[1] - held
-            finally:
-                tracemalloc.stop()
-        assert abs(excess[600] - excess[60]) <= 1_000_000, excess
+        steady = {}
+        # The STFT's helper thread allocates while the reduction does, so the
+        # pass's peak depends on when their allocations meet. Ten 60 s passes
+        # have as many frame blocks as one 600 s pass, and so as many chances
+        # to meet; each layer's peak is the largest of its runs.
+        for seconds, runs in ((60, 10), (600, 1)):
+            for found in excess.values():
+                found.clear()
+            for _ in range(runs):
+                tracemalloc.start()
+                try:
+                    extract_track(record, tmp_path / f"s{seconds}")
+                finally:
+                    tracemalloc.stop()
+            assert all(len(found) == runs for found in excess.values()), excess
+            peak = {name: max(found) for name, found in excess.items()}
+            n = 1 + (seconds * CANONICAL_RATE - STFT_WINDOW) // STFT_HOP
+            longest = max(stop - start for start, stop in row_blocks(n, FRAME_BLOCK))
+            # per block: np.maximum, np.log and the DCT of its log mel energies;
+            # np.std's reduction adds numpy's ufunc buffer
+            temporaries = 8 * (3 * longest * N_MEL_BANDS + np.getbufsize())
+            # the coefficients and one array of their shape (deviations or deltas)
+            assert peak["mfcc_features"] <= 8 * 2 * 13 * n + temporaries, (seconds, peak)
+            # the normalized chroma, its deviations, and two per-frame series
+            assert peak["chroma_features"] <= 8 * (2 * 12 + 2) * n + temporaries, (seconds, peak)
+            steady[seconds] = {name: peak[name] for name in ("stft", "autocorr_tempogram")}
+        for name in steady[60]:
+            assert abs(steady[600][name] - steady[60][name]) <= 500_000, (name, steady)
 
 
 class _RecordingPool:
@@ -605,6 +644,30 @@ class TestLabelsOfAnotherClustering:
         assert not list(out.glob("*.svg")) and not (out / "profiles.csv").exists()
 
 
+class TestFeaturesOfAnotherManifest:
+    """cluster and profile refuse a features.csv that holds tracks the manifest lacks."""
+
+    @pytest.mark.parametrize("stage", ["cluster", "profile"])
+    def test_exits_two_naming_both_files(self, fixture_run, tmp_path, capsys, stage):
+        # the 20-track extraction beside a manifest cut to its first 12 tracks
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("features.csv", "labels_kmeans.csv"):
+            (out / name).write_bytes((Path(fixture_run.out) / name).read_bytes())
+        lines = Path(fixture_run.manifest).read_text(encoding="utf-8").splitlines(keepends=True)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("".join(lines[:13]), encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli_main([stage, "--manifest", str(manifest), "--out", str(out), "--workers", "1"]) == 2
+        kept = {line.split(",")[0] for line in lines[1:13]}
+        extra = [tid for tid in load_matrix(out / "features.csv").row_ids if tid not in kept]
+        assert capsys.readouterr().err == (
+            f"configuration error: {out / 'features.csv'} holds 8 tracks not in the manifest {manifest} "
+            f"(first: {', '.join(extra[:5])}); run the extract stage again\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestStaleOutputs:
     """cluster and profile remove the files of their own output family that the run did not write."""
 
@@ -889,9 +952,9 @@ class TestCliExitCodes:
     def test_k_not_below_track_count(self, fixture_run, tmp_path, capsys, method, extra):
         out = tmp_path / "run"
         out.mkdir()
-        features = load_matrix(Path(fixture_run.out) / "features.csv")
-        save_matrix(features, out / "features.csv")
-        n = features.shape[0]
+        matrix = load_matrix(Path(fixture_run.out) / "features.csv")
+        save_matrix(matrix, out / "features.csv")
+        n = matrix.shape[0]
         argv = ["cluster", "--manifest", fixture_run.manifest, "--out", str(out), "--method", method]
         assert cli_main([*argv, "--k", str(n + extra)]) == 2
         assert f"k={n + extra} must be below the number of tracks ({n})" in capsys.readouterr().err

@@ -325,3 +325,30 @@ class TestReadAheadFailures:
         assert threading.active_count() == before
         # the helper filled at most the buffer the second block freed, then stopped
         assert pulled[-1] < (blocks[2][1] - 1) * STFT_HOP + STFT_WINDOW
+
+    def test_measure_and_fill_both_fail(self, monkeypatch):
+        # _measure raises after block 1 while the helper's fill of block 2
+        # raises on a chunk only that block reads: the caller sees _measure's
+        # exception, and the helper's goes no further than its future
+        samples = np.random.default_rng(5).uniform(-1.0, 1.0, STFT_WINDOW + (10 * FRAME_BLOCK - 1) * STFT_HOP)
+        n_frames = 1 + (samples.size - STFT_WINDOW) // STFT_HOP
+        blocks = row_blocks(n_frames, FRAME_BLOCK)
+        block_1_end = (blocks[1][1] - 1) * STFT_HOP + STFT_WINDOW
+        fill_failed = threading.Event()
+
+        def chunks():
+            for start in range(0, samples.size, 4096):
+                if start >= block_1_end:
+                    fill_failed.set()
+                    raise OSError("read failed")
+                yield samples[start : start + 4096]
+
+        def failing(magnitudes, n, frame_rate, bin_freqs):
+            magnitudes(*blocks[0])
+            magnitudes(*blocks[1])
+            assert fill_failed.wait(10)
+            raise RuntimeError("reduction failed")
+
+        monkeypatch.setattr(audio, "_measure", failing)
+        with pytest.raises(RuntimeError, match="^reduction failed$"):
+            stft(SampleStream(chunks(), samples.size, CANONICAL_RATE))
