@@ -5,18 +5,18 @@ downstream module assumes it. Only uncompressed RIFF/WAVE files (16- or
 24-bit integer or 32-bit float PCM, plain or WAVE_FORMAT_EXTENSIBLE, mono
 or stereo) are decoded -- convert lossy formats externally. The decoder
 reads the raw chunk headers, so that decode failures carry a precise
-diagnostic, and then decodes the data chunk DECODE_CHUNK frames at a time.
+diagnostic, and then decodes each span of the data chunk as it is asked for.
 ``write_wav`` is the one writer: 16-bit mono PCM, appended chunk by chunk to
 ``<name>.part`` through ``table.output`` and renamed into place after the last.
 
 A signal reaches the STFT as a ``SampleStream``: its length and rate, and
-its samples as consecutive chunks, read once and in order. ``stream_wav``
-decodes and resamples a file one chunk at a time as the STFT reads it, and
-the STFT copies only the samples of one frame block at a time into a
-preallocated buffer. So on the extraction path no whole-track sample
-array exists, neither at the file's rate nor at 22050 Hz. ``load_wav`` and
-``resample`` collect the same chunks into an AudioClip, and ``stft`` of an
-AudioClip reads a view of its array through the same pass.
+``read(lo, hi)``, which gives any span of its samples. ``stream_wav``
+decodes and resamples a file only for the span asked, and the STFT asks
+for the samples of one frame block at a time. So on the extraction path no
+whole-track sample array exists, neither at the file's rate nor at 22050
+Hz. ``load_wav`` and ``resample`` read one span, the whole signal, into an
+AudioClip, and ``stft`` of an AudioClip reads views of its array through
+the same pass.
 
 The STFT keeps per-frame series (``FrameSeries``), never a whole
 magnitude array; every per-frame feature layer reads those series.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,7 +52,7 @@ STFT_HOP = 512
 
 FRAME_BLOCK = 96
 _FFT_ROWS = FRAME_BLOCK // 4  # frames per FFT call inside a block
-DECODE_CHUNK = 65536  # frames decoded (and resampled) at a time
+DECODE_CHUNK = 65536  # input frames resampled at a time
 
 # the most 16-bit mono frames whose RIFF chunk size (36 + 2n bytes) fits 32 bits
 MAX_WAV_FRAMES = (0xFFFFFFFF - 36) // 2
@@ -104,13 +104,15 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class SampleStream:
-    """A mono signal read once, in order: ``n_samples`` float64 samples in consecutive chunks.
+    """A mono signal of ``n_samples`` float64 samples, read by span.
 
-    ``chunks`` is an iterator, so only one reader can consume it; the
+    ``read(lo, hi)`` returns samples ``lo:hi`` for any ``0 <= lo <= hi <=
+    n_samples``, as often and in whatever order it is called; the array it
+    returns may be a view of the caller's, so it is never written. The
     length, rate and duration are known before a sample is read.
     """
 
-    chunks: Iterator[np.ndarray]
+    read: Callable[[int, int], np.ndarray]
     n_samples: int
     sample_rate: int
     source_id: str = ""
@@ -211,7 +213,9 @@ def _frame_reader(header: WavHeader) -> Callable[[int, int], np.ndarray]:
 
     PCM16 is scaled by 1/32768 and PCM24 by 1/8388608, float32 is clipped
     to [-1, 1], and stereo is the mean of its two channels. Each call
-    opens the file for its one read, so no file stays open between chunks.
+    opens the file for its one read, so no file stays open between reads.
+    A file cut short after its header was read raises MalformedWavError,
+    naming the frame where its samples end.
     """
     frame_bytes = _SAMPLE_BYTES[header.dtype] * header.channels
 
@@ -219,6 +223,9 @@ def _frame_reader(header: WavHeader) -> Callable[[int, int], np.ndarray]:
         with header.path.open("rb") as fh:
             fh.seek(header.data_offset + start * frame_bytes)
             raw = fh.read((stop - start) * frame_bytes)
+        if len(raw) < (stop - start) * frame_bytes:
+            end = start + len(raw) // frame_bytes
+            raise MalformedWavError(f"{header.path.name}: samples end at frame {end} of {header.n_frames}")
         if header.dtype == "<i3":
             # three little-endian bytes as the top of an int32, shifted back down with their sign
             wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
@@ -250,17 +257,20 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     return h
 
 
-def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down: int) -> Iterator[np.ndarray]:
-    """``scipy.signal.resample_poly(x, up, down)`` of ``x = read(0, n_in)``, bit for bit, in chunks.
+def _polyphase(
+    read: Callable[[int, int], np.ndarray], n_in: int, up: int, down: int
+) -> Callable[[int, int], np.ndarray]:
+    """``span(lo, hi)``: ``scipy.signal.resample_poly(x, up, down)[lo:hi]`` of ``x = read(0, n_in)``, bit for bit.
 
-    The filter and its pre- and post-padding are ``resample_poly``'s. The
-    output is yielded in consecutive chunks, one per about DECODE_CHUNK
-    input frames. ``upfirdn`` computes each output as one sequential sum
-    over the taps of its phase, from a zeroed accumulator, and reads only that
-    output's own window of inputs. So a chunk that starts on a multiple of
-    ``down`` (the phase of its first output is 0, as in the whole-array
-    call) and reaches back one whole filter phase before its first kept
-    output computes every kept output from the same inputs, taps and order.
+    The filter and its pre- and post-padding are ``resample_poly``'s. A
+    span is computed in pieces of about DECODE_CHUNK input frames, one
+    ``upfirdn`` call each, written into the span's array. ``upfirdn``
+    computes each output as one sequential sum over the taps of its phase,
+    from a zeroed accumulator, and reads only that output's own window of
+    inputs. So a piece that starts on a multiple of ``down`` (the phase of
+    its first output is 0, as in the whole-array call) and reaches back one
+    whole filter phase before its first kept output computes every kept
+    output from the same inputs, taps and order, whatever the span.
     """
     from scipy.signal import upfirdn
 
@@ -275,38 +285,22 @@ def _polyphase(read: Callable[[int, int], np.ndarray], n_in: int, up: int, down:
         n_post_pad += 1
     taps = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(n_post_pad)))
     per_phase = -(-taps.size // up)  # input samples one output reads
-
     step = max(1, DECODE_CHUNK * up // down)
-    for first in range(0, n_out, step):
-        last = min(first + step, n_out)
-        # out[first:last] is upfirdn's y[g0:g1]; y[g] reads x up to index g * down // up
-        g0, g1 = first + n_pre_remove, last + n_pre_remove
-        start = max(0, g0 * down // up - per_phase + 1) // down * down
-        stop = min(n_in, (g1 - 1) * down // up + 1)
-        y = upfirdn(taps, read(start, stop), up, down)
-        skip = start * up // down
-        yield y[g0 - skip : g1 - skip]
 
+    def span(lo: int, hi: int) -> np.ndarray:
+        out = np.empty(hi - lo)
+        for first in range(lo, hi, step):
+            last = min(first + step, hi)
+            # out[first:last] is upfirdn's y[g0:g1]; y[g] reads x up to index g * down // up
+            g0, g1 = first + n_pre_remove, last + n_pre_remove
+            start = max(0, g0 * down // up - per_phase + 1) // down * down
+            stop = min(n_in, (g1 - 1) * down // up + 1)
+            y = upfirdn(taps, read(start, stop), up, down)
+            skip = start * up // down
+            out[first - lo : last - lo] = y[g0 - skip : g1 - skip]
+        return out
 
-def _convert(
-    read: Callable[[int, int], np.ndarray], n_in: int, up: int, down: int, clipped: bool
-) -> Iterator[np.ndarray]:
-    """Consecutive chunks of ``x = read(0, n_in)`` resampled by ``up / down``, about DECODE_CHUNK input frames each.
-
-    With ``clipped`` (the rate changes) each chunk is clipped to [-1, 1].
-    A chunk that is not finite raises AudioClip's ValueError.
-    """
-    if up == down:
-        chunks = (read(start, min(start + DECODE_CHUNK, n_in)) for start in range(0, n_in, DECODE_CHUNK))
-    else:
-        chunks = _polyphase(read, n_in, up, down)
-    for chunk in chunks:
-        if clipped:
-            # a 1/1 chunk may be a view of the caller's array, which is never written
-            chunk = np.clip(chunk, -1.0, 1.0, out=None if up == down else chunk)
-        if not np.all(np.isfinite(chunk)):
-            raise ValueError("AudioClip samples must be finite")
-        yield chunk
+    return span
 
 
 def _resampled(
@@ -315,7 +309,8 @@ def _resampled(
     """``x = read(0, n_in)`` at ``rate`` as a stream at ``target``: nothing is read until the stream is.
 
     ``resample_poly`` at the rational ratio (denominator at most 1000),
-    clipped to [-1, 1] where the rate changes.
+    clipped to [-1, 1] where the rate changes. A span that is not finite
+    raises AudioClip's ValueError.
     """
     if target <= 0:
         raise ValueError("target_rate must be positive")
@@ -323,25 +318,29 @@ def _resampled(
     if ratio == 0:
         raise ValueError(f"cannot resample {rate} Hz to {target} Hz: the ratio rounds to 0")
     up, down = ratio.numerator, ratio.denominator
-    return SampleStream(_convert(read, n_in, up, down, target != rate), -(-n_in * up // down), target, source_id)
+    convert = read if up == down else _polyphase(read, n_in, up, down)
 
+    def read_span(lo: int, hi: int) -> np.ndarray:
+        span = convert(lo, hi)
+        if target != rate:
+            # a 1/1 span may be a view of the caller's array, which is never written
+            span = np.clip(span, -1.0, 1.0, out=None if up == down else span)
+        if not np.all(np.isfinite(span)):
+            raise ValueError("AudioClip samples must be finite")
+        return span
 
-def _collect(stream: SampleStream) -> AudioClip:
-    """The whole stream as one AudioClip."""
-    samples = np.empty(stream.n_samples)
-    pos = 0
-    for chunk in stream.chunks:
-        samples[pos : pos + chunk.size] = chunk
-        pos += chunk.size
-    return AudioClip(samples, stream.sample_rate, stream.source_id)
+    return SampleStream(read_span, -(-n_in * up // down), target, source_id)
 
 
 def stream_wav(header: WavHeader, rate: int | None = None) -> SampleStream:
     """A WAV file's samples as a SampleStream, at ``rate`` if given.
 
-    Each DECODE_CHUNK frames are decoded (and resampled, exactly as
-    ``resample`` would resample the whole clip) only when the stream's
-    reader reaches them, so no sample is decoded before the stream is read.
+    Each ``read(lo, hi)`` decodes the file's frames under that span, and
+    resamples them exactly as ``resample`` would resample the whole clip,
+    so no sample is decoded before the stream is read and none is kept
+    after. Where the rate changes, a span is resampled from about
+    DECODE_CHUNK input frames at a time; at the file's own rate it is
+    decoded in one read.
     """
     target = header.sample_rate if rate is None else rate
     return _resampled(_frame_reader(header), header.n_frames, header.sample_rate, target, header.path.stem)
@@ -352,12 +351,15 @@ def load_wav(path: str | Path, rate: int | None = None) -> AudioClip:
 
     Accepts 16- and 24-bit integer and 32-bit IEEE float encodings with 1
     or 2 channels, also as WAVE_FORMAT_EXTENSIBLE; stereo is averaged to
-    mono. The clip collects the chunks of ``stream_wav``, so with ``rate``
-    the samples at the file's own rate never exist whole. Raises
+    mono. The clip is ``stream_wav``'s whole stream, read as one span: at
+    the file's own rate that holds the file's samples whole, and with
+    ``rate`` they are resampled DECODE_CHUNK input frames at a time. No
+    stage calls it; it is the tests' whole-track reference. Raises
     FileNotFoundError for a missing file, MalformedWavError for a broken
     container, and UnsupportedWavError for valid-but-unhandled encodings.
     """
-    return _collect(stream_wav(read_wav_header(path), rate))
+    stream = stream_wav(read_wav_header(path), rate)
+    return AudioClip(stream.read(0, stream.n_samples), stream.sample_rate, stream.source_id)
 
 
 def write_wav(path: str | Path, rate: int, n_frames: int, chunks: Iterable[np.ndarray]) -> None:
@@ -414,13 +416,12 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited polyphase resample; duration kept within one period.
 
     Equals ``scipy.signal.resample_poly`` at the rational ratio (denominator
-    at most 1000) bit for bit, clipped to [-1, 1]; the same chunked kernel
-    that ``stream_wav`` runs while decoding.
+    at most 1000) bit for bit, clipped to [-1, 1]; the same kernel that
+    ``stream_wav`` runs while decoding.
     """
     samples = clip.samples
-    return _collect(
-        _resampled(lambda start, stop: samples[start:stop], samples.size, clip.sample_rate, target_rate, clip.source_id)
-    )
+    stream = _resampled(lambda lo, hi: samples[lo:hi], samples.size, clip.sample_rate, target_rate, clip.source_id)
+    return AudioClip(stream.read(0, stream.n_samples), target_rate, clip.source_id)
 
 
 def mel_filterbank(bin_freqs: np.ndarray) -> np.ndarray:
@@ -569,57 +570,24 @@ def _measure(
     return out
 
 
-class _SpanBuffer:
-    """A forward-only window on a stream's chunks, held in one preallocated array.
-
-    ``take(lo, hi)`` returns samples ``lo:hi`` as a view of the buffer,
-    valid until the next call. Neither bound may move back, ``lo`` may not
-    pass the previous ``hi``, and ``hi - lo`` is at most ``size``. Samples
-    before ``lo`` are dropped, and a chunk is read only when a span reaches
-    into it; of each chunk only what a span needs is copied.
-    """
-
-    def __init__(self, chunks: Iterator[np.ndarray], size: int):
-        self._chunks = chunks
-        self._buf = np.empty(size)
-        self._start = 0  # stream index of self._buf[0]
-        self._held = 0  # samples held from self._start on
-        self._rest = self._buf[:0]  # the part of the last chunk read not yet copied
-
-    def take(self, lo: int, hi: int) -> np.ndarray:
-        drop = lo - self._start
-        self._held -= drop
-        self._buf[: self._held] = self._buf[drop : drop + self._held]
-        self._start = lo
-        while self._held < hi - lo:
-            if not self._rest.size:
-                self._rest = next(self._chunks, None)
-                if self._rest is None:
-                    raise ValueError(f"sample stream ended at sample {lo + self._held}, before sample {hi}")
-            n = min(self._rest.size, hi - lo - self._held)
-            self._buf[self._held : self._held + n] = self._rest[:n]
-            self._rest = self._rest[n:]
-            self._held += n
-        return self._buf[: hi - lo]
-
-
 def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> FrameSeries:
     """Hann-windowed magnitude STFT, reduced to its FrameSeries in one pass.
 
     There are 1 + (n - window) // hop frames of window_len // 2 + 1 bins.
-    The samples are read once, in order. The samples of one frame block,
-    ``start * hop`` to ``(stop - 1) * hop + window_len``, are copied into
-    a preallocated buffer as long as the longest block's (at most 74,752
-    samples, 0.6 MB), so a stream from ``stream_wav`` is decoded and
-    resampled only as far as the pass has reached, and the track's samples
-    never exist whole. The magnitudes of one frame block at a time are
-    computed and reduced to the per-frame series, so the whole spectrogram
-    (about 121 MB of float64 for a 6-minute track at 22050 Hz) never
-    exists either. Each block's spectra are taken _FFT_ROWS frames at a
-    time, which holds the windowed frames and their complex spectra to a
-    quarter block; a row's FFT does not depend on how many rows are taken
-    together. A stream is read to its end, so that every sample of it
-    passes its finiteness check.
+    Each frame block's samples, ``start * hop`` to ``(stop - 1) * hop +
+    window_len`` (at most 74,752 samples, 0.6 MB), are one
+    ``stream.read``, so a stream from ``stream_wav`` decodes and resamples
+    one block's span at a time, and the track's samples never exist whole.
+    A block reads again the window_len - hop samples it shares with the
+    block before (1,536 of them, 3 % of a 96-frame block). An AudioClip's
+    spans are views of its array. The magnitudes of one frame block at a
+    time are computed and reduced to the per-frame series, so the whole
+    spectrogram (about 121 MB of float64 for a 6-minute track at 22050 Hz)
+    never exists either. Each block's spectra are taken _FFT_ROWS frames
+    at a time, which holds the windowed frames and their complex spectra
+    to a quarter block; a row's FFT does not depend on how many rows are
+    taken together. The samples after the last frame are read too, so
+    that every sample of a stream passes its finiteness check.
 
     Reading and reducing overlap: a one-worker ThreadPoolExecutor fills
     each block's magnitudes into one of two preallocated buffers, by block
@@ -631,8 +599,9 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
     failed fill's own exception, and leaving the executor joins its thread,
     which after a failure of ``_measure`` finishes at most one block.
     """
-    if isinstance(clip, AudioClip):  # one chunk: a view of its array
-        stream = SampleStream(iter((clip.samples,)), clip.samples.size, clip.sample_rate, clip.source_id)
+    if isinstance(clip, AudioClip):
+        samples = clip.samples
+        stream = SampleStream(lambda lo, hi: samples[lo:hi], samples.size, clip.sample_rate, clip.source_id)
     else:
         stream = clip
     n = stream.n_samples
@@ -643,12 +612,11 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
     n_frames = 1 + (n - window_len) // hop
     blocks = row_blocks(n_frames, FRAME_BLOCK)
     longest = max(stop - start for start, stop in blocks)
-    samples = _SpanBuffer(stream.chunks, (longest - 1) * hop + window_len)
     window = np.hanning(window_len)
     windowed = np.empty((_FFT_ROWS, window_len))
 
     def fill(mags: np.ndarray, start: int, stop: int) -> None:
-        span = samples.take(start * hop, (stop - 1) * hop + window_len)
+        span = stream.read(start * hop, (stop - 1) * hop + window_len)
         frames = np.lib.stride_tricks.sliding_window_view(span, window_len)[::hop]
         for row in range(0, stop - start, _FFT_ROWS):
             end = min(row + _FFT_ROWS, stop - start)
@@ -675,6 +643,5 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="edm-atlas-stft") as helper:
         pending = read_ahead(0)
         series = _measure(magnitudes, n_frames, stream.sample_rate / hop, freqs)
-    for _ in stream.chunks:  # the samples after the last frame, fewer than hop
-        pass
+    stream.read((n_frames - 1) * hop + window_len, n)  # the samples after the last frame, fewer than hop
     return series

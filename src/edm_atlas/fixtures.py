@@ -1,9 +1,8 @@
 """Synthesized audio: labeled fixture catalogs and in-memory test signals.
 
 This is the package's one synthesis module. ``write_fixture_set`` writes
-labeled WAV catalogs for tests and pipeline dry runs; ``synth_click_track``,
-``synth_sine`` and ``synth_noise`` return a whole ``AudioClip`` in memory
-for tests and demos.
+labeled WAV catalogs for tests and pipeline dry runs; ``synth_click_track``
+returns a whole click-track ``AudioClip`` in memory for tests and demos.
 
 Four default acoustic families, chosen so that each differs from the
 others in several feature blocks at once (register, timbre, and rhythm):
@@ -220,20 +219,3 @@ def synth_click_track(
         k += 1
     return AudioClip(samples, rate, source_id=f"click_{bpm:g}bpm")
 
-
-def synth_sine(
-    freq: float, duration: float, rate: int = CANONICAL_RATE, amplitude: float = 0.5
-) -> AudioClip:
-    t = np.arange(int(round(duration * rate))) / rate
-    return AudioClip(amplitude * np.sin(2 * np.pi * freq * t), rate, f"sine_{freq:g}hz")
-
-
-def synth_noise(
-    duration: float,
-    rate: int = CANONICAL_RATE,
-    amplitude: float = 0.5,
-    seed: int = 0,
-) -> AudioClip:
-    rng = np.random.default_rng(seed)
-    n = int(round(duration * rate))
-    return AudioClip(amplitude * rng.uniform(-1.0, 1.0, n), rate, f"noise_{seed}")

@@ -167,9 +167,9 @@ def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     """Full 92 + 64 + 6 feature vector for one manifest record.
 
     ``analyze_track`` rejects a track shorter than MIN_DURATION_S at 22050 Hz
-    from the stream's length, before any sample is decoded. The file is
-    decoded and resampled one chunk at a time as the STFT reads it, so no
-    whole-track sample array exists. The track is analysed once (per-frame
+    from the stream's length, before any sample is decoded. The STFT reads
+    the file one frame block's span at a time, decoded and resampled for
+    that span only, so no whole-track sample array exists. The track is analysed once (per-frame
     STFT series, novelty curve, both tempograms) and every block reads it.
     """
     # features loads scipy.fft, which only extraction needs

@@ -270,7 +270,7 @@ def analyze_track(clip: AudioClip | SampleStream) -> TrackAnalysis:
     The tempograms use the 8 s analysis window. This is the one precondition
     of every feature block: a clip at another rate, or shorter than
     MIN_DURATION_S, raises ValueError before the STFT. A SampleStream is
-    checked from its rate and length, before a sample of it is read.
+    checked from its rate and length, before a span of it is read.
     """
     if clip.sample_rate != CANONICAL_RATE:
         raise ValueError(f"expected canonical {CANONICAL_RATE} Hz input, got {clip.sample_rate}")

@@ -4,10 +4,23 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from edm_atlas.audio import AudioClip, FrameSeries, _measure, write_wav
-from edm_atlas.fixtures import synth_click_track, synth_noise
+from edm_atlas.audio import CANONICAL_RATE, AudioClip, FrameSeries, _measure, write_wav
+from edm_atlas.fixtures import synth_click_track
 from edm_atlas.metrics import SILHOUETTE_BLOCK
 from edm_atlas.types import row_blocks
+
+
+def synth_sine(freq: float, duration: float, rate: int = CANONICAL_RATE, amplitude: float = 0.5) -> AudioClip:
+    """A whole sine clip of ``freq`` Hz."""
+    t = np.arange(int(round(duration * rate))) / rate
+    return AudioClip(amplitude * np.sin(2 * np.pi * freq * t), rate, f"sine_{freq:g}hz")
+
+
+def synth_noise(duration: float, rate: int = CANONICAL_RATE, amplitude: float = 0.5, seed: int = 0) -> AudioClip:
+    """A whole clip of uniform noise, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration * rate))
+    return AudioClip(amplitude * rng.uniform(-1.0, 1.0, n), rate, f"noise_{seed}")
 
 
 @pytest.fixture(scope="session")

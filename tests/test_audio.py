@@ -21,6 +21,7 @@ from edm_atlas.audio import (
     read_wav_header,
     resample,
     stft,
+    stream_wav,
     write_wav,
 )
 from edm_atlas.fixtures import synth_click_track
@@ -411,14 +412,19 @@ def reference_resample(samples: np.ndarray, rate: int) -> np.ndarray:
     return np.clip(resample_poly(samples, ratio.numerator, ratio.denominator), -1.0, 1.0)
 
 
-def check_chunked_kernel(rate, n_frames, dtype, channels, seed):
-    """load_wav, load_wav at 22050 Hz and resample against the whole-array references."""
+def random_data(n_frames, dtype, channels, seed) -> np.ndarray:
+    """Interleaved PCM16 or float32 samples, float32 partly past full scale and partly -0.0."""
     rng = np.random.default_rng(seed)
     if dtype == "<i2":
-        data = rng.integers(-32768, 32768, n_frames * channels, dtype=np.int64).astype(dtype)
-    else:
-        data = rng.uniform(-1.25, 1.25, n_frames * channels).astype(dtype)
-        data[rng.random(data.size) < 0.05] = -0.0
+        return rng.integers(-32768, 32768, n_frames * channels, dtype=np.int64).astype(dtype)
+    data = rng.uniform(-1.25, 1.25, n_frames * channels).astype(dtype)
+    data[rng.random(data.size) < 0.05] = -0.0
+    return data
+
+
+def check_chunked_kernel(rate, n_frames, dtype, channels, seed):
+    """load_wav, load_wav at 22050 Hz and resample against the whole-array references."""
+    data = random_data(n_frames, dtype, channels, seed)
     whole = reference_decode(data, channels)
     want = reference_resample(whole, rate)
     with tempfile.TemporaryDirectory() as tmp:
@@ -457,6 +463,33 @@ class TestChunkedKernelMatchesResamplePoly:
     @pytest.mark.parametrize("n_frames", [DECODE_CHUNK - 1, DECODE_CHUNK, DECODE_CHUNK + 1, 2 * DECODE_CHUNK + 1])
     def test_module_chunk(self, rate, n_frames):
         check_chunked_kernel(rate, n_frames, "<i2", 2, seed=rate + n_frames)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rate=st.sampled_from([8000, 22050, 44100, 48000, 96000]),
+        chunk=st.sampled_from([1, 7, 64, 1000]),
+        n_frames=st.integers(1, 6000),
+        dtype=st.sampled_from(["<i2", "<f4"]),
+        channels=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        spans=st.data(),
+    )
+    def test_any_span(self, rate, chunk, n_frames, dtype, channels, seed, spans):
+        # stream_wav(header, 22050).read(lo, hi) is the whole-array resample_poly's [lo:hi],
+        # for spans read in any order, each crossing several upfirdn pieces of the patched chunk
+        data = random_data(n_frames, dtype, channels, seed)
+        want = reference_resample(reference_decode(data, channels), rate)
+        tag, bits = (1, 16) if dtype == "<i2" else (3, 32)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(audio, "DECODE_CHUNK", chunk)
+            path = Path(tmp) / "clip.wav"
+            path.write_bytes(wav_bytes(data.tobytes(), channels=channels, rate=rate, fmt=tag, bits=bits))
+            stream = stream_wav(read_wav_header(path), CANONICAL_RATE)
+            assert stream.n_samples == want.size
+            for _ in range(3):
+                lo = spans.draw(st.integers(0, want.size - 1), label="lo")
+                hi = spans.draw(st.integers(lo + 1, want.size), label="hi")
+                assert stream.read(lo, hi).tobytes() == want[lo:hi].tobytes()
 
 
 class TestStft:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
-from conftest import frame_series
+from conftest import frame_series, synth_noise
 from edm_atlas.audio import (
     BAND_EDGES_HZ,
     CHROMA_MIN_FREQ,
@@ -42,7 +42,7 @@ from edm_atlas.features import (
     mfcc_features,
     spectral_stats,
 )
-from edm_atlas.fixtures import synth_click_track, synth_noise
+from edm_atlas.fixtures import synth_click_track
 from edm_atlas.tempogram import (
     MIN_DURATION_S,
     TEMPO_AXIS,

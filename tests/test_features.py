@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import butter, sosfilt
 
-from conftest import frame_series
+from conftest import frame_series, synth_noise, synth_sine
 from edm_atlas.audio import AudioClip, stft
 from edm_atlas.features import (
     band_beat_emphasis,
@@ -14,7 +14,7 @@ from edm_atlas.features import (
     spectral_stats,
     tempo_estimates,
 )
-from edm_atlas.fixtures import synth_click_track, synth_noise, synth_sine
+from edm_atlas.fixtures import synth_click_track
 from edm_atlas.tempogram import MIN_DURATION_S, analyze_track
 
 

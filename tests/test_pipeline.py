@@ -63,7 +63,14 @@ from edm_atlas.table import (
     save_labels,
     save_matrix,
 )
-from edm_atlas.tempogram import analyze_track, tempogram_feature_vector
+from edm_atlas.tempogram import (
+    ANALYSIS_HOP_S,
+    ANALYSIS_WINDOW_S,
+    N_SCALE_BINS,
+    TEMPO_AXIS,
+    analyze_track,
+    tempogram_feature_vector,
+)
 from edm_atlas.types import row_blocks
 
 
@@ -261,10 +268,12 @@ class TestExtractionMemory:
         # layer's own traced peak, here taken above what was held when it began
         # and what it returns. The STFT pass and the autocorrelation tempogram
         # hold only block-sized temporaries beyond that, so theirs is the same
-        # at 60 s as at 600 s. MFCC and chroma keep whole-track arrays of 13
-        # and 12 columns, and only those may grow with the frame count.
+        # at 60 s as at 600 s. The other layers keep whole-track arrays, each
+        # bounded by a count of them in frames or analysis windows.
         layers = [(tempogram, "stft"), (tempogram, "autocorr_tempogram")]
         layers += [(features, "mfcc_features"), (features, "chroma_features")]
+        layers += [(tempogram, "novelty_curve"), (tempogram, "fourier_tempogram")]
+        layers += [(pipeline, "tempogram_feature_vector"), (features, "band_beat_emphasis")]
         excess = {name: [] for _, name in layers}
         for module, name in layers:
 
@@ -307,6 +316,23 @@ class TestExtractionMemory:
             assert peak["mfcc_features"] <= 8 * 2 * 13 * n + temporaries, (seconds, peak)
             # the normalized chroma, its deviations, and two per-frame series
             assert peak["chroma_features"] <= 8 * (2 * 12 + 2) * n + temporaries, (seconds, peak)
+            # besides their arrays, the Python objects around them: headers, feature names, results
+            objects = 32 * 1024
+            # the novelty curve's local sums, their counts, and its difference before rectification
+            assert peak["novelty_curve"] <= 8 * 3 * n + objects, (seconds, peak)
+            # per band: its envelope, the curve and scaled curve of the band before,
+            # and the six arrays novelty_curve works in next to its envelope
+            assert peak["band_beat_emphasis"] <= 8 * 9 * n + objects, (seconds, peak)
+            frame_rate = CANONICAL_RATE / STFT_HOP
+            win = int(round(ANALYSIS_WINDOW_S * frame_rate))
+            windows = 1 + (n - 1 - win) // int(round(ANALYSIS_HOP_S * frame_rate))
+            # the complex product and the windows cast to complex for it, 16 bytes
+            # a value each; the magnitudes returned do not exist yet at that peak
+            assert peak["fourier_tempogram"] <= 8 * windows * (TEMPO_AXIS.size + 2 * win) + objects, (seconds, peak)
+            # np.std's deviations of one tempogram next to both cyclic tempograms,
+            # and numpy's ufunc buffer for its reduction
+            summaries = 8 * (windows * (TEMPO_AXIS.size + 2 * N_SCALE_BINS) + np.getbufsize()) + objects
+            assert peak["tempogram_feature_vector"] <= summaries, (seconds, peak)
             steady[seconds] = {name: peak[name] for name in ("stft", "autocorr_tempogram")}
         for name in steady[60]:
             assert abs(steady[600][name] - steady[60][name]) <= 500_000, (name, steady)

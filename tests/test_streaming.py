@@ -110,13 +110,9 @@ def track_samples(n_frames: int, channels: int, encoding: str, seed: int) -> np.
     return (1.2 * mix).astype("<f4").ravel()
 
 
-def chunked(samples: np.ndarray, sizes: list[int]):
-    """Consecutive chunks of ``samples``, their sizes taken from ``sizes`` in turn."""
-    pos, i = 0, 0
-    while pos < samples.size:
-        yield samples[pos : pos + sizes[i % len(sizes)]]
-        pos += sizes[i % len(sizes)]
-        i += 1
+def array_stream(samples: np.ndarray) -> SampleStream:
+    """A 22050 Hz stream whose reads are copies of spans of ``samples``."""
+    return SampleStream(lambda lo, hi: samples[lo:hi].copy(), samples.size, CANONICAL_RATE)
 
 
 # a block's row count; either side of the first two points where row_blocks(n, FRAME_BLOCK) adds a block
@@ -129,18 +125,16 @@ class TestStreamedStft:
     @given(
         frames=st.sampled_from(STFT_FRAME_COUNTS),
         tail=st.integers(0, STFT_HOP - 1),
-        sizes=st.lists(st.integers(1, 70_000), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_any_chunking_equals_whole_array(self, frames, tail, sizes, seed):
-        # frame counts on both sides of the STFT's block edges, any chunk sizes
+    def test_read_stream_equals_whole_array(self, frames, tail, seed):
+        # frame counts on both sides of the STFT's block edges
         n = STFT_WINDOW + (frames - 1) * STFT_HOP + tail
         clip = AudioClip(np.random.default_rng(seed).uniform(-1.0, 1.0, n), CANONICAL_RATE)
         want = reference_stft(clip)
         assert want.n_frames == frames
         assert_same_series(stft(clip), want)
-        stream = SampleStream(chunked(clip.samples, sizes), n, CANONICAL_RATE)
-        assert_same_series(stft(stream), want)
+        assert_same_series(stft(array_stream(clip.samples)), want)
 
     def test_concurrent_calls_under_fast_switching(self):
         # four callers, each with its own helper, on two or more cores; a block
@@ -154,23 +148,36 @@ class TestStreamedStft:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as pool:
-                gots = list(pool.map(lambda clip: stft(SampleStream(chunked(clip.samples, [3000]), clip.samples.size, 22050)), clips))
+                gots = list(pool.map(lambda clip: stft(array_stream(clip.samples)), clips))
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(gots, wants):
             assert_same_series(got, want)
 
     def test_stream_read_to_its_end(self):
-        # the samples after the last frame are read too
+        # every sample is read, the samples after the last frame too
         samples = np.zeros(STFT_WINDOW + 10 * STFT_HOP + 100)
-        chunks = chunked(samples, [STFT_WINDOW + 10 * STFT_HOP])
-        stft(SampleStream(chunks, samples.size, CANONICAL_RATE))
-        assert next(chunks, None) is None
+        seen = np.zeros(samples.size, dtype=bool)
 
-    def test_short_stream_named(self):
-        stream = SampleStream(iter([np.zeros(5000)]), 6000, CANONICAL_RATE)
-        with pytest.raises(ValueError, match="sample stream ended at sample 5000, before sample 5632"):
-            stft(stream)
+        def read(lo, hi):
+            seen[lo:hi] = True
+            return samples[lo:hi]
+
+        stft(SampleStream(read, samples.size, CANONICAL_RATE))
+        assert seen.all()
+
+    def test_short_stream_named(self, tmp_path):
+        # a WAV file cut short after its header was read: a span before the
+        # cut reads as it did, and one past it names where the samples end
+        for rate in (CANONICAL_RATE, 44100):
+            path = tmp_path / f"t{rate}.wav"
+            write_wav(path, track_samples(6000, 1, "pcm16", seed=rate), 1, rate)
+            stream = stream_wav(read_wav_header(path), CANONICAL_RATE)
+            want = stream.read(0, stream.n_samples)
+            path.write_bytes(path.read_bytes()[: 44 + 2 * 5000])
+            assert stream.read(0, 1000).tobytes() == want[:1000].tobytes()
+            with pytest.raises(MalformedWavError, match=f"^t{rate}.wav: samples end at frame 5000 of 6000$"):
+                stft(stream)
 
 
 def edge_frames(kind: str, rate: int, step: int, edge: int) -> int:
@@ -237,7 +244,7 @@ def span_end(n_samples: int, have: int) -> int:
 class TestReadAheadFailures:
     """A failure on either side of the STFT's helper thread reaches the caller as it was raised.
 
-    The thread reads the stream ahead of ``_measure``; whichever side fails,
+    The thread reads the stream's spans ahead of ``_measure``; whichever side fails,
     the caller sees the same exception type and message as a one-thread pass
     gives, and no thread is left when ``stft`` returns.
     """
@@ -259,8 +266,8 @@ class TestReadAheadFailures:
             extract_track(TrackRecord("nan", "nan.wav", "house"), tmp_path)
 
     def test_nan_after_the_last_frame(self, tmp_path):
-        # the last frame ends on a decode chunk edge: only the drain after the
-        # last block reads the chunk that holds the NaN
+        # the last frame ends on a decode chunk edge: only the read after the
+        # last block reads the NaN
         n = 5 * DECODE_CHUNK + 100
         assert (1 + (n - STFT_WINDOW) // STFT_HOP - 1) * STFT_HOP + STFT_WINDOW == 5 * DECODE_CHUNK
         data = track_samples(n, 1, "float32", seed=4)
@@ -273,45 +280,50 @@ class TestReadAheadFailures:
 
     @pytest.mark.parametrize("have", [10_000, 150_000])
     def test_stream_ends_before_its_length(self, have):
+        # the first span past sample `have` fails, in the first fill or a later
+        # one: the caller sees its exception, and no later span is read
         samples = np.random.default_rng(1).uniform(-1.0, 1.0, 300_000)
-        stream = SampleStream(chunked(samples[:have], [10_000]), samples.size, CANONICAL_RATE)
+        asked = []
+
+        def read(lo, hi):
+            asked.append(hi)
+            if hi > have:
+                raise EOFError(f"samples end at {have}, before {hi}")
+            return samples[lo:hi]
+
         end = span_end(samples.size, have)
-        with pytest.raises(ValueError, match=f"^sample stream ended at sample {have}, before sample {end}$"):
-            stft(stream)
+        with pytest.raises(EOFError, match=f"^samples end at {have}, before {end}$"):
+            stft(SampleStream(read, samples.size, CANONICAL_RATE))
+        assert max(asked) == end
 
     @pytest.mark.parametrize("odd", [0, 1])
     def test_wav_truncated_mid_data(self, tmp_path, odd):
-        rate = CANONICAL_RATE
-        write_wav(tmp_path / "t.wav", track_samples(12 * rate, 1, "pcm16", seed=2), 1, rate)
-        whole = (tmp_path / "t.wav").read_bytes()
-        cut = whole[: 44 + 2 * 7 * rate + odd]  # 7 s of samples, and one byte more with odd
-        (tmp_path / "cut.wav").write_bytes(cut)
-        declared = f"declares {len(whole) - 44} bytes but only {len(cut) - 44} remain"
-        with pytest.raises(MalformedWavError, match=f"^cut.wav: chunk b'data' {declared}$"):
-            extract_track(TrackRecord("cut", "cut.wav", "house"), tmp_path)
-        # cut after its header was read: the helper thread's reads come up short
-        header = read_wav_header(tmp_path / "t.wav")
-        (tmp_path / "t.wav").write_bytes(cut)
-        if odd:
-            message = "^buffer size must be a multiple of element size$"
-        else:
-            message = f"^sample stream ended at sample {7 * rate}, before sample {span_end(12 * rate, 7 * rate)}$"
-        with pytest.raises(ValueError, match=message):
-            stft(stream_wav(header))
+        for rate in (CANONICAL_RATE, 44100):
+            write_wav(tmp_path / "t.wav", track_samples(12 * rate, 1, "pcm16", seed=2), 1, rate)
+            whole = (tmp_path / "t.wav").read_bytes()
+            cut = whole[: 44 + 2 * 7 * rate + odd]  # 7 s of samples, and one byte more with odd
+            (tmp_path / "cut.wav").write_bytes(cut)
+            declared = f"declares {len(whole) - 44} bytes but only {len(cut) - 44} remain"
+            with pytest.raises(MalformedWavError, match=f"^cut.wav: chunk b'data' {declared}$"):
+                extract_track(TrackRecord("cut", "cut.wav", "house"), tmp_path)
+            # cut after its header was read: the helper thread's reads come up short
+            header = read_wav_header(tmp_path / "t.wav")
+            (tmp_path / "t.wav").write_bytes(cut)
+            with pytest.raises(MalformedWavError, match=f"^t.wav: samples end at frame {7 * rate} of {12 * rate}$"):
+                stft(stream_wav(header, CANONICAL_RATE))
 
     def test_measure_failure_stops_the_helper(self, monkeypatch):
         samples = np.random.default_rng(3).uniform(-1.0, 1.0, STFT_WINDOW + (10 * FRAME_BLOCK - 1) * STFT_HOP)
         n_frames = 1 + (samples.size - STFT_WINDOW) // STFT_HOP
         blocks = row_blocks(n_frames, FRAME_BLOCK)
-        pulled, failed = [], threading.Event()
+        asked, failed = [], threading.Event()
         before = threading.active_count()
 
-        def chunks():
-            for start in range(0, samples.size, 4096):
-                if failed.is_set() and len(pulled) % 8 == 0:
-                    time.sleep(0.05)  # a helper still at work when stft raises would be seen
-                pulled.append(start)
-                yield samples[start : start + 4096]
+        def read(lo, hi):
+            if failed.is_set():
+                time.sleep(0.05)  # a helper still at work when stft raises would be seen
+            asked.append(hi)
+            return samples[lo:hi]
 
         def failing(magnitudes, n, frame_rate, bin_freqs):
             magnitudes(*blocks[0])
@@ -321,14 +333,14 @@ class TestReadAheadFailures:
 
         monkeypatch.setattr(audio, "_measure", failing)
         with pytest.raises(RuntimeError, match="^reduction failed$"):
-            stft(SampleStream(chunks(), samples.size, CANONICAL_RATE))
+            stft(SampleStream(read, samples.size, CANONICAL_RATE))
         assert threading.active_count() == before
-        # the helper filled at most the buffer the second block freed, then stopped
-        assert pulled[-1] < (blocks[2][1] - 1) * STFT_HOP + STFT_WINDOW
+        # the helper filled the buffer the second block freed, then stopped
+        assert asked == [(stop - 1) * STFT_HOP + STFT_WINDOW for _, stop in blocks[:3]]
 
     def test_measure_and_fill_both_fail(self, monkeypatch):
         # _measure raises after block 1 while the helper's fill of block 2
-        # raises on a chunk only that block reads: the caller sees _measure's
+        # raises on a span only that block reads: the caller sees _measure's
         # exception, and the helper's goes no further than its future
         samples = np.random.default_rng(5).uniform(-1.0, 1.0, STFT_WINDOW + (10 * FRAME_BLOCK - 1) * STFT_HOP)
         n_frames = 1 + (samples.size - STFT_WINDOW) // STFT_HOP
@@ -336,12 +348,11 @@ class TestReadAheadFailures:
         block_1_end = (blocks[1][1] - 1) * STFT_HOP + STFT_WINDOW
         fill_failed = threading.Event()
 
-        def chunks():
-            for start in range(0, samples.size, 4096):
-                if start >= block_1_end:
-                    fill_failed.set()
-                    raise OSError("read failed")
-                yield samples[start : start + 4096]
+        def read(lo, hi):
+            if hi > block_1_end:
+                fill_failed.set()
+                raise OSError("read failed")
+            return samples[lo:hi]
 
         def failing(magnitudes, n, frame_rate, bin_freqs):
             magnitudes(*blocks[0])
@@ -351,4 +362,4 @@ class TestReadAheadFailures:
 
         monkeypatch.setattr(audio, "_measure", failing)
         with pytest.raises(RuntimeError, match="^reduction failed$"):
-            stft(SampleStream(chunks(), samples.size, CANONICAL_RATE))
+            stft(SampleStream(read, samples.size, CANONICAL_RATE))

@@ -209,15 +209,19 @@ class TestTempogramSummary:
         assert all(means[i] >= means[i + 1] for i in range(len(means) - 1))
 
 
+def unread(lo, hi):
+    raise AssertionError(f"samples {lo}:{hi} read")
+
+
 class TestAnalyzeTrack:
     @pytest.mark.parametrize(
         "clip, message",
         [
             (AudioClip(np.zeros(44100 * 11), 44100), "canonical 22050 Hz"),
             (AudioClip(np.zeros(int(22050 * 9.9)), 22050), "at least 10 s of audio"),
-            # a stream is checked from its rate and length: it holds no sample to read
-            (SampleStream(iter(()), 44100 * 11, 44100), "canonical 22050 Hz"),
-            (SampleStream(iter(()), int(22050 * 9.9), 22050), "at least 10 s of audio"),
+            # a stream is checked from its rate and length, before a sample is read
+            (SampleStream(unread, 44100 * 11, 44100), "canonical 22050 Hz"),
+            (SampleStream(unread, int(22050 * 9.9), 22050), "at least 10 s of audio"),
         ],
         ids=["44100_hz", "9.9_s", "stream_44100_hz", "stream_9.9_s"],
     )
