@@ -309,8 +309,8 @@ def _resampled(
     """``x = read(0, n_in)`` at ``rate`` as a stream at ``target``: nothing is read until the stream is.
 
     ``resample_poly`` at the rational ratio (denominator at most 1000),
-    clipped to [-1, 1] where the rate changes. A span that is not finite
-    raises AudioClip's ValueError.
+    clipped to [-1, 1] where the rate changes. A non-finite sample raises
+    ValueError naming ``source_id`` and the sample's index at ``target``.
     """
     if target <= 0:
         raise ValueError("target_rate must be positive")
@@ -326,7 +326,7 @@ def _resampled(
             # a 1/1 span may be a view of the caller's array, which is never written
             span = np.clip(span, -1.0, 1.0, out=None if up == down else span)
         if not np.all(np.isfinite(span)):
-            raise ValueError("AudioClip samples must be finite")
+            raise ValueError(f"{source_id}: sample {lo + np.flatnonzero(~np.isfinite(span))[0]} is not finite")
         return span
 
     return SampleStream(read_span, -(-n_in * up // down), target, source_id)
@@ -570,20 +570,19 @@ def _measure(
     return out
 
 
-def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> FrameSeries:
+def stft(clip: AudioClip | SampleStream) -> FrameSeries:
     """Hann-windowed magnitude STFT, reduced to its FrameSeries in one pass.
 
-    There are 1 + (n - window) // hop frames of window_len // 2 + 1 bins.
-    Each frame block's samples, ``start * hop`` to ``(stop - 1) * hop +
-    window_len`` (at most 74,752 samples, 0.6 MB), are one
-    ``stream.read``, so a stream from ``stream_wav`` decodes and resamples
-    one block's span at a time, and the track's samples never exist whole.
-    A block reads again the window_len - hop samples it shares with the
-    block before (1,536 of them, 3 % of a 96-frame block). An AudioClip's
-    spans are views of its array. The magnitudes of one frame block at a
-    time are computed and reduced to the per-frame series, so the whole
-    spectrogram (about 121 MB of float64 for a 6-minute track at 22050 Hz)
-    never exists either. Each block's spectra are taken _FFT_ROWS frames
+    There are 1 + (n - STFT_WINDOW) // STFT_HOP frames of 1025 bins; a
+    clip shorter than one frame raises ValueError. Each frame block's
+    samples (at most 74,752, 0.6 MB) are one ``stream.read``, so a stream
+    from ``stream_wav`` decodes and resamples one block's span at a time,
+    and the track's samples never exist whole. A block reads again the
+    1,536 samples it shares with the block before (3 % of a 96-frame
+    block). An AudioClip's spans are views of its array. The magnitudes
+    of one frame block at a time are computed and reduced to the
+    per-frame series, so the whole spectrogram (about 121 MB of float64
+    for a 6-minute track at 22050 Hz) never exists either. Each block's spectra are taken _FFT_ROWS frames
     at a time, which holds the windowed frames and their complex spectra
     to a quarter block; a row's FFT does not depend on how many rows are
     taken together. The samples after the last frame are read too, so
@@ -605,26 +604,24 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
     else:
         stream = clip
     n = stream.n_samples
-    if not (0 < hop <= window_len <= n):
-        raise ValueError(
-            f"need 0 < hop ({hop}) <= window_len ({window_len}) <= n_samples ({n})"
-        )
-    n_frames = 1 + (n - window_len) // hop
+    if n < STFT_WINDOW:
+        raise ValueError(f"the STFT needs at least {STFT_WINDOW} samples, got {n}")
+    n_frames = 1 + (n - STFT_WINDOW) // STFT_HOP
     blocks = row_blocks(n_frames, FRAME_BLOCK)
     longest = max(stop - start for start, stop in blocks)
-    window = np.hanning(window_len)
-    windowed = np.empty((_FFT_ROWS, window_len))
+    window = np.hanning(STFT_WINDOW)
+    windowed = np.empty((_FFT_ROWS, STFT_WINDOW))
 
     def fill(mags: np.ndarray, start: int, stop: int) -> None:
-        span = stream.read(start * hop, (stop - 1) * hop + window_len)
-        frames = np.lib.stride_tricks.sliding_window_view(span, window_len)[::hop]
+        span = stream.read(start * STFT_HOP, (stop - 1) * STFT_HOP + STFT_WINDOW)
+        frames = np.lib.stride_tricks.sliding_window_view(span, STFT_WINDOW)[::STFT_HOP]
         for row in range(0, stop - start, _FFT_ROWS):
             end = min(row + _FFT_ROWS, stop - start)
             np.multiply(frames[row:end], window, out=windowed[: end - row])
             np.abs(np.fft.rfft(windowed[: end - row], axis=1), out=mags[row:end])
 
-    freqs = np.fft.rfftfreq(window_len, 1.0 / stream.sample_rate)
-    shape = (longest, window_len // 2 + 1)
+    freqs = np.fft.rfftfreq(STFT_WINDOW, 1.0 / stream.sample_rate)
+    shape = (longest, STFT_WINDOW // 2 + 1)
     buffers = (np.empty(shape), np.empty(shape))  # block k is filled into buffers[k % 2]
     taken = iter(range(len(blocks)))  # the index of the block each magnitudes call asks for
 
@@ -642,6 +639,6 @@ def stft(clip: AudioClip | SampleStream, window_len: int = STFT_WINDOW, hop: int
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="edm-atlas-stft") as helper:
         pending = read_ahead(0)
-        series = _measure(magnitudes, n_frames, stream.sample_rate / hop, freqs)
-    stream.read((n_frames - 1) * hop + window_len, n)  # the samples after the last frame, fewer than hop
+        series = _measure(magnitudes, n_frames, stream.sample_rate / STFT_HOP, freqs)
+    stream.read((n_frames - 1) * STFT_HOP + STFT_WINDOW, n)  # the samples after the last frame, fewer than a hop
     return series

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .audio import BAND_EDGES_HZ, FRAME_BLOCK, LOG_COMPRESSION, FrameSeries
-from .tempogram import TrackAnalysis, novelty_curve
+from .tempogram import TrackAnalysis, local_mean_removed
 from .types import FeatureVector, row_blocks, stats_pair
 
 logger = logging.getLogger(__name__)
@@ -198,10 +198,11 @@ def band_beat_emphasis(series: FrameSeries) -> FeatureVector:
     """Beat emphasis per octave band (lower edges 60..1920 Hz, 6 dims).
 
     Per band, an onset novelty curve is computed on the band's energy
-    envelope and scaled by its mean; emphasis is the peak of its
-    autocorrelation over lags 0.125-2 s. Uncorrelated novelty gives values
-    near 1, periodic beats give values well above 1, and a band with no
-    onsets gives the 0 sentinel.
+    envelope as ``novelty_curve`` computes one on the magnitudes, and
+    scaled by its mean; emphasis is the peak of its autocorrelation over
+    lags 0.125-2 s. Uncorrelated novelty gives values near 1, periodic
+    beats give values well above 1, and a band with no onsets gives the 0
+    sentinel.
     """
     values, names = [], []
     lag_lo = max(1, int(round(EMPHASIS_LAG_RANGE_S[0] * series.frame_rate)))
@@ -211,12 +212,13 @@ def band_beat_emphasis(series: FrameSeries) -> FeatureVector:
         # the band is collapsed to its energy envelope before the flux: per-bin
         # flux of a steady low tone wiggles with frame phase, band energy not
         envelope = np.sqrt(series.band_energy[:, band])
-        nov = novelty_curve(series, band).values
+        compressed = np.log1p(LOG_COMPRESSION * envelope)
+        nov = local_mean_removed(np.clip(np.diff(compressed), 0.0, None), series.frame_rate)
         mean = nov.mean()
         # a band holding only leakage, or steady content with no onsets,
         # has no beat to emphasize -> 0 sentinel
         empty_band = float((envelope**2).mean()) <= BAND_ENERGY_SHARE_FLOOR * total_energy
-        steady = mean <= BAND_NOVELTY_FLOOR * float(np.log1p(LOG_COMPRESSION * envelope).mean())
+        steady = mean <= BAND_NOVELTY_FLOOR * float(compressed.mean())
         if empty_band or steady:
             emphasis = 0.0
         else:

@@ -38,10 +38,9 @@ import numpy as np
 
 from .audio import CANONICAL_RATE, DECODE_CHUNK, AudioClip, write_wav
 from .table import MANIFEST_COLUMNS, write_csv
+from .tempogram import TEMPO_MAX, TEMPO_MIN
 
 CLICK_LEN_S = 0.005
-BPM_MIN = 30.0
-BPM_MAX = 480.0
 
 FixtureKind = str  # "kick" | "click" | "pad" | "noise_pulse"
 
@@ -103,7 +102,7 @@ def _renderer(
             return out
 
     elif kind == "click":
-        click_len = int(0.005 * rate)
+        click_len = int(CLICK_LEN_S * rate)
         amp = rng.uniform(0.7, 1.0)
         starts = _beat_starts(bpm, duration, rate)
 
@@ -204,8 +203,8 @@ def synth_click_track(
     bpm: float, duration: float, rate: int = CANONICAL_RATE, amplitude: float = 1.0
 ) -> AudioClip:
     """Unit-amplitude 5 ms clicks at the exact beat period 60/bpm seconds."""
-    if not (BPM_MIN <= bpm <= BPM_MAX):
-        raise ValueError(f"bpm {bpm} outside [{BPM_MIN}, {BPM_MAX}]")
+    if not (TEMPO_MIN <= bpm <= TEMPO_MAX):
+        raise ValueError(f"bpm {bpm} outside [{TEMPO_MIN}, {TEMPO_MAX}]")
     if duration <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration * rate))

@@ -103,9 +103,6 @@ class FeatureMatrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.col_names.index(name)]
-
     def select(self, mask: np.ndarray) -> "FeatureMatrix":
         """New matrix keeping the columns flagged in the boolean mask."""
         idx = np.flatnonzero(mask)
@@ -121,12 +118,12 @@ def _csv_rows(path: Path) -> Iterator:
     """Yield the header, then ``(line, cells)`` for each non-blank row as it is read.
 
     The caller checks the header (it has a ``track_id`` column) before it
-    asks for rows. A file that is not UTF-8 is rejected with the line of
-    its first bad byte, and one that cannot be opened (missing, a
-    directory) as ``read_text`` rejects it.
+    asks for rows. A leading byte-order mark is dropped, as ``read_text``
+    drops it. A file that is not UTF-8 is rejected with the line of its
+    first bad byte, and one that cannot be opened as ``read_text`` rejects it.
     """
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header:
@@ -169,10 +166,13 @@ def _unreadable(path: Path, exc: OSError) -> ConfigError:
 
 
 def read_text(path: str | Path) -> str:
-    """A whole user file as UTF-8 text; ConfigError naming the file if it cannot be read or is not UTF-8."""
+    """A whole user file as UTF-8 text, less a leading byte-order mark (spreadsheet exports write one).
+
+    ConfigError names the file if it cannot be read or is not UTF-8.
+    """
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except OSError as exc:

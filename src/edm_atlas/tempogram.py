@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, LOG_COMPRESSION, AudioClip, FrameSeries, SampleStream, stft
+from .audio import CANONICAL_RATE, AudioClip, FrameSeries, SampleStream, stft
 from .types import FeatureVector, row_blocks
 
 TEMPO_MIN = 30
@@ -75,38 +75,35 @@ class Tempogram:
         return SCALE_AXIS if self.kind.startswith("cyclic_") else TEMPO_AXIS
 
 
-def novelty_curve(series: FrameSeries, band: int | None = None) -> NoveltyCurve:
+def local_mean_removed(raw: np.ndarray, frame_rate: float) -> np.ndarray:
+    """``raw`` less its centered 1 s moving average, half-wave rectified.
+
+    ``raw`` is a rectified frame-pair difference series, one value fewer
+    than its series has frames, and it must be at least as long as the
+    moving average.
+    """
+    win = max(1, int(round(frame_rate)))
+    if raw.size < win:
+        raise ValueError(
+            f"novelty needs at least {win + 1} spectrogram frames (1 s at "
+            f"{frame_rate:g} frames/s), got {raw.size + 1}"
+        )
+    kernel = np.ones(win)
+    local_sum = np.convolve(raw, kernel, mode="same")
+    counts = np.convolve(np.ones_like(raw), kernel, mode="same")
+    return np.clip(raw - local_sum / counts, 0.0, None)
+
+
+def novelty_curve(series: FrameSeries) -> NoveltyCurve:
     """Spectral-flux onset novelty with log compression and local-mean removal.
 
     Magnitudes are compressed as log(1 + 1000*|X|), differenced across
     frames, half-wave rectified and summed over bins (the STFT pass keeps
-    that sum as ``series.log_flux``); then a centered 1 s moving average is
-    subtracted and the result rectified again. With ``band`` (an index
-    into BAND_EDGES_HZ) the curve is that of the octave band's energy
-    envelope, sqrt(band energy), instead. The curve has one value fewer
-    than the series has frames, and it must be at least as long as the 1 s
-    moving average.
+    that sum as ``series.log_flux``); then ``local_mean_removed`` subtracts
+    a centered 1 s moving average and rectifies the result again. The curve
+    has one value fewer than the series has frames.
     """
-    win = max(1, int(round(series.frame_rate)))
-    min_frames = win + 1
-    if series.n_frames < min_frames:
-        raise ValueError(
-            f"novelty needs at least {min_frames} spectrogram frames (1 s at "
-            f"{series.frame_rate:g} frames/s), got {series.n_frames}"
-        )
-    if band is None:
-        raw = series.log_flux
-    else:
-        if not 0 <= band < series.band_energy.shape[1]:
-            raise ValueError(f"band must be in [0, {series.band_energy.shape[1]}), got {band}")
-        envelope = np.sqrt(series.band_energy[:, band])
-        raw = np.clip(np.diff(np.log1p(LOG_COMPRESSION * envelope)), 0.0, None)
-
-    kernel = np.ones(win)
-    local_sum = np.convolve(raw, kernel, mode="same")
-    counts = np.convolve(np.ones_like(raw), kernel, mode="same")
-    novelty = np.clip(raw - local_sum / counts, 0.0, None)
-    return NoveltyCurve(novelty, series.frame_rate)
+    return NoveltyCurve(local_mean_removed(series.log_flux, series.frame_rate), series.frame_rate)
 
 
 def _frame_params(nov: NoveltyCurve) -> tuple[int, int]:

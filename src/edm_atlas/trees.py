@@ -89,11 +89,12 @@ def _best_split_random(x_sub: np.ndarray, y_onehot: np.ndarray, min_leaf: int, r
 
 
 def _grow_tree(shared, child: np.random.SeedSequence) -> list[tuple[int, float]]:
-    """One forest task: the ``(feature, decrease)`` gain of every split of
-    the tree grown from ``child``, in the order grown."""
-    X, y_onehot, mode, n_total, m_try = shared
+    """One forest task on ``(X, y_onehot, mode)``: the ``(feature, decrease)``
+    gain of every split of the tree grown from ``child``, in the order grown."""
+    X, y_onehot, mode = shared
     rng = np.random.default_rng(child)
-    n = X.shape[0]
+    n, d = X.shape
+    m_try = max(1, int(round(np.sqrt(d))))
     gains = []
     if mode == "random_forest":
         root_idx = rng.integers(0, n, n)
@@ -108,7 +109,7 @@ def _grow_tree(shared, child: np.random.SeedSequence) -> list[tuple[int, float]]
         node_gini = _gini(counts, n_node)
         if depth >= MAX_DEPTH or n_node < 2 * MIN_LEAF or node_gini == 0.0:
             continue
-        feats = rng.choice(X.shape[1], size=m_try, replace=False)
+        feats = rng.choice(d, size=m_try, replace=False)
         x_sub = X[np.ix_(idx, feats)]
         if mode == "random_forest":
             found = _best_split_scan(x_sub, y_onehot[idx], MIN_LEAF)
@@ -117,7 +118,7 @@ def _grow_tree(shared, child: np.random.SeedSequence) -> list[tuple[int, float]]
         if found is None:
             continue
         col, threshold, weighted = found
-        decrease = (n_node / n_total) * (node_gini - weighted)
+        decrease = (n_node / n) * (node_gini - weighted)
         gains.append((int(feats[col]), max(decrease, 0.0)))
         mask = x_sub[:, col] <= threshold
         stack.append((idx[mask], depth + 1))
@@ -152,11 +153,10 @@ def forest_gini_importance(
     n, d = X.shape
     y_onehot = np.zeros((n, classes.size))
     y_onehot[np.arange(n), y_idx] = 1.0
-    m_try = max(1, int(round(np.sqrt(d))))
 
     importance = np.zeros(d)
     children = np.random.SeedSequence(seed).spawn(N_TREES)
-    for gains in pool_map(_grow_tree, (X, y_onehot, mode, n, m_try), children, workers):
+    for gains in pool_map(_grow_tree, (X, y_onehot, mode), children, workers):
         for feature, decrease in gains:
             importance[feature] += decrease
     total = importance.sum()

@@ -172,6 +172,9 @@ class TestCriterion6HeterogeneityScore:
 class TestCriterion7SelectionEnsemble:
     def test_planted_feature_top_ranked(self):
         n, d, n_classes, n_runs = 500, 100, 4, 20
+        # the forests over every CPU this process may use, as the CLI's default;
+        # the selection does not depend on the worker count
+        workers = RunConfig().workers
         hits = 0
         weights_ok = abs(sum(METHOD_WEIGHTS.values()) - 1.0) < 1e-12
         normalized_ok = True
@@ -187,7 +190,7 @@ class TestCriterion7SelectionEnsemble:
                 ["spectral"] * d,
                 data,
             )
-            _, rep = ensemble_select(m, y, top_k=10, seed=run)
+            _, rep = ensemble_select(m, y, top_k=10, seed=run, workers=workers)
             if int(np.argmax(rep.ensemble)) == planted:
                 hits += 1
             for scores in rep.normalized.values():
@@ -270,4 +273,54 @@ class TestCriterion10FeatureSchema:
             "criterion 10: feature schema (92 fundamental + 64 tempogram)",
             ok,
             f"fundamental {len(fundamental)}, tempogram {len(tempogram_block)}",
+        )
+
+
+# The paper's claim at small scale: F acoustic families under G > F genre
+# labels. Four families hold two genres each and one holds one; genres of
+# one family share its centre, so only the families are there to be found.
+# Seeds, centre scale and bound were fixed before the first run.
+GENRE_FAMILY = (0, 0, 1, 1, 2, 2, 3, 3, 4)
+GENRE_SIZES = (24, 8, 16, 12, 20, 6, 10, 14, 18)
+N_FAMILIES = 5
+CLAIM_COLUMNS = 12
+CLAIM_EMBEDDING_DIM = 64
+CLAIM_CENTRE_SCALE = 6.0
+CLAIM_SEEDS = range(10)
+
+
+def planted_families(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(feature rows, embedding rows, family labels, genre labels) for one seed.
+
+    Feature rows are their family's centre, drawn at CLAIM_CENTRE_SCALE, plus
+    unit noise. Embedding rows are a fixed random linear lift of the feature
+    rows to CLAIM_EMBEDDING_DIM dimensions, plus unit noise of their own.
+    """
+    rng = np.random.default_rng(seed)
+    genres = np.repeat(np.arange(len(GENRE_SIZES)), GENRE_SIZES)
+    families = np.array(GENRE_FAMILY)[genres]
+    centres = rng.normal(0.0, CLAIM_CENTRE_SCALE, (N_FAMILIES, CLAIM_COLUMNS))
+    features = centres[families] + rng.normal(0.0, 1.0, (genres.size, CLAIM_COLUMNS))
+    lift = rng.normal(0.0, 1.0 / np.sqrt(CLAIM_COLUMNS), (CLAIM_COLUMNS, CLAIM_EMBEDDING_DIM))
+    embeddings = features @ lift + rng.normal(0.0, 1.0, (genres.size, CLAIM_EMBEDDING_DIM))
+    return features, embeddings, families, genres
+
+
+class TestCriterion11FewerFamiliesThanGenres:
+    def test_natural_k_finds_families_in_both_spaces(self):
+        # per sweep: (seed, space, chosen k, ARI against families, ARI against genres)
+        sweeps = []
+        for seed in CLAIM_SEEDS:
+            features, embeddings, families, genres = planted_families(seed)
+            for space, points in (("features", features), ("embeddings", embeddings)):
+                chosen = select_natural_k(metrics.Distances.of(points), (2, 12), seed=seed).chosen_k
+                labels = kmeans(points, chosen, seed=seed).labels
+                sweeps.append((seed, space, chosen, metrics.ari(labels, families), metrics.ari(labels, genres)))
+        misses = [sweep for sweep in sweeps if sweep[2] != N_FAMILIES or not sweep[3] > sweep[4]]
+        report(
+            f"criterion 11: {N_FAMILIES} families under {len(GENRE_SIZES)} genres found in both spaces",
+            not misses,
+            f"{len(sweeps) - len(misses)} of {len(sweeps)} sweeps; ARI against families "
+            f"{min(s[3] for s in sweeps):.2f}-{max(s[3] for s in sweeps):.2f}, against genres "
+            f"{min(s[4] for s in sweeps):.2f}-{max(s[4] for s in sweeps):.2f}; misses {misses}",
         )

@@ -14,6 +14,8 @@ from edm_atlas import audio
 from edm_atlas.audio import (
     CANONICAL_RATE,
     DECODE_CHUNK,
+    STFT_HOP,
+    STFT_WINDOW,
     AudioClip,
     MalformedWavError,
     UnsupportedWavError,
@@ -507,27 +509,25 @@ class TestStft:
         assert np.all(np.abs(series.rolloff - 440.0) <= 22050 / 2048)
 
     def test_frame_count_formula(self):
-        series = stft(AudioClip(np.ones(22050) * 0.1, 22050), window_len=2048, hop=512)
+        series = stft(AudioClip(np.ones(22050) * 0.1, 22050))
         assert series.n_frames == 40  # 1 + (22050 - 2048) // 512
         assert series.flux.size == series.log_flux.size == 39
 
     def test_preconditions(self):
-        clip = AudioClip(np.ones(1000) * 0.1, 22050)
-        with pytest.raises(ValueError):
-            stft(clip, window_len=2048, hop=512)
-        with pytest.raises(ValueError):
-            stft(clip, window_len=512, hop=0)
-        with pytest.raises(ValueError):
-            stft(clip, window_len=256, hop=512)
+        # one frame needs STFT_WINDOW samples; a hop more gives the second
+        for n, frames in ((STFT_WINDOW, 1), (STFT_WINDOW + STFT_HOP - 1, 1), (STFT_WINDOW + STFT_HOP, 2)):
+            assert stft(AudioClip(np.ones(n) * 0.1, 22050)).n_frames == frames
+        for n in (1000, STFT_WINDOW - 1):
+            with pytest.raises(ValueError, match=f"^the STFT needs at least {STFT_WINDOW} samples, got {n}$"):
+                stft(AudioClip(np.ones(n) * 0.1, 22050))
 
     def test_parseval_energy(self, noise_clip):
-        window = 2048
-        series = stft(noise_clip, window_len=window, hop=512)
+        series = stft(noise_clip)
         # full-spectrum energy from the rfft half (even window length); the
         # DC and Nyquist bins, 2 of 1025, are counted twice, well inside 1 %
-        spectral = 2 * series.energy / window
-        hann = np.hanning(window)
-        frames = np.lib.stride_tricks.sliding_window_view(noise_clip.samples, window)[::512]
+        spectral = 2 * series.energy / STFT_WINDOW
+        hann = np.hanning(STFT_WINDOW)
+        frames = np.lib.stride_tricks.sliding_window_view(noise_clip.samples, STFT_WINDOW)[::STFT_HOP]
         frames = frames[: series.n_frames]
         direct = ((frames * hann) ** 2).sum(axis=1)
         assert abs(spectral.sum() / direct.sum() - 1.0) < 0.01

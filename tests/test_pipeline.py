@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import json
@@ -176,7 +177,7 @@ class TestOneAnalysisPerTrack:
         extract_track(*track)
         assert {name: len(calls) for name, calls in counts.items()} == {
             "stft": 1,
-            "novelty_curve": 7,  # the track's curve + one per emphasis band
+            "novelty_curve": 1,  # the emphasis bands build their curves from their envelopes
             "fourier_tempogram": 1,
             "autocorr_tempogram": 1,
         }
@@ -320,8 +321,8 @@ class TestExtractionMemory:
             objects = 32 * 1024
             # the novelty curve's local sums, their counts, and its difference before rectification
             assert peak["novelty_curve"] <= 8 * 3 * n + objects, (seconds, peak)
-            # per band: its envelope, the curve and scaled curve of the band before,
-            # and the six arrays novelty_curve works in next to its envelope
+            # per band: its envelope and its log compression, the curve and scaled
+            # curve of the band before, and the five arrays of its local-mean removal
             assert peak["band_beat_emphasis"] <= 8 * 9 * n + objects, (seconds, peak)
             frame_rate = CANONICAL_RATE / STFT_HOP
             win = int(round(ANALYSIS_WINDOW_S * frame_rate))
@@ -881,6 +882,12 @@ class TestConfig:
         conf.write_text("wat=1\n")
         with pytest.raises(ConfigError, match="wat"):
             load_config_file(conf)
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet and Windows editors start a UTF-8 file with one
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(codecs.BOM_UTF8 + b"seed=3\nmethod=both\n")
+        assert load_config_file(conf) == {"seed": 3, "method": "both"}
 
     def test_non_integer_value(self, tmp_path):
         conf = tmp_path / "bad.conf"

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import resample_poly
 
 from edm_atlas import audio, tempogram
 from edm_atlas.audio import (
@@ -228,10 +229,19 @@ class TestStreamedExtraction:
         data = track_samples(rate * 11 + 300, 2, "float32", seed=rate)
         data[data.size // 2 if where == "middle" else -1] = np.nan
         write_wav(tmp_path / "nan.wav", data, 2, rate)
-        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+        message = nonfinite_message(data, 2, rate)
+        with pytest.raises(ValueError, match=message):
             extract_track(TrackRecord("nan", "nan.wav", "house"), tmp_path)
-        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+        with pytest.raises(ValueError, match=message):
             load_wav(tmp_path / "nan.wav", CANONICAL_RATE)
+
+
+def nonfinite_message(data: np.ndarray, channels: int, rate: int) -> str:
+    """The error for ``data`` (as ``write_wav`` writes it) with a NaN: its first non-finite sample at 22050 Hz."""
+    mono = data.astype(np.float64).reshape(-1, channels).mean(axis=1)
+    if rate != CANONICAL_RATE:
+        mono = resample_poly(mono, CANONICAL_RATE, rate)
+    return f"^nan: sample {np.flatnonzero(~np.isfinite(mono))[0]} is not finite$"
 
 
 def span_end(n_samples: int, have: int) -> int:
@@ -260,9 +270,10 @@ class TestReadAheadFailures:
         data = track_samples(11 * rate, 1, "float32", seed=rate)
         data[2 * DECODE_CHUNK + 100] = np.nan
         write_wav(tmp_path / "nan.wav", data, 1, rate)
-        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+        message = nonfinite_message(data, 1, rate)
+        with pytest.raises(ValueError, match=message):
             stft(stream_wav(read_wav_header(tmp_path / "nan.wav"), CANONICAL_RATE))
-        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+        with pytest.raises(ValueError, match=message):
             extract_track(TrackRecord("nan", "nan.wav", "house"), tmp_path)
 
     def test_nan_after_the_last_frame(self, tmp_path):
@@ -273,9 +284,10 @@ class TestReadAheadFailures:
         data = track_samples(n, 1, "float32", seed=4)
         data[-1] = np.nan
         write_wav(tmp_path / "nan.wav", data, 1, CANONICAL_RATE)
-        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+        message = f"^nan: sample {n - 1} is not finite$"
+        with pytest.raises(ValueError, match=message):
             stft(stream_wav(read_wav_header(tmp_path / "nan.wav")))
-        with pytest.raises(ValueError, match="^AudioClip samples must be finite$"):
+        with pytest.raises(ValueError, match=message):
             extract_track(TrackRecord("nan", "nan.wav", "house"), tmp_path)
 
     @pytest.mark.parametrize("have", [10_000, 150_000])

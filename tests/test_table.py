@@ -1,3 +1,4 @@
+import codecs
 import csv
 import tempfile
 from pathlib import Path
@@ -29,6 +30,12 @@ MANIFEST_HEADER = "track_id,path,genre,bpm,key,length_s"
 def write_manifest(tmp_path, rows, header=MANIFEST_HEADER):
     path = tmp_path / "manifest.csv"
     path.write_text("\n".join([header] + rows) + "\n")
+    return path
+
+
+def prepend_bom(path):
+    """Start ``path`` with the UTF-8 byte-order mark, as spreadsheet exports write it."""
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     return path
 
 
@@ -75,6 +82,11 @@ class TestLoadManifest:
         with pytest.raises(ValueError) as info:
             load_manifest(path)
         assert str(info.value) == f"{path}: line 3, column '{column}': '{cell}' is not a number"
+
+    def test_byte_order_mark(self, tmp_path):
+        path = write_manifest(tmp_path, ["a,a.wav,techno,128,Am,120", "b,b.wav,house,,,"])
+        plain = load_manifest(path)
+        assert load_manifest(prepend_bom(path)) == plain
 
 
 class TestAssembleMatrix:
@@ -147,6 +159,13 @@ class TestMatrixRoundTrip:
         assert np.max(np.abs(back.data - m.data)) < 1e-9
         assert np.array_equal(back.data, m.data)  # repr round-trips exactly
 
+    def test_byte_order_mark(self, tmp_path):
+        m = self.matrix()
+        save_matrix(m, tmp_path / "m.csv")
+        back = load_matrix(prepend_bom(tmp_path / "m.csv"))
+        assert (back.row_ids, back.col_names, back.col_groups) == (m.row_ids, m.col_names, m.col_groups)
+        assert np.array_equal(back.data, m.data)
+
     def test_non_numeric_cell_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("track_id,x,y\n#group:,spectral,meta\na,1.0,oops\n")
@@ -192,6 +211,14 @@ class TestImportEmbeddings:
         assert set(m.col_groups) == {"embedding"}
         assert np.array_equal(m.data[:, 0], [0.0, 1.0, 2.0])
 
+    def test_byte_order_mark(self, tmp_path):
+        rows = [f"t{i}," + ",".join(str(float(i)) for _ in range(4)) for i in (2, 0, 1)]
+        path = self.write_embeddings(tmp_path, rows)
+        plain = import_embeddings(path, self.records())
+        back = import_embeddings(prepend_bom(path), self.records())
+        assert (back.row_ids, back.col_names) == (plain.row_ids, plain.col_names)
+        assert np.array_equal(back.data, plain.data)
+
     def test_missing_id_named(self, tmp_path):
         rows = ["t0,1,1,1,1", "t1,2,2,2,2"]
         path = self.write_embeddings(tmp_path, rows)
@@ -236,6 +263,10 @@ class TestLabels:
         back = load_labels(tmp_path / "labels.csv", ids)
         assert back.dtype == np.int64 and np.array_equal(back, labels)
         assert np.array_equal(load_labels(tmp_path / "labels.csv", ["d", "c", "b", "a"]), [0, 1, 0, 2])
+
+    def test_byte_order_mark(self, tmp_path):
+        save_labels(tmp_path / "labels.csv", ["a", "b", "c"], np.array([2, 0, 1]))
+        assert np.array_equal(load_labels(prepend_bom(tmp_path / "labels.csv"), ["a", "b", "c"]), [2, 0, 1])
 
     def test_missing_track_named(self, tmp_path):
         save_labels(tmp_path / "labels.csv", ["a", "b"], np.array([0, 1]))

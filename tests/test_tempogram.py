@@ -3,7 +3,7 @@ import pytest
 
 from conftest import count_calls, frame_series
 from edm_atlas import audio
-from edm_atlas.audio import AudioClip, SampleStream, stft
+from edm_atlas.audio import LOG_COMPRESSION, AudioClip, SampleStream, stft
 from edm_atlas.fixtures import synth_click_track
 from edm_atlas.tempogram import (
     SCALE_AXIS,
@@ -16,6 +16,7 @@ from edm_atlas.tempogram import (
     autocorr_tempogram,
     cyclic_tempogram,
     fourier_tempogram,
+    local_mean_removed,
     novelty_curve,
     tempogram_feature_vector,
     tempogram_summary,
@@ -61,12 +62,12 @@ class TestNoveltyCurve:
         with pytest.raises(ValueError):
             novelty_curve(series)
 
-    def test_band_out_of_range(self, click_120):
+    def test_band_curve_length(self, click_120):
+        # a band's curve, built as band_beat_emphasis builds it, has one value per frame pair
         series = stft(click_120)
-        assert novelty_curve(series, 5).values.size == series.n_frames - 1
-        for band in (-1, 6):
-            with pytest.raises(ValueError, match=r"band must be in \[0, 6\)"):
-                novelty_curve(series, band)
+        for band in range(series.band_energy.shape[1]):
+            raw = np.clip(np.diff(np.log1p(LOG_COMPRESSION * np.sqrt(series.band_energy[:, band]))), 0.0, None)
+            assert local_mean_removed(raw, series.frame_rate).size == series.n_frames - 1
 
 
 class TestFourierTempogram:
