@@ -138,9 +138,10 @@ def _renderer(
             return out
 
     elif kind == "noise_pulse":
+        # the amplitude is the draw after the track's n noise samples; PCG64
+        # spends one 64-bit output per double, so skipping n outputs skips them
         ahead = copy.deepcopy(rng)
-        for c0 in range(0, n, DECODE_CHUNK):
-            ahead.uniform(-1.0, 1.0, min(DECODE_CHUNK, n - c0))
+        ahead.bit_generator.advance(n)
         amp = ahead.uniform(0.4, 0.6)
 
         def render(c0: int, c1: int) -> np.ndarray:

@@ -19,7 +19,8 @@ needs. No analysis task (forest tree, bootstrap resample, sweep k) loads
 scipy: a 2-worker sweep pool started from a process that has imported
 the CLI returned its first results after 0.34-0.45 s on a 2-vCPU host,
 where workers that loaded ``scipy.spatial`` took 0.70-1.05 s. An
-extraction worker also loads ``scipy.fft`` with ``features``.
+extraction worker loads scipy only for a track that needs resampling
+(``scipy.signal``).
 """
 
 from __future__ import annotations

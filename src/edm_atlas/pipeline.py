@@ -42,6 +42,7 @@ import numpy as np
 from . import metrics
 from .audio import CANONICAL_RATE, MAX_WAV_FRAMES, read_wav_header, stream_wav
 from .cluster import DEFAULT_K_RANGE, KMEANS_RESTARTS, ClusterModel, divisive_cluster, kmeans, select_natural_k
+from .features import band_beat_emphasis, fundamental_feature_vector
 from .fixtures import DEFAULT_FAMILIES, FixtureFamily, write_fixture_set
 from .parallel import pool_map
 from .plots import pca_project, radar_svg, scatter_svg
@@ -172,9 +173,6 @@ def extract_track(record: TrackRecord, base_dir: Path) -> FeatureVector:
     that span only, so no whole-track sample array exists. The track is analysed once (per-frame
     STFT series, novelty curve, both tempograms) and every block reads it.
     """
-    # features loads scipy.fft, which only extraction needs
-    from .features import band_beat_emphasis, fundamental_feature_vector
-
     wav_path = Path(record.path)
     if not wav_path.is_absolute():
         wav_path = base_dir / wav_path
@@ -201,9 +199,6 @@ def cmd_extract(cfg: RunConfig) -> tuple[FeatureMatrix, list[str]]:
     out_dir = Path(cfg.out)
     records = load_manifest(cfg.manifest)
     base_dir = Path(cfg.manifest).parent
-
-    # extract_track's import, done before the pool starts so that forked workers inherit it
-    from . import features  # noqa: F401
     results = pool_map(_extract_worker, base_dir, records, cfg.workers)
 
     vectors: dict[str, FeatureVector] = {}

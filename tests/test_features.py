@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dct
 from scipy.signal import butter, sosfilt
 
 from conftest import frame_series, synth_noise, synth_sine
-from edm_atlas.audio import AudioClip, stft
+from edm_atlas.audio import N_MEL_BANDS, AudioClip, stft
 from edm_atlas.features import (
+    LOG_FLOOR,
+    _dct_ii_ortho,
     band_beat_emphasis,
     chroma_features,
     danceability_dfa,
@@ -65,6 +70,37 @@ class TestSpectralStats:
         series = frame_series(np.ones((1, 4)), 43.0, np.arange(4) + 1.0)
         with pytest.raises(ValueError):
             spectral_stats(series)
+
+
+# Values a row of log mel energies can hold, or that sit at the edges of
+# the port's arithmetic: the floor's log, signed zeros, and magnitudes from
+# 1e-12 to 1e4.
+SPECIAL_VALUES = [np.log(LOG_FLOOR), 0.0, -0.0, 1e-12, -1e-12, 1e4, -1e4]
+
+
+@st.composite
+def dct_rows(draw):
+    """1 to 300 rows of N_MEL_BANDS values: random rows at one magnitude each, constant rows, special values."""
+    n_rows = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n_rows, N_MEL_BANDS)) * 10.0 ** rng.uniform(-12.0, 4.0, (n_rows, 1))
+    kinds = rng.integers(0, 4, n_rows)
+    x[kinds == 1] = x[kinds == 1, :1]  # constant rows
+    x[kinds == 2] = np.log(LOG_FLOOR)  # every band at the floor
+    x[kinds == 3] = np.copysign(0.0, x[kinds == 3])  # signed zeros
+    for value in draw(st.lists(st.sampled_from(SPECIAL_VALUES), max_size=20)):
+        x[rng.integers(n_rows), rng.integers(N_MEL_BANDS)] = value
+    return x
+
+
+class TestDctMatchesScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(dct_rows())
+    def test_bit_for_bit(self, x):
+        got = _dct_ii_ortho(x)
+        want = dct(x, type=2, norm="ortho", axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMfcc:

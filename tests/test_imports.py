@@ -12,8 +12,10 @@ shows an import cycle.
 The analysis stages (``cluster``, ``sweep``, ``profile``, ``plot``) and
 ``import edm_atlas.cli`` load no scipy module at all: its imports were
 about half of an analysis process's peak memory and start-up time.
-``extract`` loads ``scipy.fft`` for the MFCC's DCT, and ``scipy.signal``
-(with ``scipy.stats``) only when a track needs resampling.
+``import edm_atlas.features`` loads none either, since the MFCC's DCT runs
+on numpy's FFT, so ``extract`` of a 22050 Hz catalog loads no scipy module.
+``extract`` loads ``scipy.signal`` (with ``scipy.stats``) only when a track
+needs resampling.
 """
 
 import ast
@@ -95,6 +97,9 @@ def loaded(step):
 import edm_atlas
 
 loaded("import edm_atlas")
+import edm_atlas.features
+
+loaded("import edm_atlas.features")
 from edm_atlas.cli import main
 
 loaded("import edm_atlas.cli")
@@ -148,8 +153,7 @@ def test_stages_skip_signal_and_stats(tmp_path):
             step, *names = line.split("|")[1:]
             loaded[step] = names
     extract, resampling = loaded.pop("extract"), loaded.pop("extract 44100 Hz")
-    steps = ["import edm_atlas", "import edm_atlas.cli", "cluster", "sweep", "profile", "plot"]
+    steps = ["import edm_atlas", "import edm_atlas.features", "import edm_atlas.cli", "cluster", "sweep", "profile", "plot"]
     assert loaded == {step: [] for step in steps}
-    assert "scipy.fft" in extract  # the MFCC's DCT
-    assert not [name for name in extract if name.startswith(("scipy.spatial", "scipy.signal", "scipy.stats"))]
+    assert extract == []  # the MFCC's DCT runs on numpy's FFT
     assert "scipy.signal" in resampling  # the deferred import runs once a track needs it

@@ -274,7 +274,7 @@ class TestExtractionMemory:
         layers = [(tempogram, "stft"), (tempogram, "autocorr_tempogram")]
         layers += [(features, "mfcc_features"), (features, "chroma_features")]
         layers += [(tempogram, "novelty_curve"), (tempogram, "fourier_tempogram")]
-        layers += [(pipeline, "tempogram_feature_vector"), (features, "band_beat_emphasis")]
+        layers += [(pipeline, "tempogram_feature_vector"), (pipeline, "band_beat_emphasis")]
         excess = {name: [] for _, name in layers}
         for module, name in layers:
 
